@@ -6,8 +6,7 @@ from .channel import (ChannelParams, GainMatrix, IntensitySettings, bessel_i0,
                       db_to_transmittance, gain, simulate_gains, standard_noise,
                       theoretical_yield, transmittance_to_db, x_basis_statistics)
 from .decoy3 import YieldBounds, bound_y3, cancellation_coeffs, yield_bounds_3
-from .decoy4 import (bound4_y04, bound4_y13, bound4_y31, bound4_y40, d_n,
-                     hom_sym_sum, yield_bounds)
+from .decoy4 import bound4_y04, bound4_y13, bound4_y31, bound4_y40, yield_bounds
 from .errors import (ConfigError, DegenerateIntensityError,
                      InconsistentGainsError, InfeasibleFluctuationError,
                      SaturationError, TfqkdError)
@@ -15,6 +14,7 @@ from .optimize import (FluctuationSpec, OptimizationSpec, coordinate_descent,
                        optimize_rate, worst_case_fluctuation)
 from .rate import (KeyRateResult, binary_entropy, key_rate, phase_error_upper,
                    plob_bound)
+from .series import d_n, hom_sym_sum
 
 __all__ = [
     "ChannelParams", "GainMatrix", "IntensitySettings", "YieldBounds",

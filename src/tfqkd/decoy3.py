@@ -14,6 +14,12 @@ ingredients are the factorially damped series tails, which are themselves
 computed from all-positive terms to full relative accuracy.  The float path
 is faster and plenty for rate optimization; the exact path is what the
 oracle comparisons at 1e-9 tolerances need.
+
+Three- and four-decoy bounds share one path: ``_prepare`` checks the input,
+picks the number type and rescales the gains; ``_block_bounds`` turns one
+3x3 block into all nine clamped bounds, every combination going through
+``_combine`` and every party-swapped target being its mirror formula on the
+transposed block.  A three-decoy bound set is one block.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .channel import GainMatrix
 from .errors import DegenerateIntensityError, InconsistentGainsError
@@ -37,8 +42,10 @@ _MIN_REL_GAP = 1e-6
 class YieldBounds:
     """Sparse map (n, m) -> certified upper bound; unlisted indices mean 1.
 
-    ``provenance`` records which formula produced each stored entry, and
-    ``warnings`` collects notes such as skipped ill-conditioned formulas.
+    ``provenance`` names the candidate formula that won each stored entry
+    (e.g. ``3-decoy``, ``3-decoy subsets (0,1,3)x(0,2,3)``, ``4-decoy
+    combined``), and ``warnings`` collects notes such as skipped
+    ill-conditioned formulas.
     """
 
     bounds: dict = field(default_factory=dict)
@@ -72,29 +79,27 @@ def check_intensities(values, label: str) -> None:
                     f"{label} intensities {vals[i]} and {vals[j]} are (nearly) equal")
 
 
+# The vectors lead with the integer 1, which keeps the intensities' number type.
+
 def _kill_01(x):
     """Row vector orthogonal to (1,1,1) and (x0,x1,x2), normalized to lead 1."""
     x0, x1, x2 = x
     d = x1 - x2
-    return (_one(x0), (x2 - x0) / d, (x0 - x1) / d)
+    return (1, (x2 - x0) / d, (x0 - x1) / d)
 
 
 def _kill_02(x):
     """Row vector orthogonal to (1,1,1) and the squared intensities."""
     x0, x1, x2 = x
     d = x1 * x1 - x2 * x2
-    return (_one(x0), (x2 * x2 - x0 * x0) / d, (x0 * x0 - x1 * x1) / d)
+    return (1, (x2 * x2 - x0 * x0) / d, (x0 * x0 - x1 * x1) / d)
 
 
 def _kill_12(x):
     """Row vector orthogonal to the intensities and their squares."""
     x0, x1, x2 = x
     d = x1 - x2
-    return (_one(x0), x0 * (x2 - x0) / (x1 * d), x0 * (x0 - x1) / (x2 * d))
-
-
-def _one(sample):
-    return Fraction(1) if isinstance(sample, Fraction) else 1.0
+    return (1, x0 * (x2 - x0) / (x1 * d), x0 * (x0 - x1) / (x2 * d))
 
 
 _VECTOR_FOR_TARGET = {
@@ -123,14 +128,6 @@ def cancellation_coeffs(target, mu, nu):
     nu = tuple(nu)
     if len(mu) != 3 or len(nu) != 3:
         raise ValueError("cancellation_coeffs expects three intensities per party")
-    if isinstance(mu[0], Fraction) or isinstance(nu[0], Fraction):
-        # Fractions hash equal to the floats they were built from, so the
-        # exact path must bypass the float cache.
-        return _coeffs_uncached(target, mu, nu)
-    return _coeffs_cached(target, mu, nu)
-
-
-def _coeffs_uncached(target, mu, nu):
     check_intensities(mu, "mu")
     check_intensities(nu, "nu")
     fa, fb = _VECTOR_FOR_TARGET[target]
@@ -139,28 +136,19 @@ def _coeffs_uncached(target, mu, nu):
     return tuple(tuple(ai * bj for bj in b) for ai in a)
 
 
-@lru_cache(maxsize=8192)
-def _coeffs_cached(target, mu, nu):
-    return _coeffs_uncached(target, mu, nu)
-
-
-@lru_cache(maxsize=256)
-def _rescaled(gains: GainMatrix, mu: tuple, nu: tuple):
-    """Gains multiplied by exp(mu_k + nu_l); cached per (matrix, intensities)."""
-    return tuple(
-        tuple(math.exp(mu_k + nu_l) * q for nu_l, q in zip(nu, row))
-        for mu_k, row in zip(mu, gains.q)
-    )
-
-
-@lru_cache(maxsize=256)
-def _rescaled_exact(gains: GainMatrix, mu: tuple, nu: tuple):
-    """Exact-rational proxy of the rescaled gains (doubles taken verbatim)."""
-    return tuple(
-        tuple(Fraction(math.exp(mu_k + nu_l)) * Fraction(q)
-              for nu_l, q in zip(nu, row))
-        for mu_k, row in zip(mu, gains.q)
-    )
+def _prepare(q, mu, nu, size: int, exact: bool):
+    """Checked input as (num, qtilde, qtilde transposed, mu, nu) in number type
+    ``num``; qtilde is the gains times exp(mu_k + nu_l), doubles taken verbatim.
+    """
+    mu, nu = tuple(mu), tuple(nu)
+    if len(q) != size or len(mu) != size or len(nu) != size:
+        raise ValueError(f"expected {size} decoys per party and a {size}x{size} gain matrix")
+    check_intensities(mu, "mu")
+    check_intensities(nu, "nu")
+    num = Fraction if exact else float
+    qtilde = tuple(tuple(num(math.exp(mu_k + nu_l)) * num(g) for nu_l, g in zip(nu, row))
+                   for mu_k, row in zip(mu, q))
+    return num, qtilde, tuple(zip(*qtilde)), tuple(map(num, mu)), tuple(map(num, nu))
 
 
 # Per-term rounding allowance for the float path: the gain combinations are
@@ -169,7 +157,7 @@ def _rescaled_exact(gains: GainMatrix, mu: tuple, nu: tuple):
 _EPS_COMBINE = 8.0 * 2.0 ** -53
 
 
-def _combine(coeffs, qtilde, rows, cols, exact):
+def _combine(coeffs, qtilde, rows, cols, num):
     """Gain combination and a bound on its floating-point error.
 
     Returns (value, error); the error is zero on the exact path.  The error
@@ -180,95 +168,78 @@ def _combine(coeffs, qtilde, rows, cols, exact):
     """
     terms = [coeffs[a][b] * qtilde[i][j]
              for a, i in enumerate(rows) for b, j in enumerate(cols)]
-    if exact:
+    if num is Fraction:
         return sum(terms), 0
     return math.fsum(terms), _EPS_COMBINE * math.fsum(abs(t) for t in terms)
 
 
-def _clamp(raw, target, formula: str) -> float:
-    raw = float(raw)
-    if raw < _NEGATIVE_SLACK:
+def _clamp(raw, err, target, formula: str) -> float:
+    """Clamp raw + err to [0, 1], crediting the rounding error upward."""
+    value = float(raw) + float(err)
+    if value < _NEGATIVE_SLACK:
         raise InconsistentGainsError(
-            f"{formula} bound for yield {target} is {raw}; the gains are not "
+            f"{formula} bound for yield {target} is {value}; the gains are not "
             f"producible by any yield profile")
-    return min(max(raw, 0.0), 1.0)
+    return min(max(value, 0.0), 1.0)
 
 
-def _lift(value, exact):
-    return Fraction(value) if exact else value
-
-
-def _raw_bound(target, qtilde, mu, nu, rows, cols, exact=False):
-    """Unclamped bound for one target on a 3x3 block of rescaled gains.
-
-    Returns (raw, error): the formula value plus a bound on its own
-    floating-point error (zero on the exact path).  ``rows``/``cols`` select
-    the gain-matrix indices corresponding to the (already ordered) intensity
-    triples ``mu``/``nu``.  With ``exact`` the intensities, coefficients and
-    gains are Fractions and the arithmetic is exact up to the series tails.
-    """
-    if exact and not isinstance(mu[0], Fraction):
-        mu = tuple(Fraction(v) for v in mu)
-        nu = tuple(Fraction(v) for v in nu)
-    if target[0] == target[1] and nu > mu:
-        # canonical orientation, so exchanging the parties is a bitwise
-        # no-op for the party-symmetric targets too
-        size = len(qtilde)
-        qt_t = tuple(tuple(qtilde[i][j] for i in range(size)) for j in range(size))
-        return _raw_bound(target, qt_t, nu, mu, cols, rows, exact)
+def _one_sided(qtilde, mu, nu, rows, cols, num):
+    """Raw (value, error) pairs of (0,2), (0,4) and (1,3); on the transposed
+    block with the parties exchanged, of (2,0), (4,0) and (3,1)."""
     mu0, mu1, mu2 = mu
     nu0, nu1, nu2 = nu
     denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
-
-    if target == (1, 1):
-        g, gerr = _combine(cancellation_coeffs((1, 1), mu, nu), qtilde, rows, cols, exact)
-        y13 = _clamp_pair(_raw_bound((1, 3), qtilde, mu, nu, rows, cols, exact),
-                          (1, 3), "3-decoy")
-        y31 = _clamp_pair(_raw_bound((3, 1), qtilde, mu, nu, rows, cols, exact),
-                          (3, 1), "3-decoy")
-        e2_nu = nu0 * nu1 + nu0 * nu2 + nu1 * nu2
-        e2_mu = mu0 * mu1 + mu0 * mu2 + mu1 * mu2
-        pref = (mu1 + mu2) * (nu1 + nu2) / denom
-        raw = (g * pref + _lift(y13, exact) * e2_nu / 6 + _lift(y31, exact) * e2_mu / 6
-               + _lift(exp_f_tail(nu, 4), exact) + _lift(exp_f_tail(mu, 4), exact))
-        return raw, gerr * abs(pref)
-
-    if target == (0, 0):
-        g, gerr = _combine(cancellation_coeffs((0, 0), mu, nu), qtilde, rows, cols, exact)
-        pref = mu1 * mu2 * nu1 * nu2 / denom
-        return g * pref, gerr * abs(pref)
-    if target == (2, 2):
-        g, gerr = _combine(cancellation_coeffs((2, 2), mu, nu), qtilde, rows, cols, exact)
-        return 4 * g / denom, 4 * gerr / abs(denom)
-    if target in ((0, 2), (0, 4)):
-        g, gerr = _combine(cancellation_coeffs((0, 2), mu, nu), qtilde, rows, cols, exact)
-        if target == (0, 2):
-            pref = 2 * mu1 * mu2 / denom
-        else:
-            h2_nu = (nu0 * nu0 + nu1 * nu1 + nu2 * nu2
-                     + nu0 * nu1 + nu0 * nu2 + nu1 * nu2)
-            pref = 24 * mu1 * mu2 / (denom * h2_nu)
-        return g * pref, gerr * abs(pref)
-    if target == (1, 3):
-        g, gerr = _combine(cancellation_coeffs((1, 3), mu, nu), qtilde, rows, cols, exact)
-        e1_nu = nu0 + nu1 + nu2
-        tail = _lift(exp_h_tail(nu, 2), exact) * _lift(exp_f_tail(mu, 3), exact)
-        pref = -6 * (mu1 + mu2) / (denom * e1_nu)
-        return g * pref + 6 * tail / e1_nu, gerr * abs(pref)
-
-    # Party-swapped targets: evaluate the mirror bound on the transposed block.
-    swap = {(2, 0): (0, 2), (4, 0): (0, 4), (3, 1): (1, 3)}
-    if target in swap:
-        size = len(qtilde)
-        qt_t = tuple(tuple(qtilde[i][j] for i in range(size)) for j in range(size))
-        return _raw_bound(swap[target], qt_t, nu, mu, cols, rows, exact)
-    raise ValueError(f"no three-decoy bound for target {target}")
+    g, gerr = _combine(cancellation_coeffs((0, 2), mu, nu), qtilde, rows, cols, num)
+    pref02 = 2 * mu1 * mu2 / denom
+    h2_nu = (nu0 * nu0 + nu1 * nu1 + nu2 * nu2
+             + nu0 * nu1 + nu0 * nu2 + nu1 * nu2)
+    pref04 = 24 * mu1 * mu2 / (denom * h2_nu)
+    g13, err13 = _combine(cancellation_coeffs((1, 3), mu, nu), qtilde, rows, cols, num)
+    e1_nu = nu0 + nu1 + nu2
+    tail = num(exp_h_tail(nu, 2)) * num(exp_f_tail(mu, 3))
+    pref13 = -6 * (mu1 + mu2) / (denom * e1_nu)
+    return ((g * pref02, gerr * abs(pref02)), (g * pref04, gerr * abs(pref04)),
+            (g13 * pref13 + 6 * tail / e1_nu, err13 * abs(pref13)))
 
 
-def _clamp_pair(raw_err, target, formula: str) -> float:
-    """Clamp a (raw, error) pair, crediting the rounding error upward."""
-    raw, err = raw_err
-    return _clamp(float(raw) + float(err), target, formula)
+def _block_bounds(qtilde, qtilde_t, mu, nu, rows, cols, num) -> dict:
+    """All nine clamped bounds on the 3x3 block ``rows`` x ``cols`` of the
+    rescaled gains, whose intensities are the ordered triples ``mu``/``nu``."""
+    out = {}
+    for targets, raws in ((((0, 2), (0, 4), (1, 3)),
+                           _one_sided(qtilde, mu, nu, rows, cols, num)),
+                          (((2, 0), (4, 0), (3, 1)),
+                           _one_sided(qtilde_t, nu, mu, cols, rows, num))):
+        for target, (raw, err) in zip(targets, raws):
+            out[target] = _clamp(raw, err, target, "3-decoy")
+    y13, y31 = out[1, 3], out[3, 1]
+    if nu > mu:
+        # canonical orientation, so exchanging the parties is a bitwise
+        # no-op for the party-symmetric targets too
+        qtilde, mu, nu, rows, cols, y13, y31 = qtilde_t, nu, mu, cols, rows, y31, y13
+    mu0, mu1, mu2 = mu
+    nu0, nu1, nu2 = nu
+    denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
+    g, gerr = _combine(cancellation_coeffs((0, 0), mu, nu), qtilde, rows, cols, num)
+    pref = mu1 * mu2 * nu1 * nu2 / denom
+    out[0, 0] = _clamp(g * pref, gerr * abs(pref), (0, 0), "3-decoy")
+    g, gerr = _combine(cancellation_coeffs((1, 1), mu, nu), qtilde, rows, cols, num)
+    e2_nu = nu0 * nu1 + nu0 * nu2 + nu1 * nu2
+    e2_mu = mu0 * mu1 + mu0 * mu2 + mu1 * mu2
+    pref = (mu1 + mu2) * (nu1 + nu2) / denom
+    raw = (g * pref + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6
+           + num(exp_f_tail(nu, 4)) + num(exp_f_tail(mu, 4)))
+    out[1, 1] = _clamp(raw, gerr * abs(pref), (1, 1), "3-decoy")
+    g, gerr = _combine(cancellation_coeffs((2, 2), mu, nu), qtilde, rows, cols, num)
+    out[2, 2] = _clamp(4 * g / denom, 4 * gerr / abs(denom), (2, 2), "3-decoy")
+    return {target: out[target] for target in TARGETS_3}
+
+
+def _bounds3(q, mu, nu, exact):
+    """(bounds, provenance, warnings) of the three-decoy bound set."""
+    num, qtilde, qtilde_t, mu, nu = _prepare(q, mu, nu, 3, exact)
+    bounds = _block_bounds(qtilde, qtilde_t, mu, nu, (0, 1, 2), (0, 1, 2), num)
+    return bounds, dict.fromkeys(bounds, "3-decoy"), []
 
 
 def bound_y3(target, gains: GainMatrix, mu, nu, exact: bool = False) -> float:
@@ -277,24 +248,15 @@ def bound_y3(target, gains: GainMatrix, mu, nu, exact: bool = False) -> float:
     The float path adds its own rounding-error estimate before clamping, so
     the result stays a valid upper bound even where the combination cancels
     beyond double precision.  Values above 1 are clamped; values below
-    -1e-9 (after the error credit) raise ``InconsistentGainsError``.
+    -1e-9 (after the error credit) raise ``InconsistentGainsError``, for
+    any of the nine targets: the whole set is evaluated.
     """
     target = tuple(target)
-    mu = tuple(mu)
-    nu = tuple(nu)
-    if gains.size != 3 or len(mu) != 3 or len(nu) != 3:
-        raise ValueError("bound_y3 expects three decoys per party")
-    check_intensities(mu, "mu")
-    check_intensities(nu, "nu")
-    qtilde = _rescaled_exact(gains, mu, nu) if exact else _rescaled(gains, mu, nu)
-    return _clamp_pair(_raw_bound(target, qtilde, mu, nu, (0, 1, 2), (0, 1, 2), exact),
-                       target, "3-decoy")
+    if target not in TARGETS_3:
+        raise ValueError(f"no three-decoy bound for target {target}")
+    return _bounds3(gains.q, mu, nu, exact)[0][target]
 
 
 def yield_bounds_3(gains: GainMatrix, mu, nu, exact: bool = False) -> YieldBounds:
     """All nine three-decoy bounds for one gain matrix."""
-    out = YieldBounds()
-    for target in TARGETS_3:
-        out.bounds[target] = bound_y3(target, gains, mu, nu, exact)
-        out.provenance[target] = "3-decoy analytical"
-    return out
+    return YieldBounds(*_bounds3(gains.q, mu, nu, exact))

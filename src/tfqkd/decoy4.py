@@ -19,19 +19,23 @@ arithmetic (``exact=True``); the combined formulas cancel so deeply that the
 float path carries absolute noise around 1e-7..1e-5 for the paper-scale weak
 decoys, which is irrelevant for key rates but matters when checking the
 bounds against the LP oracle at 1e-9 tolerances.
+
+The bounds follow ``decoy3``'s one path, with the subset pairs as blocks.
+``yield_bounds`` memoizes whole bound sets per (gains, intensities, path):
+the optimizer and the fluctuation search repeat them with new amplitudes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .channel import GainMatrix, IntensitySettings
-from .decoy3 import (_EPS_COMBINE, YieldBounds, _clamp_pair, _lift, _one,
-                     _raw_bound, _rescaled, _rescaled_exact,
-                     cancellation_coeffs, check_intensities, yield_bounds_3)
-from .series import exp_h_tail, hom_sym_sum, d_n  # noqa: F401  (re-exported helpers)
+from .decoy3 import (_EPS_COMBINE, TARGETS_3, YieldBounds, _block_bounds, _bounds3,
+                     _clamp, _combine, _prepare, cancellation_coeffs)
+from .series import exp_h_tail
 
 # Slot order of the four 3-subset combinations.  Each subset's combination is
 # normalized on its first listed index, e.g. (1,2,3) carries coefficient 1 on
@@ -40,24 +44,6 @@ SUBSETS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 _TILDE_REL_TOL = 1e-9
 _Q13_REL_FLOOR = 1e-12
-
-
-def _subset_g(qtilde, mu4, nu4, target, slots, exact, nu_override=None):
-    """Three-decoy gain combination evaluated on one subset of the 4x4 data.
-
-    ``nu_override`` substitutes the intensities used to build the
-    coefficients on Bob's side (the degenerate variant needs Alice's values
-    there) while the gains themselves stay untouched.
-    """
-    msub = tuple(mu4[i] for i in slots)
-    nsrc = nu4 if nu_override is None else nu_override
-    nsub = tuple(nsrc[i] for i in slots)
-    c = cancellation_coeffs(target, msub, nsub)
-    terms = [c[a][b] * qtilde[slots[a]][slots[b]]
-             for a in range(3) for b in range(3)]
-    if exact:
-        return sum(terms), 0
-    return math.fsum(terms), _EPS_COMBINE * math.fsum(abs(t) for t in terms)
 
 
 def _p04(mu, nu):
@@ -81,7 +67,7 @@ def _d04(mu, nu):
             * (m1 * (n3 - n2) + m2 * (n1 - n3) + m3 * (n2 - n1))
             / (m1 * (m1 - m2) * (m1 - m3) * (n1 - n2) * (n1 - n3)
                * (m0 * (n1 - n2) + m1 * (n2 - n0) + m2 * (n0 - n1))))
-    return (_one(m0), d013, d023, d123)
+    return (1, d013, d023, d123)
 
 
 def _weak_cross(mu, nu):
@@ -99,67 +85,55 @@ def _weak_cross(mu, nu):
     return t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2)
 
 
-def _combine_subsets(qtilde, mu, nu, target, ds, exact, nu_override=None):
+def _combine_subsets(qtilde, mu, nu, target, ds, num):
     """Weighted sum of subset combinations with its own error estimate."""
     values = []
     errors = []
     for d, slots in zip(ds, SUBSETS):
         if d is None:
             continue
-        g, gerr = _subset_g(qtilde, mu, nu, target, slots, exact,
-                            nu_override=nu_override)
+        coeffs = cancellation_coeffs(target, tuple(mu[i] for i in slots),
+                                     tuple(nu[i] for i in slots))
+        g, gerr = _combine(coeffs, qtilde, slots, slots, num)
         values.append(d * g)
         errors.append(abs(d) * gerr)
-    if exact:
+    if num is Fraction:
         return sum(values), 0
     err = math.fsum(errors) + _EPS_COMBINE * math.fsum(abs(v) for v in values)
     return math.fsum(values), err
 
 
-def _y04_generic(qtilde, mu, nu, cross, exact):
+def _y04(qtilde, mu, nu, cross, num):
+    """Combined (0,4) bound as (raw, error).  ``cross`` None selects the
+    degenerate variant for nu_i == mu_i (i < 3), whose coefficients are built
+    from Alice's weak intensities and Bob's strongest one."""
     m0, m1, m2, m3 = mu
     n0, n1, n2, n3 = nu
-    h04, herr = _combine_subsets(qtilde, mu, nu, (0, 2), _d04(mu, nu), exact)
-    kern = (m0 - m1) * (m0 - m2) * (n0 - n1) * (n0 - n2)
-    p = _p04(mu, nu)
-    a04_four = -kern * (n0 + n1 + n2 + n3) * p / (m1 * m2 * m3 * cross)
+    if cross is None:
+        ds = (None,
+              m3,
+              -(m0 - m1) * m3 / (m0 - m2),
+              m0 * m3 * (m0 - m1) * (m0 - m3) * (m0 - n3)
+              / (m1 * (m1 - m2) * (m1 - m3) * (m1 - n3)))
+        nu = (m0, m1, m2, n3)
+        lead = (m0 - m1) ** 2 * (m0 - m2) * (m1 - m2) * (m0 - m3) * (m0 - n3)
+        a04_four = -lead * (m0 + m1 + m2 + n3) / (m1 * m2)
+        head = m0 * m3 * lead
+    else:
+        ds = _d04(mu, nu)
+        kern = (m0 - m1) * (m0 - m2) * (n0 - n1) * (n0 - n2)
+        p = _p04(mu, nu)
+        a04_four = -kern * (n0 + n1 + n2 + n3) * p / (m1 * m2 * m3 * cross)
+        head = m0 * kern * p / cross
+    h04, herr = _combine_subsets(qtilde, mu, nu, (0, 2), ds, num)
     # Residual of the terms saturated at yield 1; closed form re-derived from
     # the series itself (the factorial heads below differ between the two
     # parties because the surviving families start at different orders).
-    series = (m0 * kern * p / cross
-              * _lift(exp_h_tail(mu, 4), exact) * _lift(exp_h_tail(nu, 3), exact))
+    series = head * num(exp_h_tail(mu, 4)) * num(exp_h_tail(nu, 3))
     raw = 24 * (h04 - series) / a04_four
-    if exact:
+    if num is Fraction:
         return raw, 0
-    err = (herr + abs(series) * 2.0 ** -50) * abs(24 / a04_four)
-    return raw, err
-
-
-def _y04_tilde(qtilde, mu, nu, exact):
-    """Degenerate (0,4) bound for pairwise equal weak decoys.
-
-    Valid when nu_i == mu_i for i = 0, 1, 2; the coefficients are built from
-    Alice's weak intensities and Bob's strongest one.
-    """
-    m0, m1, m2, m3 = mu
-    n3 = nu[3]
-    ds = (None,
-          m3,
-          -(m0 - m1) * m3 / (m0 - m2),
-          m0 * m3 * (m0 - m1) * (m0 - m3) * (m0 - n3)
-          / (m1 * (m1 - m2) * (m1 - m3) * (m1 - n3)))
-    nu_sub = (m0, m1, m2, n3)
-    h04, herr = _combine_subsets(qtilde, mu, nu, (0, 2), ds, exact,
-                                 nu_override=nu_sub)
-    lead = (m0 - m1) ** 2 * (m0 - m2) * (m1 - m2) * (m0 - m3) * (m0 - n3)
-    a04_four = -lead * (m0 + m1 + m2 + n3) / (m1 * m2)
-    series = (m0 * m3 * lead
-              * _lift(exp_h_tail(mu, 4), exact) * _lift(exp_h_tail(nu_sub, 3), exact))
-    raw = 24 * (h04 - series) / a04_four
-    if exact:
-        return raw, 0
-    err = (herr + abs(series) * 2.0 ** -50) * abs(24 / a04_four)
-    return raw, err
+    return raw, (herr + abs(series) * 2.0 ** -50) * abs(24 / a04_four)
 
 
 def _p13(mu, nu):
@@ -199,139 +173,122 @@ def _d13(mu, nu, q13):
               * (m1 * (n3 - n2) + m2 * (n1 - n3) + m3 * (n2 - n1)))
     d123 = ((m0 - m1) * (m0 - m2) * (m2 + m3) * (n0 - n1) * (n0 - n2)
             / ((m1 ** 2 - m2 ** 2) * (m1 - m3) * (n1 - n2) * (n1 - n3))) * num123 / q13
-    return (_one(m0), d013, d023, d123)
+    return (1, d013, d023, d123)
 
 
-def _y13_generic(qtilde, mu, nu, q13, exact):
+def _y13(qtilde, mu, nu, q13, num):
     m0, m1, m2, m3 = mu
-    h13, herr = _combine_subsets(qtilde, mu, nu, (1, 3), _d13(mu, nu, q13), exact)
+    h13, herr = _combine_subsets(qtilde, mu, nu, (1, 3), _d13(mu, nu, q13), num)
     kern = (m0 - m1) * (m0 - m2) * (nu[0] - nu[1]) * (nu[0] - nu[2])
     a13_three = -kern / (m1 + m2) * _p13(mu, nu) / q13
     raw = 6 * h13 / a13_three
-    if exact:
+    if num is Fraction:
         return raw, 0
     return raw, herr * abs(6 / a13_three)
 
 
+def _combined(target, qtilde, mu, nu, floats, num, warnings):
+    """(provenance, raw, error) of the four-decoy formula, or None if skipped;
+    (4,0) and (3,1) arrive transposed, ``floats`` are mu/nu as doubles."""
+    mu_f, nu_f = floats
+    if target in ((0, 4), (4, 0)):
+        if all(abs(mu_f[i] - nu_f[i]) <= _TILDE_REL_TOL * max(mu_f[i], nu_f[i])
+               for i in range(3)):
+            return ("4-decoy degenerate",) + _y04(qtilde, mu, nu, None, num)
+        cross, scale = _weak_cross(mu_f, nu_f)
+        if abs(cross) >= _Q13_REL_FLOOR * scale:
+            return ("4-decoy combined",) + _y04(qtilde, mu, nu, _weak_cross(mu, nu)[0], num)
+        reason = "proportional weak triples"
+    else:
+        q13, scale = _q13(mu_f, nu_f)
+        if abs(q13) >= _Q13_REL_FLOOR * scale:
+            return ("4-decoy combined",) + _y13(qtilde, mu, nu, _q13(mu, nu)[0], num)
+        reason = "vanishing denominator"
+    warnings.append(f"({target[0]},{target[1]}): combined formula skipped "
+                    f"({reason}); subset minima used")
+    return None
+
+
 def _sorted_subsets(values):
     """All descending-ordered 3-subsets of a four-intensity list."""
-    out = []
-    for idx in combinations(range(4), 3):
-        out.append(tuple(sorted(idx, key=lambda i: -values[i])))
-    return out
+    return [tuple(sorted(idx, key=lambda i: -values[i])) for idx in combinations(range(4), 3)]
 
 
-def _subset_minimum(target, qtilde, mu, nu, exact) -> float:
-    """Best three-decoy bound over the 16 subset pairs of a 4x4 matrix."""
-    best = math.inf
-    for rows in _sorted_subsets(mu):
-        msub = tuple(mu[i] for i in rows)
-        for cols in _sorted_subsets(nu):
-            nsub = tuple(nu[i] for i in cols)
-            val = _clamp_pair(_raw_bound(target, qtilde, msub, nsub, rows, cols, exact),
-                              target, "3-decoy (subset)")
-            if val < best:
-                best = val
-    return best
+def _bounds4(q, mu, nu, exact):
+    """(bounds, provenance, warnings): the best subset pair per target (the
+    first wins ties), then each combined formula where strictly lower."""
+    floats = tuple(mu), tuple(nu)
+    num, qtilde, qtilde_t, mu, nu = _prepare(q, mu, nu, 4, exact)
+    best = dict.fromkeys(TARGETS_3, (math.inf, None))
+    for rows in _sorted_subsets(floats[0]):
+        for cols in _sorted_subsets(floats[1]):
+            block = _block_bounds(qtilde, qtilde_t, tuple(mu[i] for i in rows),
+                                  tuple(nu[j] for j in cols), rows, cols, num)
+            for target, value in block.items():
+                if value < best[target][0]:
+                    best[target] = (value, (rows, cols))
+    bounds = {target: value for target, (value, _) in best.items()}
+    provenance = {t: "3-decoy subsets ({},{},{})x({},{},{})".format(*sorted(r), *sorted(c))
+                  for t, (_, (r, c)) in best.items()}
+    warnings = []
+    direct, mirror = (qtilde, mu, nu, floats), (qtilde_t, nu, mu, floats[::-1])
+    for target, orientation in (((0, 4), direct), ((4, 0), mirror),
+                                ((1, 3), direct), ((3, 1), mirror)):
+        found = _combined(target, *orientation, num, warnings)
+        if found is None:
+            continue
+        name, raw, err = found
+        value = _clamp(raw, err, target, "4-decoy")
+        if value < bounds[target]:
+            bounds[target] = value
+            provenance[target] = name
+    return bounds, provenance, warnings
 
 
-def _tilde_applicable(mu, nu) -> bool:
-    return all(abs(mu[i] - nu[i]) <= _TILDE_REL_TOL * max(mu[i], nu[i])
-               for i in range(3))
+@lru_cache(maxsize=1024)
+def _memo(q, mu, nu, exact):
+    """Bound set of one (gains, intensities, path), held as tuples."""
+    bounds, provenance, warnings = (_bounds3 if len(q) == 3 else _bounds4)(q, mu, nu, exact)
+    return tuple(bounds.items()), tuple(provenance.items()), tuple(warnings)
 
 
-def _validate4(gains, mu, nu):
-    if gains.size != 4 or len(mu) != 4 or len(nu) != 4:
+def _bound4(target, gains, mu, nu, warnings, exact):
+    """One four-decoy bound, with its own skip warning appended to ``warnings``."""
+    if gains.size != 4:
         raise ValueError("expected four decoys per party and a 4x4 gain matrix")
-    check_intensities(mu, "mu")
-    check_intensities(nu, "nu")
+    bounds, _, notes = _memo(gains.q, tuple(mu), tuple(nu), exact)
+    if warnings is not None:
+        label = f"({target[0]},{target[1]}):"
+        warnings.extend(note for note in notes if note.startswith(label))
+    return dict(bounds)[target]
 
 
-def _transpose(gains: GainMatrix) -> GainMatrix:
-    q = tuple(tuple(gains.q[i][j] for i in range(gains.size))
-              for j in range(gains.size))
-    return GainMatrix(q=q, omega=gains.omega, source=gains.source)
-
-
-def _prepare(gains, mu, nu, exact):
-    _validate4(gains, mu, nu)
-    if exact:
-        qtilde = _rescaled_exact(gains, mu, nu)
-        return qtilde, tuple(Fraction(v) for v in mu), tuple(Fraction(v) for v in nu)
-    return _rescaled(gains, mu, nu), mu, nu
-
-
-def bound4_y04(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False,
-               _label="(0,4)") -> float:
+def bound4_y04(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False) -> float:
     """Upper bound on the (0,4) yield: combined formula vs subset minima."""
-    mu, nu = tuple(mu), tuple(nu)
-    tilde = _tilde_applicable(mu, nu)
-    qtilde, mu_c, nu_c = _prepare(gains, mu, nu, exact)
-    best = _subset_minimum((0, 4), qtilde, mu_c, nu_c, exact)
-    if tilde:
-        raw = _y04_tilde(qtilde, mu_c, nu_c, exact)
-    else:
-        cross, scale = _weak_cross(mu, nu)
-        if abs(cross) < _Q13_REL_FLOOR * scale:
-            # Proportional (but unequal) weak triples: the combined formula
-            # is singular and no degenerate variant applies.
-            if warnings is not None:
-                warnings.append(f"{_label}: combined formula skipped "
-                                "(proportional weak triples); subset minima used")
-            return best
-        cross_c, _ = _weak_cross(mu_c, nu_c)
-        raw = _y04_generic(qtilde, mu_c, nu_c, cross_c, exact)
-    return min(best, _clamp_pair(raw, (0, 4), "4-decoy"))
+    return _bound4((0, 4), gains, mu, nu, warnings, exact)
 
 
 def bound4_y40(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False) -> float:
     """Mirror of ``bound4_y04`` with the parties exchanged."""
-    return bound4_y04(_transpose(gains), nu, mu, warnings, exact, _label="(4,0)")
+    return _bound4((4, 0), gains, mu, nu, warnings, exact)
 
 
-def bound4_y13(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False,
-               _label="(1,3)") -> float:
-    """Upper bound on the (1,3) yield.
-
-    The combined formula has no degenerate variant; when its denominator is
-    numerically nil the subset minima alone are returned and a warning is
-    recorded on the ``warnings`` list (if given).
-    """
-    mu, nu = tuple(mu), tuple(nu)
-    qtilde, mu_c, nu_c = _prepare(gains, mu, nu, exact)
-    best = _subset_minimum((1, 3), qtilde, mu_c, nu_c, exact)
-    q13, scale = _q13(mu, nu)
-    if abs(q13) < _Q13_REL_FLOOR * scale:
-        if warnings is not None:
-            warnings.append(f"{_label}: combined formula skipped "
-                            "(vanishing denominator); subset minima used")
-        return best
-    q13_c, _ = _q13(mu_c, nu_c)
-    raw = _y13_generic(qtilde, mu_c, nu_c, q13_c, exact)
-    return min(best, _clamp_pair(raw, (1, 3), "4-decoy"))
+def bound4_y13(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False) -> float:
+    """Upper bound on the (1,3) yield; a skipped combined formula (no
+    degenerate variant exists) is noted on ``warnings`` if given."""
+    return _bound4((1, 3), gains, mu, nu, warnings, exact)
 
 
 def bound4_y31(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False) -> float:
     """Mirror of ``bound4_y13`` with the parties exchanged."""
-    return bound4_y13(_transpose(gains), nu, mu, warnings, exact, _label="(3,1)")
+    return _bound4((3, 1), gains, mu, nu, warnings, exact)
 
 
 def yield_bounds(gains: GainMatrix, settings: IntensitySettings,
                  exact: bool = False) -> YieldBounds:
-    """All nine bounds for the given settings (three- or four-decoy)."""
+    """All nine bounds for the given settings (three- or four-decoy), as a
+    fresh ``YieldBounds`` on every call: the memo holds immutable copies."""
     if gains.size != settings.n_decoys:
         raise ValueError("gain matrix size does not match the number of decoys")
-    if settings.n_decoys == 3:
-        return yield_bounds_3(gains, settings.mu, settings.nu, exact)
-    mu, nu = settings.mu, settings.nu
-    qtilde, mu_c, nu_c = _prepare(gains, mu, nu, exact)
-    out = YieldBounds()
-    for target in ((0, 0), (1, 1), (2, 2), (0, 2), (2, 0)):
-        out.bounds[target] = _subset_minimum(target, qtilde, mu_c, nu_c, exact)
-        out.provenance[target] = "3-decoy analytical, min over subset pairs"
-    four = {(0, 4): bound4_y04, (4, 0): bound4_y40,
-            (1, 3): bound4_y13, (3, 1): bound4_y31}
-    for target, fn in four.items():
-        out.bounds[target] = fn(gains, mu, nu, out.warnings, exact)
-        out.provenance[target] = "4-decoy combined (min with subset pairs)"
-    return out
+    bounds, provenance, warnings = _memo(gains.q, settings.mu, settings.nu, exact)
+    return YieldBounds(dict(bounds), dict(provenance), list(warnings))

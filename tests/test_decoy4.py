@@ -1,5 +1,6 @@
 """Four-decoy combined yield bounds."""
 
+import copy
 import math
 
 import pytest
@@ -138,6 +139,7 @@ class TestBounds4:
         direct = yield_bounds_3(gains3, mu3, mu3)
         routed = yield_bounds(gains3, s3)
         assert routed.bounds == direct.bounds
+        assert set(routed.provenance.values()) == {"3-decoy"}
 
     def test_tilde_path_for_equal_weak_triples(self):
         mu = (1e-3, 1e-4, 1e-5, 0.3)
@@ -176,10 +178,10 @@ class TestBounds4:
 
     def test_unit_level_combination_is_homogeneous(self):
         # with all gains zero the weighted subset combination vanishes
-        from tfqkd.decoy4 import _combine_subsets, _rescaled
+        from tfqkd.decoy4 import _combine_subsets, _prepare
         zeros = GainMatrix(q=((0.0,) * 4,) * 4)
-        qt = _rescaled(zeros, MU4, NU4)
-        h04, _ = _combine_subsets(qt, MU4, NU4, (0, 2), _d04(MU4, NU4), False)
+        num, qt, _, mu, nu = _prepare(zeros.q, MU4, NU4, 4, False)
+        h04, _ = _combine_subsets(qt, mu, nu, (0, 2), _d04(mu, nu), num)
         assert h04 == 0.0
 
     def test_yield_bounds_reports_all_nine(self):
@@ -187,3 +189,56 @@ class TestBounds4:
         assert set(bounds.bounds) == {(0, 0), (1, 1), (2, 2), (0, 2), (2, 0),
                                       (0, 4), (4, 0), (1, 3), (3, 1)}
         assert bounds.get(5, 5) == 1.0
+
+
+class TestProvenance:
+    def _bounds(self, loss_db):
+        s = IntensitySettings(alpha_a=0.4, alpha_b=0.4, mu=MU4, nu=NU4)
+        gains = simulate_gains(standard_noise(loss_db, loss_db), s)
+        weakest = GainMatrix(q=tuple(row[:3] for row in gains.q[:3]))
+        return yield_bounds(gains, s), bound_y3((0, 4), weakest, MU4[:3], NU4[:3])
+
+    def test_subset_pair_wins(self):
+        bounds, three = self._bounds(0.0)
+        assert bounds.provenance[0, 4] == "3-decoy subsets (0,1,2)x(0,1,2)"
+        assert bounds.get(0, 4) == three
+
+    def test_combined_formula_wins(self):
+        bounds, three = self._bounds(30.0)
+        assert bounds.provenance[0, 4] == "4-decoy combined"
+        assert bounds.get(0, 4) < three
+
+
+class TestMemo:
+    def setup_method(self):
+        # proportional weak triples, so the bound set carries a warning too
+        nu = tuple(v * 1.001 for v in MU4[:3]) + (0.25,)
+        self.first = IntensitySettings(alpha_a=0.4, alpha_b=0.4, mu=MU4, nu=nu)
+        self.second = IntensitySettings(alpha_a=0.1, alpha_b=0.3, mu=MU4, nu=nu)
+        self.gains = simulate_gains(standard_noise(30, 30), self.first)
+
+    def test_amplitudes_share_equal_but_distinct_results(self):
+        assert simulate_gains(standard_noise(30, 30), self.second) == self.gains
+        one = yield_bounds(self.gains, self.first)
+        two = yield_bounds(self.gains, self.second)
+        assert one.warnings
+        assert one == two
+        assert one is not two
+        assert one.bounds is not two.bounds
+        assert one.provenance is not two.provenance
+        assert one.warnings is not two.warnings
+
+    def test_mutation_does_not_reach_later_calls(self):
+        one = yield_bounds(self.gains, self.first)
+        reference = copy.deepcopy(one)
+        one.bounds[0, 0] = 2.0
+        one.provenance.clear()
+        one.warnings.append("changed")
+        assert yield_bounds(self.gains, self.first) == reference
+
+    def test_unchanged_after_cache_clear(self):
+        from tfqkd.decoy4 import _memo
+        for exact in (False, True):
+            before = yield_bounds(self.gains, self.first, exact=exact)
+            _memo.cache_clear()
+            assert yield_bounds(self.gains, self.first, exact=exact) == before
