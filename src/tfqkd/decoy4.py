@@ -103,7 +103,7 @@ def _combine_subsets(qtilde, mu, nu, target, ds, num):
     return math.fsum(values), err
 
 
-def _y04(qtilde, mu, nu, cross, num):
+def _y04(qtilde, mu, nu, cross, num, rel=0.0):
     """Combined (0,4) bound as (raw, error).  ``cross`` None selects the
     degenerate variant for nu_i == mu_i (i < 3), whose coefficients are built
     from Alice's weak intensities and Bob's strongest one."""
@@ -133,7 +133,8 @@ def _y04(qtilde, mu, nu, cross, num):
     raw = 24 * (h04 - series) / a04_four
     if num is Fraction:
         return raw, 0
-    return raw, (herr + abs(series) * 2.0 ** -50) * abs(24 / a04_four)
+    err = (herr + abs(series) * 2.0 ** -50) * abs(24 / a04_four)
+    return raw, err + rel * (abs(raw) + abs(24 * series / a04_four))
 
 
 def _p13(mu, nu):
@@ -176,7 +177,7 @@ def _d13(mu, nu, q13):
     return (1, d013, d023, d123)
 
 
-def _y13(qtilde, mu, nu, q13, num):
+def _y13(qtilde, mu, nu, q13, num, rel):
     m0, m1, m2, m3 = mu
     h13, herr = _combine_subsets(qtilde, mu, nu, (1, 3), _d13(mu, nu, q13), num)
     kern = (m0 - m1) * (m0 - m2) * (nu[0] - nu[1]) * (nu[0] - nu[2])
@@ -184,25 +185,28 @@ def _y13(qtilde, mu, nu, q13, num):
     raw = 6 * h13 / a13_three
     if num is Fraction:
         return raw, 0
-    return raw, herr * abs(6 / a13_three)
+    return raw, herr * abs(6 / a13_three) + rel * abs(raw)
 
 
 def _combined(target, qtilde, mu, nu, floats, num, warnings):
     """(provenance, raw, error) of the four-decoy formula, or None if skipped;
-    (4,0) and (3,1) arrive transposed, ``floats`` are mu/nu as doubles."""
+    (4,0) and (3,1) arrive transposed, ``floats`` are mu/nu as doubles.  The
+    last argument credits the relative rounding of the formula's weights and
+    prefactor, eps * scale / |denominator|, which grows near the 0/0 form."""
     mu_f, nu_f = floats
     if target in ((0, 4), (4, 0)):
-        if all(abs(mu_f[i] - nu_f[i]) <= _TILDE_REL_TOL * max(mu_f[i], nu_f[i])
-               for i in range(3)):
+        if all(abs(a - b) <= _TILDE_REL_TOL * max(a, b) for a, b in zip(mu_f[:3], nu_f)):
             return ("4-decoy degenerate",) + _y04(qtilde, mu, nu, None, num)
         cross, scale = _weak_cross(mu_f, nu_f)
         if abs(cross) >= _Q13_REL_FLOOR * scale:
-            return ("4-decoy combined",) + _y04(qtilde, mu, nu, _weak_cross(mu, nu)[0], num)
+            return ("4-decoy combined",) + _y04(qtilde, mu, nu, _weak_cross(mu, nu)[0], num,
+                                                _EPS_COMBINE * scale / abs(cross))
         reason = "proportional weak triples"
     else:
         q13, scale = _q13(mu_f, nu_f)
         if abs(q13) >= _Q13_REL_FLOOR * scale:
-            return ("4-decoy combined",) + _y13(qtilde, mu, nu, _q13(mu, nu)[0], num)
+            return ("4-decoy combined",) + _y13(qtilde, mu, nu, _q13(mu, nu)[0], num,
+                                                _EPS_COMBINE * scale / abs(q13))
         reason = "vanishing denominator"
     warnings.append(f"({target[0]},{target[1]}): combined formula skipped "
                     f"({reason}); subset minima used")
@@ -258,8 +262,7 @@ def _bound4(target, gains, mu, nu, warnings, exact):
         raise ValueError("expected four decoys per party and a 4x4 gain matrix")
     bounds, _, notes = _memo(gains.q, tuple(mu), tuple(nu), exact)
     if warnings is not None:
-        label = f"({target[0]},{target[1]}):"
-        warnings.extend(note for note in notes if note.startswith(label))
+        warnings.extend(n for n in notes if n.startswith(f"({target[0]},{target[1]}):"))
     return dict(bounds)[target]
 
 

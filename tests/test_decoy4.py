@@ -3,6 +3,7 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 
 from tfqkd.channel import (GainMatrix, IntensitySettings, simulate_gains,
@@ -242,3 +243,57 @@ class TestMemo:
             before = yield_bounds(self.gains, self.first, exact=exact)
             _memo.cache_clear()
             assert yield_bounds(self.gains, self.first, exact=exact) == before
+
+
+def _gate_corpus():
+    """Seeded (losses, mu, nu) for the float >= exact gate: 3-decoy sets, then
+    4-decoy sets whose weak triples cycle through generic, pairwise equal
+    (degenerate variant), proportional x1.001 (skipped combined formula) and
+    near-degenerate nu_i = mu_i (1 + (i+1) 1e-7), plus one known near miss."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for _ in range(60):
+        loss = tuple(float(v) for v in rng.uniform(0.0, 50.0, size=2))
+        strong = rng.uniform(0.05, 0.5, size=2)
+        w0 = 10.0 ** rng.uniform(-3.5, -1.5, size=2)
+        w1 = w0 * rng.uniform(0.05, 0.5, size=2)
+        out.append((loss, (float(strong[0]), float(w0[0]), float(w1[0])),
+                    (float(strong[1]), float(w0[1]), float(w1[1]))))
+    for i in range(56):
+        loss = tuple(float(v) for v in rng.uniform(0.0, 50.0, size=2))
+        w0 = 10.0 ** rng.uniform(-3.5, -1.5)
+        w1 = w0 * rng.uniform(0.1, 0.6)
+        w2 = w1 * rng.uniform(0.1, 0.6)
+        mu = (float(w0), float(w1), float(w2), float(rng.uniform(0.05, 0.5)))
+        strong_b = float(rng.uniform(0.05, 0.5))
+        if i % 4 == 0:
+            weak = tuple(sorted((float(v * rng.uniform(0.7, 1.4)) for v in mu[:3]),
+                                reverse=True))
+        elif i % 4 == 1:
+            weak = mu[:3]
+        elif i % 4 == 2:
+            weak = tuple(v * 1.001 for v in mu[:3])
+        else:
+            weak = tuple(mu[k] * (1.0 + (k + 1) * 1e-7) for k in range(3))
+        out.append((loss, mu, weak + (strong_b,)))
+    mu = (0.03, 0.005, 0.0025, 0.17)
+    out.append(((30.0, 30.0), mu,
+                tuple(mu[k] * (1.0 + (k + 1) * 1e-7) for k in range(3)) + (0.25,)))
+    return out
+
+
+class TestFloatDominatesExact:
+    def test_float_bound_at_or_above_exact_bound(self):
+        # no tolerance: the float path's rounding credit must cover its error
+        checked = 0
+        below = []
+        for loss, mu, nu in _gate_corpus():
+            settings = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
+            gains = simulate_gains(standard_noise(*loss), settings)
+            floats = yield_bounds(gains, settings)
+            for target, exact in yield_bounds(gains, settings, exact=True).items():
+                checked += 1
+                if floats.get(*target) < exact:
+                    below.append((loss, mu, nu, target, floats.get(*target), exact))
+        assert checked >= 1000
+        assert not below, below[:3]
