@@ -125,6 +125,8 @@ class IntensitySettings:
             raise ValueError("amplitudes must be >= 0")
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
+        if not all(map(math.isfinite, (self.alpha_a, self.alpha_b, *self.mu, *self.nu))):
+            raise ValueError("amplitudes and intensities must be finite")
         _check_decoy_ordering(self.mu, "mu")
         _check_decoy_ordering(self.nu, "nu")
         if len(self.mu) != len(self.nu):

@@ -46,6 +46,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float replaced by its ``_fmt`` string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _fmt(obj)
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -179,7 +190,8 @@ def _result_record(sc, result, bounds=None):
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_fmt) + "\n"
+    return json.dumps(_strict(obj), indent=2, sort_keys=True, allow_nan=False,
+                      default=_fmt) + "\n"
 
 
 def cmd_rate(args) -> int:
@@ -210,10 +222,10 @@ def _sweep_point(job):
     sc = dict(sc)
     sc["loss_a_db"] = loss_a
     sc["loss_b_db"] = loss_b
-    # decorrelate the per-point searches while keeping them reproducible
-    sc["seed"] = sc["seed"] * 1000003 + int(round(10 * (loss_a * 211 + loss_b)))
     row = {"loss_a_db": loss_a, "loss_b_db": loss_b, "error": ""}
     try:
+        # decorrelate the per-point searches while keeping them reproducible
+        sc["seed"] = sc["seed"] * 1000003 + int(round(10 * (loss_a * 211 + loss_b)))
         params = _params(sc)
         opt = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"])
         s = opt.settings
@@ -234,7 +246,7 @@ def _sweep_point(job):
             "plob": plob,
             "beats_plob": opt.rate > plob,
         })
-    except (TfqkdError, ValueError) as exc:
+    except (TfqkdError, ValueError, OverflowError) as exc:
         row["error"] = str(exc)
         for col in SWEEP_COLUMNS:
             row.setdefault(col, "")

@@ -191,7 +191,7 @@ def _y13(qtilde, mu, nu, q13, num, rel):
 def _combined(target, qtilde, mu, nu, floats, num, warnings):
     """(provenance, raw, error) of the four-decoy formula, or None if skipped;
     (4,0) and (3,1) arrive transposed, ``floats`` are mu/nu as doubles.  The
-    last argument credits the relative rounding of the formula's weights and
+    ``rel`` passed on credits the relative rounding of the weights and the
     prefactor, eps * scale / |denominator|, which grows near the 0/0 form."""
     mu_f, nu_f = floats
     if target in ((0, 4), (4, 0)):

@@ -149,8 +149,8 @@ def key_rate(params: ChannelParams, settings: IntensitySettings, f: float = 1.0,
     are computed from the gains unless provided.  The basis-choice
     probabilities are taken as 1 (asymptotic limit).
     """
-    if f < 0.0:
-        raise ValueError("reconciliation efficiency must be >= 0")
+    if not (math.isfinite(f) and f >= 0.0):
+        raise ValueError(f"reconciliation efficiency must be finite and >= 0, got {f}")
     stats = x_basis_statistics(params, settings.alpha_a, settings.alpha_b)
     if gains is None:
         gains = simulate_gains(params, settings)

@@ -187,6 +187,13 @@ class TestTypes:
             IntensitySettings(alpha_a=0.1, alpha_b=0.1,
                               mu=(0.2, 1e-4, 1e-5, 1e-3), nu=(1e-3, 1e-4, 1e-5, 0.2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, bad):
+        mu = (0.1, 1e-4, 1e-5)
+        for kwargs in ({"alpha_a": bad, "mu": mu}, {"alpha_a": 0.1, "mu": (bad,) + mu[1:]}):
+            with pytest.raises(ValueError, match="finite"):
+                IntensitySettings(alpha_b=0.1, nu=mu, **kwargs)
+
     def test_gain_matrix_range(self):
         from tfqkd.channel import GainMatrix
         with pytest.raises(ValueError):

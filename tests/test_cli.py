@@ -138,3 +138,34 @@ class TestSweepDeterminism:
         for row in lines[1:]:
             rate = float(row.split(",")[2])
             assert math.isfinite(rate)
+
+
+def _no_constants(token):
+    raise AssertionError(f"output is not strict JSON: {token}")
+
+
+class TestStrictOutput:
+    def test_infinite_plob_is_strict_json(self, capsys):
+        code, out, _ = run_cli(["plob", "--loss-a-db", "0", "--loss-b-db", "0"], capsys)
+        assert code == 0
+        assert json.loads(out, parse_constant=_no_constants)["plob"] == "inf"
+
+    def test_nan_amplitude_is_an_error_record(self, capsys):
+        code, out, err = run_cli(["rate", "--loss-a-db", "20", "--loss-b-db", "20",
+                                  "--decoys", "3", "--alpha-a", "nan",
+                                  "--strongest-mu", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err, parse_constant=_no_constants)["error"] == "ValueError"
+
+    def test_bad_sweep_row_beside_good_row(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "decoys": 3,
+                                   "multistart": 1, "seed": 3}))
+        code, out, _ = run_cli(["sweep", "--config", str(cfg), "--format", "json",
+                                "--grid-a", "20", "nan", "--grid-b", "25"], capsys)
+        assert code == 0
+        rows = {row["loss_a_db"]: row for row in json.loads(out, parse_constant=_no_constants)}
+        assert set(rows) == {20.0, "nan"}
+        assert rows[20.0]["error"] == "" and rows[20.0]["rate"] > 0
+        assert "NaN" in rows["nan"]["error"]

@@ -134,3 +134,10 @@ class TestKeyRate:
         s = IntensitySettings(alpha_a=0.17, alpha_b=0.17,
                               mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
         assert key_rate(params, s, f=1.2).rate < key_rate(params, s, f=1.0).rate
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -0.5])
+    def test_bad_reconciliation_efficiency_rejected(self, f):
+        s = IntensitySettings(alpha_a=0.17, alpha_b=0.17,
+                              mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
+        with pytest.raises(ValueError):
+            key_rate(standard_noise(25, 25), s, f=f)
