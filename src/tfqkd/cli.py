@@ -398,9 +398,6 @@ def _add_common(p):
     p.add_argument("--f", type=float, help="reconciliation efficiency (default 1.0)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--gains", help="measured gains file (JSON)")
-    p.add_argument("--fluctuation", type=float, help="relative fluctuation magnitude")
     p.add_argument("--symmetric-intensities", action="store_true",
                    help="force equal settings for the two parties")
 
@@ -414,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="evaluate one parameter point")
     _add_common(p)
+    p.add_argument("--gains", help="measured gains file (JSON)")
     p.add_argument("--alpha-a", dest="alpha_a", type=float)
     p.add_argument("--alpha-b", dest="alpha_b", type=float)
     p.add_argument("--strongest-mu", dest="strongest_mu", type=float)
@@ -423,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="optimized rate over a loss grid")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--grid-a", dest="grid_a", type=float, nargs="+")
     p.add_argument("--grid-b", dest="grid_b", type=float, nargs="+")
     p.add_argument("--workers", type=int, default=1)
@@ -434,11 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fluctuation", help="worst-case rate under fluctuations")
     _add_common(p)
+    p.add_argument("--fluctuation", type=float, help="relative fluctuation magnitude")
     p.add_argument("--budget", type=int, default=64)
     p.set_defaults(fn=cmd_fluctuation)
 
     p = sub.add_parser("bounds", help="yield bounds from simulated or measured gains")
     _add_common(p)
+    p.add_argument("--gains", help="measured gains file (JSON)")
     p.add_argument("--strongest-mu", dest="strongest_mu", type=float)
     p.add_argument("--strongest-nu", dest="strongest_nu", type=float)
     p.add_argument("--exact", action="store_true",

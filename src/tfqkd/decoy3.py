@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .channel import GainMatrix
-from .errors import DegenerateIntensityError, InconsistentGainsError
+from .channel import _EXP_MAX, GainMatrix
+from .errors import DegenerateIntensityError, InconsistentGainsError, SaturationError
 from .series import exp_f_tail, exp_h_tail
 
 TARGETS_3 = ((0, 0), (1, 1), (2, 2), (0, 2), (2, 0), (0, 4), (4, 0), (1, 3), (3, 1))
@@ -145,6 +145,9 @@ def _prepare(q, mu, nu, size: int, exact: bool):
         raise ValueError(f"expected {size} decoys per party and a {size}x{size} gain matrix")
     check_intensities(mu, "mu")
     check_intensities(nu, "nu")
+    if max(mu) + max(nu) > _EXP_MAX:
+        raise SaturationError(
+            f"exp(mu + nu) overflows for intensities {max(mu)} and {max(nu)}")
     num = Fraction if exact else float
     qtilde = tuple(tuple(num(math.exp(mu_k + nu_l)) * num(g) for nu_l, g in zip(nu, row))
                    for mu_k, row in zip(mu, q))

@@ -234,12 +234,10 @@ class FluctuationSpec:
     ``magnitude`` r maps every fluctuating intensity c to the interval
     [c (1-r), c (1+r)] (half-width reading of a percentage fluctuation).
     Both the signal intensities (the squared amplitudes) and all decoy
-    intensities of both parties fluctuate unless switched off.
+    intensities of both parties fluctuate.
     """
 
     magnitude: float
-    fluctuate_signal: bool = True
-    fluctuate_decoys: bool = True
     budget: int = 64
     seed: int = 0
 
@@ -265,15 +263,7 @@ def _fluct_intervals(center: IntensitySettings, fspec: FluctuationSpec):
     intensities stored as squares of the amplitudes.
     """
     r = fspec.magnitude
-    centers = []
-    labels = []
-    if fspec.fluctuate_signal:
-        centers += [center.alpha_a ** 2, center.alpha_b ** 2]
-        labels += ["signal_a", "signal_b"]
-    if fspec.fluctuate_decoys:
-        centers += list(center.mu) + list(center.nu)
-        labels += [f"mu[{i}]" for i in range(len(center.mu))]
-        labels += [f"nu[{i}]" for i in range(len(center.nu))]
+    centers = [center.alpha_a ** 2, center.alpha_b ** 2, *center.mu, *center.nu]
     lo = [c * (1.0 - r) for c in centers]
     hi = [c * (1.0 + r) for c in centers]
 
@@ -286,27 +276,16 @@ def _fluct_intervals(center: IntensitySettings, fspec: FluctuationSpec):
                     f"{label} fluctuation ranges overlap between intensities "
                     f"{values[a]} and {values[b]} at magnitude {r}")
 
-    if fspec.fluctuate_decoys:
-        n = len(center.mu)
-        base = 2 if fspec.fluctuate_signal else 0
-        check_order(center.mu, lo[base:base + n], hi[base:base + n], "mu")
-        check_order(center.nu, lo[base + n:], hi[base + n:], "nu")
-    return centers, lo, hi, labels
+    n = len(center.mu)
+    check_order(center.mu, lo[2:2 + n], hi[2:2 + n], "mu")
+    check_order(center.nu, lo[2 + n:], hi[2 + n:], "nu")
+    return centers, lo, hi
 
 
-def _vector_settings(center: IntensitySettings, fspec: FluctuationSpec, vec):
-    i = 0
-    alpha_a, alpha_b = center.alpha_a, center.alpha_b
-    mu, nu = center.mu, center.nu
-    if fspec.fluctuate_signal:
-        alpha_a = math.sqrt(vec[0])
-        alpha_b = math.sqrt(vec[1])
-        i = 2
-    if fspec.fluctuate_decoys:
-        n = len(center.mu)
-        mu = tuple(vec[i:i + n])
-        nu = tuple(vec[i + n:i + 2 * n])
-    return IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
+def _vector_settings(center: IntensitySettings, vec):
+    n = len(center.mu)
+    return IntensitySettings(alpha_a=math.sqrt(vec[0]), alpha_b=math.sqrt(vec[1]),
+                             mu=tuple(vec[2:2 + n]), nu=tuple(vec[2 + n:2 + 2 * n]))
 
 
 def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
@@ -320,21 +299,19 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
     intensity vector.  With ``stop_below`` the search returns early once any
     candidate drops below that rate (enough for threshold queries).
     """
-    centers, lo, hi, _ = _fluct_intervals(center, fspec)
-    if not centers:
-        raise ValueError("nothing fluctuates; check the fluctuation spec")
+    centers, lo, hi = _fluct_intervals(center, fspec)
 
     evaluations = 0
 
     def rate_at(vec) -> float:
         nonlocal evaluations
         evaluations += 1
-        return key_rate(params, _vector_settings(center, fspec, vec), f, n_cut).rate
+        return key_rate(params, _vector_settings(center, vec), f, n_cut).rate
 
     best = (rate_at(tuple(centers)), tuple(centers))
     if fspec.magnitude == 0.0:
         return FluctuationResult(rate=best[0], vector=best[1],
-                                 settings=_vector_settings(center, fspec, best[1]),
+                                 settings=_vector_settings(center, best[1]),
                                  evaluations=evaluations)
 
     def consider(vec) -> bool:
@@ -363,5 +340,5 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
         vec = tuple(float(v) for v in np.clip(res.x, lo, hi))
         consider(vec)
     return FluctuationResult(rate=best[0], vector=best[1],
-                             settings=_vector_settings(center, fspec, best[1]),
+                             settings=_vector_settings(center, best[1]),
                              evaluations=evaluations)

@@ -32,6 +32,16 @@ def _to_fraction_matrix(a):
     return [[Fraction(v) for v in row] for row in a]
 
 
+def _pivot(tab, row: int, col: int) -> None:
+    """Scale ``row`` to a unit pivot at ``col`` and eliminate ``col`` elsewhere."""
+    inv = 1 / tab[row][col]
+    prow = tab[row] = [v * inv for v in tab[row]]
+    for i, other in enumerate(tab):
+        f = other[col]
+        if i != row and f:
+            tab[i] = [rv - f * pv for rv, pv in zip(other, prow)]
+
+
 def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
     """Maximize c.x with ranged rows and per-variable boxes, exactly.
 
@@ -128,18 +138,7 @@ def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
             new_value = (lo[entering] if direction > 0 else hi[entering]) + direction * step
             out = basis[leaving]
             status[out] = _AT_LOWER if hit_lower else _AT_UPPER
-            piv = tab[leaving][entering]
-            prow = tab[leaving]
-            inv = 1 / piv
-            tab[leaving] = [v * inv for v in prow]
-            prow = tab[leaving]
-            for i in range(m):
-                if i == leaving:
-                    continue
-                f = tab[i][entering]
-                if f:
-                    row = tab[i]
-                    tab[i] = [rv - f * pv for rv, pv in zip(row, prow)]
+            _pivot(tab, leaving, entering)
             basis[leaving] = entering
             status[entering] = _BASIC
             beta[leaving] = new_value
@@ -157,16 +156,8 @@ def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
             continue
         for j in range(n + m):
             if status[j] != _BASIC and tab[i][j]:
-                out = basis[i]
-                status[out] = _AT_LOWER
-                piv = tab[i][j]
-                inv = 1 / piv
-                tab[i] = [v * inv for v in tab[i]]
-                prow = tab[i]
-                for r in range(m):
-                    if r != i and tab[r][j]:
-                        f = tab[r][j]
-                        tab[r] = [rv - f * pv for rv, pv in zip(tab[r], prow)]
+                status[basis[i]] = _AT_LOWER
+                _pivot(tab, i, j)
                 beta[i] = lo[j] if status[j] == _AT_LOWER else hi[j]
                 basis[i] = j
                 status[j] = _BASIC

@@ -32,11 +32,15 @@ def binary_entropy(x: float) -> float:
 
 
 def plob_bound(eta_a: float, eta_b: float) -> float:
-    """Repeaterless point-to-point benchmark -log2(1 - eta_a * eta_b)."""
+    """Repeaterless point-to-point benchmark -log2(1 - eta_a * eta_b).
+
+    Evaluated as -log1p(-product) / ln 2, which keeps full relative accuracy
+    when the product of transmittances is tiny (and is +0.0 when it is 0).
+    """
     product = eta_a * eta_b
     if not 0.0 <= product < 1.0:
         raise ValueError("plob_bound needs eta_a * eta_b in [0, 1)")
-    return -math.log2(1.0 - product)
+    return -math.log1p(-product) / math.log(2.0)
 
 
 def _amplitude_weights(alpha: float, n_max: int) -> list[float]:

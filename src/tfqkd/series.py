@@ -6,15 +6,36 @@ literally those cancel catastrophically for the tiny intensities the decoy
 method uses, so every such bracket is computed here as a factorially damped
 series of complete homogeneous symmetric polynomials: all terms are positive
 and the series converge to machine precision in a few dozen terms.
+
+One generator yields h_0, h_1, h_2, ... of a value set by the nested
+recurrence h_k(x_1..x_j) = h_k(x_1..x_{j-1}) + x_j h_{k-1}(x_1..x_j), which
+only adds non-negative terms, and every other weight is read from it:
+``f_weight`` is the Schur polynomial s_(n-2,1)(a, b, c) = a (b + c)
+h_{n-3}(a, b, c) + b c h_{n-3}(b, c) (Macdonald, Symmetric Functions and Hall
+Polynomials, I.5), ``d_n`` is s_(n-3,1,1) = e_3 h_{n-4} - e_4 h_{n-5} of four
+values, and both tails are sums of the one cached tail ``_tail``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
+
+from .errors import SaturationError
 
 _MAX_TERMS = 200
 _REL_TOL = 1e-18
+
+
+def _hom_sym(values):
+    """Yield h_0, h_1, h_2, ... of the values, one nested-recurrence step each."""
+    row = [1.0] * (len(values) + 1)  # row[j] = h_k(values[:j])
+    while True:
+        yield row[-1]
+        row[0] = 0.0
+        for j, v in enumerate(values, 1):
+            row[j] = row[j - 1] + v * row[j]
 
 
 def hom_sym_sum(values, degree: int) -> float:
@@ -25,12 +46,7 @@ def hom_sym_sum(values, degree: int) -> float:
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    hs = [0.0] * (degree + 1)
-    hs[0] = 1.0
-    for v in values:
-        for k in range(1, degree + 1):
-            hs[k] += v * hs[k - 1]
-    return hs[degree]
+    return next(islice(_hom_sym(tuple(values)), degree, None))
 
 
 def elem_sym(values) -> list[float]:
@@ -43,94 +59,68 @@ def elem_sym(values) -> list[float]:
     return es
 
 
+@lru_cache(maxsize=16384)
+def _tail(values: tuple, shift: int, start: int) -> float:
+    """Sum over n >= start of h_{n-shift}(values) / n!  (start >= shift)."""
+    if any(v < 0 for v in values):
+        raise ValueError("values must be >= 0")
+    hs = islice(_hom_sym(values), start - shift, None)
+    fact = float(math.factorial(start))
+    total = next(hs) / fact
+    for k, h in zip(range(1, _MAX_TERMS), hs):
+        fact *= start + k
+        term = h / fact
+        total += term
+        if k > 3 and term < total * _REL_TOL:
+            return total
+    raise SaturationError(f"series tail over {values} did not converge in "
+                          f"{_MAX_TERMS} terms")
+
+
 def exp_h_tail(values, start: int) -> float:
     """Sum over n >= start of h_{n-start}(values) / n!.
 
     This is the factorially damped tail of the generating series of the
     complete homogeneous polynomials; it equals the alternating-exponential
     brackets of the bound formulas divided by their Vandermonde factor, but
-    is evaluated here without any cancellation (power-sum recurrence,
-    k * h_k = sum_j p_j h_{k-j}, keeps every term non-negative).
+    is evaluated here without any cancellation.
     """
-    return _exp_h_tail_cached(tuple(float(v) for v in values), start)
-
-
-@lru_cache(maxsize=16384)
-def _exp_h_tail_cached(values: tuple, start: int) -> float:
     if start < 0:
         raise ValueError("start must be >= 0")
-    values = list(values)
-    for v in values:
-        if v < 0:
-            raise ValueError("values must be >= 0")
-    h = [1.0]
-    p = [0.0]
-    fact = float(math.factorial(start))
-    total = 1.0 / fact
-    for k in range(1, _MAX_TERMS):
-        p.append(sum(v ** k for v in values))
-        h.append(sum(p[j] * h[k - j] for j in range(1, k + 1)) / k)
-        fact *= (start + k)
-        term = h[k] / fact
-        total += term
-        if k > 3 and term < total * _REL_TOL:
-            return total
-    raise ArithmeticError("exp_h_tail failed to converge")  # pragma: no cover
+    return _tail(tuple(float(v) for v in values), start, start)
 
 
 def f_weight(values3, n: int) -> float:
     """Sign-definite weight of order n extracted from a three-intensity set.
 
-    Explicit positive double sum; equals the Schur polynomial of shape
-    (n-2, 1) in the three values.  Defined for n >= 3.
+    The Schur polynomial s_(n-2,1)(a, b, c) = a (b + c) h_{n-3}(a, b, c) +
+    b c h_{n-3}(b, c), a sum of non-negative terms.  Defined for n >= 3.
     """
     a, b, c = values3  # strongest, middle, weakest
     if n < 3:
         raise ValueError("f_weight is defined for n >= 3")
-    total = 0.0
-    for k in range(0, n - 2):
-        inner = 0.0
-        for j in range(0, n - 2 - k):
-            inner += b ** (n - 2 - k - j) * a ** j
-        total += c ** k * ((c + a) * inner + c * a ** (n - 2 - k))
-    return total
+    return a * (b + c) * hom_sym_sum((a, b, c), n - 3) + b * c * hom_sym_sum((b, c), n - 3)
 
 
 def exp_f_tail(values3, start: int) -> float:
     """Sum over n >= start of f_weight(values3, n) / n!  (start >= 3)."""
-    return _exp_f_tail_cached(tuple(float(v) for v in values3), start)
-
-
-@lru_cache(maxsize=16384)
-def _exp_f_tail_cached(values3: tuple, start: int) -> float:
     if start < 3:
         raise ValueError("start must be >= 3")
-    total = 0.0
-    for n in range(start, start + _MAX_TERMS):
-        term = f_weight(values3, n) / math.factorial(n)
-        total += term
-        if n > start + 2 and term < total * _REL_TOL:
-            return total
-    raise ArithmeticError("exp_f_tail failed to converge")  # pragma: no cover
+    a, b, c = (float(v) for v in values3)
+    return a * (b + c) * _tail((a, b, c), 3, start) + b * c * _tail((b, c), 3, start)
 
 
 def d_n(values4, n: int) -> float:
-    """Non-negative quartic-set weight D_n, defined recursively from D_4 = e_3."""
+    """Non-negative quartic-set weight D_n = s_(n-3,1,1) = e_3 h_{n-4} - e_4 h_{n-5}.
+
+    D_4 = e_3, and the subtracted part is at most a quarter of the first
+    (h_m >= x_i h_{m-1} for every value x_i), so the difference cannot cancel.
+    """
     if n < 4:
         raise ValueError("d_n is defined for n >= 4")
-    vals = list(values4)
+    vals = tuple(values4)
     if len(vals) != 4:
         raise ValueError("d_n expects exactly four values")
     es = elem_sym(vals)
-    e3, e4 = es[3], es[4]
-    d = {4: e3}
-    power_sums = [None, sum(vals)]
-    for j in range(2, n - 4 + 1):
-        power_sums.append(sum(v ** j for v in vals))
-    for i in range(5, n + 1):
-        acc = 0.0
-        for j in range(1, i - 4 + 1):
-            acc += power_sums[j] * d[i - j]
-        acc -= e4 * hom_sym_sum(vals, i - 5)
-        d[i] = acc / (i - 4)
-    return d[n]
+    hs = list(islice(_hom_sym(vals), n - 3))
+    return es[3] * hs[-1] - es[4] * (hs[-2] if n > 4 else 0.0)

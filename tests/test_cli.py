@@ -31,6 +31,25 @@ class TestPlobAndRate:
         assert "0,0" in rec["yield_bounds"]
         assert 0 <= rec["e_z_upp"] <= 1
 
+    def test_plob_at_infinite_loss_prints_zero(self, capsys):
+        code, out, _ = run_cli(["plob", "--loss-a-db", "inf"], capsys)
+        assert code == 0
+        assert '"plob": 0.0' in out
+
+    def test_flag_of_another_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plob", "--format", "json"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("strongest", ["800", "150"])
+    def test_out_of_range_intensity_is_saturation_record(self, strongest, capsys):
+        # 800: exp(mu + nu) overflows; 150: the series tails cannot converge
+        code, out, err = run_cli(["rate", "--decoys", "3", "--alpha-a", "0.1",
+                                  "--strongest-mu", strongest], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SaturationError"
+
     def test_dead_point_reports_zero(self, capsys):
         code, out, _ = run_cli(["rate", "--loss-a-db", "200", "--loss-b-db", "200",
                                 "--decoys", "3", "--alpha-a", "0.1",

@@ -42,6 +42,16 @@ class TestPlob:
         with pytest.raises(ValueError):
             plob_bound(1.0, 1.0)
 
+    def test_high_loss_keeps_relative_accuracy(self):
+        # 80 + 80 dB: -log2(1 - p) is p / ln 2 to far below double precision
+        eta = 10.0 ** -8
+        assert plob_bound(eta, eta) == pytest.approx(eta * eta / math.log(2), rel=1e-15)
+
+    def test_infinite_loss_is_positive_zero(self):
+        eta = standard_noise(math.inf, 20).eta_a
+        value = plob_bound(eta, 0.01)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
 
 def parity_partials(alpha, n_max):
     w = [math.exp(-0.5 * alpha * alpha)]

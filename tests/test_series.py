@@ -4,9 +4,12 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tfqkd.errors import SaturationError
 from tfqkd.series import d_n, exp_f_tail, exp_h_tail, f_weight, hom_sym_sum
 
 
@@ -69,6 +72,75 @@ class TestExpTails:
         assert exp_h_tail(vals, 2) >= 0.0
         assert exp_f_tail(vals, 3) >= 0.0
         assert exp_f_tail(vals, 4) >= 0.0
+
+
+def _mp_h(values, count=90):
+    """h_0 .. h_{count-1} of the values in the current mpmath precision, by
+    h_k(x_j..x_q) = x_j h_{k-1}(x_j..x_q) + h_k(x_{j+1}..x_q)."""
+    row = [mpmath.mpf(1)] * len(values) + [mpmath.mpf(0)]  # row[j] = h_k(values[j:])
+    h = [row[0]]
+    for _ in range(1, count):
+        for j in range(len(values) - 1, -1, -1):
+            row[j] = mpmath.mpf(values[j]) * row[j] + row[j + 1]
+        h.append(row[0])
+    return h
+
+
+def _mp_tail(weight, start):
+    """Sum over n >= start of weight(n) / n! to 1e-60 relative."""
+    total, n = mpmath.mpf(0), start
+    while True:
+        term = weight(n) / mpmath.factorial(n)
+        total += term
+        if n > start + 3 and term < total * mpmath.mpf("1e-60"):
+            return total
+        n += 1
+
+
+def _ulps(value, reference):
+    return abs(mpmath.mpf(value) - reference) / math.ulp(float(reference))
+
+
+class TestTailAccuracy:
+    def test_within_eight_ulps_of_sixty_digits(self):
+        # strongest intensities 3e-3 .. 2, weak ones 1e-5 .. 3e-2; the
+        # reference f weights come from the Jacobi-Trudi form
+        # s_(n-2,1) = h_1 h_{n-2} - h_{n-1}, not from the split the code uses
+        rng = np.random.default_rng(20261018)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for _ in range(300):
+                strong = float(rng.uniform(3e-3, 2.0))
+                weak = sorted((float(10.0 ** rng.uniform(-5.0, math.log10(3e-2)))
+                               for _ in range(3)), reverse=True)
+                mu3, mu4 = (strong, weak[0], weak[1]), (weak[0], weak[1], weak[2], strong)
+                h3, h4 = _mp_h(mu3), _mp_h(mu4)
+                f = lambda n: h3[1] * h3[n - 2] - h3[n - 1]
+                pairs = ((exp_h_tail(mu3, 2), _mp_tail(lambda n: h3[n - 2], 2)),
+                         (exp_h_tail(mu4, 3), _mp_tail(lambda n: h4[n - 3], 3)),
+                         (exp_h_tail(mu4, 4), _mp_tail(lambda n: h4[n - 4], 4)),
+                         (exp_f_tail(mu3, 3), _mp_tail(f, 3)),
+                         (exp_f_tail(mu3, 4), _mp_tail(f, 4)))
+                worst = max([worst] + [_ulps(x, ref) for x, ref in pairs])
+        assert worst <= 8.0
+
+
+class TestTailRange:
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError):
+            exp_h_tail((0.2, -0.1), 2)
+        with pytest.raises(ValueError):
+            exp_f_tail((0.2, 0.1, -0.1), 3)
+
+    def test_start_range(self):
+        with pytest.raises(ValueError):
+            exp_h_tail((0.2, 0.1), -1)
+        with pytest.raises(ValueError):
+            exp_f_tail((0.2, 0.1, 0.05), 2)
+
+    def test_unconverged_tail_is_saturation(self):
+        with pytest.raises(SaturationError):
+            exp_h_tail((150.0, 1e-4, 1e-5), 2)
 
 
 def d_n_exact(values, n):
