@@ -285,7 +285,7 @@ def _fluct_intervals(center: IntensitySettings, fspec: FluctuationSpec):
 def _vector_settings(center: IntensitySettings, vec):
     n = len(center.mu)
     return IntensitySettings(alpha_a=math.sqrt(vec[0]), alpha_b=math.sqrt(vec[1]),
-                             mu=tuple(vec[2:2 + n]), nu=tuple(vec[2 + n:2 + 2 * n]))
+                             mu=tuple(vec[2:2 + n]), nu=tuple(vec[2 + n:]))
 
 
 def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
