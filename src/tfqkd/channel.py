@@ -235,6 +235,9 @@ def x_basis_statistics(params: ChannelParams, alpha_a: float, alpha_b: float) ->
     # chi = alpha_a alpha_b sqrt(eta_a eta_b) cos(phase) cos(theta); the
     # sqrt(ia*ib) form makes chi == gamma exact when ia == ib bitwise.
     chi = math.sqrt(ia * ib) * math.cos(params.phase) * math.cos(params.theta)
+    if not gamma + abs(chi) <= _EXP_MAX:
+        raise SaturationError(f"arriving intensities {ia} and {ib} overflow the "
+                              "X-basis click probability")
     p_d = params.p_d
     one_m_pd = 1.0 - p_d
     em_minus = math.expm1(gamma - chi)   # e^(gamma-chi) - 1

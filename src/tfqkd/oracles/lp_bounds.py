@@ -14,17 +14,27 @@ and the per-row exponential, a couple of ulps each, which is what the tiny
 ``_DATA_NOISE`` window accounts for.  The windows matter: the LP duals on
 the weakly-weighted rows reach 1e12 and amplify any slack in the window
 straight into the reported optimum.
+
+Every target of one configuration shares those rows and windows, and phase 1
+of the simplex depends on nothing else.  One small ``lru_cache`` keyed by
+(gains, intensities, truncation) therefore builds the rows and runs phase 1
+once; each ``lp_yield_bound`` call then only runs phase 2 for its own target
+from a copy of that feasible start, which gives the optimum a one-shot solve
+would give.  An infeasible configuration raises on every call, since the
+cache holds no exceptions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from ..channel import GainMatrix
 from ..errors import InconsistentGainsError
 from .fock import poisson_weight
-from .simplex import LinearProgramInfeasible, solve_bounded_lp
+from .simplex import LinearProgramInfeasible, _feasible_start, _maximize
+from .simplex import solve_bounded_lp  # noqa: F401  (benchmark/spans.py wraps this attribute)
 
 DEFAULT_TRUNCATION = 10
 
@@ -52,18 +62,9 @@ def poisson_upper_tail(mean: float, n_max: int) -> float:
     return total
 
 
-def lp_yield_bound(gains: GainMatrix, mu, nu, target, n_trunc: int = DEFAULT_TRUNCATION) -> float:
-    """LP maximum of one yield consistent with the gains, in [0, 1]."""
-    u, v = target
-    mu = tuple(mu)
-    nu = tuple(nu)
-    if len(mu) != gains.size or len(nu) != gains.size:
-        raise ValueError("intensity lists must match the gain matrix")
-    if n_trunc < max(u, v) + 2:
-        raise ValueError("truncation order too small for the target yield")
-
+def _constraints(q, mu, nu, n_trunc: int):
+    """Rows and their lower and upper windows of the truncated LP."""
     side = n_trunc + 1
-    n_vars = side * side
     rows = []
     lower = []
     upper = []
@@ -76,17 +77,39 @@ def lp_yield_bound(gains: GainMatrix, mu, nu, target, n_trunc: int = DEFAULT_TRU
             scale = Fraction(math.exp(-(mu_k + nu_l)))
             coeff = [scale * a * b for a in mono_a for b in mono_b]
             tail = Fraction(ta + tb - ta * tb)
-            q = Fraction(gains.q[k][l])
-            noise = _DATA_NOISE * (q + tail)
+            q_kl = Fraction(q[k][l])
+            noise = _DATA_NOISE * (q_kl + tail)
             rows.append(coeff)
-            upper.append(q + noise)
-            lower.append(max(q - tail - noise, Fraction(0)))
+            upper.append(q_kl + noise)
+            lower.append(max(q_kl - tail - noise, Fraction(0)))
+    return rows, lower, upper
 
-    c = [Fraction(0)] * n_vars
-    c[u * side + v] = Fraction(1)
+
+@lru_cache(maxsize=4)
+def _start(q, mu, nu, n_trunc: int):
+    """Feasible simplex start of the truncated LP of one configuration."""
+    n_vars = (n_trunc + 1) ** 2
     try:
-        optimum, _ = solve_bounded_lp(c, rows, lower, upper,
-                                      [Fraction(0)] * n_vars, [Fraction(1)] * n_vars)
+        return _feasible_start(*_constraints(q, mu, nu, n_trunc),
+                               [Fraction(0)] * n_vars, [Fraction(1)] * n_vars)
     except LinearProgramInfeasible as exc:
         raise InconsistentGainsError(f"gains admit no yield profile: {exc}") from exc
+
+
+def lp_yield_bound(gains: GainMatrix, mu, nu, target, n_trunc: int = DEFAULT_TRUNCATION) -> float:
+    """LP maximum of one yield consistent with the gains, in [0, 1]."""
+    u, v = target
+    mu = tuple(mu)
+    nu = tuple(nu)
+    if len(mu) != gains.size or len(nu) != gains.size:
+        raise ValueError("intensity lists must match the gain matrix")
+    if u < 0 or v < 0:
+        raise ValueError(f"target photon numbers must be >= 0, got {target}")
+    if n_trunc < max(u, v) + 2:
+        raise ValueError("truncation order too small for the target yield")
+
+    side = n_trunc + 1
+    c = [Fraction(0)] * (side * side)
+    c[u * side + v] = Fraction(1)
+    optimum, _ = _maximize(_start(gains.q, mu, nu, n_trunc), c)
     return min(max(optimum, 0.0), 1.0)

@@ -10,11 +10,19 @@ many orders more than the certificate is supposed to resolve.  Exact
 pivoting with Bland's entering rule has no tolerances at all, cannot cycle,
 and the problem sizes here (about a hundred variables, a few dozen rows)
 keep it fast enough.
+
+A solve is two steps.  ``_feasible_start`` converts the constraints, runs
+phase 1 and drives the leftover artificials out of the basis; it depends on
+the constraints only and returns an immutable ``_Start``.  ``_maximize``
+copies a start and runs phase 2 for one objective, so one start serves any
+number of objectives over the same constraints, each with the pivots a fresh
+solve would make.  ``solve_bounded_lp`` is the two in sequence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -26,6 +34,17 @@ _ZERO = Fraction(0)
 
 class LinearProgramInfeasible(Exception):
     """No point satisfies all row and box constraints."""
+
+
+class _Start(NamedTuple):
+    """Feasible basis after phase 1: n structurals, m slacks, m artificials."""
+    n: int
+    tab: tuple      # m rows of n + 2m Fractions
+    beta: tuple     # values of the basic variables
+    status: tuple   # per column: at lower, at upper or basic
+    basis: tuple    # basic column of each row
+    lo: tuple       # per-column lower bound
+    hi: tuple       # per-column upper bound, None for unbounded
 
 
 def _to_fraction_matrix(a):
@@ -42,17 +61,81 @@ def _pivot(tab, row: int, col: int) -> None:
             tab[i] = [rv - f * pv for rv, pv in zip(other, prow)]
 
 
-def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
-    """Maximize c.x with ranged rows and per-variable boxes, exactly.
+def _run_phase(tab, beta, status, basis, lo, hi, cobj, n_allowed) -> None:
+    """Bland's-rule simplex on ``cobj`` over the first ``n_allowed`` columns.
 
-    Returns (optimum, x) as floats; raises ``LinearProgramInfeasible`` when
-    the constraints admit no point.  All inputs may be floats (converted
-    exactly) or Fractions.
+    Updates ``tab``, ``beta``, ``status`` and ``basis`` in place; ``_pivot``
+    replaces whole rows, so ``tab`` may hold rows shared with another copy.
+    """
+    m = len(tab)
+    for _ in range(_MAX_ITER):
+        entering = -1
+        for j in range(n_allowed):
+            if status[j] == _BASIC:
+                continue
+            r = cobj[j]
+            for i in range(m):
+                cb = cobj[basis[i]]
+                if cb:
+                    r -= cb * tab[i][j]
+            if (status[j] == _AT_LOWER and r > 0) or (status[j] == _AT_UPPER and r < 0):
+                entering = j
+                direction = 1 if status[j] == _AT_LOWER else -1
+                break
+        if entering < 0:
+            return
+        # ratio test: smallest step that drives a basic variable to a
+        # bound, capped by the entering variable's own bound flip
+        step = None if hi[entering] is None else hi[entering] - lo[entering]
+        leaving = -1
+        hit_lower = True
+        for i in range(m):
+            g = direction * tab[i][entering]
+            if g > 0:
+                limit = (beta[i] - lo[basis[i]]) / g
+                hits_low = True
+            elif g < 0:
+                if hi[basis[i]] is None:
+                    continue
+                limit = (hi[basis[i]] - beta[i]) / (-g)
+                hits_low = False
+            else:
+                continue
+            if limit < 0:
+                limit = _ZERO
+            if step is None or limit < step or (limit == step and leaving >= 0
+                                                and basis[i] < basis[leaving]):
+                step = limit
+                leaving = i
+                hit_lower = hits_low
+        if step is None:
+            raise ArithmeticError("unbounded linear program")
+        if step:
+            col = [tab[i][entering] for i in range(m)]
+            for i in range(m):
+                if col[i]:
+                    beta[i] -= direction * step * col[i]
+        if leaving < 0:
+            status[entering] = _AT_UPPER if direction > 0 else _AT_LOWER
+            continue
+        new_value = (lo[entering] if direction > 0 else hi[entering]) + direction * step
+        out = basis[leaving]
+        status[out] = _AT_LOWER if hit_lower else _AT_UPPER
+        _pivot(tab, leaving, entering)
+        basis[leaving] = entering
+        status[entering] = _BASIC
+        beta[leaving] = new_value
+    raise ArithmeticError("simplex iteration limit exceeded")
+
+
+def _feasible_start(a, row_lower, row_upper, x_lower, x_upper) -> _Start:
+    """Phase 1 for ranged rows and per-variable boxes, exactly.
+
+    Raises ``LinearProgramInfeasible`` when the constraints admit no point.
     """
     m = len(a)
-    n = len(a[0]) if m else len(c)
+    n = len(a[0]) if m else len(x_lower)
     A = _to_fraction_matrix(a)
-    cvec = [Fraction(v) for v in c]
     rlo = [Fraction(v) for v in row_lower]
     rup = [Fraction(v) for v in row_upper]
     xlo = [Fraction(v) for v in x_lower]
@@ -84,68 +167,8 @@ def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
         beta.append(abs(resid))
         basis.append(n + m + i)
 
-    def run_phase(cobj, n_allowed):
-        for _ in range(_MAX_ITER):
-            entering = -1
-            for j in range(n_allowed):
-                if status[j] == _BASIC:
-                    continue
-                r = cobj[j]
-                for i in range(m):
-                    cb = cobj[basis[i]]
-                    if cb:
-                        r -= cb * tab[i][j]
-                if (status[j] == _AT_LOWER and r > 0) or (status[j] == _AT_UPPER and r < 0):
-                    entering = j
-                    direction = 1 if status[j] == _AT_LOWER else -1
-                    break
-            if entering < 0:
-                return
-            # ratio test: smallest step that drives a basic variable to a
-            # bound, capped by the entering variable's own bound flip
-            step = None if hi[entering] is None else hi[entering] - lo[entering]
-            leaving = -1
-            hit_lower = True
-            for i in range(m):
-                g = direction * tab[i][entering]
-                if g > 0:
-                    limit = (beta[i] - lo[basis[i]]) / g
-                    hits_low = True
-                elif g < 0:
-                    if hi[basis[i]] is None:
-                        continue
-                    limit = (hi[basis[i]] - beta[i]) / (-g)
-                    hits_low = False
-                else:
-                    continue
-                if limit < 0:
-                    limit = _ZERO
-                if step is None or limit < step or (limit == step and leaving >= 0
-                                                    and basis[i] < basis[leaving]):
-                    step = limit
-                    leaving = i
-                    hit_lower = hits_low
-            if step is None:
-                raise ArithmeticError("unbounded linear program")
-            if step:
-                col = [tab[i][entering] for i in range(m)]
-                for i in range(m):
-                    if col[i]:
-                        beta[i] -= direction * step * col[i]
-            if leaving < 0:
-                status[entering] = _AT_UPPER if direction > 0 else _AT_LOWER
-                continue
-            new_value = (lo[entering] if direction > 0 else hi[entering]) + direction * step
-            out = basis[leaving]
-            status[out] = _AT_LOWER if hit_lower else _AT_UPPER
-            _pivot(tab, leaving, entering)
-            basis[leaving] = entering
-            status[entering] = _BASIC
-            beta[leaving] = new_value
-        raise ArithmeticError("simplex iteration limit exceeded")
-
     phase1 = [_ZERO] * (n + m) + [Fraction(-1)] * m
-    run_phase(phase1, ncols)
+    _run_phase(tab, beta, status, basis, lo, hi, phase1, ncols)
     infeasibility = sum((beta[i] for i in range(m) if basis[i] >= n + m), _ZERO)
     if infeasibility > 0:
         raise LinearProgramInfeasible(f"phase-1 residual {float(infeasibility):.3e}")
@@ -165,12 +188,33 @@ def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
         else:
             hi[basis[i]] = _ZERO  # redundant row; pin its artificial at zero
 
-    phase2 = cvec + [_ZERO] * (2 * m)
-    run_phase(phase2, n + m)
+    return _Start(n=n, tab=tuple(map(tuple, tab)), beta=tuple(beta), status=tuple(status),
+                  basis=tuple(basis), lo=tuple(lo), hi=tuple(hi))
 
-    x = [xup[j] if status[j] == _AT_UPPER else xlo[j] for j in range(n)]
+
+def _maximize(start: _Start, c):
+    """Phase 2 from a copy of ``start``: (optimum, x) of c.x as floats."""
+    n, m = start.n, len(start.tab)
+    cvec = [Fraction(v) for v in c]
+    tab, beta = list(start.tab), list(start.beta)
+    status, basis = list(start.status), list(start.basis)
+    lo, hi = start.lo, start.hi
+    phase2 = cvec + [_ZERO] * (2 * m)
+    _run_phase(tab, beta, status, basis, lo, hi, phase2, n + m)
+
+    x = [hi[j] if status[j] == _AT_UPPER else lo[j] for j in range(n)]
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = beta[i]
     optimum = sum((cvec[j] * x[j] for j in range(n)), _ZERO)
     return float(optimum), [float(v) for v in x]
+
+
+def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
+    """Maximize c.x with ranged rows and per-variable boxes, exactly.
+
+    Returns (optimum, x) as floats; raises ``LinearProgramInfeasible`` when
+    the constraints admit no point.  All inputs may be floats (converted
+    exactly) or Fractions.
+    """
+    return _maximize(_feasible_start(a, row_lower, row_upper, x_lower, x_upper), c)

@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tfqkd
 
 from tfqkd.cli import main
 
@@ -46,6 +52,16 @@ class TestPlobAndRate:
         # 800: exp(mu + nu) overflows; 150: the series tails cannot converge
         code, out, err = run_cli(["rate", "--decoys", "3", "--alpha-a", "0.1",
                                   "--strongest-mu", strongest], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SaturationError"
+
+    @pytest.mark.parametrize("alpha", ["400", "1e200"])
+    def test_overflowing_amplitude_is_saturation_record(self, alpha, capsys):
+        # 400: expm1 of the X-basis exponent overflows; 1e200: the arriving
+        # intensity itself is infinite
+        code, out, err = run_cli(["rate", "--decoys", "3", "--alpha-a", alpha,
+                                  "--strongest-mu", "0.1"], capsys)
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "SaturationError"
@@ -188,3 +204,15 @@ class TestStrictOutput:
         assert set(rows) == {20.0, "nan"}
         assert rows[20.0]["error"] == "" and rows[20.0]["rate"] > 0
         assert "NaN" in rows["nan"]["error"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(tfqkd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "tfqkd", "plob", "--loss-a-db", "20",
+                           "--loss-b-db", "30"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout, parse_constant=_no_constants)
+    assert rec["plob"] == pytest.approx(-math.log2(1 - 1e-5), rel=1e-12)

@@ -1,5 +1,6 @@
 """Verification layer: Fock enumeration, gain series, exact LP."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from scipy.optimize import linprog
 
 from tfqkd.channel import (ChannelParams, GainMatrix, IntensitySettings,
                            simulate_gains, standard_noise, theoretical_yield)
-from tfqkd.decoy3 import yield_bounds_3
+from tfqkd.decoy3 import TARGETS_3, yield_bounds_3
 from tfqkd.errors import InconsistentGainsError
-from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_yield_bound,
+from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_bound,
                            series_gain, solve_bounded_lp)
 from tfqkd.oracles.fock import gain_reconstruction_error
 from tfqkd.oracles.simplex import LinearProgramInfeasible
@@ -152,8 +153,17 @@ class TestLpYieldBound:
         mu = (0.1, 1e-2, 1e-3)
         q = [[0.9] * 3 for _ in range(3)]
         q[0][0] = 0.0
-        with pytest.raises(InconsistentGainsError):
-            lp_yield_bound(GainMatrix(q=tuple(map(tuple, q))), mu, mu, (1, 1), 8)
+        gains = GainMatrix(q=tuple(map(tuple, q)))
+        for _ in range(2):  # the memo holds no exceptions: every call raises
+            with pytest.raises(InconsistentGainsError):
+                lp_yield_bound(gains, mu, mu, (1, 1), 8)
+
+    @pytest.mark.parametrize("target", [(-1, 3), (0, -2), (-1, -1)])
+    def test_negative_target_rejected(self, target):
+        mu = (0.1, 1e-2, 1e-3)
+        gains = GainMatrix(q=((0.0,) * 3,) * 3)
+        with pytest.raises(ValueError):
+            lp_yield_bound(gains, mu, mu, target, 8)
 
     def test_dominance_chain_spot(self):
         params = standard_noise(25, 35)
@@ -167,3 +177,52 @@ class TestLpYieldBound:
             lp = lp_yield_bound(gains, mu, nu, target)
             assert true <= lp + 1e-9
             assert lp <= bounds.get(*target) + 1e-9
+
+
+def _certify_like(rng, decoys):
+    """Gains and intensities of one jittered configuration, 3 or 4 decoys."""
+    params = standard_noise(float(rng.uniform(12, 24)), float(rng.uniform(20, 30)))
+    w0 = float(rng.uniform(5e-3, 1e-2))
+    w1 = w0 * float(rng.uniform(0.2, 0.3))
+    strong = float(rng.uniform(0.09, 0.12))
+    if decoys == 3:
+        mu = (strong, w0, w1)
+        nu = (strong * float(rng.uniform(0.9, 1.1)), w0 * 1.1, w1 * 0.9)
+    else:
+        mu = (w0, w1, w1 * 0.1, strong)
+        nu = (w0 * 1.2, w1 * 0.95, w1 * 0.11, strong * 1.1)
+    settings = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
+    return simulate_gains(params, settings), mu, nu
+
+
+class TestLpMemo:
+    """One phase 1 per configuration gives the optima of one-shot solves."""
+
+    @pytest.mark.parametrize("decoys,seed", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)])
+    def test_memo_equals_one_shot(self, decoys, seed):
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        side = n_trunc + 1
+        rows, lower, upper = lp_bounds._constraints(gains.q, mu, nu, n_trunc)
+        lp_bounds._start.cache_clear()
+        for u, v in TARGETS_3:
+            c = [0] * (side * side)
+            c[u * side + v] = 1
+            one_shot, _ = solve_bounded_lp(c, rows, lower, upper,
+                                           [0] * (side * side), [1] * (side * side))
+            assert lp_yield_bound(gains, mu, nu, (u, v)) == min(max(one_shot, 0.0), 1.0)
+        assert lp_bounds._start.cache_info().misses == 1
+
+    def test_call_order_does_not_matter(self):
+        gains, mu, nu = _certify_like(np.random.default_rng(5), 3)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        lp_bounds._start.cache_clear()
+        fresh = lp_yield_bound(gains, mu, nu, (0, 0))
+        lp_bounds._start.cache_clear()
+        before = copy.deepcopy(lp_bounds._start(gains.q, mu, nu, n_trunc))
+        lp_yield_bound(gains, mu, nu, (1, 3))
+        after = lp_yield_bound(gains, mu, nu, (0, 0))
+        assert lp_bounds._start.cache_info().hits == 2
+        assert after == fresh
+        # phase 2 works on a copy: the cached start is the one phase 1 left
+        assert lp_bounds._start(gains.q, mu, nu, n_trunc) == before
