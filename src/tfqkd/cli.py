@@ -63,6 +63,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
     version = cfg.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version}")
@@ -76,6 +78,8 @@ def ingest_gains(path) -> tuple[GainMatrix, tuple, tuple]:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read gains file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"gains file {path} must hold a JSON object")
     if data.get("schema_version") != GAINS_SCHEMA_VERSION:
         raise ConfigError("gains file must declare schema_version 1")
     for key in ("mu", "nu", "Q"):

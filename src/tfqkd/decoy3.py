@@ -15,11 +15,14 @@ computed from all-positive terms to full relative accuracy.  The float path
 is faster and plenty for rate optimization; the exact path is what the
 oracle comparisons at 1e-9 tolerances need.
 
-Three- and four-decoy bounds share one path: ``_prepare`` checks the input,
-picks the number type and rescales the gains; ``_block_bounds`` turns one
-3x3 block into all nine clamped bounds, every combination going through
-``_combine`` and every party-swapped target being its mirror formula on the
-transposed block.  A three-decoy bound set is one block.
+Three- and four-decoy bounds share one path.  ``_prepare`` checks the
+input, the only validation on the path, picks the number type and rescales
+the gains.  Each ordered intensity triple becomes one ``_side`` per bound
+set: its three moment-killing ``_vectors`` and its series tails.
+``_block_bounds`` turns one 3x3 block into all nine clamped bounds; every
+combination is ``_combine`` of one vector per party with the block, and
+every party-swapped target is its mirror formula on the transposed block.
+A three-decoy bound set is one block.
 """
 
 from __future__ import annotations
@@ -79,60 +82,44 @@ def check_intensities(values, label: str) -> None:
                     f"{label} intensities {vals[i]} and {vals[j]} are (nearly) equal")
 
 
-# The vectors lead with the integer 1, which keeps the intensities' number type.
+# Indices into ``_vectors``, named by the photon-number moments removed
+_K01, _K02, _K12 = 0, 1, 2
 
-def _kill_01(x):
-    """Row vector orthogonal to (1,1,1) and (x0,x1,x2), normalized to lead 1."""
+
+def _vectors(x):
+    """Row vectors of one ordered triple orthogonal to (1,1,1) and x, to
+    (1,1,1) and x^2, to x and x^2; the leading integer 1 keeps x's type."""
     x0, x1, x2 = x
     d = x1 - x2
-    return (1, (x2 - x0) / d, (x0 - x1) / d)
+    dsq = x1 * x1 - x2 * x2
+    return ((1, (x2 - x0) / d, (x0 - x1) / d),
+            (1, (x2 * x2 - x0 * x0) / dsq, (x0 * x0 - x1 * x1) / dsq),
+            (1, x0 * (x2 - x0) / (x1 * d), x0 * (x0 - x1) / (x2 * d)))
 
 
-def _kill_02(x):
-    """Row vector orthogonal to (1,1,1) and the squared intensities."""
-    x0, x1, x2 = x
-    d = x1 * x1 - x2 * x2
-    return (1, (x2 * x2 - x0 * x0) / d, (x0 * x0 - x1 * x1) / d)
-
-
-def _kill_12(x):
-    """Row vector orthogonal to the intensities and their squares."""
-    x0, x1, x2 = x
-    d = x1 - x2
-    return (1, x0 * (x2 - x0) / (x1 * d), x0 * (x0 - x1) / (x2 * d))
-
-
-_VECTOR_FOR_TARGET = {
-    # target -> (alice vector, bob vector); the vector names say which
-    # photon-number moments each side removes.
-    (0, 0): (_kill_12, _kill_12),
-    (1, 1): (_kill_02, _kill_02),
-    (2, 2): (_kill_01, _kill_01),
-    (0, 2): (_kill_12, _kill_01),
-    (2, 0): (_kill_01, _kill_12),
-    (1, 3): (_kill_02, _kill_01),
-    (3, 1): (_kill_01, _kill_02),
-}
+# target -> (alice vector, bob vector)
+_VECTOR_FOR_TARGET = {(0, 0): (_K12, _K12), (1, 1): (_K02, _K02), (2, 2): (_K01, _K01),
+                      (0, 2): (_K12, _K01), (2, 0): (_K01, _K12), (1, 3): (_K02, _K01),
+                      (3, 1): (_K01, _K02)}
 
 
 def cancellation_coeffs(target, mu, nu):
     """3x3 coefficient matrix c[i][j] for the gain combination of ``target``.
 
     The matrix is the outer product of one moment-killing vector per party;
-    c[0][0] is 1 by normalization.  Fraction inputs give exact output.
+    c[0][0] is 1 by normalization.  Fraction inputs give exact output.  The
+    bounds themselves combine the vectors directly (``_combine``).
     """
     target = tuple(target)
     if target not in _VECTOR_FOR_TARGET:
         raise ValueError(f"no three-decoy coefficient family for target {target}")
-    mu = tuple(mu)
-    nu = tuple(nu)
+    mu, nu = tuple(mu), tuple(nu)
     if len(mu) != 3 or len(nu) != 3:
         raise ValueError("cancellation_coeffs expects three intensities per party")
     check_intensities(mu, "mu")
     check_intensities(nu, "nu")
-    fa, fb = _VECTOR_FOR_TARGET[target]
-    a = fa(mu)
-    b = fb(nu)
+    ia, ib = _VECTOR_FOR_TARGET[target]
+    a, b = _vectors(mu)[ia], _vectors(nu)[ib]
     return tuple(tuple(ai * bj for bj in b) for ai in a)
 
 
@@ -160,8 +147,8 @@ def _prepare(q, mu, nu, size: int, exact: bool):
 _EPS_COMBINE = 8.0 * 2.0 ** -53
 
 
-def _combine(coeffs, qtilde, rows, cols, num):
-    """Gain combination and a bound on its floating-point error.
+def _combine(a, b, qtilde, rows, cols, num):
+    """Gain combination sum_ij a_i b_j qtilde_ij and a bound on its rounding.
 
     Returns (value, error); the error is zero on the exact path.  The error
     estimate is what lets callers report certified-despite-rounding upper
@@ -169,11 +156,10 @@ def _combine(coeffs, qtilde, rows, cols, num):
     bound, and it grows exactly where the combination cancels so deeply that
     double precision cannot resolve it.
     """
-    terms = [coeffs[a][b] * qtilde[i][j]
-             for a, i in enumerate(rows) for b, j in enumerate(cols)]
+    terms = [ai * bj * qtilde[i][j] for ai, i in zip(a, rows) for bj, j in zip(b, cols)]
     if num is Fraction:
         return sum(terms), 0
-    return math.fsum(terms), _EPS_COMBINE * math.fsum(abs(t) for t in terms)
+    return math.fsum(terms), _EPS_COMBINE * math.fsum(map(abs, terms))
 
 
 def _clamp(raw, err, target, formula: str) -> float:
@@ -186,54 +172,56 @@ def _clamp(raw, err, target, formula: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _one_sided(qtilde, mu, nu, rows, cols, num):
-    """Raw (value, error) pairs of (0,2), (0,4) and (1,3); on the transposed
-    block with the parties exchanged, of (2,0), (4,0) and (3,1)."""
-    mu0, mu1, mu2 = mu
-    nu0, nu1, nu2 = nu
+def _side(x, vectors, num):
+    """One party's ordered triple x as a block reads it: x, its ``_vectors`` and
+    exp_h_tail(x, 2), exp_f_tail(x, 3), exp_f_tail(x, 4) in type ``num``."""
+    return x, vectors, (num(exp_h_tail(x, 2)), num(exp_f_tail(x, 3)), num(exp_f_tail(x, 4)))
+
+
+def _one_sided(qtilde, a, b, rows, cols, num):
+    """Raw (value, error) of (0,2), (0,4), (1,3) for the ``_side``s a, b; of
+    (2,0), (4,0), (3,1) on the transposed block with a and b exchanged."""
+    (mu0, mu1, mu2), va, ta = a
+    (nu0, nu1, nu2), vb, tb = b
     denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
-    g, gerr = _combine(cancellation_coeffs((0, 2), mu, nu), qtilde, rows, cols, num)
+    g, gerr = _combine(va[_K12], vb[_K01], qtilde, rows, cols, num)
     pref02 = 2 * mu1 * mu2 / denom
-    h2_nu = (nu0 * nu0 + nu1 * nu1 + nu2 * nu2
-             + nu0 * nu1 + nu0 * nu2 + nu1 * nu2)
+    h2_nu = nu0 * nu0 + nu1 * nu1 + nu2 * nu2 + nu0 * nu1 + nu0 * nu2 + nu1 * nu2
     pref04 = 24 * mu1 * mu2 / (denom * h2_nu)
-    g13, err13 = _combine(cancellation_coeffs((1, 3), mu, nu), qtilde, rows, cols, num)
+    g13, err13 = _combine(va[_K02], vb[_K01], qtilde, rows, cols, num)
     e1_nu = nu0 + nu1 + nu2
-    tail = num(exp_h_tail(nu, 2)) * num(exp_f_tail(mu, 3))
     pref13 = -6 * (mu1 + mu2) / (denom * e1_nu)
     return ((g * pref02, gerr * abs(pref02)), (g * pref04, gerr * abs(pref04)),
-            (g13 * pref13 + 6 * tail / e1_nu, err13 * abs(pref13)))
+            (g13 * pref13 + 6 * (tb[0] * ta[1]) / e1_nu, err13 * abs(pref13)))
 
 
-def _block_bounds(qtilde, qtilde_t, mu, nu, rows, cols, num) -> dict:
+def _block_bounds(qtilde, qtilde_t, a, b, rows, cols, num) -> dict:
     """All nine clamped bounds on the 3x3 block ``rows`` x ``cols`` of the
-    rescaled gains, whose intensities are the ordered triples ``mu``/``nu``."""
+    rescaled gains, whose intensities are the ``_side``s ``a`` and ``b``."""
     out = {}
-    for targets, raws in ((((0, 2), (0, 4), (1, 3)),
-                           _one_sided(qtilde, mu, nu, rows, cols, num)),
+    for targets, raws in ((((0, 2), (0, 4), (1, 3)), _one_sided(qtilde, a, b, rows, cols, num)),
                           (((2, 0), (4, 0), (3, 1)),
-                           _one_sided(qtilde_t, nu, mu, cols, rows, num))):
+                           _one_sided(qtilde_t, b, a, cols, rows, num))):
         for target, (raw, err) in zip(targets, raws):
             out[target] = _clamp(raw, err, target, "3-decoy")
     y13, y31 = out[1, 3], out[3, 1]
-    if nu > mu:
+    if b[0] > a[0]:
         # canonical orientation, so exchanging the parties is a bitwise
         # no-op for the party-symmetric targets too
-        qtilde, mu, nu, rows, cols, y13, y31 = qtilde_t, nu, mu, cols, rows, y31, y13
-    mu0, mu1, mu2 = mu
-    nu0, nu1, nu2 = nu
+        qtilde, a, b, rows, cols, y13, y31 = qtilde_t, b, a, cols, rows, y31, y13
+    (mu0, mu1, mu2), va, ta = a
+    (nu0, nu1, nu2), vb, tb = b
     denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
-    g, gerr = _combine(cancellation_coeffs((0, 0), mu, nu), qtilde, rows, cols, num)
+    g, gerr = _combine(va[_K12], vb[_K12], qtilde, rows, cols, num)
     pref = mu1 * mu2 * nu1 * nu2 / denom
     out[0, 0] = _clamp(g * pref, gerr * abs(pref), (0, 0), "3-decoy")
-    g, gerr = _combine(cancellation_coeffs((1, 1), mu, nu), qtilde, rows, cols, num)
+    g, gerr = _combine(va[_K02], vb[_K02], qtilde, rows, cols, num)
     e2_nu = nu0 * nu1 + nu0 * nu2 + nu1 * nu2
     e2_mu = mu0 * mu1 + mu0 * mu2 + mu1 * mu2
     pref = (mu1 + mu2) * (nu1 + nu2) / denom
-    raw = (g * pref + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6
-           + num(exp_f_tail(nu, 4)) + num(exp_f_tail(mu, 4)))
+    raw = g * pref + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6 + tb[2] + ta[2]
     out[1, 1] = _clamp(raw, gerr * abs(pref), (1, 1), "3-decoy")
-    g, gerr = _combine(cancellation_coeffs((2, 2), mu, nu), qtilde, rows, cols, num)
+    g, gerr = _combine(va[_K01], vb[_K01], qtilde, rows, cols, num)
     out[2, 2] = _clamp(4 * g / denom, 4 * gerr / abs(denom), (2, 2), "3-decoy")
     return {target: out[target] for target in TARGETS_3}
 
@@ -241,7 +229,8 @@ def _block_bounds(qtilde, qtilde_t, mu, nu, rows, cols, num) -> dict:
 def _bounds3(q, mu, nu, exact):
     """(bounds, provenance, warnings) of the three-decoy bound set."""
     num, qtilde, qtilde_t, mu, nu = _prepare(q, mu, nu, 3, exact)
-    bounds = _block_bounds(qtilde, qtilde_t, mu, nu, (0, 1, 2), (0, 1, 2), num)
+    bounds = _block_bounds(qtilde, qtilde_t, _side(mu, _vectors(mu), num),
+                           _side(nu, _vectors(nu), num), (0, 1, 2), (0, 1, 2), num)
     return bounds, dict.fromkeys(bounds, "3-decoy"), []
 
 

@@ -20,7 +20,8 @@ float path carries absolute noise around 1e-7..1e-5 for the paper-scale weak
 decoys, which is irrelevant for key rates but matters when checking the
 bounds against the LP oracle at 1e-9 tolerances.
 
-The bounds follow ``decoy3``'s one path, with the subset pairs as blocks.
+The bounds follow ``decoy3``'s one path, with the subset pairs as blocks and
+each ordered triple's vectors built once per bound set.
 ``yield_bounds`` memoizes whole bound sets per (gains, intensities, path):
 the optimizer and the fluctuation search repeat them with new amplitudes.
 """
@@ -33,8 +34,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from .channel import GainMatrix, IntensitySettings
-from .decoy3 import (_EPS_COMBINE, TARGETS_3, YieldBounds, _block_bounds, _bounds3,
-                     _clamp, _combine, _prepare, cancellation_coeffs)
+from .decoy3 import (_EPS_COMBINE, _VECTOR_FOR_TARGET, TARGETS_3, YieldBounds, _block_bounds,
+                     _bounds3, _clamp, _combine, _prepare, _side, _vectors,
+                     cancellation_coeffs)  # noqa: F401  (benchmark/spans.py wraps it)
 from .series import exp_h_tail
 
 # Slot order of the four 3-subset combinations.  Each subset's combination is
@@ -85,25 +87,29 @@ def _weak_cross(mu, nu):
     return t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2)
 
 
-def _combine_subsets(qtilde, mu, nu, target, ds, num):
-    """Weighted sum of subset combinations with its own error estimate."""
-    values = []
-    errors = []
+def _triple_vectors(x, triples):
+    """``_vectors`` of each ordered index triple into the intensities ``x``."""
+    return {idx: _vectors(tuple(x[i] for i in idx)) for idx in triples}
+
+
+def _combine_subsets(qtilde, va, vb, target, ds, num):
+    """Weighted sum of subset combinations with its own error estimate;
+    ``va``/``vb`` hold the ``_triple_vectors`` of every slot triple."""
+    values, errors = [], []
+    ia, ib = _VECTOR_FOR_TARGET[target]
     for d, slots in zip(ds, SUBSETS):
         if d is None:
             continue
-        coeffs = cancellation_coeffs(target, tuple(mu[i] for i in slots),
-                                     tuple(nu[i] for i in slots))
-        g, gerr = _combine(coeffs, qtilde, slots, slots, num)
+        g, gerr = _combine(va[slots][ia], vb[slots][ib], qtilde, slots, slots, num)
         values.append(d * g)
         errors.append(abs(d) * gerr)
     if num is Fraction:
         return sum(values), 0
-    err = math.fsum(errors) + _EPS_COMBINE * math.fsum(abs(v) for v in values)
+    err = math.fsum(errors) + _EPS_COMBINE * math.fsum(map(abs, values))
     return math.fsum(values), err
 
 
-def _y04(qtilde, mu, nu, cross, num, rel=0.0):
+def _y04(qtilde, mu, nu, va, vb, cross, num, rel=0.0):
     """Combined (0,4) bound as (raw, error).  ``cross`` None selects the
     degenerate variant for nu_i == mu_i (i < 3), whose coefficients are built
     from Alice's weak intensities and Bob's strongest one."""
@@ -116,6 +122,7 @@ def _y04(qtilde, mu, nu, cross, num, rel=0.0):
               m0 * m3 * (m0 - m1) * (m0 - m3) * (m0 - n3)
               / (m1 * (m1 - m2) * (m1 - m3) * (m1 - n3)))
         nu = (m0, m1, m2, n3)
+        vb = _triple_vectors(nu, SUBSETS)
         lead = (m0 - m1) ** 2 * (m0 - m2) * (m1 - m2) * (m0 - m3) * (m0 - n3)
         a04_four = -lead * (m0 + m1 + m2 + n3) / (m1 * m2)
         head = m0 * m3 * lead
@@ -125,7 +132,7 @@ def _y04(qtilde, mu, nu, cross, num, rel=0.0):
         p = _p04(mu, nu)
         a04_four = -kern * (n0 + n1 + n2 + n3) * p / (m1 * m2 * m3 * cross)
         head = m0 * kern * p / cross
-    h04, herr = _combine_subsets(qtilde, mu, nu, (0, 2), ds, num)
+    h04, herr = _combine_subsets(qtilde, va, vb, (0, 2), ds, num)
     # Residual of the terms saturated at yield 1; closed form re-derived from
     # the series itself (the factorial heads below differ between the two
     # parties because the surviving families start at different orders).
@@ -177,9 +184,9 @@ def _d13(mu, nu, q13):
     return (1, d013, d023, d123)
 
 
-def _y13(qtilde, mu, nu, q13, num, rel):
+def _y13(qtilde, mu, nu, va, vb, q13, num, rel):
     m0, m1, m2, m3 = mu
-    h13, herr = _combine_subsets(qtilde, mu, nu, (1, 3), _d13(mu, nu, q13), num)
+    h13, herr = _combine_subsets(qtilde, va, vb, (1, 3), _d13(mu, nu, q13), num)
     kern = (m0 - m1) * (m0 - m2) * (nu[0] - nu[1]) * (nu[0] - nu[2])
     a13_three = -kern / (m1 + m2) * _p13(mu, nu) / q13
     raw = 6 * h13 / a13_three
@@ -188,7 +195,7 @@ def _y13(qtilde, mu, nu, q13, num, rel):
     return raw, herr * abs(6 / a13_three) + rel * abs(raw)
 
 
-def _combined(target, qtilde, mu, nu, floats, num, warnings):
+def _combined(target, qtilde, mu, nu, va, vb, floats, num, warnings):
     """(provenance, raw, error) of the four-decoy formula, or None if skipped;
     (4,0) and (3,1) arrive transposed, ``floats`` are mu/nu as doubles.  The
     ``rel`` passed on credits the relative rounding of the weights and the
@@ -196,16 +203,16 @@ def _combined(target, qtilde, mu, nu, floats, num, warnings):
     mu_f, nu_f = floats
     if target in ((0, 4), (4, 0)):
         if all(abs(a - b) <= _TILDE_REL_TOL * max(a, b) for a, b in zip(mu_f[:3], nu_f)):
-            return ("4-decoy degenerate",) + _y04(qtilde, mu, nu, None, num)
+            return ("4-decoy degenerate",) + _y04(qtilde, mu, nu, va, vb, None, num)
         cross, scale = _weak_cross(mu_f, nu_f)
         if abs(cross) >= _Q13_REL_FLOOR * scale:
-            return ("4-decoy combined",) + _y04(qtilde, mu, nu, _weak_cross(mu, nu)[0], num,
-                                                _EPS_COMBINE * scale / abs(cross))
+            return ("4-decoy combined",) + _y04(qtilde, mu, nu, va, vb, _weak_cross(mu, nu)[0],
+                                                num, _EPS_COMBINE * scale / abs(cross))
         reason = "proportional weak triples"
     else:
         q13, scale = _q13(mu_f, nu_f)
         if abs(q13) >= _Q13_REL_FLOOR * scale:
-            return ("4-decoy combined",) + _y13(qtilde, mu, nu, _q13(mu, nu)[0], num,
+            return ("4-decoy combined",) + _y13(qtilde, mu, nu, va, vb, _q13(mu, nu)[0], num,
                                                 _EPS_COMBINE * scale / abs(q13))
         reason = "vanishing denominator"
     warnings.append(f"({target[0]},{target[1]}): combined formula skipped "
@@ -223,11 +230,15 @@ def _bounds4(q, mu, nu, exact):
     first wins ties), then each combined formula where strictly lower."""
     floats = tuple(mu), tuple(nu)
     num, qtilde, qtilde_t, mu, nu = _prepare(q, mu, nu, 4, exact)
+    order_a, order_b = _sorted_subsets(floats[0]), _sorted_subsets(floats[1])
+    va = _triple_vectors(mu, set(order_a).union(SUBSETS))
+    vb = _triple_vectors(nu, set(order_b).union(SUBSETS))
+    sides_b = [_side(tuple(nu[j] for j in cols), vb[cols], num) for cols in order_b]
     best = dict.fromkeys(TARGETS_3, (math.inf, None))
-    for rows in _sorted_subsets(floats[0]):
-        for cols in _sorted_subsets(floats[1]):
-            block = _block_bounds(qtilde, qtilde_t, tuple(mu[i] for i in rows),
-                                  tuple(nu[j] for j in cols), rows, cols, num)
+    for rows in order_a:
+        side_a = _side(tuple(mu[i] for i in rows), va[rows], num)
+        for cols, side_b in zip(order_b, sides_b):
+            block = _block_bounds(qtilde, qtilde_t, side_a, side_b, rows, cols, num)
             for target, value in block.items():
                 if value < best[target][0]:
                     best[target] = (value, (rows, cols))
@@ -235,7 +246,7 @@ def _bounds4(q, mu, nu, exact):
     provenance = {t: "3-decoy subsets ({},{},{})x({},{},{})".format(*sorted(r), *sorted(c))
                   for t, (_, (r, c)) in best.items()}
     warnings = []
-    direct, mirror = (qtilde, mu, nu, floats), (qtilde_t, nu, mu, floats[::-1])
+    direct, mirror = (qtilde, mu, nu, va, vb, floats), (qtilde_t, nu, mu, vb, va, floats[::-1])
     for target, orientation in (((0, 4), direct), ((4, 0), mirror),
                                 ((1, 3), direct), ((3, 1), mirror)):
         found = _combined(target, *orientation, num, warnings)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 from ..channel import GainMatrix
 from ..errors import InconsistentGainsError
@@ -103,6 +104,8 @@ def lp_yield_bound(gains: GainMatrix, mu, nu, target, n_trunc: int = DEFAULT_TRU
     nu = tuple(nu)
     if len(mu) != gains.size or len(nu) != gains.size:
         raise ValueError("intensity lists must match the gain matrix")
+    if not all(isinstance(k, Integral) and not isinstance(k, bool) for k in (u, v)):
+        raise ValueError(f"target photon numbers must be integers, got {target}")
     if u < 0 or v < 0:
         raise ValueError(f"target photon numbers must be >= 0, got {target}")
     if n_trunc < max(u, v) + 2:

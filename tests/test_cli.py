@@ -146,6 +146,20 @@ class TestConfigFile:
         assert "strictly decreasing" in err
 
 
+@pytest.mark.parametrize("document", ["[1, 2]", '"text"', "null"])
+@pytest.mark.parametrize("subcommand,flag", [("rate", "--config"), ("bounds", "--gains"),
+                                             ("rate", "--gains"), ("optimize", "--config")])
+def test_non_object_json_input_is_config_error(document, subcommand, flag, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(document)
+    code, out, err = run_cli([subcommand, flag, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "JSON object" in record["message"]
+
+
 class TestSweepDeterminism:
     def _sweep(self, tmp_path, capsys, workers, name):
         cfg = tmp_path / "cfg.json"

@@ -1,7 +1,9 @@
 """Four-decoy combined yield bounds."""
 
 import copy
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,10 +181,11 @@ class TestBounds4:
 
     def test_unit_level_combination_is_homogeneous(self):
         # with all gains zero the weighted subset combination vanishes
-        from tfqkd.decoy4 import _combine_subsets, _prepare
+        from tfqkd.decoy4 import _combine_subsets, _prepare, _triple_vectors
         zeros = GainMatrix(q=((0.0,) * 4,) * 4)
         num, qt, _, mu, nu = _prepare(zeros.q, MU4, NU4, 4, False)
-        h04, _ = _combine_subsets(qt, mu, nu, (0, 2), _d04(mu, nu), num)
+        va, vb = _triple_vectors(mu, SUBSETS), _triple_vectors(nu, SUBSETS)
+        h04, _ = _combine_subsets(qt, va, vb, (0, 2), _d04(mu, nu), num)
         assert h04 == 0.0
 
     def test_yield_bounds_reports_all_nine(self):
@@ -297,3 +300,35 @@ class TestFloatDominatesExact:
                     below.append((loss, mu, nu, target, floats.get(*target), exact))
         assert checked >= 1000
         assert not below, below[:3]
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_bounds.json"
+
+
+class TestGoldenBounds:
+    """Float and exact bound sets pinned bit for bit on 43 corpus entries.
+
+    ``data/golden_bounds.json`` holds, for the 3-decoy sets 0, 6, ..., 54 of
+    ``_gate_corpus()``, its first 32 4-decoy sets (eight of each weak-triple
+    kind) and the near miss, every entry's ``float.hex()`` in key order with
+    its provenance and the set's warnings, written before the per-set
+    vectors replaced per-combination coefficient matrices.
+    """
+
+    def test_bound_sets_bit_identical(self):
+        corpus = _gate_corpus()
+        records = json.loads(GOLDEN.read_text())
+        kinds = {len(corpus[r["index"]][1]) for r in records}
+        assert len({r["index"] for r in records}) >= 40 and kinds == {3, 4}
+        names = {p for r in records for _, _, p in r["provenance"]}
+        assert {"3-decoy", "4-decoy combined", "4-decoy degenerate"} <= names
+        assert any(r["warnings"] for r in records)
+        for rec in records:
+            loss, mu, nu = corpus[rec["index"]]
+            settings = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
+            gains = simulate_gains(standard_noise(*loss), settings)
+            got = yield_bounds(gains, settings, exact=rec["exact"])
+            where = (rec["index"], rec["exact"])
+            assert [[n, m, v.hex()] for (n, m), v in got.bounds.items()] == rec["bounds"], where
+            assert [[n, m, p] for (n, m), p in got.provenance.items()] == rec["provenance"], where
+            assert got.warnings == rec["warnings"], where

@@ -165,6 +165,20 @@ class TestLpYieldBound:
         with pytest.raises(ValueError):
             lp_yield_bound(gains, mu, mu, target, 8)
 
+    @pytest.mark.parametrize("target", [(0.5, 1), (1.0, 1), (1, 2.0), (True, 1), (0, False),
+                                        ("1", 1)])
+    def test_non_integer_target_rejected(self, target):
+        mu = (0.1, 1e-2, 1e-3)
+        gains = GainMatrix(q=((0.0,) * 3,) * 3)
+        with pytest.raises(ValueError, match="integers"):
+            lp_yield_bound(gains, mu, mu, target, 8)
+
+    def test_numpy_integer_target_accepted(self):
+        mu = (0.1, 1e-2, 1e-3)
+        gains = GainMatrix(q=((0.0,) * 3,) * 3)
+        assert lp_yield_bound(gains, mu, mu, (np.int64(1), np.int64(1)), 8) == \
+            lp_yield_bound(gains, mu, mu, (1, 1), 8)
+
     def test_dominance_chain_spot(self):
         params = standard_noise(25, 35)
         mu = (0.12, 8e-3, 1.5e-3)
