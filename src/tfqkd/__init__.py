@@ -5,8 +5,8 @@ on the decoy constraints and photon-number enumeration)."""
 from .channel import (ChannelParams, GainMatrix, IntensitySettings, bessel_i0,
                       db_to_transmittance, gain, simulate_gains, standard_noise,
                       theoretical_yield, transmittance_to_db, x_basis_statistics)
-from .decoy3 import YieldBounds, bound_y3, cancellation_coeffs, yield_bounds_3
-from .decoy4 import bound4_y04, bound4_y13, bound4_y31, bound4_y40, yield_bounds
+from .decoy3 import YieldBounds, cancellation_coeffs
+from .decoy4 import yield_bounds
 from .errors import (ConfigError, DegenerateIntensityError,
                      InconsistentGainsError, InfeasibleFluctuationError,
                      SaturationError, TfqkdError)
@@ -21,9 +21,8 @@ __all__ = [
     "KeyRateResult", "OptimizationSpec", "FluctuationSpec",
     "bessel_i0", "gain", "simulate_gains", "standard_noise",
     "theoretical_yield", "x_basis_statistics", "db_to_transmittance",
-    "transmittance_to_db", "cancellation_coeffs", "bound_y3",
-    "yield_bounds_3", "yield_bounds", "bound4_y04", "bound4_y40",
-    "bound4_y13", "bound4_y31", "hom_sym_sum", "d_n", "binary_entropy",
+    "transmittance_to_db", "cancellation_coeffs", "yield_bounds",
+    "hom_sym_sum", "d_n", "binary_entropy",
     "phase_error_upper", "key_rate", "plob_bound", "optimize_rate",
     "coordinate_descent", "worst_case_fluctuation",
     "TfqkdError", "DegenerateIntensityError", "InconsistentGainsError",

@@ -180,15 +180,7 @@ def bessel_i0(x: float) -> float:
     if x > _EXP_MAX:
         raise SaturationError(f"bessel_i0 overflows for x = {x}")
     if x <= 20.0:
-        q = 0.25 * x * x
-        term = 1.0
-        total = 1.0
-        for k in range(1, 200):
-            term *= q / (k * k)
-            total += term
-            if term < total * 1e-18:
-                break
-        return total
+        return 1.0 + _bessel_i0_minus_1(x)
     # Asymptotic series e^x/sqrt(2 pi x) * sum_k a_k with
     # a_{k+1}/a_k = (2k+1)^2 / (8 (k+1) x); truncate at its smallest term.
     term = 1.0
@@ -252,8 +244,8 @@ def x_basis_statistics(params: ChannelParams, alpha_a: float, alpha_b: float) ->
 
 
 def _bessel_i0_minus_1(x: float) -> float:
-    """I0(x) - 1 to full relative accuracy for the small arguments the gain
-    formula produces (x <= 20)."""
+    """I0(x) - 1 to full relative accuracy for x <= 20, the power series that
+    ``bessel_i0`` and the gain formula use there."""
     q = 0.25 * x * x
     term = 1.0
     total = 0.0

@@ -258,12 +258,16 @@ def _sweep_point(job):
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sc = _scenario(args)
     grid_a = args.grid_a or [sc["loss_a_db"]]
     grid_b = args.grid_b or [sc["loss_b_db"]]
     jobs = [(sc, a, b) for a in grid_a for b in grid_b]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all its workers at the first submit, so start no idle ones
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]
@@ -348,6 +352,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     """Oracle dominance suite: true yield <= LP <= analytical bounds."""
+    if args.configs < 1:
+        raise ConfigError(f"--configs must be >= 1, got {args.configs}")
     sc = _scenario(args)
     import numpy as np
     rng = np.random.default_rng(sc["seed"])

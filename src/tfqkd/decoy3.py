@@ -22,7 +22,8 @@ set: its three moment-killing ``_vectors`` and its series tails.
 ``_block_bounds`` turns one 3x3 block into all nine clamped bounds; every
 combination is ``_combine`` of one vector per party with the block, and
 every party-swapped target is its mirror formula on the transposed block.
-A three-decoy bound set is one block.
+A three-decoy bound set is one block; ``decoy4.yield_bounds`` is the public
+entry point for three and four decoys.
 """
 
 from __future__ import annotations
@@ -234,21 +235,7 @@ def _bounds3(q, mu, nu, exact):
     return bounds, dict.fromkeys(bounds, "3-decoy"), []
 
 
-def bound_y3(target, gains: GainMatrix, mu, nu, exact: bool = False) -> float:
-    """Certified upper bound on one yield from a 3x3 gain matrix.
-
-    The float path adds its own rounding-error estimate before clamping, so
-    the result stays a valid upper bound even where the combination cancels
-    beyond double precision.  Values above 1 are clamped; values below
-    -1e-9 (after the error credit) raise ``InconsistentGainsError``, for
-    any of the nine targets: the whole set is evaluated.
-    """
-    target = tuple(target)
-    if target not in TARGETS_3:
-        raise ValueError(f"no three-decoy bound for target {target}")
-    return _bounds3(gains.q, mu, nu, exact)[0][target]
-
-
 def yield_bounds_3(gains: GainMatrix, mu, nu, exact: bool = False) -> YieldBounds:
-    """All nine three-decoy bounds for one gain matrix."""
+    """All nine three-decoy bounds, unmemoized.  Not exported: ``decoy4.yield_bounds``
+    is the entry point; this stays for the benchmark's certify check."""
     return YieldBounds(*_bounds3(gains.q, mu, nu, exact))

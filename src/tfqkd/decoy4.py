@@ -12,7 +12,7 @@ of the two parties are proportional to each other (pairwise equality is the
 special case treated by the dedicated degenerate variant of (0,4)/(4,0)).
 No degenerate variant exists for (1,3)/(3,1); when their combination
 denominator vanishes the formula is skipped and only the subset minima are
-used (recorded as a warning).
+used (noted in the bound set's ``warnings``).
 
 Like the three-decoy module, everything can run in exact rational
 arithmetic (``exact=True``); the combined formulas cancel so deeply that the
@@ -22,8 +22,9 @@ bounds against the LP oracle at 1e-9 tolerances.
 
 The bounds follow ``decoy3``'s one path, with the subset pairs as blocks and
 each ordered triple's vectors built once per bound set.
-``yield_bounds`` memoizes whole bound sets per (gains, intensities, path):
-the optimizer and the fluctuation search repeat them with new amplitudes.
+``yield_bounds`` is the one public entry point, for three or four decoys.
+It memoizes whole bound sets per (gains, intensities, path): the optimizer
+and the fluctuation search repeat them with new amplitudes.
 """
 
 from __future__ import annotations
@@ -267,41 +268,11 @@ def _memo(q, mu, nu, exact):
     return tuple(bounds.items()), tuple(provenance.items()), tuple(warnings)
 
 
-def _bound4(target, gains, mu, nu, warnings, exact):
-    """One four-decoy bound, with its own skip warning appended to ``warnings``."""
-    if gains.size != 4:
-        raise ValueError("expected four decoys per party and a 4x4 gain matrix")
-    bounds, _, notes = _memo(gains.q, tuple(mu), tuple(nu), exact)
-    if warnings is not None:
-        warnings.extend(n for n in notes if n.startswith(f"({target[0]},{target[1]}):"))
-    return dict(bounds)[target]
-
-
-def bound4_y04(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False) -> float:
-    """Upper bound on the (0,4) yield: combined formula vs subset minima."""
-    return _bound4((0, 4), gains, mu, nu, warnings, exact)
-
-
-def bound4_y40(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False) -> float:
-    """Mirror of ``bound4_y04`` with the parties exchanged."""
-    return _bound4((4, 0), gains, mu, nu, warnings, exact)
-
-
-def bound4_y13(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False) -> float:
-    """Upper bound on the (1,3) yield; a skipped combined formula (no
-    degenerate variant exists) is noted on ``warnings`` if given."""
-    return _bound4((1, 3), gains, mu, nu, warnings, exact)
-
-
-def bound4_y31(gains: GainMatrix, mu, nu, warnings=None, exact: bool = False) -> float:
-    """Mirror of ``bound4_y13`` with the parties exchanged."""
-    return _bound4((3, 1), gains, mu, nu, warnings, exact)
-
-
 def yield_bounds(gains: GainMatrix, settings: IntensitySettings,
                  exact: bool = False) -> YieldBounds:
     """All nine bounds for the given settings (three- or four-decoy), as a
-    fresh ``YieldBounds`` on every call: the memo holds immutable copies."""
+    fresh ``YieldBounds`` on every call: the memo holds immutable copies.
+    Only the intensities enter; the amplitudes are ignored."""
     if gains.size != settings.n_decoys:
         raise ValueError("gain matrix size does not match the number of decoys")
     bounds, provenance, warnings = _memo(gains.q, settings.mu, settings.nu, exact)

@@ -76,10 +76,6 @@ class OptimizationSpec:
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
 
-    @property
-    def dimension(self) -> int:
-        return 2 if self.symmetric else 4
-
     def box(self):
         a_lo, a_hi = self.alpha_box
         s_lo, s_hi = self.strongest_box

@@ -1,5 +1,6 @@
 """Command-line interface: configs, ingestion, determinism, outputs."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -177,6 +178,34 @@ class TestSweepDeterminism:
         four = self._sweep(tmp_path, capsys, 4, "w4.csv")
         assert one == four
 
+    def test_pool_sized_to_the_grid(self, tmp_path, capsys, monkeypatch):
+        # an in-process stand-in for the pool: records its size, forks nothing
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "decoys": 3,
+                                   "multistart": 1, "seed": 3}))
+        for grid_a in (["20", "26"], ["20"]):
+            code, out, _ = run_cli(["sweep", "--config", str(cfg), "--grid-a", *grid_a,
+                                    "--grid-b", "24", "--workers", "8"], capsys)
+            assert code == 0
+            assert len(out.strip().split("\n")) == 1 + len(grid_a)
+        assert sizes == [2]
+
     def test_rows_sorted_and_finite(self, tmp_path, capsys):
         data = self._sweep(tmp_path, capsys, 1, "w.csv").decode()
         lines = data.strip().split("\n")
@@ -187,6 +216,16 @@ class TestSweepDeterminism:
         for row in lines[1:]:
             rate = float(row.split(",")[2])
             assert math.isfinite(rate)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("subcommand, flag", [("sweep", "--workers"), ("verify", "--configs")])
+def test_count_below_one_is_config_error(subcommand, flag, value, capsys):
+    # a verify that checks nothing must not report success
+    code, out, err = run_cli([subcommand, flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
 
 
 def _no_constants(token):

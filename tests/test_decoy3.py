@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from tfqkd.channel import (GainMatrix, IntensitySettings, simulate_gains,
                            standard_noise, theoretical_yield)
-from tfqkd.decoy3 import (TARGETS_3, bound_y3, cancellation_coeffs,
-                          yield_bounds_3)
+from tfqkd.decoy3 import TARGETS_3, cancellation_coeffs
+from tfqkd.decoy4 import yield_bounds
 from tfqkd.errors import DegenerateIntensityError, InconsistentGainsError
 from tfqkd.oracles import dark_adjusted_yield
 
@@ -79,15 +79,17 @@ class TestCancellationCoeffs:
 class TestBoundY3:
     def test_zero_gains_homogeneous_targets(self):
         gains = GainMatrix(q=((0.0,) * 3,) * 3)
+        bounds = yield_bounds(gains, IntensitySettings(alpha_a=0.0, alpha_b=0.0, mu=MU, nu=NU))
         for target in ((0, 0), (2, 2), (0, 2), (2, 0), (0, 4), (4, 0)):
-            assert bound_y3(target, gains, MU, NU) == 0.0
+            assert bounds.get(*target) == 0.0
 
     def test_soundness_at_reference_point(self):
         params = standard_noise(20, 20)
         settings_ = IntensitySettings(alpha_a=0.3, alpha_b=0.3, mu=MU, nu=NU)
         gains = simulate_gains(params, settings_)
+        bounds = yield_bounds(gains, settings_)
         for target in TARGETS_3:
-            bound = bound_y3(target, gains, MU, NU)
+            bound = bounds.get(*target)
             assert bound >= theoretical_yield(params, *target) - 1e-12
 
     @settings(max_examples=15, deadline=None)
@@ -98,8 +100,9 @@ class TestBoundY3:
         nu = (strongest * 1.17, 1.1e-4, 0.9e-5)
         settings_ = IntensitySettings(alpha_a=0.25, alpha_b=0.25, mu=mu, nu=nu)
         gains = simulate_gains(params, settings_)
+        bounds = yield_bounds(gains, settings_)
         for target in TARGETS_3:
-            bound = bound_y3(target, gains, mu, nu)
+            bound = bounds.get(*target)
             assert bound >= dark_adjusted_yield(params, *target) - 1e-12
 
     def test_exchange_symmetry_exact(self):
@@ -110,14 +113,18 @@ class TestBoundY3:
         gains = simulate_gains(params, s)
         swapped = GainMatrix(q=tuple(tuple(gains.q[i][j] for i in range(3))
                                      for j in range(3)))
+        bounds = yield_bounds(gains, s)
+        mirrored = yield_bounds(swapped, IntensitySettings(alpha_a=0.0, alpha_b=0.0,
+                                                           mu=nu, nu=mu))
         for (n, m) in TARGETS_3:
-            assert bound_y3((n, m), gains, mu, nu) == bound_y3((m, n), swapped, nu, mu)
+            assert bounds.get(n, m) == mirrored.get(m, n)
 
     def test_mirror_pair_equal_for_symmetric_settings(self):
         params = standard_noise(25, 25)
         s = IntensitySettings(alpha_a=0.3, alpha_b=0.3, mu=MU, nu=MU)
         gains = simulate_gains(params, s)
-        assert bound_y3((1, 3), gains, MU, MU) == bound_y3((3, 1), gains, MU, MU)
+        bounds = yield_bounds(gains, s)
+        assert bounds.get(1, 3) == bounds.get(3, 1)
 
     def test_inconsistent_gains_raise(self):
         # a gain pattern no yield profile can produce: strong signal pair
@@ -125,13 +132,14 @@ class TestBoundY3:
         q = [[0.9] * 3 for _ in range(3)]
         q[0][0] = 0.0
         with pytest.raises(InconsistentGainsError):
-            yield_bounds_3(GainMatrix(q=tuple(map(tuple, q))), MU, NU)
+            yield_bounds(GainMatrix(q=tuple(map(tuple, q))),
+                         IntensitySettings(alpha_a=0.0, alpha_b=0.0, mu=MU, nu=NU))
 
     def test_clamped_to_unit_interval(self):
         params = standard_noise(3, 3)
         s = IntensitySettings(alpha_a=0.3, alpha_b=0.3, mu=MU, nu=NU)
         gains = simulate_gains(params, s)
-        bounds = yield_bounds_3(gains, MU, NU)
+        bounds = yield_bounds(gains, s)
         for _, value in bounds.items():
             assert 0.0 <= value <= 1.0
 
@@ -141,7 +149,9 @@ class TestBoundY3:
         nu = (0.1, 6e-3, 1.2e-3)
         s = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
         gains = simulate_gains(params, s)
+        floats = yield_bounds(gains, s, exact=False)
+        exacts = yield_bounds(gains, s, exact=True)
         for target in TARGETS_3:
-            f = bound_y3(target, gains, mu, nu, exact=False)
-            e = bound_y3(target, gains, mu, nu, exact=True)
+            f = floats.get(*target)
+            e = exacts.get(*target)
             assert f == pytest.approx(e, rel=1e-7, abs=1e-10)

@@ -10,9 +10,8 @@ import pytest
 
 from tfqkd.channel import (GainMatrix, IntensitySettings, simulate_gains,
                            standard_noise, theoretical_yield)
-from tfqkd.decoy3 import bound_y3, cancellation_coeffs
-from tfqkd.decoy4 import (SUBSETS, _d04, _d13, _p04, _q13, bound4_y04,
-                          bound4_y13, bound4_y31, bound4_y40, yield_bounds)
+from tfqkd.decoy3 import cancellation_coeffs
+from tfqkd.decoy4 import SUBSETS, _d04, _d13, _p04, _q13, yield_bounds
 from tfqkd.oracles import dark_adjusted_yield
 from tfqkd.series import d_n, exp_h_tail, hom_sym_sum
 
@@ -108,9 +107,9 @@ class TestBounds4:
         self.gains = simulate_gains(self.params, self.settings)
 
     def test_soundness(self):
-        for fn, target in ((bound4_y04, (0, 4)), (bound4_y40, (4, 0)),
-                           (bound4_y13, (1, 3)), (bound4_y31, (3, 1))):
-            bound = fn(self.gains, MU4, NU4)
+        bounds = yield_bounds(self.gains, self.settings)
+        for target in ((0, 4), (4, 0), (1, 3), (3, 1)):
+            bound = bounds.get(*target)
             assert bound >= theoretical_yield(self.params, *target) - 1e-12
             assert bound >= dark_adjusted_yield(self.params, *target) - 1e-12
 
@@ -119,14 +118,20 @@ class TestBounds4:
         sub_gains = GainMatrix(q=tuple(tuple(self.gains.q[i][j] for j in (0, 1, 2))
                                        for i in (0, 1, 2)))
         mu3, nu3 = MU4[:3], NU4[:3]
-        assert bound4_y04(self.gains, MU4, NU4) <= bound_y3((0, 4), sub_gains, mu3, nu3) + 1e-12
-        assert bound4_y13(self.gains, MU4, NU4) <= bound_y3((1, 3), sub_gains, mu3, nu3) + 1e-12
+        four = yield_bounds(self.gains, self.settings)
+        three = yield_bounds(sub_gains, IntensitySettings(alpha_a=0.0, alpha_b=0.0,
+                                                          mu=mu3, nu=nu3))
+        assert four.get(0, 4) <= three.get(0, 4) + 1e-12
+        assert four.get(1, 3) <= three.get(1, 3) + 1e-12
 
     def test_party_swap_exact(self):
         swapped = GainMatrix(q=tuple(tuple(self.gains.q[i][j] for i in range(4))
                                      for j in range(4)))
-        assert bound4_y40(self.gains, MU4, NU4) == bound4_y04(swapped, NU4, MU4)
-        assert bound4_y31(self.gains, MU4, NU4) == bound4_y13(swapped, NU4, MU4)
+        bounds = yield_bounds(self.gains, self.settings)
+        mirrored = yield_bounds(swapped, IntensitySettings(alpha_a=0.0, alpha_b=0.0,
+                                                           mu=NU4, nu=MU4))
+        assert bounds.get(4, 0) == mirrored.get(0, 4)
+        assert bounds.get(3, 1) == mirrored.get(1, 3)
 
     def test_all_one_gains_saturate(self):
         ones = GainMatrix(q=((1.0,) * 4,) * 4)
@@ -149,7 +154,7 @@ class TestBounds4:
         nu = (1e-3, 1e-4, 1e-5, 0.25)
         s = IntensitySettings(alpha_a=0.4, alpha_b=0.4, mu=mu, nu=nu)
         gains = simulate_gains(self.params, s)
-        bound = bound4_y04(gains, mu, nu)
+        bound = yield_bounds(gains, s).get(0, 4)
         assert 0.0 <= bound <= 1.0
         assert bound >= dark_adjusted_yield(self.params, 0, 4) - 1e-12
         from tfqkd.oracles import lp_yield_bound
@@ -165,8 +170,8 @@ class TestBounds4:
         nu_at = (1e-3, 1e-4, 1e-5, 0.25)
         s_near = IntensitySettings(alpha_a=0.4, alpha_b=0.4, mu=mu, nu=nu_near)
         s_at = IntensitySettings(alpha_a=0.4, alpha_b=0.4, mu=mu, nu=nu_at)
-        near = bound4_y04(simulate_gains(self.params, s_near), mu, nu_near)
-        at = bound4_y04(simulate_gains(self.params, s_at), mu, nu_at)
+        near = yield_bounds(simulate_gains(self.params, s_near), s_near).get(0, 4)
+        at = yield_bounds(simulate_gains(self.params, s_at), s_at).get(0, 4)
         assert near == pytest.approx(at, rel=1e-4)
 
     def test_proportional_weak_triples_fall_back(self):
@@ -174,8 +179,9 @@ class TestBounds4:
         nu = tuple(v * 1.001 for v in mu[:3]) + (0.25,)
         s = IntensitySettings(alpha_a=0.4, alpha_b=0.4, mu=mu, nu=nu)
         gains = simulate_gains(self.params, s)
-        warnings = []
-        bound = bound4_y04(gains, mu, nu, warnings)
+        bounds = yield_bounds(gains, s)
+        bound = bounds.get(0, 4)
+        warnings = [w for w in bounds.warnings if w.startswith("(0,4):")]
         assert warnings and "proportional" in warnings[0]
         assert 0.0 <= bound <= 1.0
 
@@ -200,7 +206,9 @@ class TestProvenance:
         s = IntensitySettings(alpha_a=0.4, alpha_b=0.4, mu=MU4, nu=NU4)
         gains = simulate_gains(standard_noise(loss_db, loss_db), s)
         weakest = GainMatrix(q=tuple(row[:3] for row in gains.q[:3]))
-        return yield_bounds(gains, s), bound_y3((0, 4), weakest, MU4[:3], NU4[:3])
+        three = yield_bounds(weakest, IntensitySettings(alpha_a=0.0, alpha_b=0.0,
+                                                        mu=MU4[:3], nu=NU4[:3]))
+        return yield_bounds(gains, s), three.get(0, 4)
 
     def test_subset_pair_wins(self):
         bounds, three = self._bounds(0.0)

@@ -9,7 +9,8 @@ from scipy.optimize import linprog
 
 from tfqkd.channel import (ChannelParams, GainMatrix, IntensitySettings,
                            simulate_gains, standard_noise, theoretical_yield)
-from tfqkd.decoy3 import TARGETS_3, yield_bounds_3
+from tfqkd.decoy3 import TARGETS_3
+from tfqkd.decoy4 import yield_bounds
 from tfqkd.errors import InconsistentGainsError
 from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_bound,
                            series_gain, solve_bounded_lp)
@@ -185,7 +186,7 @@ class TestLpYieldBound:
         nu = (0.1, 6e-3, 1.2e-3)
         s = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
         gains = simulate_gains(params, s)
-        bounds = yield_bounds_3(gains, mu, nu, exact=True)
+        bounds = yield_bounds(gains, s, exact=True)
         for target in ((0, 0), (1, 1), (2, 2), (1, 3)):
             true = dark_adjusted_yield(params, *target)
             lp = lp_yield_bound(gains, mu, nu, target)
