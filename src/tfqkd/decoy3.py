@@ -16,14 +16,17 @@ is faster and plenty for rate optimization; the exact path is what the
 oracle comparisons at 1e-9 tolerances need.
 
 Three- and four-decoy bounds share one path.  ``_prepare`` checks the
-input, the only validation on the path, picks the number type and rescales
-the gains.  Each ordered intensity triple becomes one ``_side`` per bound
-set: its three moment-killing ``_vectors`` and its series tails.
-``_block_bounds`` turns one 3x3 block into all nine clamped bounds; every
-combination is ``_combine`` of one vector per party with the block, and
-every party-swapped target is its mirror formula on the transposed block.
-A three-decoy bound set is one block; ``decoy4.yield_bounds`` is the public
-entry point for three and four decoys.
+input, picks the number type and rescales the gains.  Each ordered
+intensity triple becomes one ``_side`` per bound set: the triple and its
+series tails; its three moment-killing ``_vectors`` come from one batch per
+set.  ``_combine`` forms every gain combination of the set at once, one row
+(a_i * b_j) * qtilde_ij per combination of a vector per party with a 3x3
+block, each row summed exactly; ``_block_bounds`` then turns each block's
+seven sums into its nine clamped bounds, every party-swapped target being
+its mirror formula with the parties exchanged.  A three-decoy bound set is
+one block; ``decoy4.yield_bounds`` is the public entry point for three and
+four decoys.  Coefficients, prefactors or terms that are not finite in
+double precision raise ``DegenerateIntensityError``.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .channel import _EXP_MAX, GainMatrix
 from .errors import DegenerateIntensityError, InconsistentGainsError, SaturationError
-from .series import exp_f_tail, exp_h_tail
+from .series import _triple_tails, exp_f_tail, exp_h_tail  # noqa: F401  (benchmark/spans.py)
 
 TARGETS_3 = ((0, 0), (1, 1), (2, 2), (0, 2), (2, 0), (0, 4), (4, 0), (1, 3), (3, 1))
 
@@ -87,15 +92,39 @@ def check_intensities(values, label: str) -> None:
 _K01, _K02, _K12 = 0, 1, 2
 
 
-def _vectors(x):
+def _degenerate(what: str) -> DegenerateIntensityError:
+    return DegenerateIntensityError(
+        f"{what} not finite in double precision: the intensities are too small or "
+        f"too close to each other for the float bounds")
+
+
+def _finite(values, what: str) -> None:
+    """Raise ``_degenerate(what)`` unless every float in ``values`` is finite;
+    exact (object) arrays hold rationals and always pass."""
+    if values.dtype != object and not np.isfinite(values).all():
+        raise _degenerate(what)
+
+
+def _triple_vectors(x0, x1, x2):
     """Row vectors of one ordered triple orthogonal to (1,1,1) and x, to
     (1,1,1) and x^2, to x and x^2; the leading integer 1 keeps x's type."""
-    x0, x1, x2 = x
     d = x1 - x2
     dsq = x1 * x1 - x2 * x2
     return ((1, (x2 - x0) / d, (x0 - x1) / d),
             (1, (x2 * x2 - x0 * x0) / dsq, (x0 * x0 - x1 * x1) / dsq),
             (1, x0 * (x2 - x0) / (x1 * d), x0 * (x0 - x1) / (x2 * d)))
+
+
+def _vectors(triples, num):
+    """``_triple_vectors`` of each ordered triple, as a (triples, 3, 3) array
+    of number type ``num``."""
+    try:
+        v = np.array([_triple_vectors(*x) for x in triples],
+                     dtype=object if num is Fraction else float)
+    except ZeroDivisionError:
+        raise _degenerate("coefficient vector entries") from None
+    _finite(v, "coefficient vector entries")
+    return v
 
 
 # target -> (alice vector, bob vector)
@@ -120,14 +149,14 @@ def cancellation_coeffs(target, mu, nu):
     check_intensities(mu, "mu")
     check_intensities(nu, "nu")
     ia, ib = _VECTOR_FOR_TARGET[target]
-    a, b = _vectors(mu)[ia], _vectors(nu)[ib]
+    a, b = _triple_vectors(*mu)[ia], _triple_vectors(*nu)[ib]
     return tuple(tuple(ai * bj for bj in b) for ai in a)
 
 
 def _prepare(q, mu, nu, size: int, exact: bool):
-    """Checked input as (num, qtilde, qtilde transposed, mu, nu) in number type
-    ``num``; qtilde is the gains times exp(mu_k + nu_l), doubles taken verbatim.
-    """
+    """Checked input as (num, qtilde, mu, nu) in number type ``num``: qtilde is
+    the gains times exp(mu_k + nu_l) as a size x size array, mu and nu are
+    tuples; doubles are taken verbatim."""
     mu, nu = tuple(mu), tuple(nu)
     if len(q) != size or len(mu) != size or len(nu) != size:
         raise ValueError(f"expected {size} decoys per party and a {size}x{size} gain matrix")
@@ -137,9 +166,10 @@ def _prepare(q, mu, nu, size: int, exact: bool):
         raise SaturationError(
             f"exp(mu + nu) overflows for intensities {max(mu)} and {max(nu)}")
     num = Fraction if exact else float
-    qtilde = tuple(tuple(num(math.exp(mu_k + nu_l)) * num(g) for nu_l, g in zip(nu, row))
-                   for mu_k, row in zip(mu, q))
-    return num, qtilde, tuple(zip(*qtilde)), tuple(map(num, mu)), tuple(map(num, nu))
+    dtype = object if exact else float
+    qtilde = np.array([[num(math.exp(mu_k + nu_l)) * num(g) for nu_l, g in zip(nu, row)]
+                       for mu_k, row in zip(mu, q)], dtype=dtype)
+    return num, qtilde, tuple(map(num, mu)), tuple(map(num, nu))
 
 
 # Per-term rounding allowance for the float path: the gain combinations are
@@ -148,90 +178,130 @@ def _prepare(q, mu, nu, size: int, exact: bool):
 _EPS_COMBINE = 8.0 * 2.0 ** -53
 
 
-def _combine(a, b, qtilde, rows, cols, num):
-    """Gain combination sum_ij a_i b_j qtilde_ij and a bound on its rounding.
+@np.errstate(all="ignore")  # what is not finite raises in ``_finite`` instead
+def _combine(a, b, qtilde):
+    """Gain combinations sum_ij a_i b_j qtilde_ij of a batch and bounds on their
+    rounding, as two lists over the batch.
 
-    Returns (value, error); the error is zero on the exact path.  The error
-    estimate is what lets callers report certified-despite-rounding upper
-    bounds: it is added on top of the raw value, which only loosens the
-    bound, and it grows exactly where the combination cancels so deeply that
-    double precision cannot resolve it.
+    ``a`` and ``b`` (..., 3) hold one coefficient vector per party and
+    ``qtilde`` (..., 3, 3) the blocks of rescaled gains; they broadcast, and
+    each combination's nine terms are summed exactly.  The error is zero on
+    the exact path.  The error estimate is what lets callers report
+    certified-despite-rounding upper bounds: it is added on top of the raw
+    value, which only loosens the bound, and it grows exactly where the
+    combination cancels so deeply that double precision cannot resolve it.
     """
-    terms = [ai * bj * qtilde[i][j] for ai, i in zip(a, rows) for bj, j in zip(b, cols)]
-    if num is Fraction:
-        return sum(terms), 0
-    return math.fsum(terms), _EPS_COMBINE * math.fsum(map(abs, terms))
+    terms = ((a[..., :, None] * b[..., None, :]) * qtilde).reshape(-1, 9)
+    if terms.dtype == object:
+        rows = terms.tolist()
+        return [sum(row) for row in rows], [0] * len(rows)
+    _finite(terms, "gain combination terms")
+    return (list(map(math.fsum, terms.tolist())),
+            [_EPS_COMBINE * e for e in map(math.fsum, np.abs(terms).tolist())])
 
 
-def _clamp(raw, err, target, formula: str) -> float:
-    """Clamp raw + err to [0, 1], crediting the rounding error upward."""
-    value = float(raw) + float(err)
-    if value < _NEGATIVE_SLACK:
+def _clamp(values, targets, formula: str):
+    """Clamp an array of bounds, whose last axis runs over ``targets``, to
+    [0, 1]; the first value below the slack, in row-major order, raises."""
+    bad = values < _NEGATIVE_SLACK
+    if bad.any():
+        index = int(bad.argmax())
         raise InconsistentGainsError(
-            f"{formula} bound for yield {target} is {value}; the gains are not "
-            f"producible by any yield profile")
-    return min(max(value, 0.0), 1.0)
+            f"{formula} bound for yield {targets[index % len(targets)]} is "
+            f"{float(values.flat[index])}; the gains are not producible by any yield profile")
+    return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
-def _side(x, vectors, num):
-    """One party's ordered triple x as a block reads it: x, its ``_vectors`` and
+def _side(x, num):
+    """One party's ordered triple x as a block reads it: x and its
     exp_h_tail(x, 2), exp_f_tail(x, 3), exp_f_tail(x, 4) in type ``num``."""
-    return x, vectors, (num(exp_h_tail(x, 2)), num(exp_f_tail(x, 3)), num(exp_f_tail(x, 4)))
+    return x, tuple(map(num, _triple_tails(*map(float, x))))
 
 
-def _one_sided(qtilde, a, b, rows, cols, num):
-    """Raw (value, error) of (0,2), (0,4), (1,3) for the ``_side``s a, b; of
-    (2,0), (4,0), (3,1) on the transposed block with a and b exchanged."""
-    (mu0, mu1, mu2), va, ta = a
-    (nu0, nu1, nu2), vb, tb = b
+def _one_sided(g, gerr, g13, err13, a, b):
+    """Raw (value, error) of (0,2), (0,4), (1,3) from the sums of the ``_side``s
+    a, b; of (2,0), (4,0), (3,1) from the mirror sums with a and b exchanged.
+    The prefactors come last, for the range check."""
+    (mu0, mu1, mu2), ta = a
+    (nu0, nu1, nu2), tb = b
     denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
-    g, gerr = _combine(va[_K12], vb[_K01], qtilde, rows, cols, num)
     pref02 = 2 * mu1 * mu2 / denom
     h2_nu = nu0 * nu0 + nu1 * nu1 + nu2 * nu2 + nu0 * nu1 + nu0 * nu2 + nu1 * nu2
     pref04 = 24 * mu1 * mu2 / (denom * h2_nu)
-    g13, err13 = _combine(va[_K02], vb[_K01], qtilde, rows, cols, num)
     e1_nu = nu0 + nu1 + nu2
     pref13 = -6 * (mu1 + mu2) / (denom * e1_nu)
     return ((g * pref02, gerr * abs(pref02)), (g * pref04, gerr * abs(pref04)),
-            (g13 * pref13 + 6 * (tb[0] * ta[1]) / e1_nu, err13 * abs(pref13)))
+            (g13 * pref13 + 6 * (tb[0] * ta[1]) / e1_nu, err13 * abs(pref13)),
+            (pref02, pref04, pref13))
 
 
-def _block_bounds(qtilde, qtilde_t, a, b, rows, cols, num) -> dict:
-    """All nine clamped bounds on the 3x3 block ``rows`` x ``cols`` of the
-    rescaled gains, whose intensities are the ``_side``s ``a`` and ``b``."""
-    out = {}
-    for targets, raws in ((((0, 2), (0, 4), (1, 3)), _one_sided(qtilde, a, b, rows, cols, num)),
-                          (((2, 0), (4, 0), (3, 1)),
-                           _one_sided(qtilde_t, b, a, cols, rows, num))):
-        for target, (raw, err) in zip(targets, raws):
-            out[target] = _clamp(raw, err, target, "3-decoy")
-    y13, y31 = out[1, 3], out[3, 1]
-    if b[0] > a[0]:
+# (alice vector, bob vector) of a block's seven gain combinations, each on the
+# block as Alice x Bob: (0,2)/(0,4) and (1,3), then their mirrors (2,0)/(4,0)
+# and (3,1), in which Alice's vector plays Bob's part, then (0,0), (1,1) and
+# (2,2), whose terms do not depend on which party comes first
+_PAIRS = ((_K12, _K01), (_K02, _K01), (_K01, _K12), (_K01, _K02),
+          (_K12, _K12), (_K02, _K02), (_K01, _K01))
+_PAIR_A = np.array([ka for ka, _ in _PAIRS])
+_PAIR_B = np.array([kb for _, kb in _PAIRS])
+
+# the order in which a block evaluates its targets, and where each lands
+_EVALUATED = ((0, 2), (0, 4), (1, 3), (2, 0), (4, 0), (3, 1), (0, 0), (1, 1), (2, 2))
+_TO_TARGETS = np.array([_EVALUATED.index(t) for t in TARGETS_3])
+
+
+def _block(g, gerr, a, b, num):
+    """Unclamped bounds of one 3x3 block in ``_EVALUATED`` order, from its
+    ``_PAIRS`` sums ``g`` and their errors; its intensities are the
+    ``_side``s ``a`` and ``b``."""
+    *direct, pref_d = _one_sided(g[0], gerr[0], g[1], gerr[1], a, b)
+    *mirror, pref_m = _one_sided(g[2], gerr[2], g[3], gerr[3], b, a)
+    values = [float(raw) + float(err) for raw, err in direct + mirror]
+    y13, y31 = min(max(values[2], 0.0), 1.0), min(max(values[5], 0.0), 1.0)
+    if b[0][0] > a[0][0]:
         # canonical orientation, so exchanging the parties is a bitwise
         # no-op for the party-symmetric targets too
-        qtilde, a, b, rows, cols, y13, y31 = qtilde_t, b, a, cols, rows, y31, y13
-    (mu0, mu1, mu2), va, ta = a
-    (nu0, nu1, nu2), vb, tb = b
+        a, b, y13, y31 = b, a, y31, y13
+    (mu0, mu1, mu2), ta = a
+    (nu0, nu1, nu2), tb = b
     denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
-    g, gerr = _combine(va[_K12], vb[_K12], qtilde, rows, cols, num)
-    pref = mu1 * mu2 * nu1 * nu2 / denom
-    out[0, 0] = _clamp(g * pref, gerr * abs(pref), (0, 0), "3-decoy")
-    g, gerr = _combine(va[_K02], vb[_K02], qtilde, rows, cols, num)
+    pref00 = mu1 * mu2 * nu1 * nu2 / denom
     e2_nu = nu0 * nu1 + nu0 * nu2 + nu1 * nu2
     e2_mu = mu0 * mu1 + mu0 * mu2 + mu1 * mu2
-    pref = (mu1 + mu2) * (nu1 + nu2) / denom
-    raw = g * pref + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6 + tb[2] + ta[2]
-    out[1, 1] = _clamp(raw, gerr * abs(pref), (1, 1), "3-decoy")
-    g, gerr = _combine(va[_K01], vb[_K01], qtilde, rows, cols, num)
-    out[2, 2] = _clamp(4 * g / denom, 4 * gerr / abs(denom), (2, 2), "3-decoy")
-    return {target: out[target] for target in TARGETS_3}
+    pref11 = (mu1 + mu2) * (nu1 + nu2) / denom
+    if num is float and not all(map(math.isfinite,
+                                    pref_d + pref_m + (pref00, pref11, 4 / denom))):
+        raise _degenerate("bound prefactors")
+    raw = g[5] * pref11 + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6 + tb[2] + ta[2]
+    values += (float(g[4] * pref00) + float(gerr[4] * abs(pref00)),
+               float(raw) + float(gerr[5] * abs(pref11)),
+               float(4 * g[6] / denom) + float(4 * gerr[6] / abs(denom)))
+    return values
+
+
+def _block_bounds(g, gerr, sides, num):
+    """All nine clamped bounds of a batch of 3x3 blocks as a (blocks, 9) float
+    array, columns in ``TARGETS_3`` order.
+
+    ``g`` and ``gerr`` list the ``_PAIRS`` sums block by block, ``sides``
+    each block's Alice and Bob ``_side``.  A value below the slack raises for
+    the first block and target in evaluation order.
+    """
+    n = len(_PAIRS)
+    try:
+        values = np.array([_block(g[n * i:n * i + n], gerr[n * i:n * i + n], a, b, num)
+                           for i, (a, b) in enumerate(sides)])
+    except ZeroDivisionError:
+        raise _degenerate("bound prefactors") from None
+    return _clamp(values, _EVALUATED, "3-decoy")[:, _TO_TARGETS]
 
 
 def _bounds3(q, mu, nu, exact):
-    """(bounds, provenance, warnings) of the three-decoy bound set."""
-    num, qtilde, qtilde_t, mu, nu = _prepare(q, mu, nu, 3, exact)
-    bounds = _block_bounds(qtilde, qtilde_t, _side(mu, _vectors(mu), num),
-                           _side(nu, _vectors(nu), num), (0, 1, 2), (0, 1, 2), num)
+    """(bounds, provenance, warnings) of the three-decoy bound set: one block."""
+    num, qtilde, mu, nu = _prepare(q, mu, nu, 3, exact)
+    va, vb = _vectors((mu, nu), num)
+    g, gerr = _combine(va[_PAIR_A], vb[_PAIR_B], qtilde)
+    sides = [(_side(mu, num), _side(nu, num))]
+    bounds = dict(zip(TARGETS_3, _block_bounds(g, gerr, sides, num)[0].tolist()))
     return bounds, dict.fromkeys(bounds, "3-decoy"), []
 
 

@@ -20,8 +20,10 @@ float path carries absolute noise around 1e-7..1e-5 for the paper-scale weak
 decoys, which is irrelevant for key rates but matters when checking the
 bounds against the LP oracle at 1e-9 tolerances.
 
-The bounds follow ``decoy3``'s one path, with the subset pairs as blocks and
-each ordered triple's vectors built once per bound set.
+The bounds follow ``decoy3``'s one path: the 16 subset pairs are the blocks,
+and their 112 gain combinations and the four slots of each combined formula
+are the rows of one ``_combine`` batch.  Each ordered triple's vectors and
+tails are built once per bound set, each four-value set's tails once.
 ``yield_bounds`` is the one public entry point, for three or four decoys.
 It memoizes whole bound sets per (gains, intensities, path): the optimizer
 and the fluctuation search repeat them with new amplitudes.
@@ -34,11 +36,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .channel import GainMatrix, IntensitySettings
-from .decoy3 import (_EPS_COMBINE, _VECTOR_FOR_TARGET, TARGETS_3, YieldBounds, _block_bounds,
-                     _bounds3, _clamp, _combine, _prepare, _side, _vectors,
+from .decoy3 import (_EPS_COMBINE, _K01, _K02, _K12, _PAIR_A, _PAIR_B, _VECTOR_FOR_TARGET,
+                     TARGETS_3, YieldBounds, _block_bounds, _bounds3, _clamp, _combine,
+                     _prepare, _side, _vectors,
                      cancellation_coeffs)  # noqa: F401  (benchmark/spans.py wraps it)
-from .series import exp_h_tail
+from .series import _tails, exp_h_tail  # noqa: F401  (benchmark/spans.py wraps exp_h_tail)
 
 # Slot order of the four 3-subset combinations.  Each subset's combination is
 # normalized on its first listed index, e.g. (1,2,3) carries coefficient 1 on
@@ -88,32 +93,33 @@ def _weak_cross(mu, nu):
     return t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2)
 
 
-def _triple_vectors(x, triples):
-    """``_vectors`` of each ordered index triple into the intensities ``x``."""
-    return {idx: _vectors(tuple(x[i] for i in idx)) for idx in triples}
-
-
-def _combine_subsets(qtilde, va, vb, target, ds, num):
-    """Weighted sum of subset combinations with its own error estimate;
-    ``va``/``vb`` hold the ``_triple_vectors`` of every slot triple."""
+def _combine_subsets(g, gerr, ds, num):
+    """Weighted sum of the subset combinations ``g`` (one per slot, with
+    rounding bounds ``gerr``) with its own error estimate; a None weight
+    skips its slot."""
     values, errors = [], []
-    ia, ib = _VECTOR_FOR_TARGET[target]
-    for d, slots in zip(ds, SUBSETS):
+    for d, value, error in zip(ds, g, gerr):
         if d is None:
             continue
-        g, gerr = _combine(va[slots][ia], vb[slots][ib], qtilde, slots, slots, num)
-        values.append(d * g)
-        errors.append(abs(d) * gerr)
+        values.append(d * value)
+        errors.append(abs(d) * error)
     if num is Fraction:
         return sum(values), 0
     err = math.fsum(errors) + _EPS_COMBINE * math.fsum(map(abs, values))
     return math.fsum(values), err
 
 
-def _y04(qtilde, mu, nu, va, vb, cross, num, rel=0.0):
-    """Combined (0,4) bound as (raw, error).  ``cross`` None selects the
-    degenerate variant for nu_i == mu_i (i < 3), whose coefficients are built
-    from Alice's weak intensities and Bob's strongest one."""
+# the tails of a four-value set the (0,4) formulas read: its h-tail from 4
+# as the saturated party, from 3 as the other one
+_FOUR_HEADS = ((4, 4), (3, 3))
+
+
+def _y04(mu, nu, g, gerr, cross, tails, num, rel=0.0):
+    """Combined (0,4) bound as (raw, error) from the slot combinations ``g``;
+    ``tails`` are exp_h_tail(mu, 4) and exp_h_tail of Bob's slot intensities
+    from 3.  ``cross`` None selects the degenerate variant for nu_i == mu_i
+    (i < 3), whose Bob slot intensities are Alice's weak ones and Bob's
+    strongest one."""
     m0, m1, m2, m3 = mu
     n0, n1, n2, n3 = nu
     if cross is None:
@@ -122,8 +128,6 @@ def _y04(qtilde, mu, nu, va, vb, cross, num, rel=0.0):
               -(m0 - m1) * m3 / (m0 - m2),
               m0 * m3 * (m0 - m1) * (m0 - m3) * (m0 - n3)
               / (m1 * (m1 - m2) * (m1 - m3) * (m1 - n3)))
-        nu = (m0, m1, m2, n3)
-        vb = _triple_vectors(nu, SUBSETS)
         lead = (m0 - m1) ** 2 * (m0 - m2) * (m1 - m2) * (m0 - m3) * (m0 - n3)
         a04_four = -lead * (m0 + m1 + m2 + n3) / (m1 * m2)
         head = m0 * m3 * lead
@@ -133,11 +137,11 @@ def _y04(qtilde, mu, nu, va, vb, cross, num, rel=0.0):
         p = _p04(mu, nu)
         a04_four = -kern * (n0 + n1 + n2 + n3) * p / (m1 * m2 * m3 * cross)
         head = m0 * kern * p / cross
-    h04, herr = _combine_subsets(qtilde, va, vb, (0, 2), ds, num)
+    h04, herr = _combine_subsets(g, gerr, ds, num)
     # Residual of the terms saturated at yield 1; closed form re-derived from
     # the series itself (the factorial heads below differ between the two
     # parties because the surviving families start at different orders).
-    series = head * num(exp_h_tail(mu, 4)) * num(exp_h_tail(nu, 3))
+    series = head * num(tails[0]) * num(tails[1])
     raw = 24 * (h04 - series) / a04_four
     if num is Fraction:
         return raw, 0
@@ -185,9 +189,9 @@ def _d13(mu, nu, q13):
     return (1, d013, d023, d123)
 
 
-def _y13(qtilde, mu, nu, va, vb, q13, num, rel):
+def _y13(mu, nu, g, gerr, q13, num, rel):
     m0, m1, m2, m3 = mu
-    h13, herr = _combine_subsets(qtilde, va, vb, (1, 3), _d13(mu, nu, q13), num)
+    h13, herr = _combine_subsets(g, gerr, _d13(mu, nu, q13), num)
     kern = (m0 - m1) * (m0 - m2) * (nu[0] - nu[1]) * (nu[0] - nu[2])
     a13_three = -kern / (m1 + m2) * _p13(mu, nu) / q13
     raw = 6 * h13 / a13_three
@@ -196,65 +200,119 @@ def _y13(qtilde, mu, nu, va, vb, q13, num, rel):
     return raw, herr * abs(6 / a13_three) + rel * abs(raw)
 
 
-def _combined(target, qtilde, mu, nu, va, vb, floats, num, warnings):
-    """(provenance, raw, error) of the four-decoy formula, or None if skipped;
-    (4,0) and (3,1) arrive transposed, ``floats`` are mu/nu as doubles.  The
-    ``rel`` passed on credits the relative rounding of the weights and the
-    prefactor, eps * scale / |denominator|, which grows near the 0/0 form."""
-    mu_f, nu_f = floats
+def _formula(target, mu_f, nu_f, warnings):
+    """Name and ``rel`` of the four-decoy formula for ``target``, or None if it
+    is skipped (noted in ``warnings``); (4,0) and (3,1) take mu and nu
+    exchanged, as doubles.  ``rel`` credits the relative rounding of the
+    weights and the prefactor, eps * scale / |denominator|, which grows near
+    the 0/0 form."""
     if target in ((0, 4), (4, 0)):
         if all(abs(a - b) <= _TILDE_REL_TOL * max(a, b) for a, b in zip(mu_f[:3], nu_f)):
-            return ("4-decoy degenerate",) + _y04(qtilde, mu, nu, va, vb, None, num)
+            return "4-decoy degenerate", 0.0
         cross, scale = _weak_cross(mu_f, nu_f)
         if abs(cross) >= _Q13_REL_FLOOR * scale:
-            return ("4-decoy combined",) + _y04(qtilde, mu, nu, va, vb, _weak_cross(mu, nu)[0],
-                                                num, _EPS_COMBINE * scale / abs(cross))
+            return "4-decoy combined", _EPS_COMBINE * scale / abs(cross)
         reason = "proportional weak triples"
     else:
         q13, scale = _q13(mu_f, nu_f)
         if abs(q13) >= _Q13_REL_FLOOR * scale:
-            return ("4-decoy combined",) + _y13(qtilde, mu, nu, va, vb, _q13(mu, nu)[0], num,
-                                                _EPS_COMBINE * scale / abs(q13))
+            return "4-decoy combined", _EPS_COMBINE * scale / abs(q13)
         reason = "vanishing denominator"
     warnings.append(f"({target[0]},{target[1]}): combined formula skipped "
                     f"({reason}); subset minima used")
     return None
 
 
+def _combined(target, name, rel, mu, nu, g, gerr, tails, num):
+    """(raw, error) of the four-decoy formula ``name`` for ``target`` from its
+    slot combinations; (4,0) and (3,1) take mu and nu exchanged."""
+    if target in ((1, 3), (3, 1)):
+        return _y13(mu, nu, g, gerr, _q13(mu, nu)[0], num, rel)
+    if name == "4-decoy degenerate":
+        return _y04(mu, nu, g, gerr, None, tails, num)
+    return _y04(mu, nu, g, gerr, _weak_cross(mu, nu)[0], tails, num, rel)
+
+
 def _sorted_subsets(values):
     """All descending-ordered 3-subsets of a four-intensity list."""
-    return [tuple(sorted(idx, key=lambda i: -values[i])) for idx in combinations(range(4), 3)]
+    order = sorted(range(4), key=lambda i: -values[i])
+    return [tuple(i for i in order if i in idx) for idx in combinations(range(4), 3)]
+
+
+_SUBSETS = np.array(SUBSETS)
+# the 16 subset-pair blocks: Alice's sorted subset i // 4 with Bob's i % 4
+_ROWS, _COLS = np.divmod(np.arange(16), 4)
+# target -> (Alice vector, Bob vector) of its slot combinations, on each
+# slot's block as Alice x Bob
+_COMBINED = {(0, 4): (_K12, _K01), (4, 0): (_K01, _K12), (1, 3): (_K02, _K01),
+             (3, 1): (_K01, _K02)}
 
 
 def _bounds4(q, mu, nu, exact):
     """(bounds, provenance, warnings): the best subset pair per target (the
-    first wins ties), then each combined formula where strictly lower."""
+    first wins ties), then each combined formula where strictly lower.
+
+    Every gain combination of the set -- seven per subset-pair block, four
+    slots per combined formula -- is one row of a single ``_combine`` batch.
+    """
     floats = tuple(mu), tuple(nu)
-    num, qtilde, qtilde_t, mu, nu = _prepare(q, mu, nu, 4, exact)
-    order_a, order_b = _sorted_subsets(floats[0]), _sorted_subsets(floats[1])
-    va = _triple_vectors(mu, set(order_a).union(SUBSETS))
-    vb = _triple_vectors(nu, set(order_b).union(SUBSETS))
-    sides_b = [_side(tuple(nu[j] for j in cols), vb[cols], num) for cols in order_b]
-    best = dict.fromkeys(TARGETS_3, (math.inf, None))
-    for rows in order_a:
-        side_a = _side(tuple(mu[i] for i in rows), va[rows], num)
-        for cols, side_b in zip(order_b, sides_b):
-            block = _block_bounds(qtilde, qtilde_t, side_a, side_b, rows, cols, num)
-            for target, value in block.items():
-                if value < best[target][0]:
-                    best[target] = (value, (rows, cols))
-    bounds = {target: value for target, (value, _) in best.items()}
-    provenance = {t: "3-decoy subsets ({},{},{})x({},{},{})".format(*sorted(r), *sorted(c))
-                  for t, (_, (r, c)) in best.items()}
+    num, qtilde, mu, nu = _prepare(q, mu, nu, 4, exact)
     warnings = []
-    direct, mirror = (qtilde, mu, nu, va, vb, floats), (qtilde_t, nu, mu, vb, va, floats[::-1])
-    for target, orientation in (((0, 4), direct), ((4, 0), mirror),
-                                ((1, 3), direct), ((3, 1), mirror)):
-        found = _combined(target, *orientation, num, warnings)
-        if found is None:
-            continue
-        name, raw, err = found
-        value = _clamp(raw, err, target, "4-decoy")
+    active = []  # (target, name, rel, first party, second party, second's slot intensities)
+    for target, first, second in (((0, 4), mu, nu), ((4, 0), nu, mu),
+                                  ((1, 3), mu, nu), ((3, 1), nu, mu)):
+        found = _formula(target, *(floats if first is mu else floats[::-1]), warnings)
+        if found is not None:
+            name, rel = found
+            # the degenerate (0,4)/(4,0) builds the second party's slot
+            # vectors from the first party's weak triple and its own strongest
+            slots = first[:3] + second[3:] if name == "4-decoy degenerate" else second
+            active.append((target, name, rel, first, second, slots))
+    order_a, order_b = _sorted_subsets(floats[0]), _sorted_subsets(floats[1])
+    triples_a = [tuple(mu[i] for i in rows) for rows in order_a]
+    triples_b = [tuple(nu[j] for j in cols) for cols in order_b]
+    # slot intensities of each formula as Alice x Bob; (4,0) and (3,1) mirror
+    slot_parties = [(first, slots) if target in ((0, 4), (1, 3)) else (slots, first)
+                    for target, _, _, first, _, slots in active]
+    sets = list(dict.fromkeys([mu, nu] + [x for pair in slot_parties for x in pair]))
+    vectors = _vectors(triples_a + triples_b
+                       + [tuple(x[i] for i in slot) for x in sets for slot in SUBSETS], num)
+    va, vb = vectors[:4], vectors[4:8]
+    slot_vectors = {x: vectors[8 + 4 * k:12 + 4 * k] for k, x in enumerate(sets)}
+    coeff_a = [va[_ROWS][:, _PAIR_A].reshape(-1, 3)]
+    coeff_b = [vb[_COLS][:, _PAIR_B].reshape(-1, 3)]
+    for (target, *_), (a, b) in zip(active, slot_parties):
+        ka, kb = _COMBINED[target]
+        coeff_a.append(slot_vectors[a][:, ka])
+        coeff_b.append(slot_vectors[b][:, kb])
+    oa, ob = np.array(order_a), np.array(order_b)
+    blocks = qtilde[oa[_ROWS][:, :, None], ob[_COLS][:, None, :]]
+    slots = qtilde[_SUBSETS[:, :, None], _SUBSETS[:, None, :]]
+    g, gerr = _combine(np.concatenate(coeff_a), np.concatenate(coeff_b),
+                       np.concatenate([np.repeat(blocks, len(_PAIR_A), axis=0)]
+                                      + [slots] * len(active)))
+    sides_a = [_side(x, num) for x in triples_a]
+    sides_b = [_side(x, num) for x in triples_b]
+    n = 16 * len(_PAIR_A)
+    values = _block_bounds(g[:n], gerr[:n], [(a, b) for a in sides_a for b in sides_b], num)
+    best = values.argmin(axis=0)
+    bounds = dict(zip(TARGETS_3, values[best, np.arange(len(TARGETS_3))].tolist()))
+    provenance = {target: "3-decoy subsets ({},{},{})x({},{},{})".format(
+                      *sorted(order_a[i // 4]), *sorted(order_b[i % 4]))
+                  for target, i in zip(TARGETS_3, best.tolist())}
+    # one recurrence per four-value set feeds both (0,4) orientations
+    four = {x: _tails(tuple(map(float, x)), _FOUR_HEADS)
+            for target, _, _, first, _, slots in active if target in ((0, 4), (4, 0))
+            for x in (first, slots)}
+    combined = []
+    for (target, name, rel, first, second, slots), k in zip(active, range(n, len(g), 4)):
+        tails = (four[first][0], four[slots][1]) if slots in four else None
+        raw, err = _combined(target, name, rel, first, second, g[k:k + 4], gerr[k:k + 4],
+                             tails, num)
+        combined.append(float(raw) + float(err))
+    targets = [target for target, *_ in active]
+    for (target, name, *_), value in zip(active, _clamp(np.array(combined), targets,
+                                                        "4-decoy").tolist()):
         if value < bounds[target]:
             bounds[target] = value
             provenance[target] = name

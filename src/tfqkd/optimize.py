@@ -102,10 +102,15 @@ class OptimizationSpec:
 
 @dataclass
 class OptimizationResult:
+    """The best rate found and where.  ``optimize_rate`` traces each start
+    (start, vector, rate and its own ``nfev``) and names the winning one in
+    ``best_start``, an index into ``trace``."""
+
     settings: IntensitySettings
     rate: float
     vector: tuple
     trace: list = field(repr=False, default_factory=list)
+    best_start: int | None = None
 
 
 def _objective(params: ChannelParams, spec: OptimizationSpec, f: float, n_cut: int):
@@ -170,17 +175,19 @@ def optimize_rate(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
     bounds = Bounds(lo, hi)
     trace = []
     best = None
-    for start in _starts(spec, fun, params):
+    for index, start in enumerate(_starts(spec, fun, params)):
         res = minimize(fun, start, method="Nelder-Mead", bounds=bounds,
                        options={"xatol": 1e-6, "fatol": 1e-14, "maxiter": maxiter,
                                 "maxfev": 3 * maxiter})
         x = tuple(float(v) for v in np.clip(res.x, lo, hi))
         rate = -fun(np.array(x))
-        trace.append({"start": tuple(float(v) for v in start), "vector": x, "rate": rate})
+        trace.append({"start": tuple(float(v) for v in start), "vector": x, "rate": rate,
+                      "nfev": int(res.nfev)})
         if best is None or rate > best[0] or (rate == best[0] and x < best[1]):
-            best = (rate, x)
-    rate, x = best
-    return OptimizationResult(settings=spec.settings(x), rate=rate, vector=x, trace=trace)
+            best = (rate, x, index)
+    rate, x, index = best
+    return OptimizationResult(settings=spec.settings(x), rate=rate, vector=x, trace=trace,
+                              best_start=index)
 
 
 def coordinate_descent(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
@@ -246,10 +253,15 @@ class FluctuationSpec:
 
 @dataclass
 class FluctuationResult:
+    """The worst rate found and where; ``evaluations`` counts the rate
+    requests, ``distinct_evaluations`` the distinct vectors among them, each
+    evaluated once."""
+
     rate: float
     vector: tuple
     settings: IntensitySettings
     evaluations: int
+    distinct_evaluations: int
 
 
 def _fluct_intervals(center: IntensitySettings, fspec: FluctuationSpec):
@@ -298,17 +310,21 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
     centers, lo, hi = _fluct_intervals(center, fspec)
 
     evaluations = 0
+    rates = {}  # each distinct vector reaches key_rate once; the polish repeats them
 
     def rate_at(vec) -> float:
         nonlocal evaluations
         evaluations += 1
-        return key_rate(params, _vector_settings(center, vec), f, n_cut).rate
+        key = tuple(float(v) for v in vec)
+        if key not in rates:
+            rates[key] = key_rate(params, _vector_settings(center, key), f, n_cut).rate
+        return rates[key]
 
     best = (rate_at(tuple(centers)), tuple(centers))
     if fspec.magnitude == 0.0:
         return FluctuationResult(rate=best[0], vector=best[1],
                                  settings=_vector_settings(center, best[1]),
-                                 evaluations=evaluations)
+                                 evaluations=evaluations, distinct_evaluations=len(rates))
 
     def consider(vec) -> bool:
         nonlocal best
@@ -337,4 +353,4 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
         consider(vec)
     return FluctuationResult(rate=best[0], vector=best[1],
                              settings=_vector_settings(center, best[1]),
-                             evaluations=evaluations)
+                             evaluations=evaluations, distinct_evaluations=len(rates))

@@ -13,7 +13,10 @@ only adds non-negative terms, and every other weight is read from it:
 ``f_weight`` is the Schur polynomial s_(n-2,1)(a, b, c) = a (b + c)
 h_{n-3}(a, b, c) + b c h_{n-3}(b, c) (Macdonald, Symmetric Functions and Hall
 Polynomials, I.5), ``d_n`` is s_(n-3,1,1) = e_3 h_{n-4} - e_4 h_{n-5} of four
-values, and both tails are sums of the one cached tail ``_tail``.
+values.  ``_tails`` runs the recurrence once per value set and feeds every
+tail the set is asked for, each sum with its own stopping rule; the bound
+blocks read their three tails per intensity triple from ``_triple_tails``,
+one cached loop over the triple and its two weaker values.
 """
 
 from __future__ import annotations
@@ -59,22 +62,40 @@ def elem_sym(values) -> list[float]:
     return es
 
 
-@lru_cache(maxsize=16384)
-def _tail(values: tuple, shift: int, start: int) -> float:
-    """Sum over n >= start of h_{n-shift}(values) / n!  (start >= shift)."""
+def _unconverged(values) -> SaturationError:
+    return SaturationError(f"series tail over {values} did not converge in {_MAX_TERMS} terms")
+
+
+def _tails(values: tuple, heads: tuple) -> tuple:
+    """Sum over n >= start of h_{n-shift}(values) / n! for each (shift, start)
+    of ``heads`` (start >= shift), all fed by one run of the recurrence.
+
+    Each sum keeps its own factorial product, stopping rule and term limit,
+    so it equals the sum computed alone, bit for bit.
+    """
     if any(v < 0 for v in values):
         raise ValueError("values must be >= 0")
-    hs = islice(_hom_sym(values), start - shift, None)
-    fact = float(math.factorial(start))
-    total = next(hs) / fact
-    for k, h in zip(range(1, _MAX_TERMS), hs):
-        fact *= start + k
-        term = h / fact
-        total += term
-        if k > 3 and term < total * _REL_TOL:
-            return total
-    raise SaturationError(f"series tail over {values} did not converge in "
-                          f"{_MAX_TERMS} terms")
+    hs = _hom_sym(values)
+    h = []  # h_0, h_1, ... as far as the sums have needed them
+    out = []
+    for shift, start in heads:
+        first = start - shift
+        while len(h) <= first:
+            h.append(next(hs))
+        fact = float(math.factorial(start))
+        total = h[first] / fact
+        for k in range(1, _MAX_TERMS):
+            if first + k == len(h):
+                h.append(next(hs))
+            fact *= start + k
+            term = h[first + k] / fact
+            total += term
+            if k > 3 and term < total * _REL_TOL:
+                break
+        else:
+            raise _unconverged(values)
+        out.append(total)
+    return tuple(out)
 
 
 def exp_h_tail(values, start: int) -> float:
@@ -87,7 +108,7 @@ def exp_h_tail(values, start: int) -> float:
     """
     if start < 0:
         raise ValueError("start must be >= 0")
-    return _tail(tuple(float(v) for v in values), start, start)
+    return _tails(tuple(float(v) for v in values), ((start, start),))[0]
 
 
 def f_weight(values3, n: int) -> float:
@@ -107,7 +128,64 @@ def exp_f_tail(values3, start: int) -> float:
     if start < 3:
         raise ValueError("start must be >= 3")
     a, b, c = (float(v) for v in values3)
-    return a * (b + c) * _tail((a, b, c), 3, start) + b * c * _tail((b, c), 3, start)
+    return (a * (b + c) * _tails((a, b, c), ((3, start),))[0]
+            + b * c * _tails((b, c), ((3, start),))[0])
+
+
+@lru_cache(maxsize=16384)
+def _triple_tails(a: float, b: float, c: float) -> tuple:
+    """exp_h_tail(x, 2), exp_f_tail(x, 3) and exp_f_tail(x, 4) of one ordered
+    triple x = (a, b, c): the tails a bound block reads.
+
+    One loop runs the recurrence over (a, b, c) and over (b, c) side by side
+    and feeds the five sums behind them, h-tails of (a, b, c) from 2, 3 and 4
+    (shifts 2, 3, 3) and of (b, c) from 3 and 4 (shift 3).  Each sum keeps
+    its own stopping rule and term limit, so it equals ``_tails`` bit for
+    bit; their factorial products are one running product, since 2 * 3 and
+    2 * 3 * 4 are exact.
+    """
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("values must be >= 0")
+    r1 = r2 = h = 1.0  # h_j of (a), (a, b), (a, b, c); j = 0
+    p1 = hp = 1.0  # h_j of (b), (b, c)
+    f2, f3 = 2.0, 6.0  # (j + 2)!, (j + 3)!
+    s22, s33, p33 = h / f2, h / f3, hp / f3
+    s34 = p34 = 0.0  # their first terms come at j = 1
+    live22 = live33 = live34 = livep33 = livep34 = True
+    for j in range(1, _MAX_TERMS + 1):
+        r1 = 0.0 + a * r1
+        r2 = r1 + b * r2
+        h = r2 + c * h
+        p1 = 0.0 + b * p1
+        hp = p1 + c * hp
+        f2, f3 = f3, f3 * (j + 3)
+        t2, t3, tp = h / f2, h / f3, hp / f3
+        if live22:
+            s22 += t2
+            live22 = not (j > 3 and t2 < s22 * _REL_TOL)
+        if live33:
+            s33 += t3
+            live33 = not (j > 3 and t3 < s33 * _REL_TOL)
+        if livep33:
+            p33 += tp
+            livep33 = not (j > 3 and tp < p33 * _REL_TOL)
+        if j == 1:
+            s34, p34 = t3, tp
+        else:
+            if live34:
+                s34 += t3
+                live34 = not (j > 4 and t3 < s34 * _REL_TOL)
+            if livep34:
+                p34 += tp
+                livep34 = not (j > 4 and tp < p34 * _REL_TOL)
+        if not (live22 or live33 or live34 or livep33 or livep34):
+            return s22, a * (b + c) * s33 + b * c * p33, a * (b + c) * s34 + b * c * p34
+        # the sums from 4 may take one term more; the first unconverged sum,
+        # in the order the three tails read them, names its values
+        if j == _MAX_TERMS - 1 and (live22 or live33 or livep33):
+            raise _unconverged((a, b, c) if live22 or live33 else (b, c))
+        if j == _MAX_TERMS:
+            raise _unconverged((a, b, c) if live34 else (b, c))
 
 
 def d_n(values4, n: int) -> float:

@@ -146,6 +146,17 @@ class TestConfigFile:
         assert code == 2
         assert "strictly decreasing" in err
 
+    def test_weak_decoy_below_double_range_is_degenerate_record(self, tmp_path, capsys):
+        # 5e-324 * 1e-4 underflows to 0 in a coefficient denominator
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "decoys": 3,
+                                   "weak_decoys": [1e-4, 5e-324]}))
+        code, out, err = run_cli(["rate", "--config", str(cfg), "--alpha-a", "0.2",
+                                  "--alpha-b", "0.2", "--strongest-mu", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DegenerateIntensityError"
+
 
 @pytest.mark.parametrize("document", ["[1, 2]", '"text"', "null"])
 @pytest.mark.parametrize("subcommand,flag", [("rate", "--config"), ("bounds", "--gains"),

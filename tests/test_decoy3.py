@@ -9,6 +9,7 @@ from tfqkd.decoy3 import TARGETS_3, cancellation_coeffs
 from tfqkd.decoy4 import yield_bounds
 from tfqkd.errors import DegenerateIntensityError, InconsistentGainsError
 from tfqkd.oracles import dark_adjusted_yield
+from tfqkd.rate import key_rate
 
 MU = (0.1, 1e-4, 1e-5)
 NU = (0.1, 1e-4, 1e-5)
@@ -142,6 +143,17 @@ class TestBoundY3:
         bounds = yield_bounds(gains, s)
         for _, value in bounds.items():
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("mu,nu", [
+        # a coefficient denominator (5e-324 * 1e-4) underflows to zero
+        ((0.1, 1e-4, 5e-324), (0.1, 1e-4, 1e-5)),
+        # finite coefficients whose gain-combination terms overflow to +-inf
+        ((1e-3, 1e-4, 1e-300, 0.5), (1e-3, 1e-4, 1e-5, 0.5)),
+    ])
+    def test_intensities_beyond_double_range_are_degenerate(self, mu, nu):
+        s = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
+        with pytest.raises(DegenerateIntensityError):
+            key_rate(standard_noise(20, 20), s)
 
     def test_exact_mode_agrees_with_float(self):
         params = standard_noise(22, 28)

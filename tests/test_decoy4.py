@@ -187,11 +187,15 @@ class TestBounds4:
 
     def test_unit_level_combination_is_homogeneous(self):
         # with all gains zero the weighted subset combination vanishes
-        from tfqkd.decoy4 import _combine_subsets, _prepare, _triple_vectors
+        from tfqkd.decoy3 import _VECTOR_FOR_TARGET, _combine, _prepare, _vectors
+        from tfqkd.decoy4 import _SUBSETS, _combine_subsets
         zeros = GainMatrix(q=((0.0,) * 4,) * 4)
-        num, qt, _, mu, nu = _prepare(zeros.q, MU4, NU4, 4, False)
-        va, vb = _triple_vectors(mu, SUBSETS), _triple_vectors(nu, SUBSETS)
-        h04, _ = _combine_subsets(qt, va, vb, (0, 2), _d04(mu, nu), num)
+        num, qt, mu, nu = _prepare(zeros.q, MU4, NU4, 4, False)
+        va, vb = (_vectors([tuple(x[i] for i in slot) for slot in SUBSETS], num)
+                  for x in (mu, nu))
+        ia, ib = _VECTOR_FOR_TARGET[0, 2]
+        slots = qt[_SUBSETS[:, :, None], _SUBSETS[:, None, :]]
+        h04, _ = _combine_subsets(*_combine(va[:, ia], vb[:, ib], slots), _d04(mu, nu), num)
         assert h04 == 0.0
 
     def test_yield_bounds_reports_all_nine(self):

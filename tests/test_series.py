@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import mpmath
 import numpy as np
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfqkd.errors import SaturationError
-from tfqkd.series import d_n, exp_f_tail, exp_h_tail, f_weight, hom_sym_sum
+from tfqkd.series import (_hom_sym, _tails, _triple_tails, d_n, exp_f_tail, exp_h_tail,
+                          f_weight, hom_sym_sum)
 
 
 def hom_brute(values, degree):
@@ -141,6 +142,82 @@ class TestTailRange:
     def test_unconverged_tail_is_saturation(self):
         with pytest.raises(SaturationError):
             exp_h_tail((150.0, 1e-4, 1e-5), 2)
+        with pytest.raises(SaturationError, match=r"\(150\.0, 0\.0001, 1e-05\)"):
+            _triple_tails(150.0, 1e-4, 1e-5)
+
+    def test_negative_triple_rejected(self):
+        with pytest.raises(ValueError):
+            _triple_tails(0.2, 0.1, -0.1)
+
+
+def reference_tail(values, shift, start):
+    """One tail per call, the loop the fused tails replaced: sum over n >= start
+    of h_{n-shift}(values) / n!, each call running its own recurrence."""
+    hs = islice(_hom_sym(values), start - shift, None)
+    fact = float(math.factorial(start))
+    total = next(hs) / fact
+    for k, h in zip(range(1, 200), hs):
+        fact *= start + k
+        term = h / fact
+        total += term
+        if k > 3 and term < total * 1e-18:
+            return total
+    raise SaturationError(f"series tail over {values} did not converge in 200 terms")
+
+
+def outcome(compute):
+    """Hex digits of every value computed, or the error type and message."""
+    try:
+        return [v.hex() for v in compute()]
+    except SaturationError as exc:
+        return str(exc)
+
+
+def reference_triple(a, b, c):
+    return (reference_tail((a, b, c), 2, 2),
+            a * (b + c) * reference_tail((a, b, c), 3, 3) + b * c * reference_tail((b, c), 3, 3),
+            a * (b + c) * reference_tail((a, b, c), 3, 4) + b * c * reference_tail((b, c), 3, 4))
+
+
+intensity = st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)
+
+
+class TestFusedTails:
+    """The fused tails equal one reference call per tail, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(intensity, intensity, intensity)
+    def test_triple_tails_match_per_call_loop(self, a, b, c):
+        assert outcome(lambda: _triple_tails(a, b, c)) == outcome(
+            lambda: reference_triple(a, b, c))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(intensity, min_size=2, max_size=4))
+    def test_heads_of_one_value_set_match_per_call_loop(self, values):
+        values = tuple(values)
+        heads = ((2, 2), (3, 3), (3, 4), (4, 4))
+        assert outcome(lambda: _tails(values, heads)) == outcome(
+            lambda: [reference_tail(values, shift, start) for shift, start in heads])
+
+    def test_saturation_and_message_match_per_call_loop(self):
+        # between a = 76.8 and 77.5 the three sums over (a, b, c) stop
+        # converging one after another (h_k overflows near k = 163)
+        for a in np.arange(76.0, 78.0, 0.1):
+            a = float(a)
+            assert outcome(lambda: _triple_tails(a, 2e-3, 3e-5)) == outcome(
+                lambda: reference_triple(a, 2e-3, 3e-5)), a
+
+    @pytest.mark.parametrize("values", [(5e-6, 2e-6, 1e-6), (1e-6, 1e-6, 1e-6),
+                                        (2e-7, 1e-7, 1e-8), (0.0, 0.0, 0.0)])
+    def test_earliest_stop_matches_per_call_loop(self, values):
+        # values this small stop every sum at its first allowed term
+        assert outcome(lambda: _triple_tails(*values)) == outcome(
+            lambda: reference_triple(*values))
+
+    def test_public_tails_match_per_call_loop(self):
+        vals = (0.7, 2e-3, 3e-5, 0.9)
+        assert exp_h_tail(vals, 3) == reference_tail(vals, 3, 3)
+        assert exp_f_tail(vals[:3], 4) == reference_triple(*vals[:3])[2]
 
 
 def d_n_exact(values, n):
