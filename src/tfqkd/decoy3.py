@@ -220,8 +220,7 @@ def _side(x, num):
 
 def _one_sided(g, gerr, g13, err13, a, b):
     """Raw (value, error) of (0,2), (0,4), (1,3) from the sums of the ``_side``s
-    a, b; of (2,0), (4,0), (3,1) from the mirror sums with a and b exchanged.
-    The prefactors come last, for the range check."""
+    a, b; of (2,0), (4,0), (3,1) from the mirror sums with a and b exchanged."""
     (mu0, mu1, mu2), ta = a
     (nu0, nu1, nu2), tb = b
     denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
@@ -231,8 +230,7 @@ def _one_sided(g, gerr, g13, err13, a, b):
     e1_nu = nu0 + nu1 + nu2
     pref13 = -6 * (mu1 + mu2) / (denom * e1_nu)
     return ((g * pref02, gerr * abs(pref02)), (g * pref04, gerr * abs(pref04)),
-            (g13 * pref13 + 6 * (tb[0] * ta[1]) / e1_nu, err13 * abs(pref13)),
-            (pref02, pref04, pref13))
+            (g13 * pref13 + 6 * (tb[0] * ta[1]) / e1_nu, err13 * abs(pref13)))
 
 
 # (alice vector, bob vector) of a block's seven gain combinations, each on the
@@ -253,9 +251,9 @@ def _block(g, gerr, a, b, num):
     """Unclamped bounds of one 3x3 block in ``_EVALUATED`` order, from its
     ``_PAIRS`` sums ``g`` and their errors; its intensities are the
     ``_side``s ``a`` and ``b``."""
-    *direct, pref_d = _one_sided(g[0], gerr[0], g[1], gerr[1], a, b)
-    *mirror, pref_m = _one_sided(g[2], gerr[2], g[3], gerr[3], b, a)
-    values = [float(raw) + float(err) for raw, err in direct + mirror]
+    first = (_one_sided(g[0], gerr[0], g[1], gerr[1], a, b)
+             + _one_sided(g[2], gerr[2], g[3], gerr[3], b, a))
+    values = [float(raw) + float(err) for raw, err in first]
     y13, y31 = min(max(values[2], 0.0), 1.0), min(max(values[5], 0.0), 1.0)
     if b[0][0] > a[0][0]:
         # canonical orientation, so exchanging the parties is a bitwise
@@ -268,9 +266,6 @@ def _block(g, gerr, a, b, num):
     e2_nu = nu0 * nu1 + nu0 * nu2 + nu1 * nu2
     e2_mu = mu0 * mu1 + mu0 * mu2 + mu1 * mu2
     pref11 = (mu1 + mu2) * (nu1 + nu2) / denom
-    if num is float and not all(map(math.isfinite,
-                                    pref_d + pref_m + (pref00, pref11, 4 / denom))):
-        raise _degenerate("bound prefactors")
     raw = g[5] * pref11 + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6 + tb[2] + ta[2]
     values += (float(g[4] * pref00) + float(gerr[4] * abs(pref00)),
                float(raw) + float(gerr[5] * abs(pref11)),
@@ -284,7 +279,9 @@ def _block_bounds(g, gerr, sides, num):
 
     ``g`` and ``gerr`` list the ``_PAIRS`` sums block by block, ``sides``
     each block's Alice and Bob ``_side``.  A value below the slack raises for
-    the first block and target in evaluation order.
+    the first block and target in evaluation order; a prefactor that
+    vanishes or overflows, hence a value that is not finite, raises
+    ``DegenerateIntensityError``.
     """
     n = len(_PAIRS)
     try:
@@ -292,6 +289,7 @@ def _block_bounds(g, gerr, sides, num):
                            for i, (a, b) in enumerate(sides)])
     except ZeroDivisionError:
         raise _degenerate("bound prefactors") from None
+    _finite(values, "bound prefactors")
     return _clamp(values, _EVALUATED, "3-decoy")[:, _TO_TARGETS]
 
 

@@ -240,8 +240,11 @@ def _sorted_subsets(values):
 
 
 _SUBSETS = np.array(SUBSETS)
-# the 16 subset-pair blocks: Alice's sorted subset i // 4 with Bob's i % 4
-_ROWS, _COLS = np.divmod(np.arange(16), 4)
+# one batch row per subset-pair block and ``_PAIRS`` combination, block by
+# block; block i pairs Alice's sorted subset i // 4 with Bob's i % 4
+_ROW_BLOCK = np.repeat(np.arange(16), len(_PAIR_A))
+_ROW_A, _ROW_B = np.divmod(_ROW_BLOCK, 4)
+_ROW_KA, _ROW_KB = np.tile(_PAIR_A, 16), np.tile(_PAIR_B, 16)
 # target -> (Alice vector, Bob vector) of its slot combinations, on each
 # slot's block as Alice x Bob
 _COMBINED = {(0, 4): (_K12, _K01), (4, 0): (_K01, _K12), (1, 3): (_K02, _K01),
@@ -279,21 +282,20 @@ def _bounds4(q, mu, nu, exact):
                        + [tuple(x[i] for i in slot) for x in sets for slot in SUBSETS], num)
     va, vb = vectors[:4], vectors[4:8]
     slot_vectors = {x: vectors[8 + 4 * k:12 + 4 * k] for k, x in enumerate(sets)}
-    coeff_a = [va[_ROWS][:, _PAIR_A].reshape(-1, 3)]
-    coeff_b = [vb[_COLS][:, _PAIR_B].reshape(-1, 3)]
+    coeff_a = [va[_ROW_A, _ROW_KA]]
+    coeff_b = [vb[_ROW_B, _ROW_KB]]
     for (target, *_), (a, b) in zip(active, slot_parties):
         ka, kb = _COMBINED[target]
         coeff_a.append(slot_vectors[a][:, ka])
         coeff_b.append(slot_vectors[b][:, kb])
     oa, ob = np.array(order_a), np.array(order_b)
-    blocks = qtilde[oa[_ROWS][:, :, None], ob[_COLS][:, None, :]]
+    blocks = qtilde[oa[_ROW_A][:, :, None], ob[_ROW_B][:, None, :]]
     slots = qtilde[_SUBSETS[:, :, None], _SUBSETS[:, None, :]]
     g, gerr = _combine(np.concatenate(coeff_a), np.concatenate(coeff_b),
-                       np.concatenate([np.repeat(blocks, len(_PAIR_A), axis=0)]
-                                      + [slots] * len(active)))
+                       np.concatenate([blocks] + [slots] * len(active)))
     sides_a = [_side(x, num) for x in triples_a]
     sides_b = [_side(x, num) for x in triples_b]
-    n = 16 * len(_PAIR_A)
+    n = len(_ROW_BLOCK)
     values = _block_bounds(g[:n], gerr[:n], [(a, b) for a in sides_a for b in sides_b], num)
     best = values.argmin(axis=0)
     bounds = dict(zip(TARGETS_3, values[best, np.arange(len(TARGETS_3))].tolist()))
