@@ -233,12 +233,11 @@ def _one_sided(g, gerr, g13, err13, a, b):
             (g13 * pref13 + 6 * (tb[0] * ta[1]) / e1_nu, err13 * abs(pref13)))
 
 
-# (alice vector, bob vector) of a block's seven gain combinations, each on the
-# block as Alice x Bob: (0,2)/(0,4) and (1,3), then their mirrors (2,0)/(4,0)
-# and (3,1), in which Alice's vector plays Bob's part, then (0,0), (1,1) and
-# (2,2), whose terms do not depend on which party comes first
-_PAIRS = ((_K12, _K01), (_K02, _K01), (_K01, _K12), (_K01, _K02),
-          (_K12, _K12), (_K02, _K02), (_K01, _K01))
+# the seven gain combinations of a block, each on the block as Alice x Bob:
+# (0,2)/(0,4) and (1,3), then the mirrors (2,0)/(4,0) and (3,1), then (0,0),
+# (1,1) and (2,2), whose terms do not depend on which party comes first
+_PAIRS = tuple(_VECTOR_FOR_TARGET[t] for t in ((0, 2), (1, 3), (2, 0), (3, 1),
+                                                (0, 0), (1, 1), (2, 2)))
 _PAIR_A = np.array([ka for ka, _ in _PAIRS])
 _PAIR_B = np.array([kb for _, kb in _PAIRS])
 

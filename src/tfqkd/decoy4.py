@@ -39,9 +39,9 @@ from itertools import combinations
 import numpy as np
 
 from .channel import GainMatrix, IntensitySettings
-from .decoy3 import (_EPS_COMBINE, _K01, _K02, _K12, _PAIR_A, _PAIR_B, _VECTOR_FOR_TARGET,
-                     TARGETS_3, YieldBounds, _block_bounds, _bounds3, _clamp, _combine,
-                     _prepare, _side, _vectors,
+from .decoy3 import (_EPS_COMBINE, _PAIR_A, _PAIR_B, _VECTOR_FOR_TARGET, TARGETS_3,
+                     YieldBounds, _block_bounds, _bounds3, _clamp, _combine, _prepare, _side,
+                     _vectors,
                      cancellation_coeffs)  # noqa: F401  (benchmark/spans.py wraps it)
 from .series import _tails, exp_h_tail  # noqa: F401  (benchmark/spans.py wraps exp_h_tail)
 
@@ -246,9 +246,9 @@ _ROW_BLOCK = np.repeat(np.arange(16), len(_PAIR_A))
 _ROW_A, _ROW_B = np.divmod(_ROW_BLOCK, 4)
 _ROW_KA, _ROW_KB = np.tile(_PAIR_A, 16), np.tile(_PAIR_B, 16)
 # target -> (Alice vector, Bob vector) of its slot combinations, on each
-# slot's block as Alice x Bob
-_COMBINED = {(0, 4): (_K12, _K01), (4, 0): (_K01, _K12), (1, 3): (_K02, _K01),
-             (3, 1): (_K01, _K02)}
+# slot's block as Alice x Bob: those of (0,2), (2,0), (1,3), (3,1)
+_COMBINED = {(0, 4): _VECTOR_FOR_TARGET[0, 2], (4, 0): _VECTOR_FOR_TARGET[2, 0],
+             (1, 3): _VECTOR_FOR_TARGET[1, 3], (3, 1): _VECTOR_FOR_TARGET[3, 1]}
 
 
 def _bounds4(q, mu, nu, exact):
@@ -274,17 +274,16 @@ def _bounds4(q, mu, nu, exact):
     order_a, order_b = _sorted_subsets(floats[0]), _sorted_subsets(floats[1])
     triples_a = [tuple(mu[i] for i in rows) for rows in order_a]
     triples_b = [tuple(nu[j] for j in cols) for cols in order_b]
-    # slot intensities of each formula as Alice x Bob; (4,0) and (3,1) mirror
-    slot_parties = [(first, slots) if target in ((0, 4), (1, 3)) else (slots, first)
-                    for target, _, _, first, _, slots in active]
-    sets = list(dict.fromkeys([mu, nu] + [x for pair in slot_parties for x in pair]))
+    sets = list(dict.fromkeys([mu, nu] + [slots for *_, slots in active]))
     vectors = _vectors(triples_a + triples_b
                        + [tuple(x[i] for i in slot) for x in sets for slot in SUBSETS], num)
     va, vb = vectors[:4], vectors[4:8]
     slot_vectors = {x: vectors[8 + 4 * k:12 + 4 * k] for k, x in enumerate(sets)}
     coeff_a = [va[_ROW_A, _ROW_KA]]
     coeff_b = [vb[_ROW_B, _ROW_KB]]
-    for (target, *_), (a, b) in zip(active, slot_parties):
+    for target, _, _, first, _, slots in active:
+        # the slot intensities as Alice x Bob; (4,0) and (3,1) are mirrored
+        a, b = (first, slots) if target in ((0, 4), (1, 3)) else (slots, first)
         ka, kb = _COMBINED[target]
         coeff_a.append(slot_vectors[a][:, ka])
         coeff_b.append(slot_vectors[b][:, kb])
@@ -308,7 +307,7 @@ def _bounds4(q, mu, nu, exact):
             for x in (first, slots)}
     combined = []
     for (target, name, rel, first, second, slots), k in zip(active, range(n, len(g), 4)):
-        tails = (four[first][0], four[slots][1]) if slots in four else None
+        tails = (four[first][0], four[slots][1]) if target in ((0, 4), (4, 0)) else None
         raw, err = _combined(target, name, rel, first, second, g[k:k + 4], gerr[k:k + 4],
                              tails, num)
         combined.append(float(raw) + float(err))

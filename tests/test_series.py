@@ -166,7 +166,7 @@ def reference_tail(values, shift, start):
 
 
 def outcome(compute):
-    """Hex digits of every value computed, or the error type and message."""
+    """Hex digits of every value computed, or the saturation message."""
     try:
         return [v.hex() for v in compute()]
     except SaturationError as exc:
