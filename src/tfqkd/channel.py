@@ -148,7 +148,6 @@ class GainMatrix:
 
     q: tuple[tuple[float, ...], ...]
     omega: str = "c"
-    source: str = "simulated"
 
     def __post_init__(self):
         q = tuple(tuple(float(v) for v in row) for row in self.q)
@@ -284,7 +283,7 @@ def simulate_gains(params: ChannelParams, settings: IntensitySettings) -> GainMa
         tuple(gain(params, mu_k, nu_l) for nu_l in settings.nu)
         for mu_k in settings.mu
     )
-    return GainMatrix(q=rows, omega="c", source="simulated")
+    return GainMatrix(q=rows, omega="c")
 
 
 @lru_cache(maxsize=64)
@@ -295,6 +294,9 @@ def _survivor_click_table(tan_a: float, tan_b: float, size: int) -> tuple[tuple[
     With one party perfectly aligned the triple sum collapses to a single
     sum, which matters for the large tables the gain-series checks need.
     """
+    if tan_a == 0.0 and tan_b != 0.0:
+        # the same single sum with the parties exchanged
+        return tuple(zip(*_survivor_click_table(tan_b, tan_a, size)))
     table = []
     for k in range(size + 1):
         row = []
@@ -305,13 +307,6 @@ def _survivor_click_table(tan_a: float, tan_b: float, size: int) -> tuple[tuple[
                 for i in range(0, k + 1):
                     acc += math.comb(k, i) ** 2 * tan_a ** (2 * i) \
                         * math.factorial(k + t - i) * math.factorial(i)
-                row.append(acc)
-                continue
-            if tan_a == 0.0:
-                acc = 0.0
-                for j in range(0, t + 1):
-                    acc += math.comb(t, j) ** 2 * tan_b ** (2 * j) \
-                        * math.factorial(k + t - j) * math.factorial(j)
                 row.append(acc)
                 continue
             acc = []

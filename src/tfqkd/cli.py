@@ -1,11 +1,14 @@
 """Command-line interface: scenario configs, sweeps, verification runs.
 
 Subcommands: rate, sweep, optimize, fluctuation, bounds, verify, plob.
-Scenario options come from a JSON config file and/or flags (flags win);
-losses are given in dB, converted internally to transmittances.  Sweep rows
-are computed point-by-point (optionally in a process pool), then sorted and
-formatted deterministically, so identical seeds give byte-identical output
-regardless of the worker count.
+Every scenario field has a default and a JSON type (``_FIELDS``); it is read
+from its flag, else from the JSON config file, else its default, and a value
+of the wrong type is a ``ConfigError``.  A subcommand registers only the
+flags it reads.  Losses are given in dB, converted internally to
+transmittances.  Each subcommand returns its output text, which ``main``
+writes to ``--out`` or stdout.  Sweep rows are computed point-by-point
+(optionally in a process pool), then sorted and formatted deterministically,
+so identical seeds give byte-identical output regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -35,6 +38,44 @@ SWEEP_COLUMNS = ["loss_a_db", "loss_b_db", "rate", "alpha_a", "alpha_b",
                  "plob", "beats_plob", "error"]
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON type -> test of a decoded value
+_TYPES = {
+    "number": _number,
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "array of numbers": lambda v: isinstance(v, list) and all(map(_number, v)),
+    "pair of numbers": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)),
+}
+
+# scenario field -> (default, JSON type, add_argument keywords of its flag or
+# None); a field whose default is None may also be null
+_FIELDS = {
+    "loss_a_db": (20.0, "number", {"type": float}),
+    "loss_b_db": (20.0, "number", {"type": float}),
+    "p_d": (1e-7, "number", None),
+    "misalignment": (0.02, "number", None),
+    "phase_mismatch": (0.02, "number", None),
+    "decoys": (4, "integer", {"type": int, "choices": (3, 4)}),
+    "weak_decoys": (None, "array of numbers", None),
+    "f": (1.0, "number", {"type": float, "help": "reconciliation efficiency (default 1.0)"}),
+    "n_cut": (40, "integer", None),
+    "seed": (0, "integer", {"type": int}),
+    "multistart": (16, "integer", None),
+    "symmetric_intensities": (False, "boolean", {
+        "action": "store_true", "default": None,
+        "help": "force equal settings for the two parties"}),
+    "alpha_box": (None, "pair of numbers", None),
+    "strongest_box": (None, "pair of numbers", None),
+    "gains": (None, "string", {"help": "measured gains file (JSON)"}),
+    "fluctuation": (None, "number", {"type": float, "help": "relative fluctuation magnitude"}),
+}
+
+
 def _fmt(x) -> str:
     """Deterministic number formatting; infinities get a sentinel string."""
     if isinstance(x, float):
@@ -57,92 +98,71 @@ def _strict(obj):
     return obj
 
 
-def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    version = cfg.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version {version}")
-    return cfg
-
-
-def ingest_gains(path) -> tuple[GainMatrix, tuple, tuple]:
-    """Load a measured gain matrix with its intensity sets from JSON."""
+def _read_json(path, what: str) -> dict:
+    """The JSON object in the file ``path``; ``what`` names the file in errors."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read gains file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"gains file {path} must hold a JSON object")
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
+
+
+def ingest_gains(path) -> tuple[GainMatrix, tuple, tuple]:
+    """Load a measured gain matrix with its intensity sets from JSON."""
+    data = _read_json(path, "gains file")
     if data.get("schema_version") != GAINS_SCHEMA_VERSION:
         raise ConfigError("gains file must declare schema_version 1")
     for key in ("mu", "nu", "Q"):
         if key not in data:
             raise ConfigError(f"gains file is missing '{key}'")
-    omega = data.get("omega", "c")
-    mu = tuple(float(v) for v in data["mu"])
-    nu = tuple(float(v) for v in data["nu"])
-    q = data["Q"]
-    if len(q) != len(mu) or any(len(row) != len(nu) for row in q):
-        raise ConfigError("gain matrix dimensions do not match intensity lists")
     try:
+        mu = tuple(float(v) for v in data["mu"])
+        nu = tuple(float(v) for v in data["nu"])
+        q = data["Q"]
+        if len(q) != len(mu) or any(len(row) != len(nu) for row in q):
+            raise ConfigError("gain matrix dimensions do not match intensity lists")
         gains = GainMatrix(q=tuple(tuple(float(v) for v in row) for row in q),
-                           omega=omega, source="ingested")
+                           omega=data.get("omega", "c"))
         IntensitySettings(alpha_a=0.0, alpha_b=0.0, mu=mu, nu=nu)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return gains, mu, nu
 
 
-def emit_gains(gains: GainMatrix, mu, nu, omega="c") -> dict:
+def emit_gains(gains: GainMatrix, settings: IntensitySettings) -> dict:
     return {
         "schema_version": GAINS_SCHEMA_VERSION,
-        "mu": list(mu),
-        "nu": list(nu),
-        "omega": omega,
+        "mu": list(settings.mu),
+        "nu": list(settings.nu),
+        "omega": gains.omega,
         "Q": [list(row) for row in gains.q],
     }
 
 
 def _scenario(args) -> dict:
-    cfg = load_config(args.config) if args.config else {}
-    out = {
-        "loss_a_db": cfg.get("loss_a_db", 20.0),
-        "loss_b_db": cfg.get("loss_b_db", 20.0),
-        "p_d": cfg.get("p_d", 1e-7),
-        "misalignment": cfg.get("misalignment", 0.02),
-        "phase_mismatch": cfg.get("phase_mismatch", 0.02),
-        "decoys": cfg.get("decoys", 4),
-        "weak_decoys": cfg.get("weak_decoys"),
-        "f": cfg.get("f", 1.0),
-        "n_cut": cfg.get("n_cut", 40),
-        "seed": cfg.get("seed", 0),
-        "multistart": cfg.get("multistart", 16),
-        "symmetric": cfg.get("symmetric_intensities", False),
-        "alpha_box": cfg.get("alpha_box"),
-        "strongest_box": cfg.get("strongest_box"),
-        "gains": cfg.get("gains"),
-        "fluctuation": cfg.get("fluctuation"),
-    }
-    for name, attr in (("loss_a_db", "loss_a_db"), ("loss_b_db", "loss_b_db"),
-                       ("decoys", "decoys"), ("f", "f"), ("seed", "seed"),
-                       ("gains", "gains"), ("fluctuation", "fluctuation")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[name] = value
-    if getattr(args, "symmetric_intensities", False):
-        out["symmetric"] = True
-    if out["decoys"] not in (3, 4):
+    """Every ``_FIELDS`` entry, from its flag, else the config, else its
+    default, type-checked."""
+    cfg = _read_json(args.config, "config") if args.config else {}
+    version = cfg.get("schema_version", CONFIG_SCHEMA_VERSION)
+    if version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema_version {version}")
+    sc = {}
+    for name, (default, kind, _) in _FIELDS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = cfg.get(name, default)
+        if not (value is None and default is None or _TYPES[kind](value)):
+            raise ConfigError(f"{name} must be of JSON type {kind}"
+                              f"{' or null' if default is None else ''}, got {value!r}")
+        sc[name] = value
+    if sc["decoys"] not in (3, 4):
         raise ConfigError("decoys must be 3 or 4")
-    if out["loss_a_db"] < 0 or out["loss_b_db"] < 0:
+    if not (sc["loss_a_db"] >= 0 and sc["loss_b_db"] >= 0):
         raise ConfigError("losses must be >= 0 dB")
-    return out
+    return sc
 
 
 def _params(sc):
@@ -152,23 +172,42 @@ def _params(sc):
 
 
 def _opt_spec(sc) -> OptimizationSpec:
-    kwargs = dict(decoys=sc["decoys"], multistart=sc["multistart"],
-                  seed=sc["seed"], symmetric=sc["symmetric"])
-    if sc.get("weak_decoys"):
-        kwargs["weak_decoys"] = tuple(sc["weak_decoys"])
-    if sc.get("alpha_box"):
-        kwargs["alpha_box"] = tuple(sc["alpha_box"])
-    if sc.get("strongest_box"):
-        kwargs["strongest_box"] = tuple(sc["strongest_box"])
-    return OptimizationSpec(**kwargs)
+    boxes = {name: tuple(sc[name]) for name in ("weak_decoys", "alpha_box", "strongest_box")
+             if sc[name] is not None}
+    return OptimizationSpec(decoys=sc["decoys"], multistart=sc["multistart"],
+                            seed=sc["seed"], symmetric=sc["symmetric_intensities"], **boxes)
 
 
-def _write_output(text: str, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _given(value, default):
+    return default if value is None else value
+
+
+def _point(args, sc, params) -> tuple[IntensitySettings, GainMatrix]:
+    """Settings and gains at the fixed point of ``rate`` and ``bounds``.
+
+    A gains file fixes the intensities, with the amplitude flags or 0.1.
+    Otherwise the gains are simulated at the spec's settings of the flags:
+    Bob's amplitude and strongest decoy default to Alice's, Alice's amplitude
+    to 0.1 and her strongest decoy to the floor of the strongest-decoy box.
+    """
+    alpha_a, alpha_b = _given(getattr(args, "alpha_a", None), 0.1), getattr(args, "alpha_b", None)
+    if sc["gains"] is not None:
+        gains, mu, nu = ingest_gains(sc["gains"])
+        settings = IntensitySettings(alpha_a=alpha_a, alpha_b=_given(alpha_b, 0.1), mu=mu, nu=nu)
+        return settings, gains
+    spec = _opt_spec(sc)
+    strong = _given(args.strongest_mu, spec.strongest_box[0])
+    vector = ((alpha_a, strong) if spec.symmetric else
+              (alpha_a, _given(alpha_b, alpha_a), strong, _given(args.strongest_nu, strong)))
+    settings = spec.settings(vector)
+    return settings, simulate_gains(params, settings)
+
+
+def _plob(eta_a, eta_b) -> float:
+    try:
+        return plob_bound(eta_a, eta_b)
+    except ValueError:
+        return math.inf
 
 
 def _result_record(sc, result, bounds=None):
@@ -198,53 +237,35 @@ def _json_dump(obj) -> str:
                       default=_fmt) + "\n"
 
 
-def cmd_rate(args) -> int:
+def cmd_rate(args) -> tuple[str, int]:
     sc = _scenario(args)
     params = _params(sc)
-    if sc.get("gains"):
-        gains, mu, nu = ingest_gains(sc["gains"])
-        settings = IntensitySettings(alpha_a=args.alpha_a or 0.1,
-                                     alpha_b=args.alpha_b or 0.1, mu=mu, nu=nu)
-        result = key_rate(params, settings, sc["f"], sc["n_cut"], gains=gains)
-    elif args.alpha_a is not None and args.strongest_mu is not None:
-        spec = _opt_spec(sc)
-        strong_nu = args.strongest_nu if args.strongest_nu is not None else args.strongest_mu
-        vector = (args.alpha_a, args.alpha_b if args.alpha_b is not None else args.alpha_a,
-                  args.strongest_mu, strong_nu)
-        settings = spec.settings(vector[:2] if spec.symmetric else vector)
-        result = key_rate(params, settings, sc["f"], sc["n_cut"])
+    if sc["gains"] is None and None in (args.alpha_a, args.strongest_mu):
+        settings = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"]).settings
+        gains = None
     else:
-        opt = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"])
-        result = key_rate(params, opt.settings, sc["f"], sc["n_cut"])
-    rec = _result_record(sc, result, result.bounds if args.dump_bounds else None)
-    _write_output(_json_dump(rec), args.out)
-    return 0
+        settings, gains = _point(args, sc, params)
+    result = key_rate(params, settings, sc["f"], sc["n_cut"], gains=gains)
+    return _json_dump(_result_record(sc, result, result.bounds if args.dump_bounds else None)), 0
 
 
 def _sweep_point(job):
     sc, loss_a, loss_b = job
-    sc = dict(sc)
-    sc["loss_a_db"] = loss_a
-    sc["loss_b_db"] = loss_b
     row = {"loss_a_db": loss_a, "loss_b_db": loss_b, "error": ""}
     try:
         # decorrelate the per-point searches while keeping them reproducible
-        sc["seed"] = sc["seed"] * 1000003 + int(round(10 * (loss_a * 211 + loss_b)))
+        sc = dict(sc, loss_a_db=loss_a, loss_b_db=loss_b,
+                  seed=sc["seed"] * 1000003 + int(round(10 * (loss_a * 211 + loss_b))))
         params = _params(sc)
         opt = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"])
         s = opt.settings
-        strongest_mu = s.mu[0] if sc["decoys"] == 3 else s.mu[3]
-        strongest_nu = s.nu[0] if sc["decoys"] == 3 else s.nu[3]
-        try:
-            plob = plob_bound(params.eta_a, params.eta_b)
-        except ValueError:
-            plob = math.inf
+        plob = _plob(params.eta_a, params.eta_b)
         row.update({
             "rate": opt.rate,
             "alpha_a": s.alpha_a,
             "alpha_b": s.alpha_b,
-            "strongest_mu": strongest_mu,
-            "strongest_nu": strongest_nu,
+            "strongest_mu": max(s.mu),
+            "strongest_nu": max(s.nu),
             "arriving_a": params.eta_a * s.alpha_a ** 2,
             "arriving_b": params.eta_b * s.alpha_b ** 2,
             "plob": plob,
@@ -257,7 +278,7 @@ def _sweep_point(job):
     return row
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sc = _scenario(args)
@@ -273,18 +294,16 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_point(job) for job in jobs]
     rows.sort(key=lambda r: (r["loss_a_db"], r["loss_b_db"]))
     if args.format == "json":
-        _write_output(_json_dump(rows), args.out)
-        return 0
+        return _json_dump(rows), 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:
         writer.writerow([_fmt(row.get(col, "")) for col in SWEEP_COLUMNS])
-    _write_output(buf.getvalue(), args.out)
-    return 0
+    return buf.getvalue(), 0
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[str, int]:
     sc = _scenario(args)
     params = _params(sc)
     opt = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"])
@@ -299,13 +318,12 @@ def cmd_optimize(args) -> int:
         "loss_a_db": sc["loss_a_db"],
         "loss_b_db": sc["loss_b_db"],
     }
-    _write_output(_json_dump(rec), args.out)
-    return 0
+    return _json_dump(rec), 0
 
 
-def cmd_fluctuation(args) -> int:
+def cmd_fluctuation(args) -> tuple[str, int]:
     sc = _scenario(args)
-    if sc.get("fluctuation") is None:
+    if sc["fluctuation"] is None:
         raise ConfigError("fluctuation magnitude required (--fluctuation or config)")
     params = _params(sc)
     opt = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"])
@@ -320,23 +338,12 @@ def cmd_fluctuation(args) -> int:
         "center_vector": list(opt.vector),
         "evaluations": wc.evaluations,
     }
-    _write_output(_json_dump(rec), args.out)
-    return 0
+    return _json_dump(rec), 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[str, int]:
     sc = _scenario(args)
-    params = _params(sc)
-    if sc.get("gains"):
-        gains, mu, nu = ingest_gains(sc["gains"])
-        settings = IntensitySettings(alpha_a=0.1, alpha_b=0.1, mu=mu, nu=nu)
-    else:
-        spec = _opt_spec(sc)
-        strong = args.strongest_mu if args.strongest_mu is not None else spec.strongest_box[0]
-        strong_nu = args.strongest_nu if args.strongest_nu is not None else strong
-        vec = (0.1, strong) if spec.symmetric else (0.1, 0.1, strong, strong_nu)
-        settings = spec.settings(vec)
-        gains = simulate_gains(params, settings)
+    settings, gains = _point(args, sc, _params(sc))
     yb = yield_bounds(gains, settings, exact=args.exact)
     rec = {
         "mu": list(settings.mu),
@@ -344,13 +351,12 @@ def cmd_bounds(args) -> int:
         "bounds": {f"{n},{m}": v for (n, m), v in sorted(yb.items())},
         "provenance": {f"{n},{m}": v for (n, m), v in sorted(yb.provenance.items())},
         "warnings": list(yb.warnings),
-        "gains": emit_gains(gains, settings.mu, settings.nu),
+        "gains": emit_gains(gains, settings),
     }
-    _write_output(_json_dump(rec), args.out)
-    return 0
+    return _json_dump(rec), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     """Oracle dominance suite: true yield <= LP <= analytical bounds."""
     if args.configs < 1:
         raise ConfigError(f"--configs must be >= 1, got {args.configs}")
@@ -358,6 +364,7 @@ def cmd_verify(args) -> int:
     import numpy as np
     rng = np.random.default_rng(sc["seed"])
     failures = 0
+    lines = []
     for i in range(args.configs):
         loss_a = float(rng.uniform(10, 45))
         loss_b = float(rng.uniform(10, 45))
@@ -379,37 +386,27 @@ def cmd_verify(args) -> int:
             lp = lp_yield_bound(gains, mu, nu, target)
             analytic = bounds.get(*target)
             ok = true <= lp + 1e-9 and lp <= analytic + 1e-9
-            print(f"config {i} ({loss_a:.1f}/{loss_b:.1f} dB, {decoys} decoys) "
-                  f"Y{target}: true {true:.3e} <= lp {lp:.3e} <= bound {analytic:.3e} "
-                  f"{'PASS' if ok else 'FAIL'}")
+            lines.append(f"config {i} ({loss_a:.1f}/{loss_b:.1f} dB, {decoys} decoys) "
+                         f"Y{target}: true {true:.3e} <= lp {lp:.3e} <= bound {analytic:.3e} "
+                         f"{'PASS' if ok else 'FAIL'}\n")
             failures += not ok
-    print(f"verify: {failures} failures")
-    return 1 if failures else 0
+    lines.append(f"verify: {failures} failures\n")
+    return "".join(lines), 1 if failures else 0
 
 
-def cmd_plob(args) -> int:
+def cmd_plob(args) -> tuple[str, int]:
     sc = _scenario(args)
-    eta_a = db_to_transmittance(sc["loss_a_db"])
-    eta_b = db_to_transmittance(sc["loss_b_db"])
-    try:
-        value = plob_bound(eta_a, eta_b)
-    except ValueError:
-        value = math.inf
-    _write_output(_json_dump({"loss_a_db": sc["loss_a_db"], "loss_b_db": sc["loss_b_db"],
-                              "plob": value}), args.out)
-    return 0
+    value = _plob(db_to_transmittance(sc["loss_a_db"]), db_to_transmittance(sc["loss_b_db"]))
+    return _json_dump({"loss_a_db": sc["loss_a_db"], "loss_b_db": sc["loss_b_db"],
+                       "plob": value}), 0
 
 
-def _add_common(p):
+def _add_flags(p, *fields):
+    """``--config``, ``--out`` and the flags of the named scenario fields."""
     p.add_argument("--config", help="JSON scenario config")
-    p.add_argument("--loss-a-db", dest="loss_a_db", type=float)
-    p.add_argument("--loss-b-db", dest="loss_b_db", type=float)
-    p.add_argument("--decoys", type=int, choices=(3, 4))
-    p.add_argument("--f", type=float, help="reconciliation efficiency (default 1.0)")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--symmetric-intensities", action="store_true",
-                   help="force equal settings for the two parties")
+    for name in fields:
+        p.add_argument("--" + name.replace("_", "-"), **_FIELDS[name][2])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,19 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Key-rate bounds and optimization for twin-field QKD "
                     "with independent decoy intensities")
     sub = parser.add_subparsers(dest="command", required=True)
+    search = ("loss_a_db", "loss_b_db", "decoys", "f", "seed", "symmetric_intensities")
 
     p = sub.add_parser("rate", help="evaluate one parameter point")
-    _add_common(p)
-    p.add_argument("--gains", help="measured gains file (JSON)")
-    p.add_argument("--alpha-a", dest="alpha_a", type=float)
-    p.add_argument("--alpha-b", dest="alpha_b", type=float)
-    p.add_argument("--strongest-mu", dest="strongest_mu", type=float)
-    p.add_argument("--strongest-nu", dest="strongest_nu", type=float)
+    _add_flags(p, *search, "gains")
+    for flag in ("--alpha-a", "--alpha-b", "--strongest-mu", "--strongest-nu"):
+        p.add_argument(flag, type=float)
     p.add_argument("--dump-bounds", action="store_true")
     p.set_defaults(fn=cmd_rate)
 
     p = sub.add_parser("sweep", help="optimized rate over a loss grid")
-    _add_common(p)
+    _add_flags(p, *search)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--grid-a", dest="grid_a", type=float, nargs="+")
     p.add_argument("--grid-b", dest="grid_b", type=float, nargs="+")
@@ -438,44 +433,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("optimize", help="optimize intensities at one point")
-    _add_common(p)
+    _add_flags(p, *search)
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("fluctuation", help="worst-case rate under fluctuations")
-    _add_common(p)
-    p.add_argument("--fluctuation", type=float, help="relative fluctuation magnitude")
+    _add_flags(p, *search, "fluctuation")
     p.add_argument("--budget", type=int, default=64)
     p.set_defaults(fn=cmd_fluctuation)
 
     p = sub.add_parser("bounds", help="yield bounds from simulated or measured gains")
-    _add_common(p)
-    p.add_argument("--gains", help="measured gains file (JSON)")
-    p.add_argument("--strongest-mu", dest="strongest_mu", type=float)
-    p.add_argument("--strongest-nu", dest="strongest_nu", type=float)
+    _add_flags(p, "loss_a_db", "loss_b_db", "decoys", "symmetric_intensities", "gains")
+    for flag in ("--strongest-mu", "--strongest-nu"):
+        p.add_argument(flag, type=float)
     p.add_argument("--exact", action="store_true",
                    help="evaluate the bound formulas in exact rational arithmetic")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the oracle dominance suite")
-    _add_common(p)
+    _add_flags(p, "seed")
     p.add_argument("--configs", type=int, default=5)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("plob", help="repeaterless benchmark for given losses")
-    _add_common(p)
+    _add_flags(p, "loss_a_db", "loss_b_db")
     p.set_defaults(fn=cmd_plob)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (TfqkdError, ValueError) as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(_json_dump(record))
+        text, code = args.fn(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (TfqkdError, ValueError, OverflowError, OSError) as exc:
+        sys.stderr.write(_json_dump({"error": type(exc).__name__, "message": str(exc)}))
         return 2
+    return code
 
 
 if __name__ == "__main__":

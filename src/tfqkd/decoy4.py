@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -114,15 +114,14 @@ def _combine_subsets(g, gerr, ds, num):
 _FOUR_HEADS = ((4, 4), (3, 3))
 
 
-def _y04(mu, nu, g, gerr, cross, tails, num, rel=0.0):
+def _y04(degenerate, rel, mu, nu, g, gerr, tails, num):
     """Combined (0,4) bound as (raw, error) from the slot combinations ``g``;
     ``tails`` are exp_h_tail(mu, 4) and exp_h_tail of Bob's slot intensities
-    from 3.  ``cross`` None selects the degenerate variant for nu_i == mu_i
-    (i < 3), whose Bob slot intensities are Alice's weak ones and Bob's
-    strongest one."""
+    from 3.  ``degenerate`` selects the variant for nu_i == mu_i (i < 3),
+    whose Bob slot intensities are Alice's weak ones and Bob's strongest one."""
     m0, m1, m2, m3 = mu
     n0, n1, n2, n3 = nu
-    if cross is None:
+    if degenerate:
         ds = (None,
               m3,
               -(m0 - m1) * m3 / (m0 - m2),
@@ -132,6 +131,7 @@ def _y04(mu, nu, g, gerr, cross, tails, num, rel=0.0):
         a04_four = -lead * (m0 + m1 + m2 + n3) / (m1 * m2)
         head = m0 * m3 * lead
     else:
+        cross = _weak_cross(mu, nu)[0]
         ds = _d04(mu, nu)
         kern = (m0 - m1) * (m0 - m2) * (n0 - n1) * (n0 - n2)
         p = _p04(mu, nu)
@@ -189,8 +189,10 @@ def _d13(mu, nu, q13):
     return (1, d013, d023, d123)
 
 
-def _y13(mu, nu, g, gerr, q13, num, rel):
+def _y13(rel, mu, nu, g, gerr, tails, num):
+    """Combined (1,3) bound as (raw, error); reads no ``tails``."""
     m0, m1, m2, m3 = mu
+    q13 = _q13(mu, nu)[0]
     h13, herr = _combine_subsets(g, gerr, _d13(mu, nu, q13), num)
     kern = (m0 - m1) * (m0 - m2) * (nu[0] - nu[1]) * (nu[0] - nu[2])
     a13_three = -kern / (m1 + m2) * _p13(mu, nu) / q13
@@ -200,37 +202,30 @@ def _y13(mu, nu, g, gerr, q13, num, rel):
     return raw, herr * abs(6 / a13_three) + rel * abs(raw)
 
 
-def _formula(target, mu_f, nu_f, warnings):
-    """Name and ``rel`` of the four-decoy formula for ``target``, or None if it
-    is skipped (noted in ``warnings``); (4,0) and (3,1) take mu and nu
-    exchanged, as doubles.  ``rel`` credits the relative rounding of the
-    weights and the prefactor, eps * scale / |denominator|, which grows near
-    the 0/0 form."""
+def _formula(target, mu, nu, warnings):
+    """Name and evaluator of the four-decoy formula for ``target`` on the
+    parties (mu, nu), or None if it is skipped (noted in ``warnings``).  The
+    (0,4) and (1,3) formulas serve (4,0) and (3,1) with the parties
+    exchanged.  The evaluator takes (mu, nu, g, gerr, tails, num) and returns
+    (raw, error); its ``rel`` credits the relative rounding of the weights and
+    the prefactor, eps * scale / |denominator|, which grows near the 0/0 form.
+    """
+    mu, nu = tuple(map(float, mu)), tuple(map(float, nu))
     if target in ((0, 4), (4, 0)):
-        if all(abs(a - b) <= _TILDE_REL_TOL * max(a, b) for a, b in zip(mu_f[:3], nu_f)):
-            return "4-decoy degenerate", 0.0
-        cross, scale = _weak_cross(mu_f, nu_f)
+        if all(abs(a - b) <= _TILDE_REL_TOL * max(a, b) for a, b in zip(mu[:3], nu)):
+            return "4-decoy degenerate", partial(_y04, True, 0.0)
+        cross, scale = _weak_cross(mu, nu)
         if abs(cross) >= _Q13_REL_FLOOR * scale:
-            return "4-decoy combined", _EPS_COMBINE * scale / abs(cross)
+            return "4-decoy combined", partial(_y04, False, _EPS_COMBINE * scale / abs(cross))
         reason = "proportional weak triples"
     else:
-        q13, scale = _q13(mu_f, nu_f)
+        q13, scale = _q13(mu, nu)
         if abs(q13) >= _Q13_REL_FLOOR * scale:
-            return "4-decoy combined", _EPS_COMBINE * scale / abs(q13)
+            return "4-decoy combined", partial(_y13, _EPS_COMBINE * scale / abs(q13))
         reason = "vanishing denominator"
     warnings.append(f"({target[0]},{target[1]}): combined formula skipped "
                     f"({reason}); subset minima used")
     return None
-
-
-def _combined(target, name, rel, mu, nu, g, gerr, tails, num):
-    """(raw, error) of the four-decoy formula ``name`` for ``target`` from its
-    slot combinations; (4,0) and (3,1) take mu and nu exchanged."""
-    if target in ((1, 3), (3, 1)):
-        return _y13(mu, nu, g, gerr, _q13(mu, nu)[0], num, rel)
-    if name == "4-decoy degenerate":
-        return _y04(mu, nu, g, gerr, None, tails, num)
-    return _y04(mu, nu, g, gerr, _weak_cross(mu, nu)[0], tails, num, rel)
 
 
 def _sorted_subsets(values):
@@ -245,10 +240,6 @@ _SUBSETS = np.array(SUBSETS)
 _ROW_BLOCK = np.repeat(np.arange(16), len(_PAIR_A))
 _ROW_A, _ROW_B = np.divmod(_ROW_BLOCK, 4)
 _ROW_KA, _ROW_KB = np.tile(_PAIR_A, 16), np.tile(_PAIR_B, 16)
-# target -> (Alice vector, Bob vector) of its slot combinations, on each
-# slot's block as Alice x Bob: those of (0,2), (2,0), (1,3), (3,1)
-_COMBINED = {(0, 4): _VECTOR_FOR_TARGET[0, 2], (4, 0): _VECTOR_FOR_TARGET[2, 0],
-             (1, 3): _VECTOR_FOR_TARGET[1, 3], (3, 1): _VECTOR_FOR_TARGET[3, 1]}
 
 
 def _bounds4(q, mu, nu, exact):
@@ -257,41 +248,41 @@ def _bounds4(q, mu, nu, exact):
 
     Every gain combination of the set -- seven per subset-pair block, four
     slots per combined formula -- is one row of a single ``_combine`` batch.
+    (4,0) and (3,1) are the (0,4) and (1,3) formulas on the exchanged parties
+    and the transposed slot gains.
     """
-    floats = tuple(mu), tuple(nu)
     num, qtilde, mu, nu = _prepare(q, mu, nu, 4, exact)
+    slot_q = qtilde[_SUBSETS[:, :, None], _SUBSETS[:, None, :]]
+    mirror_q = slot_q.swapaxes(1, 2)
+    # the slot combinations of (0,4) are those of (0,2), on each slot's block
+    v04, v13 = _VECTOR_FOR_TARGET[0, 2], _VECTOR_FOR_TARGET[1, 3]
     warnings = []
-    active = []  # (target, name, rel, first party, second party, second's slot intensities)
-    for target, first, second in (((0, 4), mu, nu), ((4, 0), nu, mu),
-                                  ((1, 3), mu, nu), ((3, 1), nu, mu)):
-        found = _formula(target, *(floats if first is mu else floats[::-1]), warnings)
+    active = []  # (target, name, evaluator, first, second, slot set, slot gains, vectors)
+    for target, first, second, gains, vectors in (
+            ((0, 4), mu, nu, slot_q, v04), ((4, 0), nu, mu, mirror_q, v04),
+            ((1, 3), mu, nu, slot_q, v13), ((3, 1), nu, mu, mirror_q, v13)):
+        found = _formula(target, first, second, warnings)
         if found is not None:
-            name, rel = found
-            # the degenerate (0,4)/(4,0) builds the second party's slot
-            # vectors from the first party's weak triple and its own strongest
-            slots = first[:3] + second[3:] if name == "4-decoy degenerate" else second
-            active.append((target, name, rel, first, second, slots))
-    order_a, order_b = _sorted_subsets(floats[0]), _sorted_subsets(floats[1])
+            # the degenerate (0,4) builds the second party's slot vectors
+            # from the first party's weak triple and its own strongest
+            slots = first[:3] + second[3:] if found[0] == "4-decoy degenerate" else second
+            active.append((target, *found, first, second, slots, gains, vectors))
+    order_a, order_b = _sorted_subsets(mu), _sorted_subsets(nu)
     triples_a = [tuple(mu[i] for i in rows) for rows in order_a]
     triples_b = [tuple(nu[j] for j in cols) for cols in order_b]
-    sets = list(dict.fromkeys([mu, nu] + [slots for *_, slots in active]))
+    sets = list(dict.fromkeys([mu, nu] + [slots for *_, slots, _, _ in active]))
     vectors = _vectors(triples_a + triples_b
                        + [tuple(x[i] for i in slot) for x in sets for slot in SUBSETS], num)
     va, vb = vectors[:4], vectors[4:8]
     slot_vectors = {x: vectors[8 + 4 * k:12 + 4 * k] for k, x in enumerate(sets)}
-    coeff_a = [va[_ROW_A, _ROW_KA]]
-    coeff_b = [vb[_ROW_B, _ROW_KB]]
-    for target, _, _, first, _, slots in active:
-        # the slot intensities as Alice x Bob; (4,0) and (3,1) are mirrored
-        a, b = (first, slots) if target in ((0, 4), (1, 3)) else (slots, first)
-        ka, kb = _COMBINED[target]
-        coeff_a.append(slot_vectors[a][:, ka])
-        coeff_b.append(slot_vectors[b][:, kb])
     oa, ob = np.array(order_a), np.array(order_b)
-    blocks = qtilde[oa[_ROW_A][:, :, None], ob[_ROW_B][:, None, :]]
-    slots = qtilde[_SUBSETS[:, :, None], _SUBSETS[:, None, :]]
-    g, gerr = _combine(np.concatenate(coeff_a), np.concatenate(coeff_b),
-                       np.concatenate([blocks] + [slots] * len(active)))
+    coeff_a, coeff_b = [va[_ROW_A, _ROW_KA]], [vb[_ROW_B, _ROW_KB]]
+    gains = [qtilde[oa[_ROW_A][:, :, None], ob[_ROW_B][:, None, :]]]
+    for *_, first, _, slots, slot_gains, (ka, kb) in active:
+        coeff_a.append(slot_vectors[first][:, ka])
+        coeff_b.append(slot_vectors[slots][:, kb])
+        gains.append(slot_gains)
+    g, gerr = _combine(np.concatenate(coeff_a), np.concatenate(coeff_b), np.concatenate(gains))
     sides_a = [_side(x, num) for x in triples_a]
     sides_b = [_side(x, num) for x in triples_b]
     n = len(_ROW_BLOCK)
@@ -303,13 +294,12 @@ def _bounds4(q, mu, nu, exact):
                   for target, i in zip(TARGETS_3, best.tolist())}
     # one recurrence per four-value set feeds both (0,4) orientations
     four = {x: _tails(tuple(map(float, x)), _FOUR_HEADS)
-            for target, _, _, first, _, slots in active if target in ((0, 4), (4, 0))
+            for target, _, _, first, _, slots, *_ in active if target in ((0, 4), (4, 0))
             for x in (first, slots)}
     combined = []
-    for (target, name, rel, first, second, slots), k in zip(active, range(n, len(g), 4)):
+    for (target, _, evaluate, first, second, slots, *_), k in zip(active, range(n, len(g), 4)):
         tails = (four[first][0], four[slots][1]) if target in ((0, 4), (4, 0)) else None
-        raw, err = _combined(target, name, rel, first, second, g[k:k + 4], gerr[k:k + 4],
-                             tails, num)
+        raw, err = evaluate(first, second, g[k:k + 4], gerr[k:k + 4], tails, num)
         combined.append(float(raw) + float(err))
     targets = [target for target, *_ in active]
     for (target, name, *_), value in zip(active, _clamp(np.array(combined), targets,

@@ -349,8 +349,7 @@ class TestCriterion8NonConvexity:
     def test_corner_descent_stalls(self):
         params = standard_noise(20, 0)
         spec = OptimizationSpec(decoys=3, multistart=16, seed=SEED)
-        lo, _ = spec.box()
-        stuck = coordinate_descent(params, spec, start=lo, first_coordinate=1)
+        stuck = coordinate_descent(params, spec)
         best = optimize_rate(params, spec)
         passed = stuck.rate < best.rate
         _report("8 (corner coordinate descent stalls)", passed,

@@ -1,5 +1,6 @@
 """Command-line interface: configs, ingestion, determinism, outputs."""
 
+import argparse
 import concurrent.futures
 import json
 import math
@@ -9,10 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tfqkd
 
-from tfqkd.cli import main
+from tfqkd.channel import IntensitySettings, simulate_gains, standard_noise
+from tfqkd.cli import _FIELDS, build_parser, main
+from tfqkd.optimize import OptimizationSpec
+from tfqkd.rate import key_rate
 
 
 def run_cli(args, capsys):
@@ -113,6 +118,17 @@ class TestGainsFiles:
         code, _, err = run_cli(["bounds", "--gains", str(path)], capsys)
         assert code == 2
         assert "ConfigError" in err
+
+    @pytest.mark.parametrize("field,value", [("mu", 5), ("nu", [[0.1]]), ("Q", 3)])
+    def test_wrong_structure_is_config_error(self, field, value, tmp_path, capsys):
+        doc = {"schema_version": 1, "mu": [0.1, 0.01, 0.001], "nu": [0.1, 0.01, 0.001],
+               "Q": [[0.0] * 3] * 3, field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["bounds", "--gains", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigError"
 
     def test_missing_schema_version(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -280,3 +296,176 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     rec = json.loads(proc.stdout, parse_constant=_no_constants)
     assert rec["plob"] == pytest.approx(-math.log2(1 - 1e-5), rel=1e-12)
+
+
+class TestFixedPoint:
+    def test_symmetric_rate_at_the_given_strongest_decoy(self, capsys):
+        code, out, _ = run_cli(["rate", "--loss-a-db", "20", "--loss-b-db", "26", "--decoys", "4",
+                                "--alpha-a", "0.15", "--strongest-mu", "0.1",
+                                "--symmetric-intensities"], capsys)
+        assert code == 0
+        spec = OptimizationSpec(decoys=4, symmetric=True)
+        expected = key_rate(standard_noise(20, 26), spec.settings((0.15, 0.1)))
+        assert json.loads(out)["rate"] == expected.rate
+
+    def test_zero_amplitudes_with_gains(self, tmp_path, capsys):
+        mu, nu = (0.1, 1e-3, 1e-4), (0.12, 1.1e-3, 0.9e-4)
+        gains = simulate_gains(standard_noise(20, 20), IntensitySettings(
+            alpha_a=0.1, alpha_b=0.1, mu=mu, nu=nu))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"schema_version": 1, "mu": mu, "nu": nu, "Q": gains.q}))
+        code, out, _ = run_cli(["rate", "--gains", str(path), "--alpha-a", "0",
+                                "--alpha-b", "0"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        expected = key_rate(standard_noise(20, 20), IntensitySettings(
+            alpha_a=0.0, alpha_b=0.0, mu=mu, nu=nu), gains=gains)
+        assert (rec["rate"], rec["p_x"], rec["e_x"]) == (expected.rate, expected.p_x,
+                                                         expected.e_x)
+
+    def test_bounds_re_emit_the_ingested_omega(self, tmp_path, capsys):
+        mu = (0.1, 0.01, 0.001)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"schema_version": 1, "mu": mu, "nu": mu, "omega": "d",
+                                    "Q": [[0.0] * 3] * 3}))
+        code, out, _ = run_cli(["bounds", "--gains", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["gains"]["omega"] == "d"
+
+
+# one value of the wrong JSON type per scenario field
+WRONG_TYPES = {"loss_a_db": "20", "loss_b_db": [20], "p_d": "1e-7", "misalignment": None,
+               "phase_mismatch": True, "decoys": 4.0, "weak_decoys": 5, "f": None,
+               "n_cut": "40", "seed": 1.5, "multistart": "abc", "symmetric_intensities": "false",
+               "alpha_box": [1], "strongest_box": [0.2, "1"], "gains": ["g.json"],
+               "fluctuation": "0.2"}
+
+
+def test_every_scenario_field_has_a_wrong_type_case():
+    assert set(WRONG_TYPES) == set(_FIELDS) == set(_PLAUSIBLE)
+
+
+@pytest.mark.parametrize("field,value", sorted(WRONG_TYPES.items()))
+def test_wrong_config_type_is_config_error(field, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "decoys": 3, field: value}))
+    code, out, err = run_cli(["bounds", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "ConfigError" and field in record["message"]
+
+
+def test_nan_loss_is_config_error(capsys):
+    code, out, err = run_cli(["plob", "--loss-a-db", "nan"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+SCENARIO = {"--config", "--out", "--loss-a-db", "--loss-b-db", "--decoys", "--f", "--seed",
+            "--symmetric-intensities"}
+FLAGS = {
+    "rate": SCENARIO | {"--gains", "--alpha-a", "--alpha-b", "--strongest-mu",
+                        "--strongest-nu", "--dump-bounds"},
+    "sweep": SCENARIO | {"--format", "--grid-a", "--grid-b", "--workers"},
+    "optimize": SCENARIO,
+    "fluctuation": SCENARIO | {"--fluctuation", "--budget"},
+    "bounds": {"--config", "--out", "--loss-a-db", "--loss-b-db", "--decoys",
+               "--symmetric-intensities", "--gains", "--strongest-mu", "--strongest-nu",
+               "--exact"},
+    "verify": {"--config", "--out", "--seed", "--configs"},
+    "plob": {"--config", "--out", "--loss-a-db", "--loss-b-db"},
+}
+
+
+def test_each_subcommand_registers_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == FLAGS
+    assert sum(map(len, got.values())) == 62
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--f", "0.9"], ["bounds", "--seed", "1"],
+    ["verify", "--loss-a-db", "20"], ["verify", "--loss-b-db", "20"],
+    ["verify", "--decoys", "3"], ["verify", "--f", "0.9"],
+    ["verify", "--symmetric-intensities"],
+    ["plob", "--decoys", "3"], ["plob", "--f", "0.9"], ["plob", "--seed", "1"],
+    ["plob", "--symmetric-intensities"]])
+def test_flag_not_read_by_the_subcommand_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_verify_writes_its_out_file(tmp_path, capsys):
+    path = tmp_path / "verify.txt"
+    code, out, _ = run_cli(["verify", "--configs", "1", "--seed", "1", "--out", str(path)],
+                           capsys)
+    assert code == 0
+    assert out == ""
+    assert path.read_text().endswith("verify: 0 failures\n")
+
+
+def test_unwritable_out_is_an_error_record(tmp_path, capsys):
+    code, out, err = run_cli(["plob", "--out", str(tmp_path / "missing" / "plob.json")], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_FRACTIONS = st.floats(0, 1)
+# a value of the right type for every field, so that the draws reach the computation
+_PLAUSIBLE = {
+    "loss_a_db": st.floats(0), "loss_b_db": st.floats(0), "p_d": _FRACTIONS,
+    "misalignment": _FRACTIONS, "phase_mismatch": st.floats(-1, 1),
+    "decoys": st.sampled_from([3, 4]), "weak_decoys": st.lists(_FRACTIONS, max_size=4),
+    "f": st.floats(0, 2), "n_cut": st.integers(0, 100), "seed": st.integers(0, 2 ** 32),
+    "multistart": st.integers(1, 32), "symmetric_intensities": st.booleans(),
+    "alpha_box": st.lists(st.floats(0, 2), min_size=2, max_size=2),
+    "strongest_box": st.lists(st.floats(0, 2), min_size=2, max_size=2),
+    "gains": st.none(), "fluctuation": _FRACTIONS,
+}
+# right-typed values for some fields, any JSON values for up to two
+_CONFIGS = st.builds(lambda typed, any_json: {**typed, **any_json},
+                     st.fixed_dictionaries({}, optional=_PLAUSIBLE),
+                     st.dictionaries(st.sampled_from(sorted(_FIELDS)), _JSON, max_size=2))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_CONFIGS, subcommand=st.sampled_from(["bounds", "plob"]))
+def test_random_config_values_give_output_or_error_record(cfg, subcommand, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli([subcommand, "--config", str(path)], capsys)
+    if code == 0:
+        json.loads(out, parse_constant=_no_constants)
+    else:
+        assert code == 2 and out == ""
+        assert set(json.loads(err)) == {"error", "message"}
+
+
+def _readme_cli_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text[text.index("## CLI\n"):]
+    section = section[:section.index("\n## ")]
+    return [line.split()[1:] for line in section.splitlines() if line.startswith("tfqkd ")]
+
+
+def test_readme_cli_lines_parse(capsys):
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == set(FLAGS)
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: tfqkd {' '.join(argv)}\n"
+                        f"{capsys.readouterr().err}")

@@ -83,8 +83,7 @@ class TestOptimizeRate:
     def test_corner_descent_stalls_below_multistart(self):
         params = standard_noise(20, 0)
         spec = OptimizationSpec(decoys=3, multistart=8, seed=5)
-        lo, _ = spec.box()
-        stuck = coordinate_descent(params, spec, start=lo, first_coordinate=1)
+        stuck = coordinate_descent(params, spec)
         best = optimize_rate(params, spec)
         assert stuck.rate < best.rate
 
