@@ -1,7 +1,11 @@
 """Verification layer: Fock enumeration, gain series, exact LP."""
 
 import copy
+import hashlib
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from tfqkd.errors import InconsistentGainsError
 from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_bound,
                            series_gain, solve_bounded_lp)
 from tfqkd.oracles.fock import gain_reconstruction_error
-from tfqkd.oracles.simplex import LinearProgramInfeasible
+from tfqkd.oracles.simplex import LinearProgramInfeasible, _maximize
+
+GOLDEN_LP = json.loads((Path(__file__).parent / "data" / "golden_lp.json").read_text())
 
 
 class TestFockYield:
@@ -65,6 +71,17 @@ class TestSeriesGain:
             series_gain(standard_noise(10, 10), 0.1, 0.1, n_max=10)
 
 
+def _random_lps():
+    """One hundred small seeded LPs (c, a, lower, upper) over the unit box."""
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        a = rng.uniform(-1, 1, size=(m, n))
+        upper = rng.uniform(0.5, 2.0, size=m)
+        lower = upper - rng.uniform(0.1, 2.0, size=m)
+        yield rng.uniform(-1, 1, size=n), a, lower, upper
+
+
 class TestSimplex:
     def test_ranged_row(self):
         opt, x = solve_bounded_lp([1, 1], [[1, 2]], [0], [3], [0, 0], [2, 2])
@@ -84,18 +101,17 @@ class TestSimplex:
             solve_bounded_lp([1, 0], [[1, 1]], [5, ], [6], [0, 0], [1, 1])
 
     def test_against_reference_solver(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
-            a = rng.uniform(-1, 1, size=(m, n))
-            upper = rng.uniform(0.5, 2.0, size=m)
-            lower = upper - rng.uniform(0.1, 2.0, size=m)
-            c = rng.uniform(-1, 1, size=n)
+        # each solution is also pinned bit for bit (see TestGoldenLpPath)
+        pinned = []
+        for c, a, lower, upper in _random_lps():
+            n = len(c)
             try:
-                mine, _ = solve_bounded_lp(c, a, lower, upper,
+                mine, x = solve_bounded_lp(c, a, lower, upper,
                                            np.zeros(n), np.ones(n))
+                pinned.append([mine.hex(), [v.hex() for v in x]])
             except LinearProgramInfeasible:
                 mine = None
+                pinned.append(None)
             res = linprog(-c, A_ub=np.vstack([a, -a]),
                           b_ub=np.concatenate([upper, -lower]),
                           bounds=[(0, 1)] * n, method="highs")
@@ -104,6 +120,7 @@ class TestSimplex:
             else:
                 assert res.status == 0
                 assert mine == pytest.approx(-res.fun, abs=1e-8)
+        assert pinned == GOLDEN_LP["random_lps"]
 
 
 class TestLpYieldBound:
@@ -111,7 +128,6 @@ class TestLpYieldBound:
         # gains from a single-yield profile, assembled in exact rational
         # arithmetic and rounded once (the oracle expects inputs accurate to
         # a few ulps); the LP must pin that yield
-        from fractions import Fraction
         mu = (0.1, 1e-2, 1e-3)
         nu = (0.2, 2e-2, 2e-3)
         q = tuple(tuple(float(Fraction("0.37") * Fraction(math.exp(-(a + b)))
@@ -123,7 +139,6 @@ class TestLpYieldBound:
 
     def test_recovers_random_constructed_profiles(self):
         # one hundred small LPs whose optimum is known by construction
-        from fractions import Fraction
         rng = np.random.default_rng(11)
         for _ in range(100):
             u, v = int(rng.integers(0, 3)), int(rng.integers(0, 3))
@@ -241,3 +256,41 @@ class TestLpMemo:
         assert after == fresh
         # phase 2 works on a copy: the cached start is the one phase 1 left
         assert lp_bounds._start(gains.q, mu, nu, n_trunc) == before
+
+
+class TestGoldenLpPath:
+    """The exact simplex pinned bit for bit, path included.
+
+    ``data/golden_lp.json`` holds, written before phase 2 kept a reduced-cost
+    row: every ``lp_yield_bound`` of the six ``_certify_like`` configurations
+    of ``TestLpMemo`` as ``float.hex()``; the optimum and ``x`` of each
+    feasible LP of ``_random_lps`` (null for an infeasible one), checked by
+    ``TestSimplex.test_against_reference_solver``; and for one 3-decoy and
+    one 4-decoy configuration a sha256 of ``repr`` of the cached phase-1
+    start and one of the nine phase-2 optima and ``x``.  A different pivot
+    sequence changes the start or, at a degenerate optimum, ``x``.
+    """
+
+    @pytest.mark.parametrize("record", GOLDEN_LP["lp_optima"],
+                             ids=lambda r: f"d{r['decoys']}-s{r['seed']}")
+    def test_lp_optima(self, record):
+        decoys, seed = record["decoys"], record["seed"]
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        got = [lp_yield_bound(gains, mu, nu, target).hex() for target in TARGETS_3]
+        assert got == record["hex"]
+
+    @pytest.mark.parametrize("record", GOLDEN_LP["starts"], ids=lambda r: f"d{r['decoys']}")
+    def test_start_and_phase2_digests(self, record):
+        decoys, seed = record["decoys"], record["seed"]
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        side = n_trunc + 1
+        start = lp_bounds._start(gains.q, mu, nu, n_trunc)
+        assert hashlib.sha256(repr(start).encode()).hexdigest() == record["start_sha256"]
+        digest = hashlib.sha256()
+        for u, v in TARGETS_3:
+            c = [Fraction(0)] * (side * side)
+            c[u * side + v] = Fraction(1)
+            opt, x = _maximize(start, c)
+            digest.update(" ".join(t.hex() for t in [opt, *x]).encode() + b"\n")
+        assert digest.hexdigest() == record["phase2_sha256"]
