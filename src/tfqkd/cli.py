@@ -185,20 +185,20 @@ def _given(value, default):
 def _point(args, sc, params) -> tuple[IntensitySettings, GainMatrix]:
     """Settings and gains at the fixed point of ``rate`` and ``bounds``.
 
-    A gains file fixes the intensities, with the amplitude flags or 0.1.
-    Otherwise the gains are simulated at the spec's settings of the flags:
-    Bob's amplitude and strongest decoy default to Alice's, Alice's amplitude
-    to 0.1 and her strongest decoy to the floor of the strongest-decoy box.
+    Alice's amplitude defaults to 0.1 and Bob's to Alice's.  A gains file
+    fixes the intensities; otherwise the gains are simulated at the spec's
+    settings of the flags, Bob's strongest decoy defaulting to Alice's and
+    hers to the floor of the strongest-decoy box.
     """
-    alpha_a, alpha_b = _given(getattr(args, "alpha_a", None), 0.1), getattr(args, "alpha_b", None)
+    alpha_a = _given(getattr(args, "alpha_a", None), 0.1)
+    alpha_b = _given(getattr(args, "alpha_b", None), alpha_a)
     if sc["gains"] is not None:
         gains, mu, nu = ingest_gains(sc["gains"])
-        settings = IntensitySettings(alpha_a=alpha_a, alpha_b=_given(alpha_b, 0.1), mu=mu, nu=nu)
-        return settings, gains
+        return IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu), gains
     spec = _opt_spec(sc)
     strong = _given(args.strongest_mu, spec.strongest_box[0])
     vector = ((alpha_a, strong) if spec.symmetric else
-              (alpha_a, _given(alpha_b, alpha_a), strong, _given(args.strongest_nu, strong)))
+              (alpha_a, alpha_b, strong, _given(args.strongest_nu, strong)))
     settings = spec.settings(vector)
     return settings, simulate_gains(params, settings)
 
@@ -368,7 +368,7 @@ def cmd_verify(args) -> tuple[str, int]:
     for i in range(args.configs):
         loss_a = float(rng.uniform(10, 45))
         loss_b = float(rng.uniform(10, 45))
-        params = standard_noise(loss_a, loss_b, p_d=sc["p_d"])
+        params = _params(dict(sc, loss_a_db=loss_a, loss_b_db=loss_b))
         decoys = 3 if i % 2 == 0 else 4
         weak = sorted(rng.uniform(8e-4, 3e-2, size=2), reverse=True)
         strong = float(rng.uniform(0.08, 0.15))

@@ -323,6 +323,21 @@ class TestFixedPoint:
         assert (rec["rate"], rec["p_x"], rec["e_x"]) == (expected.rate, expected.p_x,
                                                          expected.e_x)
 
+    def test_gains_give_bob_alices_amplitude(self, tmp_path, capsys):
+        mu, nu = (0.1, 1e-3, 1e-4), (0.12, 1.1e-3, 0.9e-4)
+        gains = simulate_gains(standard_noise(20, 20), IntensitySettings(
+            alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"schema_version": 1, "mu": mu, "nu": nu, "Q": gains.q}))
+        code, out, _ = run_cli(["rate", "--gains", str(path), "--alpha-a", "0.2"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        expected, at_default = (key_rate(standard_noise(20, 20), IntensitySettings(
+            alpha_a=0.2, alpha_b=alpha_b, mu=mu, nu=nu), gains=gains) for alpha_b in (0.2, 0.1))
+        assert expected.rate != at_default.rate
+        assert (rec["rate"], rec["p_x"], rec["e_x"]) == (expected.rate, expected.p_x,
+                                                         expected.e_x)
+
     def test_bounds_re_emit_the_ingested_omega(self, tmp_path, capsys):
         mu = (0.1, 0.01, 0.001)
         path = tmp_path / "g.json"
@@ -407,6 +422,19 @@ def test_verify_writes_its_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().endswith("verify: 0 failures\n")
+
+
+def test_verify_reads_the_noise_profile(tmp_path, capsys):
+    # the 4-decoy configuration of the two shows the profile in its printed digits
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps({"misalignment": 0.2, "phase_mismatch": 0.3}))
+    argv = ["verify", "--configs", "2", "--seed", "1"]
+    code, default, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, noisy, _ = run_cli(argv + ["--config", str(path)], capsys)
+    assert code == 0
+    assert noisy != default
+    assert noisy.endswith("verify: 0 failures\n")
 
 
 def test_unwritable_out_is_an_error_record(tmp_path, capsys):
