@@ -11,6 +11,21 @@ pivoting with Bland's entering rule has no tolerances at all, cannot cycle,
 and the problem sizes here (about a hundred variables, a few dozen rows)
 keep it fast enough.
 
+Each phase prices its columns once, from the objective and the rows whose
+basic cost is nonzero, and then keeps the reduced-cost row ``d``: a pivot
+updates it like a tableau row (``d_j -= d_entering * prow_j``), so pricing
+only compares ``d_j`` with zero.  Most phase-2 iterations are bound flips,
+where the entering variable reaches its other bound before any basic
+variable reaches one of its own.  A flip changes neither the basis nor
+``d``; the columns before the entering one stay non-improving, and the
+entering one is not improving at its other bound, so Bland's scan resumes
+after it instead of at column 0.  The ratio test divides only for the rows
+that can undercut the flip cap, found by the cross-multiplied test
+``room < cap * rate``; pivots skip the zero entries of the pivot row.  All
+of this is exact: ``d_j`` equals the reduced cost a fresh pricing gives and
+every test decides as a fresh computation would, so the pivot sequence is
+Bland's, unchanged, and so are the starts, the optima and ``x``.
+
 A solve is two steps.  ``_feasible_start`` converts the constraints, runs
 phase 1 and drives the leftover artificials out of the basis; it depends on
 the constraints only and returns an immutable ``_Start``.  ``_maximize``
@@ -51,14 +66,18 @@ def _to_fraction_matrix(a):
     return [[Fraction(v) for v in row] for row in a]
 
 
-def _pivot(tab, row: int, col: int) -> None:
-    """Scale ``row`` to a unit pivot at ``col`` and eliminate ``col`` elsewhere."""
+def _pivot(tab, row: int, col: int) -> list:
+    """Scale ``row`` to a unit pivot at ``col`` and eliminate ``col`` elsewhere.
+
+    Returns the scaled pivot row.  Only its nonzero entries change the others.
+    """
     inv = 1 / tab[row][col]
-    prow = tab[row] = [v * inv for v in tab[row]]
+    prow = tab[row] = [v * inv if v else v for v in tab[row]]
     for i, other in enumerate(tab):
         f = other[col]
         if i != row and f:
-            tab[i] = [rv - f * pv for rv, pv in zip(other, prow)]
+            tab[i] = [rv - f * pv if pv else rv for rv, pv in zip(other, prow)]
+    return prow
 
 
 def _run_phase(tab, beta, status, basis, lo, hi, cobj, n_allowed) -> None:
@@ -68,63 +87,77 @@ def _run_phase(tab, beta, status, basis, lo, hi, cobj, n_allowed) -> None:
     replaces whole rows, so ``tab`` may hold rows shared with another copy.
     """
     m = len(tab)
+    # reduced costs c_j - sum_i c_B(i) tab[i][j], priced once, then kept
+    d = cobj[:n_allowed]
+    for i in range(m):
+        cb = cobj[basis[i]]
+        if cb:
+            d = [dj - cb * v if v else dj for dj, v in zip(d, tab[i])]
+    first = 0
     for _ in range(_MAX_ITER):
         entering = -1
-        for j in range(n_allowed):
-            if status[j] == _BASIC:
-                continue
-            r = cobj[j]
-            for i in range(m):
-                cb = cobj[basis[i]]
-                if cb:
-                    r -= cb * tab[i][j]
-            if (status[j] == _AT_LOWER and r > 0) or (status[j] == _AT_UPPER and r < 0):
+        for j in range(first, n_allowed):
+            s = status[j]
+            if (s == _AT_LOWER and d[j] > 0) or (s == _AT_UPPER and d[j] < 0):
                 entering = j
-                direction = 1 if status[j] == _AT_LOWER else -1
+                up = s == _AT_LOWER
                 break
         if entering < 0:
             return
         # ratio test: smallest step that drives a basic variable to a
-        # bound, capped by the entering variable's own bound flip
+        # bound, capped by the entering variable's own bound flip; a row
+        # cannot undercut the cap unless room < cap * rate, so only the rows
+        # that pass that product test are divided
         step = None if hi[entering] is None else hi[entering] - lo[entering]
         leaving = -1
         hit_lower = True
         for i in range(m):
-            g = direction * tab[i][entering]
-            if g > 0:
-                limit = (beta[i] - lo[basis[i]]) / g
-                hits_low = True
-            elif g < 0:
-                if hi[basis[i]] is None:
-                    continue
-                limit = (hi[basis[i]] - beta[i]) / (-g)
-                hits_low = False
-            else:
+            a = tab[i][entering]
+            if not a:
                 continue
-            if limit < 0:
-                limit = _ZERO
+            b = basis[i]
+            hits_low = (a > 0) == up    # the basic variable falls toward its lower bound
+            if hits_low:
+                room = beta[i] - lo[b]
+            elif hi[b] is None:
+                continue
+            else:
+                room = hi[b] - beta[i]
+            rate = abs(a)
+            if leaving < 0 and step is not None and room >= (rate if step == 1 else step * rate):
+                continue
+            limit = room / rate if room > 0 else _ZERO
             if step is None or limit < step or (limit == step and leaving >= 0
-                                                and basis[i] < basis[leaving]):
+                                                and b < basis[leaving]):
                 step = limit
                 leaving = i
                 hit_lower = hits_low
         if step is None:
             raise ArithmeticError("unbounded linear program")
         if step:
-            col = [tab[i][entering] for i in range(m)]
+            unit = step == 1
             for i in range(m):
-                if col[i]:
-                    beta[i] -= direction * step * col[i]
+                a = tab[i][entering]
+                if a:
+                    move = a if unit else step * a
+                    beta[i] = beta[i] - move if up else beta[i] + move
         if leaving < 0:
-            status[entering] = _AT_UPPER if direction > 0 else _AT_LOWER
+            # the basis and every reduced cost are unchanged, the columns
+            # before ``entering`` stay non-improving and ``entering`` is not
+            # improving at its other bound: Bland's scan resumes after it
+            status[entering] = _AT_UPPER if up else _AT_LOWER
+            first = entering + 1
             continue
-        new_value = (lo[entering] if direction > 0 else hi[entering]) + direction * step
+        new_value = lo[entering] + step if up else hi[entering] - step
         out = basis[leaving]
         status[out] = _AT_LOWER if hit_lower else _AT_UPPER
-        _pivot(tab, leaving, entering)
+        prow = _pivot(tab, leaving, entering)
         basis[leaving] = entering
         status[entering] = _BASIC
         beta[leaving] = new_value
+        f = d[entering]
+        d = [dj - f * pv if pv else dj for dj, pv in zip(d, prow)]
+        first = 0
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
