@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from tfqkd.channel import (ChannelParams, GainMatrix, IntensitySettings,
@@ -207,6 +208,28 @@ class TestLpYieldBound:
             lp = lp_yield_bound(gains, mu, nu, target)
             assert true <= lp + 1e-9
             assert lp <= bounds.get(*target) + 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(losses=st.tuples(st.floats(10, 45), st.floats(10, 45)), decoys=st.sampled_from((3, 4)),
+       weak=st.lists(st.floats(8e-4, 3e-2), min_size=2, max_size=2, unique=True),
+       strong=st.floats(0.08, 0.15), skew=st.floats(0.8, 1.2))
+def test_dominance_chain_on_verify_configurations(losses, decoys, weak, strong, skew):
+    """true yield <= LP <= exact bound <= float bound, drawn as ``tfqkd verify`` draws."""
+    params = standard_noise(*losses)
+    w0, w1 = sorted(weak, reverse=True)
+    if decoys == 3:
+        mu, nu = (strong, w0, w1), (strong * skew, w0 * 1.1, w1 * 0.9)
+    else:
+        mu, nu = (w0, w1, w1 * 0.1, strong), (w0 * 1.2, w1 * 0.95, w1 * 0.11, strong * 1.1)
+    s = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
+    gains = simulate_gains(params, s)
+    exact, floats = yield_bounds(gains, s, exact=True), yield_bounds(gains, s)
+    for target in TARGETS_3:
+        true = dark_adjusted_yield(params, *target)
+        lp = lp_yield_bound(gains, mu, nu, target)
+        assert true <= lp + 1e-9 and lp <= exact.get(*target) + 1e-9, target
+        assert exact.get(*target) <= floats.get(*target), target
 
 
 def _certify_like(rng, decoys):
