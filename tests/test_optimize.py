@@ -187,3 +187,57 @@ class TestPinnedFluctuationSearch:
         assert wc.rate.hex() == rate
         assert tuple(v.hex() for v in wc.vector) == vector
         assert wc.evaluations == evaluations
+
+
+class TestPinnedOptimizeSearch:
+    """The optimize benchmark's searches, pinned bit for bit.
+
+    The benchmark's cells at their centre losses (3 decoys with
+    ``multistart=4``, 4 decoys with ``multistart=2``), one default-spec and
+    one symmetric-spec point, all with ``maxiter=100``.  The rate, every
+    entry of the vector, the winning start and every start's ``nfev`` must
+    not move when the start scan or the rate assembly changes.  The kept
+    miss at (10, 45) dB is left out.
+    """
+
+    CASES = {
+        "d3-12-24": (3, (12.0, 24.0), {"multistart": 4}, "0x1.69e8f713f868fp-13",
+                     ("0x1.111cb6e830e42p-4", "0x1.d2fadb2adf6acp-3",
+                      "0x1.106eaf9e3d3cep-10", "0x1.06d4a99bbeee4p-10"),
+                     0, (229, 167, 101, 101)),
+        "d3-16-30": (3, (16.0, 30.0), {"multistart": 4}, "0x1.6517bb712c0fdp-15",
+                     ("0x1.cba1572cc3483p-5", "0x1.ec46690ed6e1ep-3",
+                      "0x1.15f338bddfe9ap-10", "0x1.e1bb7abc20fc8p-2"),
+                     0, (166, 167, 101, 101)),
+        "d3-20-36": (3, (20.0, 36.0), {"multistart": 4}, "0x1.27738c3aa88fep-17",
+                     ("0x1.6de87be6c1d70p-5", "0x1.e659e76f7b3e2p-3",
+                      "0x1.0624dd2f1a9fcp-10", "0x1.d92ac9d912c8ap-2"),
+                     1, (170, 174, 101, 101)),
+        "d4-14-26": (4, (14.0, 26.0), {"multistart": 2}, "0x1.1ca0e00e7d1e1p-13",
+                     ("0x1.3c689846c2b08p-4", "0x1.18bdbdca66ea2p-2",
+                      "0x1.8e6c38dafa24cp-1", "0x1.0000000000000p+0"),
+                     0, (165, 167)),
+        "d4-18-32": (4, (18.0, 32.0), {"multistart": 2}, "0x1.0ef9b0e2d0225p-15",
+                     ("0x1.0006a3a40529ap-4", "0x1.19e1e7b4fb5bap-2",
+                      "0x1.687757cebe54ap-1", "0x1.0000000000000p+0"),
+                     1, (180, 166)),
+        "d3-default-20-0": (3, (20.0, 0.0), {}, "0x1.521c53e424ed9p-11",
+                            ("0x1.19cc6519c9209p-2", "0x1.11c9cc4f5900ap-5",
+                             "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10"),
+                            6, (240, 174, 169, 167, 167, 174, 177, 166,
+                                101, 101, 107, 107, 101, 101, 89, 101)),
+        "d3-symmetric-12-24": (3, (12.0, 24.0), {"symmetric": True}, "0x1.881e9462d1689p-17",
+                               ("0x1.e782fe96c3370p-5", "0x1.0624dd2f1a9fep-10"),
+                               4, (50, 122, 47, 66, 65, 63, 56, 61,
+                                   67, 67, 49, 67, 67, 67, 67, 67)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rate_vector_and_starts(self, case):
+        decoys, loss, spec_args, rate, vector, best_start, nfev = self.CASES[case]
+        res = optimize_rate(standard_noise(*loss), OptimizationSpec(decoys=decoys, **spec_args),
+                            maxiter=100)
+        assert res.rate.hex() == rate
+        assert tuple(v.hex() for v in res.vector) == vector
+        assert res.best_start == best_start
+        assert tuple(t["nfev"] for t in res.trace) == nfev
