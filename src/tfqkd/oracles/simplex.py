@@ -29,9 +29,9 @@ Bland's, unchanged, and so are the starts, the optima and ``x``.
 A solve is two steps.  ``_feasible_start`` converts the constraints, runs
 phase 1 and drives the leftover artificials out of the basis; it depends on
 the constraints only and returns an immutable ``_Start``.  ``_maximize``
-copies a start and runs phase 2 for one objective, so one start serves any
-number of objectives over the same constraints, each with the pivots a fresh
-solve would make.  ``solve_bounded_lp`` is the two in sequence.
+copies a start without its artificial columns and runs phase 2 for one
+objective, so one start serves any number of objectives over the same
+constraints, each with the pivots a fresh solve would make.  ``solve_bounded_lp`` is the two in sequence.
 """
 
 from __future__ import annotations
@@ -226,10 +226,16 @@ def _feasible_start(a, row_lower, row_upper, x_lower, x_upper) -> _Start:
 
 
 def _maximize(start: _Start, c):
-    """Phase 2 from a copy of ``start``: (optimum, x) of c.x as floats."""
+    """Phase 2 from a copy of ``start``: (optimum, x) of c.x as floats.
+
+    Phase 2 prices only the n + m structural and slack columns, so the copy
+    drops the artificial columns and no pivot eliminates them.  The cost
+    vector keeps all n + 2m entries: pricing reads the cost of every basic
+    column, and a pinned artificial may be basic.
+    """
     n, m = start.n, len(start.tab)
     cvec = [Fraction(v) for v in c]
-    tab, beta = list(start.tab), list(start.beta)
+    tab, beta = [row[:n + m] for row in start.tab], list(start.beta)
     status, basis = list(start.status), list(start.basis)
     lo, hi = start.lo, start.hi
     phase2 = cvec + [_ZERO] * (2 * m)

@@ -20,7 +20,8 @@ from tfqkd.errors import InconsistentGainsError
 from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_bound,
                            series_gain, solve_bounded_lp)
 from tfqkd.oracles.fock import gain_reconstruction_error
-from tfqkd.oracles.simplex import LinearProgramInfeasible, _maximize
+from tfqkd.oracles.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, LinearProgramInfeasible,
+                                   _feasible_start, _maximize, _Start)
 
 GOLDEN_LP = json.loads((Path(__file__).parent / "data" / "golden_lp.json").read_text())
 
@@ -100,6 +101,32 @@ class TestSimplex:
     def test_infeasible(self):
         with pytest.raises(LinearProgramInfeasible):
             solve_bounded_lp([1, 0], [[1, 1]], [5, ], [6], [0, 0], [1, 1])
+
+    def test_duplicated_row(self):
+        # each row's slack column stays a multiple of its artificial column,
+        # so phase 1 drives every artificial out, duplicated rows included
+        a, lower, upper = [[1, 2], [1, 1]], [1, 0], [3, 1.5]
+        start = _feasible_start(a + [a[0]], lower + [lower[0]], upper + [upper[0]],
+                                [0, 0], [2, 2])
+        assert all(b < start.n + 3 for b in start.basis)
+        for c in ([1, 1], [1, -1], [-1, 2]):
+            assert solve_bounded_lp(c, a + [a[0]], lower + [lower[0]], upper + [upper[0]],
+                                    [0, 0], [2, 2]) == solve_bounded_lp(c, a, lower, upper,
+                                                                        [0, 0], [2, 2])
+
+    def test_basic_artificial_survives_phase_two(self):
+        # a redundant row whose artificial (column 4) stays basic, pinned at
+        # zero: phase 2 prices it from the full-length cost vector and moves
+        # only x (column 0), here by a bound flip of the slack s0 (column 1)
+        one, zero = Fraction(1), Fraction(0)
+        start = _Start(n=1,
+                       tab=((one, one, zero, one, zero), (zero, zero, zero, zero, one)),
+                       beta=(Fraction(1, 2), zero),
+                       status=(_BASIC, _AT_UPPER, _AT_LOWER, _AT_LOWER, _BASIC),
+                       basis=(0, 4),
+                       lo=(zero,) * 5, hi=(Fraction(2), one, one, None, zero))
+        assert _maximize(start, [1]) == (1.5, [1.5])
+        assert start.basis == (0, 4) and start.tab[1][4] == one
 
     def test_against_reference_solver(self):
         # each solution is also pinned bit for bit (see TestGoldenLpPath)
