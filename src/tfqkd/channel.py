@@ -57,6 +57,11 @@ class ChannelParams:
             raise ValueError("transmittances must lie in [0, 1]")
         if not 0.0 <= self.p_d < 1.0:
             raise ValueError("dark-count probability must lie in [0, 1)")
+        # the net angle and the phase must stay finite too, or their cosines
+        # fail inside the rate
+        if not all(map(math.isfinite, (self.theta_a, self.theta_b, self.delta,
+                                       self.theta, self.phase))):
+            raise ValueError("misalignment angles and phase mismatch must be finite")
 
     @property
     def theta(self) -> float:

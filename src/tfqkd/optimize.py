@@ -14,15 +14,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import Bounds, minimize, minimize_scalar
 
 from .channel import ChannelParams, IntensitySettings
 from .errors import InfeasibleFluctuationError
-from .rate import key_rate
+from .rate import _RateParts, key_rate
 
 _DEFAULT_WEAK = {3: (1e-4, 1e-5), 4: (1e-3, 1e-4, 1e-5)}
+
+
+def _check_count(value, name: str, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_box(box, label: str) -> None:
+    if not (len(box) == 2 and all(map(math.isfinite, box)) and 0 < box[0] < box[1]):
+        raise ValueError(f"{label} box must be finite, positive and non-empty, got {box}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +65,9 @@ class OptimizationSpec:
         if len(weak) != self.decoys - 1:
             raise ValueError(f"{self.decoys}-decoy settings need {self.decoys - 1} "
                              f"fixed weak decoys")
-        if any(w <= 0 for w in weak) or any(a <= b for a, b in zip(weak, weak[1:])):
-            raise ValueError("weak decoys must be positive and strictly decreasing")
+        if (not all(0 < w < math.inf for w in weak)
+                or any(a <= b for a, b in zip(weak, weak[1:]))):
+            raise ValueError("weak decoys must be finite, positive and strictly decreasing")
         object.__setattr__(self, "weak_decoys", weak)
         box = self.strongest_box
         if box is None:
@@ -66,15 +78,13 @@ class OptimizationSpec:
                 # box non-empty by extending it upward instead
                 hi = 12.0 * weak[0]
             box = (lo, hi)
-        if not 0 < box[0] < box[1]:
-            raise ValueError("strongest-decoy box must be positive and non-empty")
+        _check_box(box, "strongest-decoy")
         if box[0] <= weak[0]:
             raise ValueError("strongest-decoy box must sit above the weak decoys")
         object.__setattr__(self, "strongest_box", (float(box[0]), float(box[1])))
-        if not 0 < self.alpha_box[0] < self.alpha_box[1]:
-            raise ValueError("amplitude box must be positive and non-empty")
-        if self.multistart < 1:
-            raise ValueError("multistart must be >= 1")
+        _check_box(self.alpha_box, "amplitude")
+        _check_count(self.multistart, "multistart", 1)
+        _check_count(self.seed, "seed", 0)
 
     def box(self):
         a_lo, a_hi = self.alpha_box
@@ -85,6 +95,12 @@ class OptimizationSpec:
 
     def settings(self, p) -> IntensitySettings:
         """Intensity settings for one parameter vector."""
+        alpha_a, alpha_b, mu, nu = self._point(p)
+        return IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
+
+    def _point(self, p) -> tuple:
+        """The amplitudes and decoy sets (alpha_a, alpha_b, mu, nu) of one
+        parameter vector."""
         if self.symmetric:
             alpha_a = alpha_b = float(p[0])
             strong_a = strong_b = float(p[1])
@@ -97,7 +113,7 @@ class OptimizationSpec:
         else:
             mu = self.weak_decoys + (strong_a,)
             nu = self.weak_decoys + (strong_b,)
-        return IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
+        return alpha_a, alpha_b, mu, nu
 
 
 @dataclass
@@ -126,7 +142,7 @@ def _grid_axis(lo: float, hi: float, points: int):
     return np.exp(np.linspace(math.log(lo), math.log(hi), points))
 
 
-def _starts(spec: OptimizationSpec, fun, params: ChannelParams):
+def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int):
     """Deterministic multistart points for the local searches.
 
     The positive-rate basin is a small pocket of the box (most of it clamps
@@ -137,6 +153,13 @@ def _starts(spec: OptimizationSpec, fun, params: ChannelParams):
     so the pocket hugs that surface however asymmetric the losses are.  The
     best cells seed the local searches, topped up with seeded log-uniform
     samples.
+
+    The cells share their parts: the 624 cells (72 symmetric) span only 16
+    strongest-decoy pairs (4) and a few dozen amplitudes.  Each pair's gains
+    and yield bounds and each amplitude's weight series are built once, on
+    first use in cell order, and dropped with the scan; per cell only the
+    X-basis statistics, the rest of the phase-error bound and the entropies
+    are evaluated.  Every cell's rate is bit-identical to the objective's.
     """
     lo, hi = spec.box()
     n_alpha = 1 if spec.symmetric else 2
@@ -152,7 +175,10 @@ def _starts(spec: OptimizationSpec, fun, params: ChannelParams):
         alphas = [alpha_a] if spec.symmetric else [alpha_a, alpha_b]
         for s in s_axis:
             cells.append(np.array(alphas + [s] * n_alpha))
-    scored = sorted((fun(p), tuple(p)) for p in cells)
+    parts = _RateParts(params, f, n_cut)
+    # the objective clips each vector to the box before evaluating it
+    values = [-parts.rate(*spec._point(q)) for q in np.clip(cells, lo, hi).tolist()]
+    scored = sorted(zip(values, map(tuple, cells)))
     seeds = [np.array(p) for _, p in scored[:max(2, spec.multistart // 2)]]
     center = np.concatenate([
         0.5 * (lo[:n_alpha] + hi[:n_alpha]),
@@ -175,7 +201,7 @@ def optimize_rate(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
     bounds = Bounds(lo, hi)
     trace = []
     best = None
-    for index, start in enumerate(_starts(spec, fun, params)):
+    for index, start in enumerate(_starts(spec, params, f, n_cut)):
         res = minimize(fun, start, method="Nelder-Mead", bounds=bounds,
                        options={"xatol": 1e-6, "fatol": 1e-14, "maxiter": maxiter,
                                 "maxfev": 3 * maxiter})
@@ -244,8 +270,8 @@ class FluctuationSpec:
     def __post_init__(self):
         if not 0.0 <= self.magnitude <= 0.9:
             raise ValueError("fluctuation magnitude must lie in [0, 0.9]")
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+        _check_count(self.budget, "budget", 0)
+        _check_count(self.seed, "seed", 0)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import (ChannelParams, GainMatrix, IntensitySettings,
+from .channel import (ChannelParams, GainMatrix, IntensitySettings, XBasisStats,
                       simulate_gains, x_basis_statistics)
 from .decoy3 import YieldBounds
 from .decoy4 import yield_bounds
@@ -43,32 +43,54 @@ def plob_bound(eta_a: float, eta_b: float) -> float:
     return -math.log1p(-product) / math.log(2.0)
 
 
-def _amplitude_weights(alpha: float, n_max: int) -> list[float]:
-    """w_n = e^(-alpha^2/2) alpha^n / sqrt(n!) for n = 0 .. n_max."""
-    w = [math.exp(-0.5 * alpha * alpha)]
-    for n in range(1, n_max + 1):
-        w.append(w[-1] * alpha / math.sqrt(n))
-    return w
+class _AmplitudeSeries:
+    """The weights w_n = e^(-alpha^2/2) alpha^n / sqrt(n!) of one amplitude.
 
+    One pass of the recurrence w_n = w_(n-1) alpha / sqrt(n), grown on
+    demand, feeds the full sums over even and odd n and the head sums up to
+    any ``n_cut``.  Every phase-error bound at this amplitude can share it.
+    """
 
-def _parity_sums(alpha: float) -> tuple[float, float]:
-    """Full sums of the amplitude weights over even and odd n."""
-    even = odd = 0.0
-    w = math.exp(-0.5 * alpha * alpha)
-    n = 0
-    while True:
-        if n % 2 == 0:
-            even += w
-        else:
-            odd += w
-        n += 1
-        w_next = w * alpha / math.sqrt(n)
-        if w_next < (even + odd + 1e-300) * 1e-20 and n > 4:
-            break
-        w = w_next
-        if n > 5000:  # pragma: no cover - unreachable for sane amplitudes
-            raise ArithmeticError("parity sums failed to converge")
-    return even, odd
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.weights = [math.exp(-0.5 * alpha * alpha)]
+        self._parity = None
+        self._heads = {}
+
+    def _grow(self, n_max: int) -> None:
+        w = self.weights
+        for n in range(len(w), n_max + 1):
+            w.append(w[-1] * self.alpha / math.sqrt(n))
+
+    def parity_sums(self) -> tuple[float, float]:
+        """Full sums of the weights over even and odd n."""
+        if self._parity is None:
+            alpha, w = self.alpha, self.weights
+            even = odd = 0.0
+            n = 0
+            while True:
+                if n % 2 == 0:
+                    even += w[n]
+                else:
+                    odd += w[n]
+                n += 1
+                if n == len(w):
+                    w.append(w[-1] * alpha / math.sqrt(n))
+                if w[n] < (even + odd + 1e-300) * 1e-20 and n > 4:
+                    break
+                if n > 5000:  # pragma: no cover - unreachable for sane amplitudes
+                    raise ArithmeticError("parity sums failed to converge")
+            self._parity = (even, odd)
+        return self._parity
+
+    def head_sums(self, n_cut: int) -> tuple[float, float]:
+        """Sums of w_0 .. w_n_cut over even and odd n."""
+        sums = self._heads.get(n_cut)
+        if sums is None:
+            self._grow(n_cut)
+            head = self.weights[:n_cut + 1]
+            sums = self._heads[n_cut] = (sum(head[0::2]), sum(head[1::2]))
+        return sums
 
 
 @dataclass(frozen=True)
@@ -86,20 +108,28 @@ def phase_error_upper(bounds: YieldBounds, alpha_a: float, alpha_b: float,
     beyond ``n_cut`` is added in closed form (it only ever multiplies yield
     value 1), and ``n_cut`` doubles until that analytic remainder is below
     1e-10, which the sqrt(n!) decay makes immediate for any sane amplitude.
+
+    The bound has two parts: each amplitude's weight series (its weights,
+    full parity sums and head sums, from one pass of the recurrence), which
+    does not read the bounds, and the remainder, which does.  A call builds
+    both series afresh; the optimizer's start scan shares them per amplitude.
     """
+    return _phase_error(bounds, _AmplitudeSeries(alpha_a), _AmplitudeSeries(alpha_b),
+                        p_x, n_cut)
+
+
+def _phase_error(bounds: YieldBounds, series_a: _AmplitudeSeries,
+                 series_b: _AmplitudeSeries, p_x: float, n_cut: int) -> PhaseErrorResult:
+    """The bound-dependent part of ``phase_error_upper``, on given series."""
     if p_x <= 0.0:
         raise ValueError("phase_error_upper needs p_x > 0")
     if n_cut < 10:
         raise ValueError("n_cut must be >= 10")
-    full_even_a, full_odd_a = _parity_sums(alpha_a)
-    full_even_b, full_odd_b = _parity_sums(alpha_b)
+    full_even_a, full_odd_a = series_a.parity_sums()
+    full_even_b, full_odd_b = series_b.parity_sums()
     while True:
-        wa = _amplitude_weights(alpha_a, n_cut)
-        wb = _amplitude_weights(alpha_b, n_cut)
-        head_even_a = sum(wa[0::2])
-        head_odd_a = sum(wa[1::2])
-        head_even_b = sum(wb[0::2])
-        head_odd_b = sum(wb[1::2])
+        head_even_a, head_odd_a = series_a.head_sums(n_cut)
+        head_even_b, head_odd_b = series_b.head_sums(n_cut)
         tail_even = full_even_a * full_even_b - head_even_a * head_even_b
         tail_odd = full_odd_a * full_odd_b - head_odd_a * head_odd_b
         tail = max(tail_even, 0.0) + max(tail_odd, 0.0)
@@ -108,6 +138,7 @@ def phase_error_upper(bounds: YieldBounds, alpha_a: float, alpha_b: float,
         n_cut *= 2
     even = head_even_a * head_even_b + max(tail_even, 0.0)
     odd = head_odd_a * head_odd_b + max(tail_odd, 0.0)
+    wa, wb = series_a.weights, series_b.weights
     # subtract what the stored bounds save relative to yield 1
     for (n, m), y in bounds.items():
         if n > n_cut or m > n_cut or (n + m) % 2:
@@ -153,8 +184,7 @@ def key_rate(params: ChannelParams, settings: IntensitySettings, f: float = 1.0,
     are computed from the gains unless provided.  The basis-choice
     probabilities are taken as 1 (asymptotic limit).
     """
-    if not (math.isfinite(f) and f >= 0.0):
-        raise ValueError(f"reconciliation efficiency must be finite and >= 0, got {f}")
+    _check_efficiency(f)
     stats = x_basis_statistics(params, settings.alpha_a, settings.alpha_b)
     if gains is None:
         gains = simulate_gains(params, settings)
@@ -166,15 +196,62 @@ def key_rate(params: ChannelParams, settings: IntensitySettings, f: float = 1.0,
                              f=f, n_cut=n_cut, tail=0.0, bounds=bounds)
     phase = phase_error_upper(bounds, settings.alpha_a, settings.alpha_b,
                               stats.p_x, n_cut)
+    r_omega, rate = _rates(stats, phase.e_z_upp, f)
+    return KeyRateResult(rate=rate, rate_omega_c=r_omega, rate_omega_d=r_omega,
+                         e_x=stats.e_x, e_z_upp=phase.e_z_upp, p_x=stats.p_x,
+                         f=f, n_cut=phase.n_cut, tail=phase.tail, bounds=bounds)
+
+
+def _check_efficiency(f: float) -> None:
+    if not (math.isfinite(f) and f >= 0.0):
+        raise ValueError(f"reconciliation efficiency must be finite and >= 0, got {f}")
+
+
+def _rates(stats: XBasisStats, e_z_upp: float, f: float) -> tuple[float, float]:
+    """The rate of one detector event and the clamped total of both."""
     e_x = min(max(stats.e_x, 0.0), 1.0)
-    if phase.e_z_upp >= 0.5 or e_x >= 0.5:
+    if e_z_upp >= 0.5 or e_x >= 0.5:
         # error rates at or beyond 1/2 leave nothing to distill; the entropy
         # formula turns around there and must not be evaluated
         r_omega = 0.0
     else:
-        r_omega = stats.p_x * (1.0 - binary_entropy(phase.e_z_upp)
-                               - f * binary_entropy(e_x))
-    rate = max(r_omega, 0.0) + max(r_omega, 0.0)
-    return KeyRateResult(rate=rate, rate_omega_c=r_omega, rate_omega_d=r_omega,
-                         e_x=stats.e_x, e_z_upp=phase.e_z_upp, p_x=stats.p_x,
-                         f=f, n_cut=phase.n_cut, tail=phase.tail, bounds=bounds)
+        r_omega = stats.p_x * (1.0 - binary_entropy(e_z_upp) - f * binary_entropy(e_x))
+    return r_omega, max(r_omega, 0.0) + max(r_omega, 0.0)
+
+
+class _RateParts:
+    """``key_rate(params, settings, f, n_cut).rate`` over many settings that
+    share intensities and amplitudes, each part built once.
+
+    The gains and yield bounds depend only on the decoy intensities (mu, nu)
+    and an amplitude series only on its amplitude; both are built on first
+    use and kept while this object lives.  Per call only the X-basis
+    statistics, the bound-dependent part of the phase-error bound and the
+    entropies are evaluated, in ``key_rate``'s order, so the rates are
+    bit-identical and the first call that fails raises ``key_rate``'s error.
+    """
+
+    def __init__(self, params: ChannelParams, f: float, n_cut: int):
+        _check_efficiency(f)
+        self.params, self.f, self.n_cut = params, f, n_cut
+        self._bounds = {}
+        self._series = {}
+
+    def _amplitude(self, alpha: float) -> _AmplitudeSeries:
+        series = self._series.get(alpha)
+        if series is None:
+            series = self._series[alpha] = _AmplitudeSeries(alpha)
+        return series
+
+    def rate(self, alpha_a: float, alpha_b: float, mu: tuple, nu: tuple) -> float:
+        stats = x_basis_statistics(self.params, alpha_a, alpha_b)
+        bounds = self._bounds.get((mu, nu))
+        if bounds is None:
+            settings = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
+            gains = simulate_gains(self.params, settings)
+            bounds = self._bounds[mu, nu] = yield_bounds(gains, settings)
+        if stats.p_x <= 0.0:
+            return 0.0
+        phase = _phase_error(bounds, self._amplitude(alpha_a), self._amplitude(alpha_b),
+                             stats.p_x, self.n_cut)
+        return _rates(stats, phase.e_z_upp, self.f)[1]

@@ -1,10 +1,16 @@
 """Multistart optimization and worst-case fluctuation search."""
 
-import pytest
+import math
+import warnings
 
-from tfqkd.channel import IntensitySettings, standard_noise
-from tfqkd.errors import InfeasibleFluctuationError
-from tfqkd.optimize import (FluctuationSpec, OptimizationSpec,
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tfqkd import channel, optimize, rate
+from tfqkd.channel import ChannelParams, IntensitySettings, standard_noise
+from tfqkd.errors import InfeasibleFluctuationError, TfqkdError
+from tfqkd.optimize import (FluctuationSpec, OptimizationSpec, _starts,
                             coordinate_descent, optimize_rate,
                             worst_case_fluctuation)
 from tfqkd.rate import key_rate
@@ -241,3 +247,161 @@ class TestPinnedOptimizeSearch:
         assert tuple(v.hex() for v in res.vector) == vector
         assert res.best_start == best_start
         assert tuple(t["nfev"] for t in res.trace) == nfev
+
+
+class TestStartScanSharing:
+    """The start scan builds one gain matrix per strongest-decoy pair: 16
+    for the 624 cells of a free spec, 4 for the 72 of a symmetric one."""
+
+    @pytest.mark.parametrize("decoys, symmetric, expected",
+                             ((3, False, 16), (3, True, 4), (4, False, 16)))
+    def test_one_gain_matrix_per_intensity_pair(self, monkeypatch, decoys, symmetric,
+                                                expected):
+        calls = []
+        original = channel.simulate_gains
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (channel, rate, optimize):
+            if getattr(module, "simulate_gains", None) is original:
+                monkeypatch.setattr(module, "simulate_gains", counting)
+        spec = OptimizationSpec(decoys=decoys, multistart=4, symmetric=symmetric)
+        _starts(spec, standard_noise(12, 24), 1.0, 40)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("symmetric", (False, True))
+    def test_cells_score_as_key_rate(self, symmetric):
+        params = standard_noise(14, 26)
+        spec = OptimizationSpec(decoys=3, symmetric=symmetric)
+        lo, hi = spec.box()
+        parts = rate._RateParts(params, 1.0, 40)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            p = np.exp(rng.uniform(np.log(lo), np.log(hi)))
+            expected = key_rate(params, spec.settings(p)).rate
+            assert parts.rate(*spec._point(p)) == expected
+
+    @pytest.mark.parametrize("spec, loss", [
+        (OptimizationSpec(decoys=3, multistart=6, seed=5), (20, 0)),
+        (OptimizationSpec(decoys=4, symmetric=True), (30, 30)),
+        # the widest amplitudes overflow the X-basis click probability
+        (OptimizationSpec(decoys=3, alpha_box=(1e-3, 60.0)), (0, 0)),
+    ], ids=["d3", "d4-symmetric", "d3-saturating"])
+    def test_same_starts_and_first_error_as_key_rate_per_cell(self, monkeypatch, spec, loss):
+        params = standard_noise(*loss)
+
+        def scan():
+            try:
+                return [p.tolist() for p in _starts(spec, params, 1.0, 40)]
+            except TfqkdError as exc:
+                return type(exc), str(exc)
+
+        shared = scan()
+
+        class PerCell:
+            def __init__(self, params, f, n_cut):
+                self.args = params, f, n_cut
+
+            def rate(self, alpha_a, alpha_b, mu, nu):
+                params, f, n_cut = self.args
+                settings_ = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
+                return key_rate(params, settings_, f, n_cut).rate
+
+        monkeypatch.setattr(optimize, "_RateParts", PerCell)
+        assert scan() == shared
+
+
+_ODD_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 2.5, 0.0, -1.0,
+                     0.5, 1e-3]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 40),
+)
+
+
+def _mostly(valid, odd):
+    """Draws from ``valid`` three times in four, so that most examples pass
+    construction and reach the use of the object."""
+    return st.integers(0, 3).flatmap(lambda k: odd if k == 3 else st.sampled_from(valid))
+
+
+class TestConstructorContract:
+    """A spec or channel either fails at construction with ``ValueError`` or
+    can be used: no late numpy warning, ``TypeError`` or math domain error."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: OptimizationSpec(decoys=3, strongest_box=(0.01, math.inf)),
+        lambda: OptimizationSpec(decoys=3, alpha_box=(1e-3, math.inf)),
+        lambda: OptimizationSpec(decoys=3, weak_decoys=(math.nan, 1e-5),
+                                 strongest_box=(0.01, 1.0)),
+        lambda: OptimizationSpec(decoys=3, multistart=2.5),
+        lambda: OptimizationSpec(decoys=3, seed=-1),
+        lambda: FluctuationSpec(magnitude=0.1, budget=2.5),
+        lambda: FluctuationSpec(magnitude=0.1, seed=-1),
+        lambda: ChannelParams(eta_a=0.1, eta_b=0.1, theta_a=math.nan),
+        lambda: ChannelParams(eta_a=0.1, eta_b=0.1, delta=math.inf),
+        lambda: ChannelParams(eta_a=0.1, eta_b=0.1, delta=1e308),
+        lambda: ChannelParams(eta_a=0.1, eta_b=0.1, theta_a=1e308, theta_b=-1e308),
+    ], ids=["strongest-inf", "alpha-inf", "weak-nan", "multistart-2.5", "spec-seed-negative",
+            "budget-2.5", "fluctuation-seed-negative", "theta-nan", "delta-inf",
+            "delta-pi-overflows", "net-theta-overflows"])
+    def test_rejected_at_construction(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(decoys=st.sampled_from([3, 4]), symmetric=st.booleans(),
+           alpha=_mostly([(1e-3, 1.5), (0.05, 0.6), (1e-3, 1e6)],
+                         st.tuples(_ODD_NUMBERS, _ODD_NUMBERS)),
+           strongest=_mostly([None, (0.02, 1.0), (0.5, 1e300)],
+                             st.tuples(_ODD_NUMBERS, _ODD_NUMBERS)),
+           multistart=_mostly([1, 2, 3], _ODD_NUMBERS),
+           seed=_mostly([0, 7, 2 ** 40], _ODD_NUMBERS))
+    def test_optimization_spec(self, decoys, symmetric, alpha, strongest, multistart, seed):
+        try:
+            spec = OptimizationSpec(decoys=decoys, alpha_box=alpha, strongest_box=strongest,
+                                    multistart=multistart, seed=seed, symmetric=symmetric)
+        except ValueError:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                points = _starts(spec, standard_noise(12, 24), 1.0, 40)
+            except TfqkdError:
+                return  # extreme boxes saturate the rate: a package error
+        lo, hi = spec.box()
+        assert len(points) == max(spec.multistart, 2)
+        assert all(np.all(lo <= p) and np.all(p <= hi) for p in points)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(magnitude=_mostly([0.0, 0.2, 0.9], _ODD_NUMBERS),
+           budget=_mostly([0, 4, 64], _ODD_NUMBERS), seed=_mostly([0, 7, 2 ** 40], _ODD_NUMBERS))
+    def test_fluctuation_spec(self, magnitude, budget, seed):
+        try:
+            fspec = FluctuationSpec(magnitude=magnitude, budget=budget, seed=seed)
+        except ValueError:
+            return
+        rng = np.random.default_rng(fspec.seed)
+        assert len(range(fspec.budget)) == fspec.budget
+        assert 0.0 <= rng.uniform(1.0 - fspec.magnitude, 1.0 + fspec.magnitude)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(eta=_mostly([(0.1, 0.01), (1.0, 0.0), (1e-300, 0.5)],
+                       st.tuples(_ODD_NUMBERS, _ODD_NUMBERS)),
+           p_d=_mostly([0.0, 1e-7, 0.5], _ODD_NUMBERS),
+           angles=st.tuples(*[_mostly([0.0, 0.28, -3.0], _ODD_NUMBERS)] * 3))
+    def test_channel_params(self, eta, p_d, angles):
+        try:
+            params = ChannelParams(eta_a=eta[0], eta_b=eta[1], p_d=p_d, theta_a=angles[0],
+                                   theta_b=angles[1], delta=angles[2])
+        except ValueError:
+            return
+        settings_ = IntensitySettings(alpha_a=0.1, alpha_b=0.2, mu=(0.2, 1e-3, 1e-4),
+                                      nu=(0.3, 1e-3, 1e-4))
+        try:
+            res = key_rate(params, settings_)
+        except TfqkdError:
+            return
+        assert 0.0 <= res.rate <= 1.0
