@@ -31,7 +31,8 @@ phase 1 and drives the leftover artificials out of the basis; it depends on
 the constraints only and returns an immutable ``_Start``.  ``_maximize``
 copies a start without its artificial columns and runs phase 2 for one
 objective, so one start serves any number of objectives over the same
-constraints, each with the pivots a fresh solve would make.  ``solve_bounded_lp`` is the two in sequence.
+constraints, each with the pivots a fresh solve would make.
+``solve_bounded_lp`` is the two in sequence.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def _maximize(start: _Start, c):
     Phase 2 prices only the n + m structural and slack columns, so the copy
     drops the artificial columns and no pivot eliminates them.  The cost
     vector keeps all n + 2m entries: pricing reads the cost of every basic
-    column, and a pinned artificial may be basic.
+    column, and a start may keep a pinned artificial basic.
     """
     n, m = start.n, len(start.tab)
     cvec = [Fraction(v) for v in c]

@@ -58,9 +58,9 @@ class _AmplitudeSeries:
         self._heads = {}
 
     def _grow(self, n_max: int) -> None:
-        w = self.weights
+        alpha, w = self.alpha, self.weights
         for n in range(len(w), n_max + 1):
-            w.append(w[-1] * self.alpha / math.sqrt(n))
+            w.append(w[-1] * alpha / math.sqrt(n))
 
     def parity_sums(self) -> tuple[float, float]:
         """Full sums of the weights over even and odd n."""
@@ -75,6 +75,7 @@ class _AmplitudeSeries:
                     odd += w[n]
                 n += 1
                 if n == len(w):
+                    # the recurrence of ``_grow``, inlined: this loop is hot
                     w.append(w[-1] * alpha / math.sqrt(n))
                 if w[n] < (even + odd + 1e-300) * 1e-20 and n > 4:
                     break
@@ -88,8 +89,8 @@ class _AmplitudeSeries:
         sums = self._heads.get(n_cut)
         if sums is None:
             self._grow(n_cut)
-            head = self.weights[:n_cut + 1]
-            sums = self._heads[n_cut] = (sum(head[0::2]), sum(head[1::2]))
+            w = self.weights
+            sums = self._heads[n_cut] = (sum(w[0:n_cut + 1:2]), sum(w[1:n_cut + 1:2]))
         return sums
 
 
