@@ -174,13 +174,13 @@ class TestPinnedFluctuationSearch:
             ("0x1.06f8d22c81d1ap-7", "0x1.f9610d5029590p-5", "0x1.3b142784012b8p-10",
              "0x1.f75104d551d69p-14", "0x1.8d95db52ed92ep-17", "0x1.3b2fe0dd8362cp-10",
              "0x1.f6da150695752p-14", "0x1.92a737110e454p-17"),
-            1043),
+            1043, 1000),
         4: ("0x1.ec1b409159ab8p-13",
             ("0x1.41362005e8d85p-7", "0x1.41768109862b4p-4", "0x1.a36e2eb1c432ep-11",
              "0x1.4f8b588e368f2p-14", "0x1.0c6f7a0b5ed8ep-17", "0x1.9a779fe53267ep-1",
              "0x1.3a92a30553261p-10", "0x1.f75104d551d69p-14", "0x1.92a737110e453p-17",
              "0x1.9998297ee0f8cp-1"),
-            2747),
+            2747, 1833),
     }
 
     @pytest.mark.parametrize("decoys", (3, 4))
@@ -189,10 +189,11 @@ class TestPinnedFluctuationSearch:
         center = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
         wc = worst_case_fluctuation(standard_noise(*loss), center,
                                     FluctuationSpec(magnitude=0.2, budget=64, seed=0))
-        rate, vector, evaluations = self.EXPECTED[decoys]
+        rate, vector, evaluations, distinct = self.EXPECTED[decoys]
         assert wc.rate.hex() == rate
         assert tuple(v.hex() for v in wc.vector) == vector
         assert wc.evaluations == evaluations
+        assert wc.distinct_evaluations == distinct
 
 
 class TestPinnedOptimizeSearch:
