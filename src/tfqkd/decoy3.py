@@ -303,6 +303,6 @@ def _bounds3(q, mu, nu, exact):
 
 
 def yield_bounds_3(gains: GainMatrix, mu, nu, exact: bool = False) -> YieldBounds:
-    """All nine three-decoy bounds, unmemoized.  Not exported: ``decoy4.yield_bounds``
+    """All nine three-decoy bounds.  Not exported: ``decoy4.yield_bounds``
     is the entry point; this stays for the benchmark's certify check."""
     return YieldBounds(*_bounds3(gains.q, mu, nu, exact))

@@ -25,15 +25,15 @@ and their 112 gain combinations and the four slots of each combined formula
 are the rows of one ``_combine`` batch.  Each ordered triple's vectors and
 tails are built once per bound set, each four-value set's tails once.
 ``yield_bounds`` is the one public entry point, for three or four decoys.
-It memoizes whole bound sets per (gains, intensities, path): the optimizer
-and the fluctuation search repeat them with new amplitudes.
+It keeps nothing between calls: the searches that repeat an intensity pair
+with new amplitudes hold their own bound sets (``rate._RateParts``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -292,10 +292,10 @@ def _bounds4(q, mu, nu, exact):
     provenance = {target: "3-decoy subsets ({},{},{})x({},{},{})".format(
                       *sorted(order_a[i // 4]), *sorted(order_b[i % 4]))
                   for target, i in zip(TARGETS_3, best.tolist())}
-    # one recurrence per four-value set feeds both (0,4) orientations
-    four = {x: _tails(tuple(map(float, x)), _FOUR_HEADS)
-            for target, _, _, first, _, slots, *_ in active if target in ((0, 4), (4, 0))
-            for x in (first, slots)}
+    # one recurrence per distinct four-value set feeds both (0,4) orientations
+    four = dict.fromkeys(x for target, _, _, first, _, slots, *_ in active
+                         if target in ((0, 4), (4, 0)) for x in (first, slots))
+    four = {x: _tails(tuple(map(float, x)), _FOUR_HEADS) for x in four}
     combined = []
     for (target, _, evaluate, first, second, slots, *_), k in zip(active, range(n, len(g), 4)):
         tails = (four[first][0], four[slots][1]) if target in ((0, 4), (4, 0)) else None
@@ -310,19 +310,12 @@ def _bounds4(q, mu, nu, exact):
     return bounds, provenance, warnings
 
 
-@lru_cache(maxsize=1024)
-def _memo(q, mu, nu, exact):
-    """Bound set of one (gains, intensities, path), held as tuples."""
-    bounds, provenance, warnings = (_bounds3 if len(q) == 3 else _bounds4)(q, mu, nu, exact)
-    return tuple(bounds.items()), tuple(provenance.items()), tuple(warnings)
-
-
 def yield_bounds(gains: GainMatrix, settings: IntensitySettings,
                  exact: bool = False) -> YieldBounds:
-    """All nine bounds for the given settings (three- or four-decoy), as a
-    fresh ``YieldBounds`` on every call: the memo holds immutable copies.
-    Only the intensities enter; the amplitudes are ignored."""
+    """All nine bounds for the given settings (three- or four-decoy), computed
+    afresh on every call.  Only the intensities enter; the amplitudes are
+    ignored."""
     if gains.size != settings.n_decoys:
         raise ValueError("gain matrix size does not match the number of decoys")
-    bounds, provenance, warnings = _memo(gains.q, settings.mu, settings.nu, exact)
-    return YieldBounds(dict(bounds), dict(provenance), list(warnings))
+    q, mu, nu = gains.q, settings.mu, settings.nu
+    return YieldBounds(*(_bounds3 if len(q) == 3 else _bounds4)(q, mu, nu, exact))

@@ -21,7 +21,7 @@ from scipy.optimize import Bounds, minimize, minimize_scalar
 
 from .channel import ChannelParams, IntensitySettings
 from .errors import InfeasibleFluctuationError
-from .rate import _RateParts, key_rate
+from .rate import _RateParts, key_rate  # noqa: F401  (benchmark/spans.py wraps key_rate)
 
 _DEFAULT_WEAK = {3: (1e-4, 1e-5), 4: (1e-3, 1e-4, 1e-5)}
 
@@ -120,21 +120,24 @@ class OptimizationSpec:
 class OptimizationResult:
     """The best rate found and where.  ``optimize_rate`` traces each start
     (start, vector, rate and its own ``nfev``) and names the winning one in
-    ``best_start``, an index into ``trace``."""
+    ``best_start``, an index into ``trace``.  ``bound_sets`` counts the
+    distinct decoy-intensity pairs the search built yield bounds for."""
 
     settings: IntensitySettings
     rate: float
     vector: tuple
     trace: list = field(repr=False, default_factory=list)
     best_start: int | None = None
+    bound_sets: int = 0
 
 
-def _objective(params: ChannelParams, spec: OptimizationSpec, f: float, n_cut: int):
+def _objective(spec: OptimizationSpec, parts: _RateParts):
+    """Minus the rate at a parameter vector clipped to the box, scored by
+    the search's ``parts``."""
     lo, hi = spec.box()
 
     def fun(p):
-        q = np.clip(p, lo, hi)
-        return -key_rate(params, spec.settings(q), f, n_cut).rate
+        return -parts.rate(*spec._point(np.clip(p, lo, hi)))
     return fun
 
 
@@ -142,7 +145,8 @@ def _grid_axis(lo: float, hi: float, points: int):
     return np.exp(np.linspace(math.log(lo), math.log(hi), points))
 
 
-def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int):
+def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int,
+            parts: _RateParts | None = None):
     """Deterministic multistart points for the local searches.
 
     The positive-rate basin is a small pocket of the box (most of it clamps
@@ -157,9 +161,10 @@ def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int)
     The cells share their parts: the 624 cells (72 symmetric) span only 16
     strongest-decoy pairs (4) and a few dozen amplitudes.  Each pair's gains
     and yield bounds and each amplitude's weight series are built once, on
-    first use in cell order, and dropped with the scan; per cell only the
-    X-basis statistics, the rest of the phase-error bound and the entropies
-    are evaluated.  Every cell's rate is bit-identical to the objective's.
+    first use in cell order, in ``parts`` (a fresh ``_RateParts`` unless the
+    caller's search hands its own on); per cell only the X-basis statistics,
+    the rest of the phase-error bound and the entropies are evaluated.
+    Every cell's rate is bit-identical to ``key_rate``'s.
     """
     lo, hi = spec.box()
     n_alpha = 1 if spec.symmetric else 2
@@ -175,7 +180,8 @@ def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int)
         alphas = [alpha_a] if spec.symmetric else [alpha_a, alpha_b]
         for s in s_axis:
             cells.append(np.array(alphas + [s] * n_alpha))
-    parts = _RateParts(params, f, n_cut)
+    if parts is None:
+        parts = _RateParts(params, f, n_cut)
     # the objective clips each vector to the box before evaluating it
     values = [-parts.rate(*spec._point(q)) for q in np.clip(cells, lo, hi).tolist()]
     scored = sorted(zip(values, map(tuple, cells)))
@@ -195,13 +201,19 @@ def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int)
 
 def optimize_rate(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
                   n_cut: int = 40, maxiter: int = 400) -> OptimizationResult:
-    """Best key rate over the spec's free parameters, multistart Nelder-Mead."""
-    fun = _objective(params, spec, f, n_cut)
+    """Best key rate over the spec's free parameters, multistart Nelder-Mead.
+
+    The start scan and every local search score their points through one
+    ``_RateParts``: the scan's bound sets and amplitudes, the first points
+    Nelder-Mead visits, are built once.
+    """
+    parts = _RateParts(params, f, n_cut)
+    fun = _objective(spec, parts)
     lo, hi = spec.box()
     bounds = Bounds(lo, hi)
     trace = []
     best = None
-    for index, start in enumerate(_starts(spec, params, f, n_cut)):
+    for index, start in enumerate(_starts(spec, params, f, n_cut, parts)):
         res = minimize(fun, start, method="Nelder-Mead", bounds=bounds,
                        options={"xatol": 1e-6, "fatol": 1e-14, "maxiter": maxiter,
                                 "maxfev": 3 * maxiter})
@@ -213,7 +225,7 @@ def optimize_rate(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
             best = (rate, x, index)
     rate, x, index = best
     return OptimizationResult(settings=spec.settings(x), rate=rate, vector=x, trace=trace,
-                              best_start=index)
+                              best_start=index, bound_sets=parts.bound_sets)
 
 
 def coordinate_descent(params: ChannelParams, spec: OptimizationSpec) -> OptimizationResult:
@@ -225,7 +237,8 @@ def coordinate_descent(params: ChannelParams, spec: OptimizationSpec) -> Optimiz
     Eight sweeps over the coordinates, starting with the second, at f = 1
     and n_cut = 40.
     """
-    fun = _objective(params, spec, 1.0, 40)
+    parts = _RateParts(params, 1.0, 40)
+    fun = _objective(spec, parts)
     lo, hi = spec.box()
     x = lo.copy()
     order = [*range(1, len(x)), 0]
@@ -250,7 +263,7 @@ def coordinate_descent(params: ChannelParams, spec: OptimizationSpec) -> Optimiz
             break
     xt = tuple(float(v) for v in x)
     return OptimizationResult(settings=spec.settings(xt), rate=-current,
-                              vector=xt, trace=trace)
+                              vector=xt, trace=trace, bound_sets=parts.bound_sets)
 
 
 @dataclass(frozen=True)
@@ -278,13 +291,15 @@ class FluctuationSpec:
 class FluctuationResult:
     """The worst rate found and where; ``evaluations`` counts the rate
     requests, ``distinct_evaluations`` the distinct vectors among them, each
-    evaluated once."""
+    evaluated once, and ``bound_sets`` the distinct decoy-intensity pairs
+    among those, each given yield bounds once."""
 
     rate: float
     vector: tuple
     settings: IntensitySettings
     evaluations: int
     distinct_evaluations: int
+    bound_sets: int
 
 
 def _fluct_intervals(center: IntensitySettings, fspec: FluctuationSpec):
@@ -313,10 +328,15 @@ def _fluct_intervals(center: IntensitySettings, fspec: FluctuationSpec):
     return centers, lo, hi
 
 
-def _vector_settings(center: IntensitySettings, vec):
+def _vector_point(center: IntensitySettings, vec) -> tuple:
+    """The amplitudes and decoy sets (alpha_a, alpha_b, mu, nu) of one
+    fluctuation vector."""
     n = len(center.mu)
-    return IntensitySettings(alpha_a=math.sqrt(vec[0]), alpha_b=math.sqrt(vec[1]),
-                             mu=tuple(vec[2:2 + n]), nu=tuple(vec[2 + n:]))
+    return math.sqrt(vec[0]), math.sqrt(vec[1]), tuple(vec[2:2 + n]), tuple(vec[2 + n:])
+
+
+def _vector_settings(center: IntensitySettings, vec) -> IntensitySettings:
+    return IntensitySettings(*_vector_point(center, vec))
 
 
 def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
@@ -329,25 +349,34 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
     the reduction is a deterministic min with lexicographic tie-break on the
     intensity vector.  With ``stop_below`` the search returns early once any
     candidate drops below that rate (enough for threshold queries).
+
+    Every vector is scored through one ``_RateParts``: each distinct decoy
+    pair (mu, nu) gets its gains and yield bounds once, each distinct
+    amplitude its weight series once.
     """
     centers, lo, hi = _fluct_intervals(center, fspec)
+    parts = _RateParts(params, f, n_cut)
 
     evaluations = 0
-    rates = {}  # each distinct vector reaches key_rate once; the polish repeats them
+    rates = {}  # each distinct vector is scored once; the polish repeats them
 
     def rate_at(vec) -> float:
         nonlocal evaluations
         evaluations += 1
         key = tuple(float(v) for v in vec)
         if key not in rates:
-            rates[key] = key_rate(params, _vector_settings(center, key), f, n_cut).rate
+            rates[key] = parts.rate(*_vector_point(center, key))
         return rates[key]
+
+    def result() -> FluctuationResult:
+        return FluctuationResult(rate=best[0], vector=best[1],
+                                 settings=_vector_settings(center, best[1]),
+                                 evaluations=evaluations, distinct_evaluations=len(rates),
+                                 bound_sets=parts.bound_sets)
 
     best = (rate_at(tuple(centers)), tuple(centers))
     if fspec.magnitude == 0.0:
-        return FluctuationResult(rate=best[0], vector=best[1],
-                                 settings=_vector_settings(center, best[1]),
-                                 evaluations=evaluations, distinct_evaluations=len(rates))
+        return result()
 
     def consider(vec) -> bool:
         nonlocal best
@@ -374,6 +403,4 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
                        options={"xatol": 1e-8, "fatol": 1e-16, "maxiter": 400})
         vec = tuple(float(v) for v in np.clip(res.x, lo, hi))
         consider(vec)
-    return FluctuationResult(rate=best[0], vector=best[1],
-                             settings=_vector_settings(center, best[1]),
-                             evaluations=evaluations, distinct_evaluations=len(rates))
+    return result()

@@ -113,7 +113,7 @@ def phase_error_upper(bounds: YieldBounds, alpha_a: float, alpha_b: float,
     The bound has two parts: each amplitude's weight series (its weights,
     full parity sums and head sums, from one pass of the recurrence), which
     does not read the bounds, and the remainder, which does.  A call builds
-    both series afresh; the optimizer's start scan shares them per amplitude.
+    both series afresh; the searches of ``optimize`` share them per amplitude.
     """
     return _phase_error(bounds, _AmplitudeSeries(alpha_a), _AmplitudeSeries(alpha_b),
                         p_x, n_cut)
@@ -230,6 +230,9 @@ class _RateParts:
     statistics, the bound-dependent part of the phase-error bound and the
     entropies are evaluated, in ``key_rate``'s order, so the rates are
     bit-identical and the first call that fails raises ``key_rate``'s error.
+
+    Every search in ``optimize`` scores its points through one such object,
+    which holds all the reuse of that search: nothing outlives it.
     """
 
     def __init__(self, params: ChannelParams, f: float, n_cut: int):
@@ -237,6 +240,11 @@ class _RateParts:
         self.params, self.f, self.n_cut = params, f, n_cut
         self._bounds = {}
         self._series = {}
+
+    @property
+    def bound_sets(self) -> int:
+        """The number of distinct (mu, nu) pairs given bounds so far."""
+        return len(self._bounds)
 
     def _amplitude(self, alpha: float) -> _AmplitudeSeries:
         series = self._series.get(alpha)

@@ -252,13 +252,6 @@ class TestMemo:
         one.warnings.append("changed")
         assert yield_bounds(self.gains, self.first) == reference
 
-    def test_unchanged_after_cache_clear(self):
-        from tfqkd.decoy4 import _memo
-        for exact in (False, True):
-            before = yield_bounds(self.gains, self.first, exact=exact)
-            _memo.cache_clear()
-            assert yield_bounds(self.gains, self.first, exact=exact) == before
-
 
 def _gate_corpus():
     """Seeded (losses, mu, nu) for the float >= exact gate: 3-decoy sets, then

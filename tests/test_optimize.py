@@ -18,6 +18,26 @@ from tfqkd.rate import key_rate
 SPEC3 = OptimizationSpec(decoys=3, multistart=6, seed=5)
 
 
+class PerCell:
+    """The scorer of ``_RateParts`` without the sharing: one ``key_rate`` call
+    per point, and a count of the distinct (mu, nu) pairs it was given."""
+
+    def __init__(self, params, f, n_cut):
+        self.args = params, f, n_cut
+        self.pairs = set()
+
+    @property
+    def bound_sets(self):
+        return len(self.pairs)
+
+    def rate(self, alpha_a, alpha_b, mu, nu):
+        params, f, n_cut = self.args
+        settings_ = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
+        value = key_rate(params, settings_, f, n_cut).rate
+        self.pairs.add((mu, nu))
+        return value
+
+
 class TestOptimizationSpec:
     def test_defaults(self):
         spec = OptimizationSpec(decoys=3)
@@ -124,14 +144,14 @@ class TestWorstCaseFluctuation:
         assert a.rate == b.rate and a.vector == b.vector
 
     def test_each_distinct_vector_reaches_key_rate_once(self, monkeypatch):
-        import tfqkd.optimize
         seen = []
+        original = rate._RateParts.rate
 
-        def recording(params, settings, *args):
-            seen.append((settings.alpha_a, settings.alpha_b, settings.mu, settings.nu))
-            return key_rate(params, settings, *args)
+        def recording(self, alpha_a, alpha_b, mu, nu):
+            seen.append((alpha_a, alpha_b, mu, nu))
+            return original(self, alpha_a, alpha_b, mu, nu)
 
-        monkeypatch.setattr(tfqkd.optimize, "key_rate", recording)
+        monkeypatch.setattr(rate._RateParts, "rate", recording)
         wc = worst_case_fluctuation(self.params, self.center,
                                     FluctuationSpec(magnitude=0.2, budget=16, seed=3))
         assert len(seen) == len(set(seen)) == wc.distinct_evaluations < wc.evaluations
@@ -158,8 +178,9 @@ class TestPinnedFluctuationSearch:
 
     Nominal settings and losses are the benchmark's (``benchmark/inputs.json``)
     copied as literals; r = 0.2, budget 64, seed 0.  The rate, every entry of
-    the worst vector and the request count must not move when the bound path
-    or the search's bookkeeping changes.
+    the worst vector, the request count, the distinct vectors and the
+    distinct intensity pairs among them must not move when the bound path or
+    the search's bookkeeping changes.
     """
 
     NOMINAL = {
@@ -174,13 +195,13 @@ class TestPinnedFluctuationSearch:
             ("0x1.06f8d22c81d1ap-7", "0x1.f9610d5029590p-5", "0x1.3b142784012b8p-10",
              "0x1.f75104d551d69p-14", "0x1.8d95db52ed92ep-17", "0x1.3b2fe0dd8362cp-10",
              "0x1.f6da150695752p-14", "0x1.92a737110e454p-17"),
-            1043, 1000),
+            1043, 1000, 806),
         4: ("0x1.ec1b409159ab8p-13",
             ("0x1.41362005e8d85p-7", "0x1.41768109862b4p-4", "0x1.a36e2eb1c432ep-11",
              "0x1.4f8b588e368f2p-14", "0x1.0c6f7a0b5ed8ep-17", "0x1.9a779fe53267ep-1",
              "0x1.3a92a30553261p-10", "0x1.f75104d551d69p-14", "0x1.92a737110e453p-17",
              "0x1.9998297ee0f8cp-1"),
-            2747, 1833),
+            2747, 1833, 1001),
     }
 
     @pytest.mark.parametrize("decoys", (3, 4))
@@ -189,11 +210,12 @@ class TestPinnedFluctuationSearch:
         center = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
         wc = worst_case_fluctuation(standard_noise(*loss), center,
                                     FluctuationSpec(magnitude=0.2, budget=64, seed=0))
-        rate, vector, evaluations, distinct = self.EXPECTED[decoys]
+        rate, vector, evaluations, distinct, bound_sets = self.EXPECTED[decoys]
         assert wc.rate.hex() == rate
         assert tuple(v.hex() for v in wc.vector) == vector
         assert wc.evaluations == evaluations
         assert wc.distinct_evaluations == distinct
+        assert wc.bound_sets == bound_sets
 
 
 class TestPinnedOptimizeSearch:
@@ -238,6 +260,9 @@ class TestPinnedOptimizeSearch:
                                4, (50, 122, 47, 66, 65, 63, 56, 61,
                                    67, 67, 49, 67, 67, 67, 67, 67)),
     }
+    # distinct intensity pairs given bounds, scan and local searches together
+    BOUND_SETS = {"d3-12-24": 540, "d3-16-30": 477, "d3-20-36": 488, "d4-14-26": 340,
+                  "d4-18-32": 349, "d3-default-20-0": 1908, "d3-symmetric-12-24": 450}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rate_vector_and_starts(self, case):
@@ -248,6 +273,7 @@ class TestPinnedOptimizeSearch:
         assert tuple(v.hex() for v in res.vector) == vector
         assert res.best_start == best_start
         assert tuple(t["nfev"] for t in res.trace) == nfev
+        assert res.bound_sets == self.BOUND_SETS[case]
 
 
 class TestStartScanSharing:
@@ -300,18 +326,61 @@ class TestStartScanSharing:
                 return type(exc), str(exc)
 
         shared = scan()
-
-        class PerCell:
-            def __init__(self, params, f, n_cut):
-                self.args = params, f, n_cut
-
-            def rate(self, alpha_a, alpha_b, mu, nu):
-                params, f, n_cut = self.args
-                settings_ = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
-                return key_rate(params, settings_, f, n_cut).rate
-
         monkeypatch.setattr(optimize, "_RateParts", PerCell)
         assert scan() == shared
+
+
+class TestSearchesShareParts:
+    """Every search scores its points through its own ``_RateParts``; with
+    ``PerCell`` in its place (one ``key_rate`` call per point) each returns
+    the same result, counts and traces included, bit for bit."""
+
+    @staticmethod
+    def both(monkeypatch, search):
+        shared = search()
+        monkeypatch.setattr(optimize, "_RateParts", PerCell)
+        return shared, search()
+
+    CENTERS = {
+        3: IntensitySettings(alpha_a=0.08, alpha_b=0.09, mu=(0.05, 1e-4, 1e-5),
+                             nu=(0.06, 1e-4, 1e-5)),
+        4: IntensitySettings(alpha_a=0.08, alpha_b=0.09, mu=(1e-3, 1e-4, 1e-5, 0.3),
+                             nu=(1e-3, 1e-4, 1e-5, 0.35)),
+    }
+
+    # thresholds a few corners into each box's search
+    STOP_BELOW = {3: 5.27e-6, 4: 5.42e-6}
+
+    @pytest.mark.parametrize("decoys", (3, 4))
+    @pytest.mark.parametrize("magnitude, stop", [(0.2, False), (0.0, False), (0.2, True)],
+                             ids=["full", "magnitude-0", "stop-below"])
+    def test_worst_case_fluctuation(self, monkeypatch, decoys, magnitude, stop):
+        params = standard_noise(30, 30)
+        fspec = FluctuationSpec(magnitude=magnitude, budget=8, seed=1)
+        stop_below = self.STOP_BELOW[decoys] if stop else None
+        shared, per_cell = self.both(monkeypatch, lambda: worst_case_fluctuation(
+            params, self.CENTERS[decoys], fspec, stop_below=stop_below))
+        assert shared.rate.hex() == per_cell.rate.hex()
+        assert shared == per_cell
+        assert 1 <= shared.bound_sets <= shared.distinct_evaluations
+
+    def test_optimize_rate_symmetric(self, monkeypatch):
+        spec = OptimizationSpec(decoys=3, multistart=4, symmetric=True)
+        shared, per_cell = self.both(monkeypatch, lambda: optimize_rate(
+            standard_noise(12, 24), spec, maxiter=40))
+        assert shared.rate.hex() == per_cell.rate.hex()
+        assert shared == per_cell
+        assert [t["nfev"] for t in shared.trace] == [t["nfev"] for t in per_cell.trace]
+
+    def test_coordinate_descent(self, monkeypatch):
+        # an amplitude box whose lower corner already has a positive rate
+        spec = OptimizationSpec(decoys=3, alpha_box=(0.05, 0.6))
+        shared, per_cell = self.both(monkeypatch, lambda: coordinate_descent(
+            standard_noise(20, 0), spec))
+        assert shared.rate > 0.0
+        assert shared.rate.hex() == per_cell.rate.hex()
+        assert shared == per_cell
+        assert shared.bound_sets > 1
 
 
 _ODD_NUMBERS = st.one_of(
