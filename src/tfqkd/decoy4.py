@@ -317,5 +317,5 @@ def yield_bounds(gains: GainMatrix, settings: IntensitySettings,
     ignored."""
     if gains.size != settings.n_decoys:
         raise ValueError("gain matrix size does not match the number of decoys")
-    q, mu, nu = gains.q, settings.mu, settings.nu
-    return YieldBounds(*(_bounds3 if len(q) == 3 else _bounds4)(q, mu, nu, exact))
+    bound_set = _bounds3 if gains.size == 3 else _bounds4
+    return YieldBounds(*bound_set(gains.q, settings.mu, settings.nu, exact))

@@ -335,10 +335,6 @@ def _vector_point(center: IntensitySettings, vec) -> tuple:
     return math.sqrt(vec[0]), math.sqrt(vec[1]), tuple(vec[2:2 + n]), tuple(vec[2 + n:])
 
 
-def _vector_settings(center: IntensitySettings, vec) -> IntensitySettings:
-    return IntensitySettings(*_vector_point(center, vec))
-
-
 def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
                            fspec: FluctuationSpec, f: float = 1.0, n_cut: int = 40,
                            stop_below: float = None) -> FluctuationResult:
@@ -370,7 +366,7 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
 
     def result() -> FluctuationResult:
         return FluctuationResult(rate=best[0], vector=best[1],
-                                 settings=_vector_settings(center, best[1]),
+                                 settings=IntensitySettings(*_vector_point(center, best[1])),
                                  evaluations=evaluations, distinct_evaluations=len(rates),
                                  bound_sets=parts.bound_sets)
 
