@@ -369,8 +369,7 @@ class TestSearchesShareParts:
         shared, per_cell = self.both(monkeypatch, lambda: optimize_rate(
             standard_noise(12, 24), spec, maxiter=40))
         assert shared.rate.hex() == per_cell.rate.hex()
-        assert shared == per_cell
-        assert [t["nfev"] for t in shared.trace] == [t["nfev"] for t in per_cell.trace]
+        assert shared == per_cell  # the trace, with each start's nfev, included
 
     def test_coordinate_descent(self, monkeypatch):
         # an amplitude box whose lower corner already has a positive rate
