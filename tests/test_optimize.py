@@ -275,6 +275,19 @@ class TestPinnedOptimizeSearch:
         assert tuple(t["nfev"] for t in res.trace) == nfev
         assert res.bound_sets == self.BOUND_SETS[case]
 
+    def test_default_spec_and_budget(self):
+        # the default iteration budget: two starts stop at the 3 * maxiter
+        # evaluation cut, which no case above reaches
+        res = optimize_rate(standard_noise(12.0, 24.0), OptimizationSpec(decoys=3))
+        assert res.rate.hex() == "0x1.74686cd53868dp-13"
+        assert tuple(v.hex() for v in res.vector) == (
+            "0x1.1c59da8e2cfecp-4", "0x1.ea00417af2e88p-3",
+            "0x1.0627023695d78p-10", "0x1.e17ff54e72f62p-2")
+        assert res.best_start == 3
+        assert tuple(t["nfev"] for t in res.trace) == (
+            1200, 786, 257, 653, 1200, 227, 615, 582, 101, 101, 107, 107, 101, 101, 576, 101)
+        assert res.bound_sets == 4524
+
 
 class TestStartScanSharing:
     """The start scan builds one gain matrix per strongest-decoy pair: 16
