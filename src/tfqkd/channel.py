@@ -278,7 +278,14 @@ def gain(params: ChannelParams, mu_k: float, nu_l: float) -> float:
     else:  # pragma: no cover - unreachable for intensities below ~400
         log_i0 = math.log(bessel_i0(x))
     one_m_pd = 1.0 - params.p_d
-    q = one_m_pd * math.exp(-arriving) * (math.expm1(0.5 * arriving + log_i0) + params.p_d)
+    # caught, not range-checked against _EXP_MAX: just below the overflow
+    # e^{-s} is subnormal and the gain is still finite
+    try:
+        bracket = math.expm1(0.5 * arriving + log_i0) + params.p_d
+    except OverflowError:
+        raise SaturationError(f"arriving intensity {arriving} overflows the gain "
+                              f"({mu_k}, {nu_l})") from None
+    q = one_m_pd * math.exp(-arriving) * bracket
     return min(max(q, 0.0), 1.0)
 
 

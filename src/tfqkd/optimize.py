@@ -7,6 +7,12 @@ four free dimensions used here and immune to the non-convexity.  Everything
 is seeded and the winner is reduced deterministically (best value, ties
 broken on the lexicographically smallest parameter vector), so repeated
 runs agree bit for bit regardless of evaluation order.
+
+The local searches, ``optimize_rate``'s and the polish of
+``worst_case_fluctuation``, run on ``_nelder_mead``, a copy of SciPy's
+bounded Nelder-Mead that gives its results bit for bit, so the module needs
+only numpy; loading SciPy takes longer than a small search.  Only the greedy
+reference method ``coordinate_descent`` imports SciPy, when it is called.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from itertools import product
 from numbers import Integral
 
 import numpy as np
-from scipy.optimize import Bounds, minimize, minimize_scalar
 
 from .channel import ChannelParams, IntensitySettings
 from .errors import InfeasibleFluctuationError
@@ -131,6 +136,124 @@ class OptimizationResult:
     bound_sets: int = 0
 
 
+class _BudgetSpent(Exception):
+    """A call past the evaluation limit of ``_nelder_mead``."""
+
+
+def _nelder_mead(fun, x0, lo, hi, xatol: float, fatol: float, maxiter: int,
+                 maxfev: float = math.inf):
+    """Minimize ``fun`` over the box [lo, hi] from ``x0`` by Nelder-Mead;
+    returns the best vertex, which lies in the box, and the number of calls.
+
+    This is SciPy 1.17.1's ``minimize(fun, x0, method="Nelder-Mead",
+    bounds=Bounds(lo, hi))`` (``scipy.optimize._optimize._minimize_neldermead``)
+    with ``adaptive=False``, no initial simplex and no callback, operation for
+    operation, so a search gives SciPy's vertex and call count to the bit.
+    Two differences: ``fun`` gets the simplex's own row, not a copy, so it
+    must not modify its argument; a start outside the box is clipped
+    without SciPy's warning.
+
+    Adapted from SciPy under its BSD-3-Clause license:
+
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+    All rights reserved.
+
+    Redistribution and use in source and binary forms, with or without
+    modification, are permitted provided that the following conditions
+    are met:
+
+    1. Redistributions of source code must retain the above copyright
+       notice, this list of conditions and the following disclaimer.
+
+    2. Redistributions in binary form must reproduce the above
+       copyright notice, this list of conditions and the following
+       disclaimer in the documentation and/or other materials provided
+       with the distribution.
+
+    3. Neither the name of the copyright holder nor the names of its
+       contributors may be used to endorse or promote products derived
+       from this software without specific prior written permission.
+
+    THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+    "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+    LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+    A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+    OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+    SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+    LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+    DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+    THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+    (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    # a vertex pushed past the upper bound reflects into the box
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):  # SciPy sorts the initial simplex twice
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:  # the call at the limit ends the iteration
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], nfev
+
+
 def _objective(spec: OptimizationSpec, parts: _RateParts):
     """Minus the rate at a parameter vector clipped to the box, scored by
     the search's ``parts``."""
@@ -210,17 +333,15 @@ def optimize_rate(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
     parts = _RateParts(params, f, n_cut)
     fun = _objective(spec, parts)
     lo, hi = spec.box()
-    bounds = Bounds(lo, hi)
     trace = []
     best = None
     for index, start in enumerate(_starts(spec, params, f, n_cut, parts)):
-        res = minimize(fun, start, method="Nelder-Mead", bounds=bounds,
-                       options={"xatol": 1e-6, "fatol": 1e-14, "maxiter": maxiter,
-                                "maxfev": 3 * maxiter})
-        x = tuple(float(v) for v in np.clip(res.x, lo, hi))
+        x, nfev = _nelder_mead(fun, start, lo, hi, xatol=1e-6, fatol=1e-14,
+                               maxiter=maxiter, maxfev=3 * maxiter)
+        x = tuple(float(v) for v in x)
         rate = -fun(np.array(x))
         trace.append({"start": tuple(float(v) for v in start), "vector": x, "rate": rate,
-                      "nfev": int(res.nfev)})
+                      "nfev": nfev})
         if best is None or rate > best[0] or (rate == best[0] and x < best[1]):
             best = (rate, x, index)
     rate, x, index = best
@@ -237,6 +358,10 @@ def coordinate_descent(params: ChannelParams, spec: OptimizationSpec) -> Optimiz
     Eight sweeps over the coordinates, starting with the second, at f = 1
     and n_cut = 40.
     """
+    # the one SciPy use left in the package: importing it costs half a second
+    # and half the process's memory, so only this reference method pays it
+    from scipy.optimize import minimize_scalar
+
     parts = _RateParts(params, 1.0, 40)
     fun = _objective(spec, parts)
     lo, hi = spec.box()
@@ -394,9 +519,7 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
                 stopped = True
                 break
     if not stopped:
-        res = minimize(lambda v: rate_at(np.clip(v, lo, hi)), np.array(best[1]),
-                       method="Nelder-Mead", bounds=Bounds(np.array(lo), np.array(hi)),
-                       options={"xatol": 1e-8, "fatol": 1e-16, "maxiter": 400})
-        vec = tuple(float(v) for v in np.clip(res.x, lo, hi))
-        consider(vec)
+        x, _ = _nelder_mead(rate_at, best[1], np.array(lo), np.array(hi),
+                            xatol=1e-8, fatol=1e-16, maxiter=400)
+        consider(tuple(float(v) for v in x))
     return result()

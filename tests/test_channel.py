@@ -10,6 +10,7 @@ from tfqkd.channel import (ChannelParams, IntensitySettings, bessel_i0,
                            db_to_transmittance, gain, standard_noise,
                            theoretical_yield, x_basis_statistics)
 from tfqkd.errors import SaturationError
+from tfqkd.rate import key_rate
 
 
 def bessel_series(x, terms):
@@ -120,6 +121,19 @@ class TestGain:
                         * math.cos(params.theta))
             - (1 - params.p_d) * math.exp(-arriving))
         assert gain(params, mu_k, nu_l) == pytest.approx(literal, rel=1e-12)
+
+    def test_overflowing_gain_is_saturation(self):
+        # expm1(s/2 + log I0(x)) overflows at 1e4 arriving photons
+        settings_ = IntensitySettings(alpha_a=0.1, alpha_b=0.1, mu=(1e6, 1e-4, 1e-5),
+                                      nu=(0.1, 1e-4, 1e-5))
+        with pytest.raises(SaturationError, match="overflows the gain"):
+            key_rate(standard_noise(20, 20), settings_)
+
+    def test_finite_just_below_the_overflow(self):
+        # the exponent is 709.74, past the 709 cut of the X-basis check: the
+        # gain is still finite and keeps its value
+        params = ChannelParams(eta_a=1.0, eta_b=1.0)
+        assert gain(params, 356.8, 356.8).hex() == "0x1.5a278b66e4b17p-6"
 
 
 class TestTheoreticalYield:

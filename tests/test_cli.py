@@ -72,6 +72,13 @@ class TestPlobAndRate:
         assert out == ""
         assert json.loads(err)["error"] == "SaturationError"
 
+    def test_overflowing_gain_is_saturation_record(self, capsys):
+        code, out, err = run_cli(["rate", "--strongest-mu", "1e6", "--strongest-nu", "0.1",
+                                  "--alpha-a", "0.1", "--alpha-b", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SaturationError"
+
     def test_dead_point_reports_zero(self, capsys):
         code, out, _ = run_cli(["rate", "--loss-a-db", "200", "--loss-b-db", "200",
                                 "--decoys", "3", "--alpha-a", "0.1",

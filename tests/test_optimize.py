@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, OptimizeWarning, minimize
 
 from tfqkd import channel, optimize, rate
 from tfqkd.channel import ChannelParams, IntensitySettings, standard_noise
 from tfqkd.errors import InfeasibleFluctuationError, TfqkdError
-from tfqkd.optimize import (FluctuationSpec, OptimizationSpec, _starts,
+from tfqkd.optimize import (FluctuationSpec, OptimizationSpec, _nelder_mead, _starts,
                             coordinate_descent, optimize_rate,
                             worst_case_fluctuation)
 from tfqkd.rate import key_rate
@@ -393,6 +394,66 @@ class TestSearchesShareParts:
         assert shared.rate.hex() == per_cell.rate.hex()
         assert shared == per_cell
         assert shared.bound_sets > 1
+
+
+def _box_problem(seed):
+    """A seeded bounded problem: dimension 1-10; a quadratic, a plateau of
+    ties or a kinked sum whose minimum may lie outside the box; a start with
+    coordinates on the upper bound or at zero, or outside the box; budgets
+    that may cut the search by iterations or by calls."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    lo = rng.uniform(-2.0, 1.0, n)
+    hi = lo + rng.uniform(0.05, 3.0, n)
+    target = rng.uniform(lo - 1.0, hi + 1.0)
+    weight = rng.uniform(0.2, 5.0, n)
+    kind = seed % 3
+
+    def fun(x):
+        if kind == 2:
+            return float(np.sum(weight * np.abs(x - target)))
+        q = float(np.sum(weight * (x - target) ** 2))
+        return math.floor(8.0 * q) / 8.0 if kind == 1 else q
+
+    x0 = rng.uniform(lo, hi)
+    on_hi = rng.random(n) < 0.3
+    x0[on_hi] = hi[on_hi]
+    x0[(rng.random(n) < 0.3) & (lo < 0) & (hi > 0)] = 0.0
+    if seed % 7 == 0:
+        x0 += rng.uniform(-1.0, 1.0, n)
+    xatol, fatol = [(1e-6, 1e-14), (1e-8, 1e-16), (1e-3, 1e-3)][int(rng.integers(3))]
+    maxiter = int(rng.choice([5, 30, 100, 400]))
+    maxfev = [math.inf, 3 * maxiter, int(rng.integers(1, 4 * n + 4))][int(rng.integers(3))]
+    return fun, x0, lo, hi, xatol, fatol, maxiter, maxfev
+
+
+class TestNelderMeadMatchesScipy:
+    """``_nelder_mead`` returns SciPy's ``minimize(method="Nelder-Mead",
+    bounds=...)`` vertex and call count bit for bit."""
+
+    @staticmethod
+    def check(fun, x0, lo, hi, xatol, fatol, maxiter, maxfev):
+        x, nfev = _nelder_mead(fun, x0, lo, hi, xatol, fatol, maxiter, maxfev)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)  # a start outside the box
+            res = minimize(fun, x0, method="Nelder-Mead", bounds=Bounds(lo, hi),
+                           options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter,
+                                    "maxfev": maxfev})
+        assert x.tobytes() == res.x.tobytes()
+        assert nfev == res.nfev
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_seeded_problems(self, block):
+        # 300 problems; every branch runs, the outside contraction's shrink too
+        for seed in range(100 * block, 100 * block + 100):
+            self.check(*_box_problem(seed))
+
+    @pytest.mark.parametrize("maxfev", [2, 4, 5, 6, 7, 9, math.inf])
+    def test_flat_objective_shrinks_every_iteration(self, maxfev):
+        # no vertex ever improves, so each iteration reflects, contracts inside
+        # and shrinks; the cuts land in the first simplex and in the shrinks
+        self.check(lambda x: 1.0, np.array([0.0, 0.5, 1.0]), np.zeros(3), np.ones(3),
+                   1e-6, 1e-14, 50, maxfev)
 
 
 _ODD_NUMBERS = st.one_of(
