@@ -448,12 +448,14 @@ class TestNelderMeadMatchesScipy:
         for seed in range(100 * block, 100 * block + 100):
             self.check(*_box_problem(seed))
 
-    @pytest.mark.parametrize("maxfev", [2, 4, 5, 6, 7, 9, math.inf])
+    @pytest.mark.parametrize("maxfev", [2, 4, 5, 6, 7, 8, 9, math.inf])
     def test_flat_objective_shrinks_every_iteration(self, maxfev):
-        # no vertex ever improves, so each iteration reflects, contracts inside
-        # and shrinks; the cuts land in the first simplex and in the shrinks
-        self.check(lambda x: 1.0, np.array([0.0, 0.5, 1.0]), np.zeros(3), np.ones(3),
-                   1e-6, 1e-14, 50, maxfev)
+        # no reflection or contraction ever improves, so each iteration
+        # shrinks; the cuts land in the first simplex and in the shrinks.  The
+        # first shrink's first vertex, (0.000125, 0.5, 1), is the one better
+        # point: a cut after it (7, 8) must still sort it to the front
+        self.check(lambda x: -1.0 if x[0] == 0.000125 else 0.0, np.array([0.0, 0.5, 1.0]),
+                   np.zeros(3), np.ones(3), 1e-6, 1e-14, 50, maxfev)
 
 
 _ODD_NUMBERS = st.one_of(
