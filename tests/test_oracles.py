@@ -151,17 +151,24 @@ class TestSimplex:
         assert pinned == GOLDEN_LP["random_lps"]
 
 
+def _constructed_profile():
+    """Gains of the single-yield profile Y_12 = 0.37, with their intensities.
+
+    Assembled in exact rational arithmetic and rounded once: the oracle
+    expects inputs accurate to a few ulps.
+    """
+    mu = (0.1, 1e-2, 1e-3)
+    nu = (0.2, 2e-2, 2e-3)
+    q = tuple(tuple(float(Fraction("0.37") * Fraction(math.exp(-(a + b)))
+                          * Fraction(a) * Fraction(b) ** 2 / 2)
+                    for b in nu) for a in mu)
+    return GainMatrix(q=q), mu, nu
+
+
 class TestLpYieldBound:
     def test_recovers_constructed_profile(self):
-        # gains from a single-yield profile, assembled in exact rational
-        # arithmetic and rounded once (the oracle expects inputs accurate to
-        # a few ulps); the LP must pin that yield
-        mu = (0.1, 1e-2, 1e-3)
-        nu = (0.2, 2e-2, 2e-3)
-        q = tuple(tuple(float(Fraction("0.37") * Fraction(math.exp(-(a + b)))
-                              * Fraction(a) * Fraction(b) ** 2 / 2)
-                        for b in nu) for a in mu)
-        gains = GainMatrix(q=q)
+        # the LP must pin the profile's one yield
+        gains, mu, nu = _constructed_profile()
         assert lp_yield_bound(gains, mu, nu, (1, 2), 10) == pytest.approx(
             0.37, abs=1e-9)
 
@@ -344,3 +351,17 @@ class TestGoldenLpPath:
             opt, x = _maximize(start, c)
             digest.update(" ".join(t.hex() for t in [opt, *x]).encode() + b"\n")
         assert digest.hexdigest() == record["phase2_sha256"]
+
+    def test_constructed_profile_path(self):
+        # the LP of ``test_recovers_constructed_profile`` (n = 121, m = 9)
+        # makes 51 phase-1 and 167 phase-2 pivots, far more than the
+        # certify-like configurations above: its optimum and a sha256 of its
+        # ``x``, bit for bit
+        gains, mu, nu = _constructed_profile()
+        side = 11
+        c = [0] * (side * side)
+        c[1 * side + 2] = 1
+        opt, x = _maximize(lp_bounds._start(gains.q, mu, nu, side - 1), c)
+        assert opt.hex() == "0x1.7ae147ae147b3p-2"
+        assert hashlib.sha256(" ".join(v.hex() for v in x).encode()).hexdigest() == \
+            "0a5f9c8c6ddce4e6761b57b4397a1a8831ac0c045e517a7fef46eb2a1ad275fb"
