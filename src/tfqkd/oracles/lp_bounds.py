@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 from ..channel import GainMatrix
 from ..errors import InconsistentGainsError
@@ -50,9 +50,15 @@ _DATA_NOISE = Fraction(1, 2 ** 50)
 def poisson_upper_tail(mean: float, n_max: int) -> float:
     """P(N > n_max) for a Poisson variable, to full relative accuracy.
 
-    Summed upward from the first excluded term; never computed as one minus
-    the head, whose rounding would dwarf the tiny tails that appear here.
+    Summed upward from the first excluded term while the tail is the smaller
+    side: one minus the head would lose the tiny tails that appear here to
+    rounding.  Past the mode the tail holds about half the mass or more, so
+    one minus the head is accurate there, while the upward sum would stop
+    long before the terms peak near ``mean`` or start from an underflowed
+    first term.
     """
+    if mean > n_max + 1:
+        return 1.0 - math.fsum(poisson_weight(mean, n) for n in range(n_max + 1))
     term = poisson_weight(mean, n_max + 1)
     total = term
     for n in range(n_max + 2, n_max + 400):
@@ -91,8 +97,7 @@ def _start(q, mu, nu, n_trunc: int):
     """Feasible simplex start of the truncated LP of one configuration."""
     n_vars = (n_trunc + 1) ** 2
     try:
-        return _feasible_start(*_constraints(q, mu, nu, n_trunc),
-                               [Fraction(0)] * n_vars, [Fraction(1)] * n_vars)
+        return _feasible_start(*_constraints(q, mu, nu, n_trunc), [0] * n_vars, [1] * n_vars)
     except LinearProgramInfeasible as exc:
         raise InconsistentGainsError(f"gains admit no yield profile: {exc}") from exc
 
@@ -104,6 +109,10 @@ def lp_yield_bound(gains: GainMatrix, mu, nu, target, n_trunc: int = DEFAULT_TRU
     nu = tuple(nu)
     if len(mu) != gains.size or len(nu) != gains.size:
         raise ValueError("intensity lists must match the gain matrix")
+    if not all(isinstance(x, Real) and math.isfinite(x) and x >= 0 for x in mu + nu):
+        raise ValueError(f"intensities must be finite and >= 0, got {mu} and {nu}")
+    if not isinstance(n_trunc, Integral) or isinstance(n_trunc, bool):
+        raise ValueError(f"truncation order must be an integer, got {n_trunc!r}")
     if not all(isinstance(k, Integral) and not isinstance(k, bool) for k in (u, v)):
         raise ValueError(f"target photon numbers must be integers, got {target}")
     if u < 0 or v < 0:
@@ -112,7 +121,7 @@ def lp_yield_bound(gains: GainMatrix, mu, nu, target, n_trunc: int = DEFAULT_TRU
         raise ValueError("truncation order too small for the target yield")
 
     side = n_trunc + 1
-    c = [Fraction(0)] * (side * side)
-    c[u * side + v] = Fraction(1)
+    c = [0] * (side * side)
+    c[u * side + v] = 1
     optimum, _ = _maximize(_start(gains.q, mu, nu, n_trunc), c)
     return min(max(optimum, 0.0), 1.0)

@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from tfqkd.channel import (ChannelParams, GainMatrix, IntensitySettings,
                            simulate_gains, standard_noise, theoretical_yield)
 from tfqkd.decoy3 import TARGETS_3
 from tfqkd.decoy4 import yield_bounds
-from tfqkd.errors import InconsistentGainsError
+from tfqkd.errors import InconsistentGainsError, TfqkdError
 from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_bound,
                            series_gain, solve_bounded_lp)
 from tfqkd.oracles.fock import gain_reconstruction_error
@@ -128,6 +129,39 @@ class TestSimplex:
         assert _maximize(start, [1]) == (1.5, [1.5])
         assert start.basis == (0, 4) and start.tab[1][4] == one
 
+    def test_input_types_give_identical_solutions(self):
+        # ints, floats and Fractions of the same rationals: one LP
+        c, a = [3, 2, -1], [[1, 2, 1], [2, -1, 3]]
+        lower, upper, x_hi = [0, -2], [4, 5], [3, 3, 3]
+        as_ints = solve_bounded_lp(c, a, lower, upper, [0, 0, 0], x_hi)
+        for kind in (float, Fraction):
+            cast = [kind(v) for v in c], [[kind(v) for v in row] for row in a]
+            assert solve_bounded_lp(*cast, [kind(v) for v in lower], [kind(v) for v in upper],
+                                    [kind(0)] * 3, [kind(v) for v in x_hi]) == as_ints
+        assert as_ints == (9.6, [2.8, 0.6, 0.0])
+
+    @pytest.mark.parametrize("lp", [
+        ([1, 0], [[1]], [0], [1], [0, 0], [1, 1]),           # row shorter than c
+        ([1, 0], [[1, 0, 1]], [0], [1], [0, 0], [1, 1]),     # row longer than c
+        ([1], [[1]], [0], [1], [0, 0], [1, 1]),              # c shorter than the box
+        ([1, 0], [[1, 0]], [0, 0], [1], [0, 0], [1, 1]),     # one lower window too many
+        ([1, 0], [[1, 0]], [0], [1], [0, 0], [1]),           # upper box too short
+    ])
+    def test_shape_mismatch_rejected(self, lp):
+        with pytest.raises(ValueError, match="entries|match"):
+            solve_bounded_lp(*lp)
+
+    @pytest.mark.parametrize("where", range(6))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, where, value):
+        lp = [[1, 1], [[1, 2]], [0], [3], [0, 0], [2, 2]]
+        if where == 1:
+            lp[1][0][1] = value
+        else:
+            lp[where][0] = value
+        with pytest.raises(ValueError, match="finite"):
+            solve_bounded_lp(*lp)
+
     def test_against_reference_solver(self):
         # each solution is also pinned bit for bit (see TestGoldenLpPath)
         pinned = []
@@ -209,6 +243,15 @@ class TestLpYieldBound:
             with pytest.raises(InconsistentGainsError):
                 lp_yield_bound(gains, mu, mu, (1, 1), 8)
 
+    @pytest.mark.parametrize("mu,n_trunc", [
+        ((math.inf, 1e-2, 2e-3), 8), ((math.nan, 1e-2, 2e-3), 8), ((-0.1, 1e-2, 2e-3), 8),
+        ((0.1, 1e-2, 2e-3), 10.5), ((0.1, 1e-2, 2e-3), True), ((0.1, 1e-2, 2e-3), "8"),
+    ])
+    def test_bad_intensity_or_truncation_rejected(self, mu, n_trunc):
+        gains = GainMatrix(q=((0.0,) * 3,) * 3)
+        with pytest.raises(ValueError, match="intensities must|truncation order must"):
+            lp_yield_bound(gains, mu, (0.1, 1e-2, 1e-3), (1, 1), n_trunc)
+
     @pytest.mark.parametrize("target", [(-1, 3), (0, -2), (-1, -1)])
     def test_negative_target_rejected(self, target):
         mu = (0.1, 1e-2, 1e-3)
@@ -264,6 +307,49 @@ def test_dominance_chain_on_verify_configurations(losses, decoys, weak, strong, 
         lp = lp_yield_bound(gains, mu, nu, target)
         assert true <= lp + 1e-9 and lp <= exact.get(*target) + 1e-9, target
         assert exact.get(*target) <= floats.get(*target), target
+
+
+_INTENSITIES = st.tuples(*[st.floats(0, 0.5)] * 3)
+_EXTREME = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from([-0.1, 0.0, 12.0, 500.0, 1e300, -1, 1, True, "4"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(mu=_INTENSITIES, nu=_INTENSITIES,
+       q=st.one_of(st.floats(0, 1).map(lambda y: ((y,) * 3,) * 3),   # consistent: Y_nm = y
+                   st.tuples(*[st.tuples(*[st.floats(0, 1)] * 3)] * 3)),
+       target=st.tuples(st.integers(0, 2), st.integers(0, 2)), extra=st.integers(0, 2),
+       spoil=st.one_of(st.none(), st.tuples(st.integers(0, 6), _EXTREME)))
+def test_lp_yield_bound_contract(mu, nu, q, target, extra, spoil):
+    """Any input gives a finite bound in [0, 1], a ValueError or a TfqkdError.
+
+    ``spoil`` puts an extreme value in place of one intensity (0-5) or of
+    the truncation order (6).
+    """
+    mu, nu, n_trunc = list(mu), list(nu), max(target) + 2 + extra
+    if spoil is not None:
+        k, value = spoil
+        if k == 6:
+            n_trunc = value
+        else:
+            (mu if k < 3 else nu)[k % 3] = value
+    try:
+        got = lp_yield_bound(GainMatrix(q=q), mu, nu, target, n_trunc)
+    except (ValueError, TfqkdError):
+        return
+    assert math.isfinite(got) and 0.0 <= got <= 1.0
+
+
+@pytest.mark.parametrize("mean,n_max", [(0.3, 10), (11.0, 10), (12.0, 10), (50.0, 10),
+                                        (500.0, 10), (760.0, 4)])
+def test_poisson_upper_tail(mean, n_max):
+    # the tail past the mode used to stop summing at n_max + 400 or start
+    # from an underflowed term: 1.5e-5 at mean 500, 0 at mean 760
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mean)
+        head = mpmath.fsum(mpmath.exp(-m) * m ** k / mpmath.factorial(k) for k in range(n_max + 1))
+        reference = float(1 - head)
+    assert lp_bounds.poisson_upper_tail(mean, n_max) == pytest.approx(reference, rel=1e-14)
 
 
 def _certify_like(rng, decoys):
