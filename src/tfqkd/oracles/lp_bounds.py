@@ -104,7 +104,10 @@ def _start(q, mu, nu, n_trunc: int):
 
 def lp_yield_bound(gains: GainMatrix, mu, nu, target, n_trunc: int = DEFAULT_TRUNCATION) -> float:
     """LP maximum of one yield consistent with the gains, in [0, 1]."""
-    u, v = target
+    try:
+        u, v = target
+    except (TypeError, ValueError):
+        raise ValueError(f"target must be a pair of integers, got {target!r}") from None
     mu = tuple(mu)
     nu = tuple(nu)
     if len(mu) != gains.size or len(nu) != gains.size:

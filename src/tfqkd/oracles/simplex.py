@@ -322,12 +322,13 @@ def _feasible_start(a, row_lower, row_upper, x_lower, x_upper) -> _Start:
 
     phase1 = [_ZERO] * (n + m) + [(-1, 1)] * m
     _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, phase1, ncols)
-    residual = [beta[i] for i in range(m) if basis[i] >= n + m and beta[i][0]]
-    if residual:
-        total = _ZERO
-        for v in residual:
-            total = _add(total, v)
-        raise LinearProgramInfeasible(f"phase-1 residual {total[0] / total[1]:.3e}")
+    infeasibility = _ZERO
+    for i in range(m):
+        if basis[i] >= n + m:
+            infeasibility = _add(infeasibility, beta[i])
+    if infeasibility[0] > 0:
+        raise LinearProgramInfeasible(
+            f"phase-1 residual {infeasibility[0] / infeasibility[1]:.3e}")
 
     # drive leftover zero-level artificials out of the basis.  Each row's
     # slack column starts as +-1 times its artificial column and row

@@ -260,7 +260,7 @@ class TestLpYieldBound:
             lp_yield_bound(gains, mu, mu, target, 8)
 
     @pytest.mark.parametrize("target", [(0.5, 1), (1.0, 1), (1, 2.0), (True, 1), (0, False),
-                                        ("1", 1)])
+                                        ("1", 1), 5, (1,), (1, 1, 1)])
     def test_non_integer_target_rejected(self, target):
         mu = (0.1, 1e-2, 1e-3)
         gains = GainMatrix(q=((0.0,) * 3,) * 3)
@@ -343,8 +343,9 @@ def test_lp_yield_bound_contract(mu, nu, q, target, extra, spoil):
 @pytest.mark.parametrize("mean,n_max", [(0.3, 10), (11.0, 10), (12.0, 10), (50.0, 10),
                                         (500.0, 10), (760.0, 4)])
 def test_poisson_upper_tail(mean, n_max):
-    # the tail past the mode used to stop summing at n_max + 400 or start
-    # from an underflowed term: 1.5e-5 at mean 500, 0 at mean 760
+    # past the mode the tail is most of the mass: an upward sum cut at
+    # n_max + 400 terms gives 1.5e-5 at mean 500, and one that starts from
+    # an underflowed term gives 0 at mean 760
     with mpmath.workdps(40):
         m = mpmath.mpf(mean)
         head = mpmath.fsum(mpmath.exp(-m) * m ** k / mpmath.factorial(k) for k in range(n_max + 1))
