@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 
@@ -228,18 +227,20 @@ def _formula(target, mu, nu, warnings):
     return None
 
 
-def _sorted_subsets(values):
-    """All descending-ordered 3-subsets of a four-intensity list."""
-    order = sorted(range(4), key=lambda i: -values[i])
-    return [tuple(i for i in order if i in idx) for idx in combinations(range(4), 3)]
-
-
 _SUBSETS = np.array(SUBSETS)
+# ``IntensitySettings`` lists four decoys strongest-last, so each subset of
+# ``SUBSETS`` in descending order of intensity is the same entry here
+_SORTED_SUBSETS = ((0, 1, 2), (3, 0, 1), (3, 0, 2), (3, 1, 2))
 # one batch row per subset-pair block and ``_PAIRS`` combination, block by
 # block; block i pairs Alice's sorted subset i // 4 with Bob's i % 4
 _ROW_BLOCK = np.repeat(np.arange(16), len(_PAIR_A))
 _ROW_A, _ROW_B = np.divmod(_ROW_BLOCK, 4)
 _ROW_KA, _ROW_KB = np.tile(_PAIR_A, 16), np.tile(_PAIR_B, 16)
+# the gain rows (Alice) and columns (Bob) of each batch row's block
+_BLOCK_ROWS = np.array(_SORTED_SUBSETS)[_ROW_A][:, :, None]
+_BLOCK_COLS = np.array(_SORTED_SUBSETS)[_ROW_B][:, None, :]
+_BLOCK_NAMES = ["3-decoy subsets ({},{},{})x({},{},{})".format(*a, *b)
+                for a in SUBSETS for b in SUBSETS]
 
 
 def _bounds4(q, mu, nu, exact):
@@ -249,39 +250,38 @@ def _bounds4(q, mu, nu, exact):
     Every gain combination of the set -- seven per subset-pair block, four
     slots per combined formula -- is one row of a single ``_combine`` batch.
     (4,0) and (3,1) are the (0,4) and (1,3) formulas on the exchanged parties
-    and the transposed slot gains.
+    with the first party's slot vectors on Bob's side of the slot gains.
     """
     num, qtilde, mu, nu = _prepare(q, mu, nu, 4, exact)
     slot_q = qtilde[_SUBSETS[:, :, None], _SUBSETS[:, None, :]]
-    mirror_q = slot_q.swapaxes(1, 2)
     # the slot combinations of (0,4) are those of (0,2), on each slot's block
     v04, v13 = _VECTOR_FOR_TARGET[0, 2], _VECTOR_FOR_TARGET[1, 3]
     warnings = []
-    active = []  # (target, name, evaluator, first, second, slot set, slot gains, vectors)
-    for target, first, second, gains, vectors in (
-            ((0, 4), mu, nu, slot_q, v04), ((4, 0), nu, mu, mirror_q, v04),
-            ((1, 3), mu, nu, slot_q, v13), ((3, 1), nu, mu, mirror_q, v13)):
+    active = []  # (target, name, evaluator, first, second, slot set, vectors)
+    for target, first, second, vectors in (
+            ((0, 4), mu, nu, v04), ((4, 0), nu, mu, v04),
+            ((1, 3), mu, nu, v13), ((3, 1), nu, mu, v13)):
         found = _formula(target, first, second, warnings)
         if found is not None:
             # the degenerate (0,4) builds the second party's slot vectors
             # from the first party's weak triple and its own strongest
             slots = first[:3] + second[3:] if found[0] == "4-decoy degenerate" else second
-            active.append((target, *found, first, second, slots, gains, vectors))
-    order_a, order_b = _sorted_subsets(mu), _sorted_subsets(nu)
-    triples_a = [tuple(mu[i] for i in rows) for rows in order_a]
-    triples_b = [tuple(nu[j] for j in cols) for cols in order_b]
-    sets = list(dict.fromkeys([mu, nu] + [slots for *_, slots, _, _ in active]))
+            active.append((target, *found, first, second, slots, vectors))
+    triples_a = [tuple(mu[i] for i in rows) for rows in _SORTED_SUBSETS]
+    triples_b = [tuple(nu[j] for j in cols) for cols in _SORTED_SUBSETS]
+    sets = list(dict.fromkeys([mu, nu] + [slots for *_, slots, _ in active]))
     vectors = _vectors(triples_a + triples_b
                        + [tuple(x[i] for i in slot) for x in sets for slot in SUBSETS], num)
     va, vb = vectors[:4], vectors[4:8]
     slot_vectors = {x: vectors[8 + 4 * k:12 + 4 * k] for k, x in enumerate(sets)}
-    oa, ob = np.array(order_a), np.array(order_b)
     coeff_a, coeff_b = [va[_ROW_A, _ROW_KA]], [vb[_ROW_B, _ROW_KB]]
-    gains = [qtilde[oa[_ROW_A][:, :, None], ob[_ROW_B][:, None, :]]]
-    for *_, first, _, slots, slot_gains, (ka, kb) in active:
-        coeff_a.append(slot_vectors[first][:, ka])
-        coeff_b.append(slot_vectors[slots][:, kb])
-        gains.append(slot_gains)
+    gains = [qtilde[_BLOCK_ROWS, _BLOCK_COLS]] + [slot_q] * len(active)
+    for target, _, _, first, _, slots, (ka, kb) in active:
+        pair = slot_vectors[first][:, ka], slot_vectors[slots][:, kb]
+        # (4,0) and (3,1) take Bob as the first party: his vectors go on his side
+        alice, bob = pair[::-1] if target in ((4, 0), (3, 1)) else pair
+        coeff_a.append(alice)
+        coeff_b.append(bob)
     g, gerr = _combine(np.concatenate(coeff_a), np.concatenate(coeff_b), np.concatenate(gains))
     sides_a = [_side(x, num) for x in triples_a]
     sides_b = [_side(x, num) for x in triples_b]
@@ -289,9 +289,7 @@ def _bounds4(q, mu, nu, exact):
     values = _block_bounds(g[:n], gerr[:n], [(a, b) for a in sides_a for b in sides_b], num)
     best = values.argmin(axis=0)
     bounds = dict(zip(TARGETS_3, values[best, np.arange(len(TARGETS_3))].tolist()))
-    provenance = {target: "3-decoy subsets ({},{},{})x({},{},{})".format(
-                      *sorted(order_a[i // 4]), *sorted(order_b[i % 4]))
-                  for target, i in zip(TARGETS_3, best.tolist())}
+    provenance = {target: _BLOCK_NAMES[i] for target, i in zip(TARGETS_3, best.tolist())}
     # one recurrence per distinct four-value set feeds both (0,4) orientations
     four = dict.fromkeys(x for target, _, _, first, _, slots, *_ in active
                          if target in ((0, 4), (4, 0)) for x in (first, slots))

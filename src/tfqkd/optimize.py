@@ -255,12 +255,11 @@ def _nelder_mead(fun, x0, lo, hi, xatol: float, fatol: float, maxiter: int,
 
 
 def _objective(spec: OptimizationSpec, parts: _RateParts):
-    """Minus the rate at a parameter vector clipped to the box, scored by
-    the search's ``parts``."""
-    lo, hi = spec.box()
-
+    """Minus the rate at a parameter vector, scored by the search's ``parts``.
+    Nelder-Mead clips its vertices to the box and ``coordinate_descent``
+    searches each coordinate within its bounds, so no vector needs clipping."""
     def fun(p):
-        return -parts.rate(*spec._point(np.clip(p, lo, hi)))
+        return -parts.rate(*spec._point(p))
     return fun
 
 
@@ -305,7 +304,7 @@ def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int,
             cells.append(np.array(alphas + [s] * n_alpha))
     if parts is None:
         parts = _RateParts(params, f, n_cut)
-    # the objective clips each vector to the box before evaluating it
+    # each cell is scored where Nelder-Mead, which clips its start, begins
     values = [-parts.rate(*spec._point(q)) for q in np.clip(cells, lo, hi).tolist()]
     scored = sorted(zip(values, map(tuple, cells)))
     seeds = [np.array(p) for _, p in scored[:max(2, spec.multistart // 2)]]

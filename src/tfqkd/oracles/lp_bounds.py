@@ -6,22 +6,22 @@ each equality into a two-sided window by the neglected Poisson tail mass
 turns that into a finite LP whose maximum is a certified upper bound on any
 single yield.
 
-Everything is kept exact: the constraint coefficients are rational monomials
-of the (exactly represented) double intensities, scaled per row by the
-rational value of the double exp(-mu-nu) so each row stays on the
-probability scale.  The only non-exact ingredients are the gains themselves
-and the per-row exponential, a couple of ulps each, which is what the tiny
-``_DATA_NOISE`` window accounts for.  The windows matter: the LP duals on
-the weakly-weighted rows reach 1e12 and amplify any slack in the window
-straight into the reported optimum.
+Everything is kept exact: the constraint coefficients are products of
+rational monomials x^n/n! of the (exactly represented) double intensities,
+built once per intensity, scaled per row by the rational value of the double
+exp(-mu-nu) so each row stays on the probability scale.  The only non-exact
+ingredients are the gains themselves and the per-row exponential, a couple
+of ulps each, which is what the tiny ``_DATA_NOISE`` window accounts for.
+The windows matter: the LP duals on the weakly-weighted rows reach 1e12 and
+amplify any slack in the window straight into the reported optimum.
 
 Every target of one configuration shares those rows and windows, and phase 1
 of the simplex depends on nothing else.  One small ``lru_cache`` keyed by
 (gains, intensities, truncation) therefore builds the rows and runs phase 1
-once; each ``lp_yield_bound`` call then only runs phase 2 for its own target
-from a copy of that feasible start, which gives the optimum a one-shot solve
-would give.  An infeasible configuration raises on every call, since the
-cache holds no exceptions.
+once, keeping its start in int pairs; each ``lp_yield_bound`` call then only
+runs phase 2 for its own target from a copy of that feasible start, which
+gives the optimum a one-shot solve would give.  An infeasible configuration
+raises on every call, since the cache holds no exceptions.
 """
 
 from __future__ import annotations
@@ -71,18 +71,17 @@ def poisson_upper_tail(mean: float, n_max: int) -> float:
 
 def _constraints(q, mu, nu, n_trunc: int):
     """Rows and their lower and upper windows of the truncated LP."""
-    side = n_trunc + 1
+    factors = {x: ([Fraction(x) ** n / math.factorial(n) for n in range(n_trunc + 1)],
+                   poisson_upper_tail(x, n_trunc)) for x in mu + nu}
     rows = []
     lower = []
     upper = []
     for k, mu_k in enumerate(mu):
-        mono_a = [Fraction(mu_k) ** n / math.factorial(n) for n in range(side)]
-        ta = poisson_upper_tail(mu_k, n_trunc)
+        mono_a, ta = factors[mu_k]
         for l, nu_l in enumerate(nu):
-            mono_b = [Fraction(nu_l) ** m / math.factorial(m) for m in range(side)]
-            tb = poisson_upper_tail(nu_l, n_trunc)
+            mono_b, tb = factors[nu_l]
             scale = Fraction(math.exp(-(mu_k + nu_l)))
-            coeff = [scale * a * b for a in mono_a for b in mono_b]
+            coeff = [sa * b for sa in [scale * a for a in mono_a] for b in mono_b]
             tail = Fraction(ta + tb - ta * tb)
             q_kl = Fraction(q[k][l])
             noise = _DATA_NOISE * (q_kl + tail)

@@ -43,16 +43,15 @@ Bland's, unchanged, and so are the starts, the optima and ``x``.
 
 A solve is two steps.  ``_feasible_start`` converts the constraints, runs
 phase 1 and drives the leftover artificials out of the basis; it depends on
-the constraints only and returns an immutable ``_Start`` of Fractions.
-``_maximize`` copies a start without its artificial columns into pairs and
-runs phase 2 for one objective, so one start serves any number of
-objectives over the same constraints, each with the pivots a fresh solve
+the constraints only and returns its lists as an immutable ``_Start`` of
+ints and pairs.  ``_maximize`` copies a start's rows without the artificial
+columns and runs phase 2 for one objective, so one start serves any number
+of objectives over the same constraints, each with the pivots a fresh solve
 would make.  ``solve_bounded_lp`` is the two in sequence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isfinite
 from numbers import Rational
 from typing import NamedTuple
@@ -71,9 +70,11 @@ class LinearProgramInfeasible(Exception):
 
 
 class _Start(NamedTuple):
-    """Feasible basis after phase 1: n structurals, m slacks, m artificials."""
+    """Feasible basis after phase 1: n structurals, m slacks, m artificials;
+    every value a reduced ``(numerator, denominator)`` pair."""
     n: int
-    tab: tuple      # m rows of n + 2m Fractions
+    tab_n: tuple    # m rows of n + 2m numerators
+    tab_d: tuple    # m rows of n + 2m denominators
     beta: tuple     # values of the basic variables
     status: tuple   # per column: at lower, at upper or basic
     basis: tuple    # basic column of each row
@@ -347,15 +348,9 @@ def _feasible_start(a, row_lower, row_upper, x_lower, x_upper) -> _Start:
                 status[j] = _BASIC
                 break
 
-    # row by row, so the tableau is never held in both forms at once
-    tab = []
-    for i in range(m):
-        tab.append(tuple(map(Fraction, tab_n[i], tab_d[i])))
-        tab_n[i] = tab_d[i] = None
-    return _Start(n=n, tab=tuple(tab), beta=tuple(Fraction(*v) for v in beta),
-                  status=tuple(status), basis=tuple(basis),
-                  lo=tuple(Fraction(*v) for v in lo),
-                  hi=tuple(None if v is None else Fraction(*v) for v in hi))
+    return _Start(n=n, tab_n=tuple(map(tuple, tab_n)), tab_d=tuple(map(tuple, tab_d)),
+                  beta=tuple(beta), status=tuple(status), basis=tuple(basis),
+                  lo=tuple(lo), hi=tuple(hi))
 
 
 def _maximize(start: _Start, c):
@@ -366,16 +361,14 @@ def _maximize(start: _Start, c):
     vector keeps all n + 2m entries: pricing reads the cost of every basic
     column, and a hand-built start may keep an artificial basic.
     """
-    n, m = start.n, len(start.tab)
+    n, m = start.n, len(start.tab_n)
     if len(c) != n:
         raise ValueError(f"the objective must have {n} entries, got {len(c)}")
     cvec = [_pair(v) for v in c]
-    tab_n = [[v.numerator for v in row[:n + m]] for row in start.tab]
-    tab_d = [[v.denominator for v in row[:n + m]] for row in start.tab]
-    beta = [(v.numerator, v.denominator) for v in start.beta]
-    status, basis = list(start.status), list(start.basis)
-    lo = [(v.numerator, v.denominator) for v in start.lo]
-    hi = [None if v is None else (v.numerator, v.denominator) for v in start.hi]
+    tab_n = [list(r[:n + m]) for r in start.tab_n]
+    tab_d = [list(r[:n + m]) for r in start.tab_d]
+    beta, status, basis = list(start.beta), list(start.status), list(start.basis)
+    lo, hi = start.lo, start.hi
     phase2 = cvec + [_ZERO] * (2 * m)
     _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, phase2, n + m)
 

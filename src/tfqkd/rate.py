@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .channel import (ChannelParams, GainMatrix, IntensitySettings, XBasisStats,
                       simulate_gains, x_basis_statistics)
@@ -109,12 +110,14 @@ def phase_error_upper(bounds: YieldBounds, alpha_a: float, alpha_b: float,
     beyond ``n_cut`` is added in closed form (it only ever multiplies yield
     value 1), and ``n_cut`` doubles until that analytic remainder is below
     1e-10, which the sqrt(n!) decay makes immediate for any sane amplitude.
+    ``n_cut`` must be an integer in [10, 640].
 
     The bound has two parts: each amplitude's weight series (its weights,
     full parity sums and head sums, from one pass of the recurrence), which
     does not read the bounds, and the remainder, which does.  A call builds
     both series afresh; the searches of ``optimize`` share them per amplitude.
     """
+    _check_n_cut(n_cut)
     return _phase_error(bounds, _AmplitudeSeries(alpha_a), _AmplitudeSeries(alpha_b),
                         p_x, n_cut)
 
@@ -124,8 +127,6 @@ def _phase_error(bounds: YieldBounds, series_a: _AmplitudeSeries,
     """The bound-dependent part of ``phase_error_upper``, on given series."""
     if p_x <= 0.0:
         raise ValueError("phase_error_upper needs p_x > 0")
-    if n_cut < 10:
-        raise ValueError("n_cut must be >= 10")
     full_even_a, full_odd_a = series_a.parity_sums()
     full_even_b, full_odd_b = series_b.parity_sums()
     while True:
@@ -186,6 +187,7 @@ def key_rate(params: ChannelParams, settings: IntensitySettings, f: float = 1.0,
     probabilities are taken as 1 (asymptotic limit).
     """
     _check_efficiency(f)
+    _check_n_cut(n_cut)
     stats = x_basis_statistics(params, settings.alpha_a, settings.alpha_b)
     if gains is None:
         gains = simulate_gains(params, settings)
@@ -206,6 +208,13 @@ def key_rate(params: ChannelParams, settings: IntensitySettings, f: float = 1.0,
 def _check_efficiency(f: float) -> None:
     if not (math.isfinite(f) and f >= 0.0):
         raise ValueError(f"reconciliation efficiency must be finite and >= 0, got {f}")
+
+
+def _check_n_cut(n_cut) -> None:
+    # the weight series hold n_cut + 1 terms, so an unbounded one exhausts memory
+    ok = isinstance(n_cut, Integral) and not isinstance(n_cut, bool)
+    if not (ok and 10 <= n_cut <= _MAX_N_CUT):
+        raise ValueError(f"n_cut must be an integer in [10, {_MAX_N_CUT}], got {n_cut!r}")
 
 
 def _rates(stats: XBasisStats, e_z_upp: float, f: float) -> tuple[float, float]:
@@ -237,6 +246,7 @@ class _RateParts:
 
     def __init__(self, params: ChannelParams, f: float, n_cut: int):
         _check_efficiency(f)
+        _check_n_cut(n_cut)
         self.params, self.f, self.n_cut = params, f, n_cut
         self._bounds = {}
         self._series = {}

@@ -156,6 +156,16 @@ class TestConfigFile:
         assert rec["loss_a_db"] == 30
         assert rec["rate"] > 0
 
+    def test_n_cut_above_range_is_value_error_record(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "decoys": 3, "n_cut": 641}))
+        code, out, err = run_cli(["rate", "--config", str(cfg), "--alpha-a", "0.2",
+                                  "--alpha-b", "0.2", "--strongest-mu", "0.1",
+                                  "--strongest-nu", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_invalid_decoys(self, capsys):
         with pytest.raises(SystemExit):
             main(["rate", "--decoys", "5"])

@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -22,7 +23,8 @@ from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_
                            series_gain, solve_bounded_lp)
 from tfqkd.oracles.fock import gain_reconstruction_error
 from tfqkd.oracles.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, LinearProgramInfeasible,
-                                   _feasible_start, _maximize, _Start)
+                                   _feasible_start, _maximize)
+from tfqkd.oracles.simplex import _Start as _PairStart
 
 GOLDEN_LP = json.loads((Path(__file__).parent / "data" / "golden_lp.json").read_text())
 
@@ -119,15 +121,15 @@ class TestSimplex:
         # a redundant row whose artificial (column 4) stays basic, pinned at
         # zero: phase 2 prices it from the full-length cost vector and moves
         # only x (column 0), here by a bound flip of the slack s0 (column 1)
-        one, zero = Fraction(1), Fraction(0)
-        start = _Start(n=1,
-                       tab=((one, one, zero, one, zero), (zero, zero, zero, zero, one)),
-                       beta=(Fraction(1, 2), zero),
-                       status=(_BASIC, _AT_UPPER, _AT_LOWER, _AT_LOWER, _BASIC),
-                       basis=(0, 4),
-                       lo=(zero,) * 5, hi=(Fraction(2), one, one, None, zero))
+        one, zero = (1, 1), (0, 1)
+        start = _PairStart(n=1,
+                           tab_n=((1, 1, 0, 1, 0), (0, 0, 0, 0, 1)), tab_d=((1,) * 5,) * 2,
+                           beta=((1, 2), zero),
+                           status=(_BASIC, _AT_UPPER, _AT_LOWER, _AT_LOWER, _BASIC),
+                           basis=(0, 4),
+                           lo=(zero,) * 5, hi=((2, 1), one, one, None, zero))
         assert _maximize(start, [1]) == (1.5, [1.5])
-        assert start.basis == (0, 4) and start.tab[1][4] == one
+        assert start.basis == (0, 4) and start.tab_n[1][4] == 1 and start.tab_d[1][4] == 1
 
     def test_input_types_give_identical_solutions(self):
         # ints, floats and Fractions of the same rationals: one LP
@@ -402,6 +404,30 @@ class TestLpMemo:
         assert lp_bounds._start(gains.q, mu, nu, n_trunc) == before
 
 
+class _Start(NamedTuple):
+    """The simplex start as it was when ``start_sha256`` was recorded: the
+    same fields, but the tableau as one list of rows and every number a
+    ``Fraction``."""
+    n: int
+    tab: tuple
+    beta: tuple
+    status: tuple
+    basis: tuple
+    lo: tuple
+    hi: tuple
+
+
+def _fraction_view(start):
+    """``start``, a start of int pairs, as the ``_Start`` of ``Fraction``s above."""
+    return _Start(n=start.n,
+                  tab=tuple(tuple(map(Fraction, rn, rd))
+                            for rn, rd in zip(start.tab_n, start.tab_d)),
+                  beta=tuple(Fraction(*v) for v in start.beta),
+                  status=start.status, basis=start.basis,
+                  lo=tuple(Fraction(*v) for v in start.lo),
+                  hi=tuple(None if v is None else Fraction(*v) for v in start.hi))
+
+
 class TestGoldenLpPath:
     """The exact simplex pinned bit for bit, path included.
 
@@ -411,8 +437,9 @@ class TestGoldenLpPath:
     feasible LP of ``_random_lps`` (null for an infeasible one), checked by
     ``TestSimplex.test_against_reference_solver``; and for one 3-decoy and
     one 4-decoy configuration a sha256 of ``repr`` of the cached phase-1
-    start and one of the nine phase-2 optima and ``x``.  A different pivot
-    sequence changes the start or, at a degenerate optimum, ``x``.
+    start (in ``Fraction``s, hence ``_fraction_view``) and one of the nine
+    phase-2 optima and ``x``.  A different pivot sequence changes the start
+    or, at a degenerate optimum, ``x``.
     """
 
     @pytest.mark.parametrize("record", GOLDEN_LP["lp_optima"],
@@ -430,7 +457,8 @@ class TestGoldenLpPath:
         n_trunc = lp_bounds.DEFAULT_TRUNCATION
         side = n_trunc + 1
         start = lp_bounds._start(gains.q, mu, nu, n_trunc)
-        assert hashlib.sha256(repr(start).encode()).hexdigest() == record["start_sha256"]
+        assert hashlib.sha256(repr(_fraction_view(start)).encode()).hexdigest() == \
+            record["start_sha256"]
         digest = hashlib.sha256()
         for u, v in TARGETS_3:
             c = [Fraction(0)] * (side * side)

@@ -6,7 +6,7 @@ import pytest
 
 from tfqkd.channel import IntensitySettings, standard_noise
 from tfqkd.decoy3 import YieldBounds
-from tfqkd.rate import (binary_entropy, key_rate, phase_error_upper,
+from tfqkd.rate import (_RateParts, binary_entropy, key_rate, phase_error_upper,
                         plob_bound)
 
 
@@ -151,3 +151,31 @@ class TestKeyRate:
                               mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
         with pytest.raises(ValueError):
             key_rate(standard_noise(25, 25), s, f=f)
+
+
+class TestNCutRange:
+    # n_cut sizes the weight series, so one outside [10, 640] is refused where
+    # it enters; a huge one must never reach the allocation
+    SETTINGS = IntensitySettings(alpha_a=0.17, alpha_b=0.17,
+                                 mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
+
+    @pytest.mark.parametrize("n_cut", [9, 641, 40.5, True])
+    def test_rejected_everywhere_it_enters(self, n_cut):
+        with pytest.raises(ValueError, match="n_cut"):
+            key_rate(standard_noise(25, 25), self.SETTINGS, n_cut=n_cut)
+        with pytest.raises(ValueError, match="n_cut"):
+            phase_error_upper(YieldBounds(), 0.17, 0.17, p_x=0.5, n_cut=n_cut)
+        with pytest.raises(ValueError, match="n_cut"):
+            _RateParts(standard_noise(25, 25), 1.0, n_cut)
+
+    def test_rejected_on_the_zero_p_x_branch(self):
+        s = IntensitySettings(alpha_a=0.0, alpha_b=0.0,
+                              mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
+        with pytest.raises(ValueError, match="n_cut"):
+            key_rate(standard_noise(20, 20, p_d=0.0), s, n_cut=641)
+
+    @pytest.mark.parametrize("n_cut", [10, 640])
+    def test_range_ends_accepted(self, n_cut):
+        rate = key_rate(standard_noise(25, 25), self.SETTINGS, n_cut=n_cut).rate
+        assert rate == _RateParts(standard_noise(25, 25), 1.0, n_cut).rate(
+            0.17, 0.17, self.SETTINGS.mu, self.SETTINGS.nu)
