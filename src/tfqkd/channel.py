@@ -275,7 +275,7 @@ def gain(params: ChannelParams, mu_k: float, nu_l: float) -> float:
     x = abs(math.sqrt(mu_k * nu_l * params.eta_a * params.eta_b) * math.cos(params.theta))
     if x <= 20.0:
         log_i0 = math.log1p(_bessel_i0_minus_1(x))
-    else:  # pragma: no cover - unreachable for intensities below ~400
+    else:  # x > 20 once mu_k nu_l eta_a eta_b cos^2(theta) > 400
         log_i0 = math.log(bessel_i0(x))
     one_m_pd = 1.0 - params.p_d
     # caught, not range-checked against _EXP_MAX: just below the overflow

@@ -28,7 +28,7 @@ from .errors import ConfigError, TfqkdError
 from .optimize import (FluctuationSpec, OptimizationSpec, optimize_rate,
                        worst_case_fluctuation)
 from .oracles import dark_adjusted_yield, lp_yield_bound
-from .rate import key_rate, plob_bound
+from .rate import _RateParts, key_rate, plob_bound
 
 GAINS_SCHEMA_VERSION = 1
 CONFIG_SCHEMA_VERSION = 1
@@ -282,6 +282,9 @@ def cmd_sweep(args) -> tuple[str, int]:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sc = _scenario(args)
+    # a bad scenario value fails every point alike: reject it once, up front
+    _RateParts(_params(sc), sc["f"], sc["n_cut"])
+    _opt_spec(sc)
     grid_a = args.grid_a or [sc["loss_a_db"]]
     grid_b = args.grid_b or [sc["loss_b_db"]]
     jobs = [(sc, a, b) for a in grid_a for b in grid_b]

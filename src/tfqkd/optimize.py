@@ -267,8 +267,7 @@ def _grid_axis(lo: float, hi: float, points: int):
     return np.exp(np.linspace(math.log(lo), math.log(hi), points))
 
 
-def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int,
-            parts: _RateParts | None = None):
+def _starts(spec: OptimizationSpec, parts: _RateParts):
     """Deterministic multistart points for the local searches.
 
     The positive-rate basin is a small pocket of the box (most of it clamps
@@ -283,11 +282,12 @@ def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int,
     The cells share their parts: the 624 cells (72 symmetric) span only 16
     strongest-decoy pairs (4) and a few dozen amplitudes.  Each pair's gains
     and yield bounds and each amplitude's weight series are built once, on
-    first use in cell order, in ``parts`` (a fresh ``_RateParts`` unless the
-    caller's search hands its own on); per cell only the X-basis statistics,
-    the rest of the phase-error bound and the entropies are evaluated.
+    first use in cell order, in the search's ``parts``; per cell only the
+    X-basis statistics, the rest of the phase-error bound and the entropies
+    are evaluated.
     Every cell's rate is bit-identical to ``key_rate``'s.
     """
+    params = parts.params
     lo, hi = spec.box()
     n_alpha = 1 if spec.symmetric else 2
     # the positive-rate pocket spans roughly a factor two in amplitude, so
@@ -302,8 +302,6 @@ def _starts(spec: OptimizationSpec, params: ChannelParams, f: float, n_cut: int,
         alphas = [alpha_a] if spec.symmetric else [alpha_a, alpha_b]
         for s in s_axis:
             cells.append(np.array(alphas + [s] * n_alpha))
-    if parts is None:
-        parts = _RateParts(params, f, n_cut)
     # each cell is scored where Nelder-Mead, which clips its start, begins
     values = [-parts.rate(*spec._point(q)) for q in np.clip(cells, lo, hi).tolist()]
     scored = sorted(zip(values, map(tuple, cells)))
@@ -334,7 +332,7 @@ def optimize_rate(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
     lo, hi = spec.box()
     trace = []
     best = None
-    for index, start in enumerate(_starts(spec, params, f, n_cut, parts)):
+    for index, start in enumerate(_starts(spec, parts)):
         x, nfev = _nelder_mead(fun, start, lo, hi, xatol=1e-6, fatol=1e-14,
                                maxiter=maxiter, maxfev=3 * maxiter)
         x = tuple(float(v) for v in x)

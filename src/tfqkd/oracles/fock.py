@@ -83,6 +83,28 @@ def poisson_weight(mean: float, n: int) -> float:
     return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
 
 
+def poisson_upper_tail(mean: float, n_max: int) -> float:
+    """P(N > n_max) for a Poisson variable, to full relative accuracy.
+
+    Summed upward from the first excluded term while the tail is the smaller
+    side: one minus the head would lose the tiny tails that appear here to
+    rounding.  Past the mode the tail holds about half the mass or more, so
+    one minus the head is accurate there, while the upward sum would stop
+    long before the terms peak near ``mean`` or start from an underflowed
+    first term.
+    """
+    if mean > n_max + 1:
+        return 1.0 - math.fsum(poisson_weight(mean, n) for n in range(n_max + 1))
+    term = poisson_weight(mean, n_max + 1)
+    total = term
+    for n in range(n_max + 2, n_max + 400):
+        term *= mean / n
+        total += term
+        if term < total * 1e-18:
+            break
+    return total
+
+
 def series_gain(params: ChannelParams, mu: float, nu: float, n_max: int = 40) -> float:
     """Gain rebuilt as a Poisson mixture of photon-number yields.
 
@@ -108,16 +130,9 @@ def series_gain(params: ChannelParams, mu: float, nu: float, n_max: int = 40) ->
     return one_m_pd * mixture + dark
 
 
-def poisson_tail_bound(mu: float, nu: float, n_max: int) -> float:
-    """Mass of the Poisson product distribution outside the n_max square."""
-    tail_a = 1.0 - math.fsum(poisson_weight(mu, n) for n in range(n_max + 1))
-    tail_b = 1.0 - math.fsum(poisson_weight(nu, m) for m in range(n_max + 1))
-    return max(tail_a, 0.0) + max(tail_b, 0.0)
-
-
 def gain_reconstruction_error(params: ChannelParams, mu: float, nu: float,
                               n_max: int = 40) -> tuple[float, float]:
     """(|closed form - series|, admissible Poisson tail) for one intensity pair."""
     closed = gain(params, mu, nu)
     series = series_gain(params, mu, nu, n_max)
-    return abs(closed - series), poisson_tail_bound(mu, nu, n_max)
+    return abs(closed - series), poisson_upper_tail(mu, n_max) + poisson_upper_tail(nu, n_max)

@@ -6,7 +6,8 @@ each equality into a two-sided window by the neglected Poisson tail mass
 turns that into a finite LP whose maximum is a certified upper bound on any
 single yield.
 
-Everything is kept exact: the constraint coefficients are products of
+Everything is kept exact, in the simplex's reduced ``(numerator,
+denominator)`` int pairs: the constraint coefficients are products of
 rational monomials x^n/n! of the (exactly represented) double intensities,
 built once per intensity, scaled per row by the rational value of the double
 exp(-mu-nu) so each row stays on the probability scale.  The only non-exact
@@ -27,14 +28,14 @@ raises on every call, since the cache holds no exceptions.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral, Real
 
 from ..channel import GainMatrix
 from ..errors import InconsistentGainsError
-from .fock import poisson_weight
-from .simplex import LinearProgramInfeasible, _feasible_start, _maximize
+from .fock import poisson_upper_tail
+from .simplex import (_ONE, _ZERO, LinearProgramInfeasible, _add, _feasible_start, _maximize,
+                      _mul, _sub)
 from .simplex import solve_bounded_lp  # noqa: F401  (benchmark/spans.py wraps this attribute)
 
 DEFAULT_TRUNCATION = 10
@@ -44,35 +45,17 @@ DEFAULT_TRUNCATION = 10
 # accurate at that level (the simulated gains are); the window cannot sit
 # much higher, because the LP duals on the weakly-weighted rows amplify it
 # straight into the optimum and wash out the certificate.
-_DATA_NOISE = Fraction(1, 2 ** 50)
-
-
-def poisson_upper_tail(mean: float, n_max: int) -> float:
-    """P(N > n_max) for a Poisson variable, to full relative accuracy.
-
-    Summed upward from the first excluded term while the tail is the smaller
-    side: one minus the head would lose the tiny tails that appear here to
-    rounding.  Past the mode the tail holds about half the mass or more, so
-    one minus the head is accurate there, while the upward sum would stop
-    long before the terms peak near ``mean`` or start from an underflowed
-    first term.
-    """
-    if mean > n_max + 1:
-        return 1.0 - math.fsum(poisson_weight(mean, n) for n in range(n_max + 1))
-    term = poisson_weight(mean, n_max + 1)
-    total = term
-    for n in range(n_max + 2, n_max + 400):
-        term *= mean / n
-        total += term
-        if term < total * 1e-18:
-            break
-    return total
+_DATA_NOISE = (1, 2 ** 50)
 
 
 def _constraints(q, mu, nu, n_trunc: int):
-    """Rows and their lower and upper windows of the truncated LP."""
-    factors = {x: ([Fraction(x) ** n / math.factorial(n) for n in range(n_trunc + 1)],
-                   poisson_upper_tail(x, n_trunc)) for x in mu + nu}
+    """Rows and their lower and upper windows of the truncated LP, as pairs."""
+    factors = {}
+    for x in mu + nu:
+        # the double value of each intensity, as in the row scale and the tails
+        p, r = float(x).as_integer_ratio()
+        factors[x] = ([_mul((p ** n, r ** n), (1, math.factorial(n))) for n in range(n_trunc + 1)],
+                      poisson_upper_tail(x, n_trunc))
     rows = []
     lower = []
     upper = []
@@ -80,14 +63,14 @@ def _constraints(q, mu, nu, n_trunc: int):
         mono_a, ta = factors[mu_k]
         for l, nu_l in enumerate(nu):
             mono_b, tb = factors[nu_l]
-            scale = Fraction(math.exp(-(mu_k + nu_l)))
-            coeff = [sa * b for sa in [scale * a for a in mono_a] for b in mono_b]
-            tail = Fraction(ta + tb - ta * tb)
-            q_kl = Fraction(q[k][l])
-            noise = _DATA_NOISE * (q_kl + tail)
-            rows.append(coeff)
-            upper.append(q_kl + noise)
-            lower.append(max(q_kl - tail - noise, Fraction(0)))
+            scale = math.exp(-(mu_k + nu_l)).as_integer_ratio()
+            rows.append([_mul(sa, b) for sa in [_mul(scale, a) for a in mono_a] for b in mono_b])
+            tail = (ta + tb - ta * tb).as_integer_ratio()
+            q_kl = q[k][l].as_integer_ratio()
+            noise = _mul(_DATA_NOISE, _add(q_kl, tail))
+            upper.append(_add(q_kl, noise))
+            low = _sub(_sub(q_kl, tail), noise)
+            lower.append(low if low[0] > 0 else _ZERO)
     return rows, lower, upper
 
 
@@ -96,7 +79,8 @@ def _start(q, mu, nu, n_trunc: int):
     """Feasible simplex start of the truncated LP of one configuration."""
     n_vars = (n_trunc + 1) ** 2
     try:
-        return _feasible_start(*_constraints(q, mu, nu, n_trunc), [0] * n_vars, [1] * n_vars)
+        return _feasible_start(*_constraints(q, mu, nu, n_trunc), [_ZERO] * n_vars,
+                               [_ONE] * n_vars)
     except LinearProgramInfeasible as exc:
         raise InconsistentGainsError(f"gains admit no yield profile: {exc}") from exc
 

@@ -15,13 +15,14 @@ Numbers.  Every quantity is a reduced rational held as a pair of ints
 ``(numerator, denominator)``, the denominator positive and zero ``(0, 1)``:
 the basic values, the bounds and the costs as tuples, each tableau row and
 the reduced-cost row as two parallel lists of numerators and denominators.
-Inputs convert exactly: a float through ``float.as_integer_ratio()``, a
-rational such as ``Fraction`` through its ``numerator`` and
-``denominator``, an int ``k`` as ``(k, 1)``; a non-finite value or a row
-whose length differs from the variables' raises ``ValueError``.  The row
-update ``r_j - f * p_j`` is one inlined loop (``_eliminate``) that takes
-``Fraction``'s own steps without building an object per entry: cancel
-across the product, then subtract over the gcd of the two denominators.
+``solve_bounded_lp`` and ``_maximize`` convert their inputs exactly, once:
+a float through ``float.as_integer_ratio()``, a rational such as
+``Fraction`` through its ``numerator`` and ``denominator``, an int ``k`` as
+``(k, 1)``; a non-finite value or a row whose length differs from the
+variables' raises ``ValueError``.  The row update ``r_j - f * p_j`` is
+one inlined loop (``_eliminate``) that takes ``Fraction``'s own steps
+without building an object per entry: cancel across the product, then
+subtract over the gcd of the two denominators.
 Signs are sign tests and comparisons cross-multiplications.  Each entry is
 the reduced rational ``Fraction`` arithmetic gives, so every pricing,
 ratio-test and tie-break decision is too.
@@ -41,13 +42,14 @@ of this is exact: ``d_j`` equals the reduced cost a fresh pricing gives and
 every test decides as a fresh computation would, so the pivot sequence is
 Bland's, unchanged, and so are the starts, the optima and ``x``.
 
-A solve is two steps.  ``_feasible_start`` converts the constraints, runs
-phase 1 and drives the leftover artificials out of the basis; it depends on
-the constraints only and returns its lists as an immutable ``_Start`` of
-ints and pairs.  ``_maximize`` copies a start's rows without the artificial
-columns and runs phase 2 for one objective, so one start serves any number
-of objectives over the same constraints, each with the pivots a fresh solve
-would make.  ``solve_bounded_lp`` is the two in sequence.
+A solve is two steps.  ``_feasible_start`` takes the constraints as pairs,
+runs phase 1 and drives the leftover artificials out of the basis; it
+depends on the constraints only and returns its lists as an immutable
+``_Start`` of ints and pairs.  ``_maximize`` copies a start's rows without
+the artificial columns and runs phase 2 for one objective, so one start
+serves any number of objectives over the same constraints, each with the
+pivots a fresh solve would make.  ``solve_bounded_lp`` converts its
+constraints to pairs and runs the two in sequence.
 """
 
 from __future__ import annotations
@@ -274,22 +276,18 @@ def _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, cobj, n_allowed) -> No
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
-def _feasible_start(a, row_lower, row_upper, x_lower, x_upper) -> _Start:
-    """Phase 1 for ranged rows and per-variable boxes, exactly.
+def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
+    """Phase 1 for ranged rows and per-variable boxes given as pairs, exactly.
 
     Raises ``LinearProgramInfeasible`` when the constraints admit no point
-    and ``ValueError`` when the lengths disagree or a value is not finite.
+    and ``ValueError`` when the lengths disagree.
     """
     m = len(a)
-    n = len(x_lower)
-    if len(x_upper) != n or len(row_lower) != m or len(row_upper) != m:
+    n = len(xlo)
+    if len(xup) != n or len(rlo) != m or len(rup) != m:
         raise ValueError("each bound list must match the rows or the variables")
     if any(len(row) != n for row in a):
         raise ValueError(f"every constraint row must have {n} entries")
-    xlo = [_pair(v) for v in x_lower]
-    xup = [_pair(v) for v in x_upper]
-    rlo = [_pair(v) for v in row_lower]
-    rup = [_pair(v) for v in row_upper]
     for lo_i, up_i in zip(rlo, rup):
         if _less(up_i, lo_i):
             raise LinearProgramInfeasible("empty row window")
@@ -308,7 +306,6 @@ def _feasible_start(a, row_lower, row_upper, x_lower, x_upper) -> _Start:
     status = [_AT_LOWER] * n + [_AT_UPPER] * m + [_BASIC] * m
     basis = []
     for i, row in enumerate(a):
-        row = [_pair(v) for v in row]
         # residual once x sits at its lower bounds and the slack at its upper
         resid = rlo[i]
         for v, x in zip(row, xlo):
@@ -391,4 +388,9 @@ def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
     disagree or a value is not finite.  All inputs may be ints, floats
     (converted exactly) or rationals such as Fractions.
     """
-    return _maximize(_feasible_start(a, row_lower, row_upper, x_lower, x_upper), c)
+    def pairs(values):
+        return [_pair(v) for v in values]
+
+    start = _feasible_start([pairs(row) for row in a], pairs(row_lower), pairs(row_upper),
+                            pairs(x_lower), pairs(x_upper))
+    return _maximize(start, c)

@@ -9,14 +9,14 @@ and the series converge to machine precision in a few dozen terms.
 
 One generator yields h_0, h_1, h_2, ... of a value set by the nested
 recurrence h_k(x_1..x_j) = h_k(x_1..x_{j-1}) + x_j h_{k-1}(x_1..x_j), which
-only adds non-negative terms, and every other weight is read from it:
-``f_weight`` is the Schur polynomial s_(n-2,1)(a, b, c) = a (b + c)
-h_{n-3}(a, b, c) + b c h_{n-3}(b, c) (Macdonald, Symmetric Functions and Hall
-Polynomials, I.5), ``d_n`` is s_(n-3,1,1) = e_3 h_{n-4} - e_4 h_{n-5} of four
-values.  ``_tails`` runs the recurrence once per value set and feeds every
-tail the set is asked for, each sum with its own stopping rule; the bound
-blocks read their three tails per intensity triple from ``_triple_tails``,
-one cached loop over the triple and its two weaker values.
+only adds non-negative terms, and every other weight is read from it: the
+weight of ``exp_f_tail`` is the Schur polynomial s_(n-2,1)(a, b, c) =
+a (b + c) h_{n-3}(a, b, c) + b c h_{n-3}(b, c) (Macdonald, Symmetric Functions
+and Hall Polynomials, I.5), ``d_n`` is s_(n-3,1,1) = e_3 h_{n-4} - e_4 h_{n-5}
+of four values.  ``_tails`` runs the recurrence once per value set and feeds
+every tail the set is asked for, each sum with its own stopping rule; the
+bound blocks read their three tails per intensity triple from
+``_triple_tails``, one cached loop over the triple and its two weaker values.
 """
 
 from __future__ import annotations
@@ -111,20 +111,8 @@ def exp_h_tail(values, start: int) -> float:
     return _tails(tuple(float(v) for v in values), ((start, start),))[0]
 
 
-def f_weight(values3, n: int) -> float:
-    """Sign-definite weight of order n extracted from a three-intensity set.
-
-    The Schur polynomial s_(n-2,1)(a, b, c) = a (b + c) h_{n-3}(a, b, c) +
-    b c h_{n-3}(b, c), a sum of non-negative terms.  Defined for n >= 3.
-    """
-    a, b, c = values3  # strongest, middle, weakest
-    if n < 3:
-        raise ValueError("f_weight is defined for n >= 3")
-    return a * (b + c) * hom_sym_sum((a, b, c), n - 3) + b * c * hom_sym_sum((b, c), n - 3)
-
-
 def exp_f_tail(values3, start: int) -> float:
-    """Sum over n >= start of f_weight(values3, n) / n!  (start >= 3)."""
+    """Sum over n >= start of s_(n-2,1)(values3) / n!  (start >= 3)."""
     if start < 3:
         raise ValueError("start must be >= 3")
     a, b, c = (float(v) for v in values3)

@@ -122,6 +122,20 @@ class TestGain:
             - (1 - params.p_d) * math.exp(-arriving))
         assert gain(params, mu_k, nu_l) == pytest.approx(literal, rel=1e-12)
 
+    @pytest.mark.parametrize("mu_k, nu_l", [(50.0, 50.0), (30.0, 60.0), (25.0, 20.0)])
+    def test_asymptotic_bessel_branch(self, mu_k, nu_l):
+        # mu_k nu_l eta_a eta_b cos^2(theta) > 400 puts the Bessel argument
+        # past 20, where the gain takes log I0 from the asymptotic series
+        params = standard_noise(0, 0)
+        x = math.sqrt(mu_k * nu_l * params.eta_a * params.eta_b) * math.cos(params.theta)
+        assert x > 20.0
+        with mpmath.workdps(50):
+            s = mpmath.mpf(mu_k) * params.eta_a + mpmath.mpf(nu_l) * params.eta_b
+            one_m_pd = 1 - mpmath.mpf(params.p_d)
+            literal = one_m_pd * (mpmath.exp(-s / 2) * mpmath.besseli(0, x)
+                                  - one_m_pd * mpmath.exp(-s))
+        assert gain(params, mu_k, nu_l) == pytest.approx(float(literal), rel=1e-13)
+
     def test_overflowing_gain_is_saturation(self):
         # expm1(s/2 + log I0(x)) overflows at 1e4 arriving photons
         settings_ = IntensitySettings(alpha_a=0.1, alpha_b=0.1, mu=(1e6, 1e-4, 1e-5),
@@ -174,6 +188,19 @@ class TestTheoreticalYield:
         y = theoretical_yield(base, n, m)
         assert theoretical_yield(up_a, n, m) >= y - 1e-12
         assert theoretical_yield(up_b, n, m) >= y - 1e-12
+
+    @pytest.mark.parametrize("theta_b", [0.3, -0.2])
+    def test_aligned_alice_matches_enumeration_and_mirror(self, theta_b):
+        # theta_a = 0 with theta_b != 0 reads the mirrored channel's survivor
+        # table, transposed
+        from tfqkd.oracles import fock_yield
+        params = ChannelParams(eta_a=0.3, eta_b=0.7, theta_b=theta_b)
+        mirror = ChannelParams(eta_a=0.7, eta_b=0.3, theta_a=theta_b)
+        for n in range(6):
+            for m in range(6):
+                y = theoretical_yield(params, n, m)
+                assert y == pytest.approx(fock_yield(params, n, m), abs=1e-15)
+                assert y == pytest.approx(theoretical_yield(mirror, m, n), abs=1e-15)
 
     def test_not_monotone_near_unit_transmittance(self):
         # counterexample: three photons bunch at a balanced splitter, so a

@@ -166,6 +166,18 @@ class TestConfigFile:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("value", [{"n_cut": 641}, {"alpha_box": [0.5, 0.1]},
+                                       {"p_d": 2.0}], ids=["n_cut", "alpha_box", "p_d"])
+    def test_bad_scenario_value_fails_the_sweep_once(self, tmp_path, capsys, value):
+        # a value that fails every grid point is the JSON record, not one row each
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **value}))
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--decoys", "3",
+                                  "--grid-a", "20", "30", "--grid-b", "20"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_invalid_decoys(self, capsys):
         with pytest.raises(SystemExit):
             main(["rate", "--decoys", "5"])

@@ -24,7 +24,7 @@ class PerCell:
     per point, and a count of the distinct (mu, nu) pairs it was given."""
 
     def __init__(self, params, f, n_cut):
-        self.args = params, f, n_cut
+        self.params, self.f, self.n_cut = params, f, n_cut
         self.pairs = set()
 
     @property
@@ -32,9 +32,8 @@ class PerCell:
         return len(self.pairs)
 
     def rate(self, alpha_a, alpha_b, mu, nu):
-        params, f, n_cut = self.args
         settings_ = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
-        value = key_rate(params, settings_, f, n_cut).rate
+        value = key_rate(self.params, settings_, self.f, self.n_cut).rate
         self.pairs.add((mu, nu))
         return value
 
@@ -309,7 +308,7 @@ class TestStartScanSharing:
             if getattr(module, "simulate_gains", None) is original:
                 monkeypatch.setattr(module, "simulate_gains", counting)
         spec = OptimizationSpec(decoys=decoys, multistart=4, symmetric=symmetric)
-        _starts(spec, standard_noise(12, 24), 1.0, 40)
+        _starts(spec, optimize._RateParts(standard_noise(12, 24), 1.0, 40))
         assert len(calls) == expected
 
     @pytest.mark.parametrize("symmetric", (False, True))
@@ -335,7 +334,8 @@ class TestStartScanSharing:
 
         def scan():
             try:
-                return [p.tolist() for p in _starts(spec, params, 1.0, 40)]
+                return [p.tolist()
+                        for p in _starts(spec, optimize._RateParts(params, 1.0, 40))]
             except TfqkdError as exc:
                 return type(exc), str(exc)
 
@@ -513,7 +513,7 @@ class TestConstructorContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                points = _starts(spec, standard_noise(12, 24), 1.0, 40)
+                points = _starts(spec, optimize._RateParts(standard_noise(12, 24), 1.0, 40))
             except TfqkdError:
                 return  # extreme boxes saturate the rate: a package error
         lo, hi = spec.box()

@@ -23,7 +23,7 @@ from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_
                            series_gain, solve_bounded_lp)
 from tfqkd.oracles.fock import gain_reconstruction_error
 from tfqkd.oracles.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, LinearProgramInfeasible,
-                                   _feasible_start, _maximize)
+                                   _feasible_start, _maximize, _pair)
 from tfqkd.oracles.simplex import _Start as _PairStart
 
 GOLDEN_LP = json.loads((Path(__file__).parent / "data" / "golden_lp.json").read_text())
@@ -71,6 +71,15 @@ class TestSeriesGain:
         err, tol = gain_reconstruction_error(params, 0.1, 0.05, 40)
         assert err <= tol + 1e-15
 
+    def test_admissible_tail_is_the_poisson_tail(self):
+        # summed from the first excluded term: one minus the head reads 0.0
+        _, tol = gain_reconstruction_error(standard_noise(10, 30, p_d=0.0), 0.1, 0.05, 40)
+        with mpmath.workdps(30):
+            tail = mpmath.fsum(mpmath.exp(-m) * m ** k / mpmath.factorial(k)
+                               for m in (mpmath.mpf(0.1), mpmath.mpf(0.05))
+                               for k in range(41, 120))
+        assert tol == pytest.approx(float(tail), rel=1e-13, abs=0)
+
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
             series_gain(standard_noise(10, 10), 0.1, 0.1, n_max=10)
@@ -109,8 +118,13 @@ class TestSimplex:
         # each row's slack column stays a multiple of its artificial column,
         # so phase 1 drives every artificial out, duplicated rows included
         a, lower, upper = [[1, 2], [1, 1]], [1, 0], [3, 1.5]
-        start = _feasible_start(a + [a[0]], lower + [lower[0]], upper + [upper[0]],
-                                [0, 0], [2, 2])
+
+        def pairs(values):
+            return [_pair(v) for v in values]
+
+        start = _feasible_start([pairs(row) for row in a + [a[0]]],
+                                pairs(lower + [lower[0]]), pairs(upper + [upper[0]]),
+                                pairs([0, 0]), pairs([2, 2]))
         assert all(b < start.n + 3 for b in start.basis)
         for c in ([1, 1], [1, -1], [-1, 2]):
             assert solve_bounded_lp(c, a + [a[0]], lower + [lower[0]], upper + [upper[0]],
@@ -352,7 +366,8 @@ def test_poisson_upper_tail(mean, n_max):
         m = mpmath.mpf(mean)
         head = mpmath.fsum(mpmath.exp(-m) * m ** k / mpmath.factorial(k) for k in range(n_max + 1))
         reference = float(1 - head)
-    assert lp_bounds.poisson_upper_tail(mean, n_max) == pytest.approx(reference, rel=1e-14)
+    assert lp_bounds.poisson_upper_tail(mean, n_max) == pytest.approx(reference, rel=1e-14,
+                                                                      abs=0)
 
 
 def _certify_like(rng, decoys):
@@ -380,6 +395,9 @@ class TestLpMemo:
         n_trunc = lp_bounds.DEFAULT_TRUNCATION
         side = n_trunc + 1
         rows, lower, upper = lp_bounds._constraints(gains.q, mu, nu, n_trunc)
+        # the pairs as Fractions, an outside input solve_bounded_lp converts
+        rows = [[Fraction(*v) for v in row] for row in rows]
+        lower, upper = ([Fraction(*v) for v in window] for window in (lower, upper))
         lp_bounds._start.cache_clear()
         for u, v in TARGETS_3:
             c = [0] * (side * side)

@@ -1,5 +1,6 @@
 """The package's export list and import footprint."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -49,3 +50,17 @@ def test_import_and_searches_load_no_scipy():
     after_import, after_searches = json.loads(out)
     assert after_import == []
     assert after_searches == []
+
+
+def test_benchmark_bound_names_resolve(monkeypatch):
+    # the traced benchmark looks up every name it patches, and its cache
+    # reset every cache it finds: a deleted or renamed one fails here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert all(getattr(module, attr) is original for module, attr, original in tracer._originals)
+    workloads.clear_caches()

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tfqkd.errors import SaturationError
 from tfqkd.series import (_hom_sym, _tails, _triple_tails, d_n, exp_f_tail, exp_h_tail,
-                          f_weight, hom_sym_sum)
+                          hom_sym_sum)
 
 
 def hom_brute(values, degree):
@@ -53,10 +53,6 @@ class TestExpTails:
         vals = (0.5, 0.3, 0.2, 0.05)
         brute = sum(hom_brute(vals, n - 4) / math.factorial(n) for n in range(4, 40))
         assert exp_h_tail(vals, 4) == pytest.approx(brute, rel=1e-13)
-
-    def test_f_weight_lowest_order_is_pairwise_sum(self):
-        a, b, c = 0.5, 0.3, 0.1
-        assert f_weight((a, b, c), 3) == pytest.approx(a * b + b * c + c * a, rel=1e-14)
 
     def test_f_tail_matches_exponential_bracket(self):
         mu = (0.5, 0.04, 0.008)
