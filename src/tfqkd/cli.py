@@ -63,7 +63,6 @@ _FIELDS = {
     "decoys": (4, "integer", {"type": int, "choices": (3, 4)}),
     "weak_decoys": (None, "array of numbers", None),
     "f": (1.0, "number", {"type": float, "help": "reconciliation efficiency (default 1.0)"}),
-    "n_cut": (40, "integer", None),
     "seed": (0, "integer", {"type": int}),
     "multistart": (16, "integer", None),
     "symmetric_intensities": (False, "boolean", {
@@ -219,8 +218,6 @@ def _result_record(sc, result, bounds=None):
         "e_z_upp": result.e_z_upp,
         "p_x": result.p_x,
         "f": result.f,
-        "n_cut": result.n_cut,
-        "tail": result.tail,
         "loss_a_db": sc["loss_a_db"],
         "loss_b_db": sc["loss_b_db"],
     }
@@ -241,11 +238,11 @@ def cmd_rate(args) -> tuple[str, int]:
     sc = _scenario(args)
     params = _params(sc)
     if sc["gains"] is None and None in (args.alpha_a, args.strongest_mu):
-        settings = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"]).settings
+        settings = optimize_rate(params, _opt_spec(sc), sc["f"]).settings
         gains = None
     else:
         settings, gains = _point(args, sc, params)
-    result = key_rate(params, settings, sc["f"], sc["n_cut"], gains=gains)
+    result = key_rate(params, settings, sc["f"], gains=gains)
     return _json_dump(_result_record(sc, result, result.bounds if args.dump_bounds else None)), 0
 
 
@@ -257,7 +254,7 @@ def _sweep_point(job):
         sc = dict(sc, loss_a_db=loss_a, loss_b_db=loss_b,
                   seed=sc["seed"] * 1000003 + int(round(10 * (loss_a * 211 + loss_b))))
         params = _params(sc)
-        opt = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"])
+        opt = optimize_rate(params, _opt_spec(sc), sc["f"])
         s = opt.settings
         plob = _plob(params.eta_a, params.eta_b)
         row.update({
@@ -283,7 +280,7 @@ def cmd_sweep(args) -> tuple[str, int]:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sc = _scenario(args)
     # a bad scenario value fails every point alike: reject it once, up front
-    _RateParts(_params(sc), sc["f"], sc["n_cut"])
+    _RateParts(_params(sc), sc["f"])
     _opt_spec(sc)
     grid_a = args.grid_a or [sc["loss_a_db"]]
     grid_b = args.grid_b or [sc["loss_b_db"]]
@@ -309,7 +306,7 @@ def cmd_sweep(args) -> tuple[str, int]:
 def cmd_optimize(args) -> tuple[str, int]:
     sc = _scenario(args)
     params = _params(sc)
-    opt = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"])
+    opt = optimize_rate(params, _opt_spec(sc), sc["f"])
     rec = {
         "rate": opt.rate,
         "vector": list(opt.vector),
@@ -329,10 +326,10 @@ def cmd_fluctuation(args) -> tuple[str, int]:
     if sc["fluctuation"] is None:
         raise ConfigError("fluctuation magnitude required (--fluctuation or config)")
     params = _params(sc)
-    opt = optimize_rate(params, _opt_spec(sc), sc["f"], sc["n_cut"])
+    opt = optimize_rate(params, _opt_spec(sc), sc["f"])
     fspec = FluctuationSpec(magnitude=float(sc["fluctuation"]),
                             budget=args.budget, seed=sc["seed"])
-    wc = worst_case_fluctuation(params, opt.settings, fspec, sc["f"], sc["n_cut"])
+    wc = worst_case_fluctuation(params, opt.settings, fspec, sc["f"])
     rec = {
         "center_rate": opt.rate,
         "worst_rate": wc.rate,

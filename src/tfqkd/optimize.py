@@ -24,9 +24,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .channel import ChannelParams, IntensitySettings
+from .channel import _EXP_MAX, ChannelParams, IntensitySettings
 from .errors import InfeasibleFluctuationError
-from .rate import _RateParts, key_rate  # noqa: F401  (benchmark/spans.py wraps key_rate)
+from .rate import _RateParts, _underflows
+from .rate import key_rate  # noqa: F401  (benchmark/spans.py wraps key_rate)
 
 _DEFAULT_WEAK = {3: (1e-4, 1e-5), 4: (1e-3, 1e-4, 1e-5)}
 
@@ -86,8 +87,16 @@ class OptimizationSpec:
         _check_box(box, "strongest-decoy")
         if box[0] <= weak[0]:
             raise ValueError("strongest-decoy box must sit above the weak decoys")
+        # no rate can be evaluated at a box top past these limits: exp(mu + nu)
+        # overflows in the bound sets, or the phase-error bound's vacuum
+        # weight underflows
+        if 2.0 * box[1] > _EXP_MAX:
+            raise ValueError(f"strongest-decoy box top {box[1]} overflows exp(mu + nu)")
         object.__setattr__(self, "strongest_box", (float(box[0]), float(box[1])))
         _check_box(self.alpha_box, "amplitude")
+        if _underflows(self.alpha_box[1]):
+            raise ValueError(f"amplitude box top {self.alpha_box[1]} underflows the "
+                             f"vacuum weight exp(-alpha^2/2)")
         _check_count(self.multistart, "multistart", 1)
         _check_count(self.seed, "seed", 0)
 
@@ -283,8 +292,8 @@ def _starts(spec: OptimizationSpec, parts: _RateParts):
     strongest-decoy pairs (4) and a few dozen amplitudes.  Each pair's gains
     and yield bounds and each amplitude's weight series are built once, on
     first use in cell order, in the search's ``parts``; per cell only the
-    X-basis statistics, the rest of the phase-error bound and the entropies
-    are evaluated.
+    X-basis statistics, the savings of the stored bounds in the phase-error
+    bound and the entropies are evaluated.
     Every cell's rate is bit-identical to ``key_rate``'s.
     """
     params = parts.params
@@ -320,14 +329,14 @@ def _starts(spec: OptimizationSpec, parts: _RateParts):
 
 
 def optimize_rate(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
-                  n_cut: int = 40, maxiter: int = 400) -> OptimizationResult:
+                  maxiter: int = 400) -> OptimizationResult:
     """Best key rate over the spec's free parameters, multistart Nelder-Mead.
 
     The start scan and every local search score their points through one
     ``_RateParts``: the scan's bound sets and amplitudes, the first points
     Nelder-Mead visits, are built once.
     """
-    parts = _RateParts(params, f, n_cut)
+    parts = _RateParts(params, f)
     fun = _objective(spec, parts)
     lo, hi = spec.box()
     trace = []
@@ -352,14 +361,14 @@ def coordinate_descent(params: ChannelParams, spec: OptimizationSpec) -> Optimiz
     Kept as a deliberately greedy reference method: on asymmetric channels
     it stalls far below the multistart optimum when started from a corner of
     the amplitude box, which is exactly the regression the tests pin down.
-    Eight sweeps over the coordinates, starting with the second, at f = 1
-    and n_cut = 40.
+    Eight sweeps over the coordinates, starting with the second, at f = 1;
+    each point is scored like ``optimize_rate``'s, through a ``_RateParts``.
     """
     # the one SciPy use left in the package: importing it costs half a second
     # and half the process's memory, so only this reference method pays it
     from scipy.optimize import minimize_scalar
 
-    parts = _RateParts(params, 1.0, 40)
+    parts = _RateParts(params, 1.0)
     fun = _objective(spec, parts)
     lo, hi = spec.box()
     x = lo.copy()
@@ -458,7 +467,7 @@ def _vector_point(center: IntensitySettings, vec) -> tuple:
 
 
 def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
-                           fspec: FluctuationSpec, f: float = 1.0, n_cut: int = 40,
+                           fspec: FluctuationSpec, f: float = 1.0,
                            stop_below: float = None) -> FluctuationResult:
     """Minimum key rate over the fluctuation box around ``center``.
 
@@ -473,7 +482,7 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
     amplitude its weight series once.
     """
     centers, lo, hi = _fluct_intervals(center, fspec)
-    parts = _RateParts(params, f, n_cut)
+    parts = _RateParts(params, f)
 
     evaluations = 0
     rates = {}  # each distinct vector is scored once; the polish repeats them

@@ -3,24 +3,22 @@
 The phase-error upper bound feeds the certified yield bounds into two
 squared coherent-amplitude series (even and odd photon-number parity).  Only
 nine yields carry non-trivial bounds; everything else enters at its maximum
-value 1, which makes the remainder of the double series separable and
-exactly summable, so the truncation order only controls how much of the sum
-is evaluated term by term.
+value 1, so the double series is the product of the two amplitudes' full
+parity sums minus what the nine stored bounds save: a closed form, with no
+truncation order.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from numbers import Integral
 
 from .channel import (ChannelParams, GainMatrix, IntensitySettings, XBasisStats,
                       simulate_gains, x_basis_statistics)
 from .decoy3 import YieldBounds
 from .decoy4 import yield_bounds
-
-_TAIL_TARGET = 1e-10
-_MAX_N_CUT = 640
+from .errors import SaturationError
 
 
 def binary_entropy(x: float) -> float:
@@ -44,106 +42,74 @@ def plob_bound(eta_a: float, eta_b: float) -> float:
     return -math.log1p(-product) / math.log(2.0)
 
 
-class _AmplitudeSeries:
-    """The weights w_n = e^(-alpha^2/2) alpha^n / sqrt(n!) of one amplitude.
+def _underflows(alpha: float) -> bool:
+    """Whether the vacuum weight e^(-alpha^2/2) of an amplitude is zero or
+    subnormal, which leaves every weight without precision."""
+    return math.exp(-0.5 * alpha * alpha) < sys.float_info.min
 
-    One pass of the recurrence w_n = w_(n-1) alpha / sqrt(n), grown on
-    demand, feeds the full sums over even and odd n and the head sums up to
-    any ``n_cut``.  Every phase-error bound at this amplitude can share it.
+
+def _amplitude_series(alpha: float) -> tuple[list[float], float, float]:
+    """The weights w_n = e^(-alpha^2/2) alpha^n / sqrt(n!) of one amplitude
+    and their full sums over even and odd n.
+
+    One pass of the recurrence w_n = w_(n-1) alpha / sqrt(n) adds weights
+    until one falls below 1e-20 of the sum so far.  Every phase-error bound
+    at this amplitude can share the result.  An amplitude that is negative or
+    not finite is a ``ValueError``; one whose vacuum weight underflows is a
+    ``SaturationError``, since its zero weights would certify a key without
+    any yield to support it.
     """
-
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.weights = [math.exp(-0.5 * alpha * alpha)]
-        self._parity = None
-        self._heads = {}
-
-    def _grow(self, n_max: int) -> None:
-        alpha, w = self.alpha, self.weights
-        for n in range(len(w), n_max + 1):
-            w.append(w[-1] * alpha / math.sqrt(n))
-
-    def parity_sums(self) -> tuple[float, float]:
-        """Full sums of the weights over even and odd n."""
-        if self._parity is None:
-            alpha, w = self.alpha, self.weights
-            even = odd = 0.0
-            n = 0
-            while True:
-                if n % 2 == 0:
-                    even += w[n]
-                else:
-                    odd += w[n]
-                n += 1
-                if n == len(w):
-                    # the recurrence of ``_grow``, inlined: this loop is hot
-                    w.append(w[-1] * alpha / math.sqrt(n))
-                if w[n] < (even + odd + 1e-300) * 1e-20 and n > 4:
-                    break
-                if n > 5000:  # pragma: no cover - unreachable for sane amplitudes
-                    raise ArithmeticError("parity sums failed to converge")
-            self._parity = (even, odd)
-        return self._parity
-
-    def head_sums(self, n_cut: int) -> tuple[float, float]:
-        """Sums of w_0 .. w_n_cut over even and odd n."""
-        sums = self._heads.get(n_cut)
-        if sums is None:
-            self._grow(n_cut)
-            w = self.weights
-            sums = self._heads[n_cut] = (sum(w[0:n_cut + 1:2]), sum(w[1:n_cut + 1:2]))
-        return sums
-
-
-@dataclass(frozen=True)
-class PhaseErrorResult:
-    e_z_upp: float
-    n_cut: int
-    tail: float
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"amplitudes must be finite and >= 0, got {alpha}")
+    if _underflows(alpha):
+        raise SaturationError(f"the vacuum weight exp(-alpha^2/2) underflows "
+                              f"for amplitude {alpha}")
+    w = [math.exp(-0.5 * alpha * alpha)]
+    even = odd = 0.0
+    n = 0
+    # ends: past n ~ alpha^2, which the underflow check bounds, the weights
+    # fall faster than geometrically
+    while True:
+        if n % 2 == 0:
+            even += w[n]
+        else:
+            odd += w[n]
+        n += 1
+        w.append(w[-1] * alpha / math.sqrt(n))
+        if w[n] < (even + odd + 1e-300) * 1e-20 and n > 4:
+            return w, even, odd
 
 
 def phase_error_upper(bounds: YieldBounds, alpha_a: float, alpha_b: float,
-                      p_x: float, n_cut: int = 40) -> PhaseErrorResult:
+                      p_x: float) -> float:
     """Upper bound on the phase error rate from the stored yield bounds.
 
-    Yields without a stored bound count as 1.  The part of the double series
-    beyond ``n_cut`` is added in closed form (it only ever multiplies yield
-    value 1), and ``n_cut`` doubles until that analytic remainder is below
-    1e-10, which the sqrt(n!) decay makes immediate for any sane amplitude.
-    ``n_cut`` must be an integer in [10, 640].
+    Yields without a stored bound count as 1, so the double series over
+    photon numbers (n, m) is the product of the two amplitudes' parity sums
+    minus what each stored bound saves against yield 1: a closed form with
+    no truncation.  Amplitudes must be finite and >= 0, and ``p_x`` finite
+    and > 0 (``ValueError``); an amplitude whose vacuum weight e^(-alpha^2/2)
+    underflows raises ``SaturationError``.
 
-    The bound has two parts: each amplitude's weight series (its weights,
-    full parity sums and head sums, from one pass of the recurrence), which
-    does not read the bounds, and the remainder, which does.  A call builds
-    both series afresh; the searches of ``optimize`` share them per amplitude.
+    The bound has two parts: each amplitude's weight series
+    (``_amplitude_series``), which does not read the bounds, and the
+    savings, which do.  A call builds both series afresh; the searches of
+    ``optimize`` share them per amplitude.
     """
-    _check_n_cut(n_cut)
-    return _phase_error(bounds, _AmplitudeSeries(alpha_a), _AmplitudeSeries(alpha_b),
-                        p_x, n_cut)
+    return _phase_error(bounds, _amplitude_series(alpha_a), _amplitude_series(alpha_b), p_x)
 
 
-def _phase_error(bounds: YieldBounds, series_a: _AmplitudeSeries,
-                 series_b: _AmplitudeSeries, p_x: float, n_cut: int) -> PhaseErrorResult:
+def _phase_error(bounds: YieldBounds, series_a: tuple, series_b: tuple, p_x: float) -> float:
     """The bound-dependent part of ``phase_error_upper``, on given series."""
-    if p_x <= 0.0:
-        raise ValueError("phase_error_upper needs p_x > 0")
-    full_even_a, full_odd_a = series_a.parity_sums()
-    full_even_b, full_odd_b = series_b.parity_sums()
-    while True:
-        head_even_a, head_odd_a = series_a.head_sums(n_cut)
-        head_even_b, head_odd_b = series_b.head_sums(n_cut)
-        tail_even = full_even_a * full_even_b - head_even_a * head_even_b
-        tail_odd = full_odd_a * full_odd_b - head_odd_a * head_odd_b
-        tail = max(tail_even, 0.0) + max(tail_odd, 0.0)
-        if tail < _TAIL_TARGET or n_cut >= _MAX_N_CUT:
-            break
-        n_cut *= 2
-    even = head_even_a * head_even_b + max(tail_even, 0.0)
-    odd = head_odd_a * head_odd_b + max(tail_odd, 0.0)
-    wa, wb = series_a.weights, series_b.weights
-    # subtract what the stored bounds save relative to yield 1
+    if not 0.0 < p_x < math.inf:
+        raise ValueError(f"phase_error_upper needs a finite p_x > 0, got {p_x}")
+    wa, even_a, odd_a = series_a
+    wb, even_b, odd_b = series_b
+    even, odd = even_a * even_b, odd_a * odd_b
+    # subtract what the stored bounds save relative to yield 1; a weight
+    # past the series is below 1e-20 of it, and its yield stays 1
     for (n, m), y in bounds.items():
-        if n > n_cut or m > n_cut or (n + m) % 2:
+        if n >= len(wa) or m >= len(wb) or (n + m) % 2:
             continue
         saving = wa[n] * wb[m] * (1.0 - math.sqrt(min(max(y, 0.0), 1.0)))
         if n % 2 == 0:
@@ -152,8 +118,7 @@ def _phase_error(bounds: YieldBounds, series_a: _AmplitudeSeries,
             odd -= saving
     even = max(even, 0.0)
     odd = max(odd, 0.0)
-    e_z = (even * even + odd * odd) / p_x
-    return PhaseErrorResult(e_z_upp=min(e_z, 1.0), n_cut=n_cut, tail=tail)
+    return min((even * even + odd * odd) / p_x, 1.0)
 
 
 @dataclass(frozen=True)
@@ -172,14 +137,11 @@ class KeyRateResult:
     e_z_upp: float
     p_x: float
     f: float
-    n_cut: int
-    tail: float
     bounds: YieldBounds = field(repr=False, default=None)
 
 
 def key_rate(params: ChannelParams, settings: IntensitySettings, f: float = 1.0,
-             n_cut: int = 40, gains: GainMatrix | None = None,
-             bounds: YieldBounds | None = None) -> KeyRateResult:
+             gains: GainMatrix | None = None, bounds: YieldBounds | None = None) -> KeyRateResult:
     """Secret key rate for one parameter point.
 
     Gains are simulated from the channel model unless provided; yield bounds
@@ -187,7 +149,6 @@ def key_rate(params: ChannelParams, settings: IntensitySettings, f: float = 1.0,
     probabilities are taken as 1 (asymptotic limit).
     """
     _check_efficiency(f)
-    _check_n_cut(n_cut)
     stats = x_basis_statistics(params, settings.alpha_a, settings.alpha_b)
     if gains is None:
         gains = simulate_gains(params, settings)
@@ -196,25 +157,17 @@ def key_rate(params: ChannelParams, settings: IntensitySettings, f: float = 1.0,
     if stats.p_x <= 0.0:
         return KeyRateResult(rate=0.0, rate_omega_c=0.0, rate_omega_d=0.0,
                              e_x=stats.e_x, e_z_upp=math.nan, p_x=stats.p_x,
-                             f=f, n_cut=n_cut, tail=0.0, bounds=bounds)
-    phase = phase_error_upper(bounds, settings.alpha_a, settings.alpha_b,
-                              stats.p_x, n_cut)
-    r_omega, rate = _rates(stats, phase.e_z_upp, f)
+                             f=f, bounds=bounds)
+    e_z_upp = phase_error_upper(bounds, settings.alpha_a, settings.alpha_b, stats.p_x)
+    r_omega, rate = _rates(stats, e_z_upp, f)
     return KeyRateResult(rate=rate, rate_omega_c=r_omega, rate_omega_d=r_omega,
-                         e_x=stats.e_x, e_z_upp=phase.e_z_upp, p_x=stats.p_x,
-                         f=f, n_cut=phase.n_cut, tail=phase.tail, bounds=bounds)
+                         e_x=stats.e_x, e_z_upp=e_z_upp, p_x=stats.p_x,
+                         f=f, bounds=bounds)
 
 
 def _check_efficiency(f: float) -> None:
     if not (math.isfinite(f) and f >= 0.0):
         raise ValueError(f"reconciliation efficiency must be finite and >= 0, got {f}")
-
-
-def _check_n_cut(n_cut) -> None:
-    # the weight series hold n_cut + 1 terms, so an unbounded one exhausts memory
-    ok = isinstance(n_cut, Integral) and not isinstance(n_cut, bool)
-    if not (ok and 10 <= n_cut <= _MAX_N_CUT):
-        raise ValueError(f"n_cut must be an integer in [10, {_MAX_N_CUT}], got {n_cut!r}")
 
 
 def _rates(stats: XBasisStats, e_z_upp: float, f: float) -> tuple[float, float]:
@@ -230,24 +183,24 @@ def _rates(stats: XBasisStats, e_z_upp: float, f: float) -> tuple[float, float]:
 
 
 class _RateParts:
-    """``key_rate(params, settings, f, n_cut).rate`` over many settings that
+    """``key_rate(params, settings, f).rate`` over many settings that
     share intensities and amplitudes, each part built once.
 
     The gains and yield bounds depend only on the decoy intensities (mu, nu)
-    and an amplitude series only on its amplitude; both are built on first
-    use and kept while this object lives.  Per call only the X-basis
-    statistics, the bound-dependent part of the phase-error bound and the
-    entropies are evaluated, in ``key_rate``'s order, so the rates are
-    bit-identical and the first call that fails raises ``key_rate``'s error.
+    and an amplitude's weights and parity sums only on the amplitude; both
+    are built on first use and kept while this object lives.  Per call only
+    the X-basis statistics, the savings of the stored bounds in the
+    phase-error bound and the entropies are evaluated, in ``key_rate``'s
+    order, so the rates are bit-identical and the first call that fails
+    raises ``key_rate``'s error.
 
     Every search in ``optimize`` scores its points through one such object,
     which holds all the reuse of that search: nothing outlives it.
     """
 
-    def __init__(self, params: ChannelParams, f: float, n_cut: int):
+    def __init__(self, params: ChannelParams, f: float):
         _check_efficiency(f)
-        _check_n_cut(n_cut)
-        self.params, self.f, self.n_cut = params, f, n_cut
+        self.params, self.f = params, f
         self._bounds = {}
         self._series = {}
 
@@ -256,10 +209,10 @@ class _RateParts:
         """The number of distinct (mu, nu) pairs given bounds so far."""
         return len(self._bounds)
 
-    def _amplitude(self, alpha: float) -> _AmplitudeSeries:
+    def _amplitude(self, alpha: float) -> tuple:
         series = self._series.get(alpha)
         if series is None:
-            series = self._series[alpha] = _AmplitudeSeries(alpha)
+            series = self._series[alpha] = _amplitude_series(alpha)
         return series
 
     def rate(self, alpha_a: float, alpha_b: float, mu: tuple, nu: tuple) -> float:
@@ -271,6 +224,6 @@ class _RateParts:
             bounds = self._bounds[mu, nu] = yield_bounds(gains, settings)
         if stats.p_x <= 0.0:
             return 0.0
-        phase = _phase_error(bounds, self._amplitude(alpha_a), self._amplitude(alpha_b),
-                             stats.p_x, self.n_cut)
-        return _rates(stats, phase.e_z_upp, self.f)[1]
+        e_z_upp = _phase_error(bounds, self._amplitude(alpha_a), self._amplitude(alpha_b),
+                               stats.p_x)
+        return _rates(stats, e_z_upp, self.f)[1]

@@ -62,6 +62,16 @@ class TestPlobAndRate:
         assert out == ""
         assert json.loads(err)["error"] == "SaturationError"
 
+    def test_underflowing_amplitude_is_saturation_record(self, capsys):
+        # exp(-39^2 / 2) underflows to 0, which zeroes every weight of the
+        # phase-error bound: e_z_upp read 0 and certified a key
+        code, out, err = run_cli(["rate", "--loss-a-db", "70", "--loss-b-db", "0",
+                                  "--decoys", "3", "--alpha-a", "39", "--alpha-b", "0.03",
+                                  "--strongest-mu", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SaturationError"
+
     @pytest.mark.parametrize("alpha", ["400", "1e200"])
     def test_overflowing_amplitude_is_saturation_record(self, alpha, capsys):
         # 400: expm1 of the X-basis exponent overflows; 1e200: the arriving
@@ -156,18 +166,19 @@ class TestConfigFile:
         assert rec["loss_a_db"] == 30
         assert rec["rate"] > 0
 
-    def test_n_cut_above_range_is_value_error_record(self, tmp_path, capsys):
+    def test_stale_n_cut_key_is_ignored(self, tmp_path, capsys):
+        # the phase-error bound has no truncation order: an old config's
+        # n_cut is an unknown key like any other
+        argv = ["rate", "--decoys", "3", "--alpha-a", "0.2", "--alpha-b", "0.2",
+                "--strongest-mu", "0.1", "--strongest-nu", "0.1"]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "decoys": 3, "n_cut": 641}))
-        code, out, err = run_cli(["rate", "--config", str(cfg), "--alpha-a", "0.2",
-                                  "--alpha-b", "0.2", "--strongest-mu", "0.1",
-                                  "--strongest-nu", "0.1"], capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"] == "ValueError"
+        cfg.write_text(json.dumps({"schema_version": 1, "n_cut": 641}))
+        code, out, _ = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == run_cli(argv, capsys)[1]
 
-    @pytest.mark.parametrize("value", [{"n_cut": 641}, {"alpha_box": [0.5, 0.1]},
-                                       {"p_d": 2.0}], ids=["n_cut", "alpha_box", "p_d"])
+    @pytest.mark.parametrize("value", [{"alpha_box": [0.5, 0.1]}, {"p_d": 2.0}],
+                             ids=["alpha_box", "p_d"])
     def test_bad_scenario_value_fails_the_sweep_once(self, tmp_path, capsys, value):
         # a value that fails every grid point is the JSON record, not one row each
         cfg = tmp_path / "cfg.json"
@@ -380,7 +391,7 @@ class TestFixedPoint:
 # one value of the wrong JSON type per scenario field
 WRONG_TYPES = {"loss_a_db": "20", "loss_b_db": [20], "p_d": "1e-7", "misalignment": None,
                "phase_mismatch": True, "decoys": 4.0, "weak_decoys": 5, "f": None,
-               "n_cut": "40", "seed": 1.5, "multistart": "abc", "symmetric_intensities": "false",
+               "seed": 1.5, "multistart": "abc", "symmetric_intensities": "false",
                "alpha_box": [1], "strongest_box": [0.2, "1"], "gains": ["g.json"],
                "fluctuation": "0.2"}
 
@@ -484,7 +495,7 @@ _PLAUSIBLE = {
     "loss_a_db": st.floats(0), "loss_b_db": st.floats(0), "p_d": _FRACTIONS,
     "misalignment": _FRACTIONS, "phase_mismatch": st.floats(-1, 1),
     "decoys": st.sampled_from([3, 4]), "weak_decoys": st.lists(_FRACTIONS, max_size=4),
-    "f": st.floats(0, 2), "n_cut": st.integers(0, 100), "seed": st.integers(0, 2 ** 32),
+    "f": st.floats(0, 2), "seed": st.integers(0, 2 ** 32),
     "multistart": st.integers(1, 32), "symmetric_intensities": st.booleans(),
     "alpha_box": st.lists(st.floats(0, 2), min_size=2, max_size=2),
     "strongest_box": st.lists(st.floats(0, 2), min_size=2, max_size=2),
@@ -510,11 +521,15 @@ def test_random_config_values_give_output_or_error_record(cfg, subcommand, tmp_p
         assert set(json.loads(err)) == {"error", "message"}
 
 
-def _readme_cli_commands():
+def _readme_cli_section():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = text[text.index("## CLI\n"):]
-    section = section[:section.index("\n## ")]
-    return [line.split()[1:] for line in section.splitlines() if line.startswith("tfqkd ")]
+    return section[:section.index("\n## ")]
+
+
+def _readme_cli_commands():
+    return [line.split()[1:] for line in _readme_cli_section().splitlines()
+            if line.startswith("tfqkd ")]
 
 
 def test_readme_cli_lines_parse(capsys):
@@ -526,3 +541,10 @@ def test_readme_cli_lines_parse(capsys):
         except SystemExit:
             pytest.fail(f"README line does not parse: tfqkd {' '.join(argv)}\n"
                         f"{capsys.readouterr().err}")
+
+
+def test_readme_config_table_names_every_field():
+    table = _readme_cli_section().split("| config field |")[1].split("\n\n")[0]
+    rows = table.splitlines()[2:]  # past the header and its rule
+    names = [name for row in rows for name in row.split("|")[1].split("`")[1::2]]
+    assert sorted(names) == sorted(_FIELDS)

@@ -23,8 +23,8 @@ class PerCell:
     """The scorer of ``_RateParts`` without the sharing: one ``key_rate`` call
     per point, and a count of the distinct (mu, nu) pairs it was given."""
 
-    def __init__(self, params, f, n_cut):
-        self.params, self.f, self.n_cut = params, f, n_cut
+    def __init__(self, params, f):
+        self.params, self.f = params, f
         self.pairs = set()
 
     @property
@@ -33,7 +33,7 @@ class PerCell:
 
     def rate(self, alpha_a, alpha_b, mu, nu):
         settings_ = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
-        value = key_rate(self.params, settings_, self.f, self.n_cut).rate
+        value = key_rate(self.params, settings_, self.f).rate
         self.pairs.add((mu, nu))
         return value
 
@@ -308,7 +308,7 @@ class TestStartScanSharing:
             if getattr(module, "simulate_gains", None) is original:
                 monkeypatch.setattr(module, "simulate_gains", counting)
         spec = OptimizationSpec(decoys=decoys, multistart=4, symmetric=symmetric)
-        _starts(spec, optimize._RateParts(standard_noise(12, 24), 1.0, 40))
+        _starts(spec, optimize._RateParts(standard_noise(12, 24), 1.0))
         assert len(calls) == expected
 
     @pytest.mark.parametrize("symmetric", (False, True))
@@ -316,7 +316,7 @@ class TestStartScanSharing:
         params = standard_noise(14, 26)
         spec = OptimizationSpec(decoys=3, symmetric=symmetric)
         lo, hi = spec.box()
-        parts = rate._RateParts(params, 1.0, 40)
+        parts = rate._RateParts(params, 1.0)
         rng = np.random.default_rng(3)
         for _ in range(40):
             p = np.exp(rng.uniform(np.log(lo), np.log(hi)))
@@ -327,7 +327,7 @@ class TestStartScanSharing:
         (OptimizationSpec(decoys=3, multistart=6, seed=5), (20, 0)),
         (OptimizationSpec(decoys=4, symmetric=True), (30, 30)),
         # the widest amplitudes overflow the X-basis click probability
-        (OptimizationSpec(decoys=3, alpha_box=(1e-3, 60.0)), (0, 0)),
+        (OptimizationSpec(decoys=3, alpha_box=(1e-3, 30.0)), (0, 0)),
     ], ids=["d3", "d4-symmetric", "d3-saturating"])
     def test_same_starts_and_first_error_as_key_rate_per_cell(self, monkeypatch, spec, loss):
         params = standard_noise(*loss)
@@ -335,7 +335,7 @@ class TestStartScanSharing:
         def scan():
             try:
                 return [p.tolist()
-                        for p in _starts(spec, optimize._RateParts(params, 1.0, 40))]
+                        for p in _starts(spec, optimize._RateParts(params, 1.0))]
             except TfqkdError as exc:
                 return type(exc), str(exc)
 
@@ -489,9 +489,13 @@ class TestConstructorContract:
         lambda: ChannelParams(eta_a=0.1, eta_b=0.1, delta=math.inf),
         lambda: ChannelParams(eta_a=0.1, eta_b=0.1, delta=1e308),
         lambda: ChannelParams(eta_a=0.1, eta_b=0.1, theta_a=1e308, theta_b=-1e308),
+        # finite box tops at which no rate can be evaluated
+        lambda: OptimizationSpec(decoys=3, strongest_box=(0.5, 1e300)),
+        lambda: OptimizationSpec(decoys=3, alpha_box=(1e-3, 1e6)),
     ], ids=["strongest-inf", "alpha-inf", "weak-nan", "multistart-2.5", "spec-seed-negative",
             "budget-2.5", "fluctuation-seed-negative", "theta-nan", "delta-inf",
-            "delta-pi-overflows", "net-theta-overflows"])
+            "delta-pi-overflows", "net-theta-overflows", "strongest-top-overflows",
+            "alpha-top-underflows"])
     def test_rejected_at_construction(self, make):
         with pytest.raises(ValueError):
             make()
@@ -513,7 +517,7 @@ class TestConstructorContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                points = _starts(spec, optimize._RateParts(standard_noise(12, 24), 1.0, 40))
+                points = _starts(spec, optimize._RateParts(standard_noise(12, 24), 1.0))
             except TfqkdError:
                 return  # extreme boxes saturate the rate: a package error
         lo, hi = spec.box()

@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfqkd.channel import IntensitySettings, standard_noise
-from tfqkd.decoy3 import YieldBounds
+from tfqkd.decoy3 import TARGETS_3, YieldBounds
+from tfqkd.errors import SaturationError
 from tfqkd.rate import (_RateParts, binary_entropy, key_rate, phase_error_upper,
                         plob_bound)
 
@@ -60,19 +62,32 @@ def parity_partials(alpha, n_max):
     return sum(w[0::2]), sum(w[1::2])
 
 
+def double_series(bounds, alpha_a, alpha_b, p_x, order):
+    """The phase-error bound summed term by term over n, m <= ``order``, a
+    stored bound in place of yield 1 where there is one."""
+    def weights(alpha):
+        return [math.exp(-0.5 * alpha * alpha) * alpha ** n / math.sqrt(math.factorial(n))
+                for n in range(order + 1)]
+    wa, wb = weights(alpha_a), weights(alpha_b)
+    parity = [[], []]
+    for n in range(order + 1):
+        for m in range(n % 2, order + 1, 2):
+            y = bounds.bounds.get((n, m), 1.0)
+            parity[n % 2].append(wa[n] * wb[m] * math.sqrt(min(max(y, 0.0), 1.0)))
+    even, odd = math.fsum(parity[0]), math.fsum(parity[1])
+    return min((even * even + odd * odd) / p_x, 1.0)
+
+
 class TestPhaseErrorUpper:
     def test_zero_stored_bounds_small_amplitudes(self):
         bounds = YieldBounds()
-        for target in ((0, 0), (1, 1), (2, 2), (0, 2), (2, 0), (0, 4), (4, 0),
-                       (1, 3), (3, 1)):
+        for target in TARGETS_3:
             bounds.bounds[target] = 0.0
-        res = phase_error_upper(bounds, 0.05, 0.05, p_x=0.01, n_cut=40)
         # everything except the tiny unbounded tail is switched off
-        assert res.e_z_upp < 1e-8
+        assert phase_error_upper(bounds, 0.05, 0.05, p_x=0.01) < 1e-8
 
     def test_vacuum_amplitudes_all_default(self):
-        res = phase_error_upper(YieldBounds(), 0.0, 0.0, p_x=1.0, n_cut=40)
-        assert res.e_z_upp == pytest.approx(1.0, abs=1e-12)
+        assert phase_error_upper(YieldBounds(), 0.0, 0.0, p_x=1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_one_yields_brute_force(self):
         # separable closed form against the raw double series to order 80;
@@ -82,24 +97,70 @@ class TestPhaseErrorUpper:
         eb, ob = parity_partials(alpha_b, 80)
         brute = (ea * eb) ** 2 + (oa * ob) ** 2
         p_x = 2.0 * brute
-        res = phase_error_upper(YieldBounds(), alpha_a, alpha_b, p_x=p_x, n_cut=40)
-        assert res.e_z_upp == pytest.approx(0.5, rel=1e-12)
+        assert phase_error_upper(YieldBounds(), alpha_a, alpha_b, p_x=p_x) == pytest.approx(
+            0.5, rel=1e-12)
 
     def test_truncation_stability(self):
+        # the closed form against the double series cut at orders 40 and 80
         params = standard_noise(25, 25)
         s = IntensitySettings(alpha_a=0.2, alpha_b=0.2,
                               mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
-        r40 = key_rate(params, s, n_cut=40)
-        r80 = key_rate(params, s, n_cut=80)
-        assert abs(r40.e_z_upp - r80.e_z_upp) < 1e-10
+        res = key_rate(params, s)
+        for order in (40, 80):
+            series = double_series(res.bounds, 0.2, 0.2, res.p_x, order)
+            assert abs(res.e_z_upp - series) < 1e-10
 
     def test_tail_below_target(self):
-        res = phase_error_upper(YieldBounds(), 1.4, 1.4, p_x=0.5, n_cut=40)
-        assert res.tail < 1e-10
+        # at the top of the default amplitude box, what the double series
+        # holds past order 40 is below 1e-10
+        p_x = 0.5
+        closed = phase_error_upper(YieldBounds(), 1.4, 1.4, p_x=p_x)
+        assert abs(closed - double_series(YieldBounds(), 1.4, 1.4, p_x, 40)) < 1e-10
+
+    # yields drawn from [0, 1]: where the stored bounds cancel most of
+    # E_a E_b, the closed form keeps an absolute error of a few ulps of the
+    # all-one value scale / p_x, hence the absolute allowance
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(alpha_a=st.floats(1e-3, 1.8), alpha_b=st.floats(1e-3, 1.8),
+           yields=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+           headroom=st.floats(1.0, 100.0))
+    def test_stored_bounds_match_double_series(self, alpha_a, alpha_b, yields, headroom):
+        bounds = YieldBounds()
+        bounds.bounds.update(zip(TARGETS_3, yields))
+        ea, oa = parity_partials(alpha_a, 80)
+        eb, ob = parity_partials(alpha_b, 80)
+        scale = (ea * eb) ** 2 + (oa * ob) ** 2
+        p_x = headroom * scale  # keeps the unit clamp inactive
+        expected = double_series(bounds, alpha_a, alpha_b, p_x, 80)
+        got = phase_error_upper(bounds, alpha_a, alpha_b, p_x)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-14 * scale / p_x)
 
     def test_p_x_zero_rejected(self):
         with pytest.raises(ValueError):
             phase_error_upper(YieldBounds(), 0.1, 0.1, p_x=0.0)
+
+    @pytest.mark.parametrize("alpha_a, alpha_b, p_x", [
+        (math.nan, 0.1, 0.5), (math.inf, 0.1, 0.5), (-0.1, 0.1, 0.5), (0.1, -math.inf, 0.5),
+        (0.1, 0.1, math.nan), (0.1, 0.1, math.inf),
+    ], ids=["alpha-nan", "alpha-inf", "alpha-negative", "alpha-b-minus-inf", "p_x-nan",
+            "p_x-inf"])
+    def test_bad_input_rejected(self, alpha_a, alpha_b, p_x):
+        with pytest.raises(ValueError):
+            phase_error_upper(YieldBounds(), alpha_a, alpha_b, p_x)
+
+    # exp(-alpha^2 / 2) is subnormal at 37.7 and 0 at 39: every weight would
+    # vanish and e_z_upp read 0, a key that no yield supports
+    @pytest.mark.parametrize("alpha", [37.7, 39.0])
+    def test_underflowing_vacuum_weight_is_saturation(self, alpha):
+        with pytest.raises(SaturationError):
+            phase_error_upper(YieldBounds(), alpha, 0.03, p_x=0.5)
+        s = IntensitySettings(alpha_a=alpha, alpha_b=0.03,
+                              mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
+        params = standard_noise(70, 0)
+        with pytest.raises(SaturationError):
+            key_rate(params, s)
+        with pytest.raises(SaturationError):
+            _RateParts(params, 1.0).rate(alpha, 0.03, s.mu, s.nu)
 
 
 class TestKeyRate:
@@ -151,31 +212,3 @@ class TestKeyRate:
                               mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
         with pytest.raises(ValueError):
             key_rate(standard_noise(25, 25), s, f=f)
-
-
-class TestNCutRange:
-    # n_cut sizes the weight series, so one outside [10, 640] is refused where
-    # it enters; a huge one must never reach the allocation
-    SETTINGS = IntensitySettings(alpha_a=0.17, alpha_b=0.17,
-                                 mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
-
-    @pytest.mark.parametrize("n_cut", [9, 641, 40.5, True])
-    def test_rejected_everywhere_it_enters(self, n_cut):
-        with pytest.raises(ValueError, match="n_cut"):
-            key_rate(standard_noise(25, 25), self.SETTINGS, n_cut=n_cut)
-        with pytest.raises(ValueError, match="n_cut"):
-            phase_error_upper(YieldBounds(), 0.17, 0.17, p_x=0.5, n_cut=n_cut)
-        with pytest.raises(ValueError, match="n_cut"):
-            _RateParts(standard_noise(25, 25), 1.0, n_cut)
-
-    def test_rejected_on_the_zero_p_x_branch(self):
-        s = IntensitySettings(alpha_a=0.0, alpha_b=0.0,
-                              mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
-        with pytest.raises(ValueError, match="n_cut"):
-            key_rate(standard_noise(20, 20, p_d=0.0), s, n_cut=641)
-
-    @pytest.mark.parametrize("n_cut", [10, 640])
-    def test_range_ends_accepted(self, n_cut):
-        rate = key_rate(standard_noise(25, 25), self.SETTINGS, n_cut=n_cut).rate
-        assert rate == _RateParts(standard_noise(25, 25), 1.0, n_cut).rate(
-            0.17, 0.17, self.SETTINGS.mu, self.SETTINGS.nu)
