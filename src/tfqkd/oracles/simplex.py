@@ -11,21 +11,29 @@ pivoting with Bland's entering rule has no tolerances at all, cannot cycle,
 and the problem sizes here (about a hundred variables, a few dozen rows)
 keep it fast enough.
 
-Numbers.  Every quantity is a reduced rational held as a pair of ints
-``(numerator, denominator)``, the denominator positive and zero ``(0, 1)``:
-the basic values, the bounds and the costs as tuples, each tableau row and
-the reduced-cost row as two parallel lists of numerators and denominators.
-``solve_bounded_lp`` and ``_maximize`` convert their inputs exactly, once:
-a float through ``float.as_integer_ratio()``, a rational such as
-``Fraction`` through its ``numerator`` and ``denominator``, an int ``k`` as
-``(k, 1)``; a non-finite value or a row whose length differs from the
-variables' raises ``ValueError``.  The row update ``r_j - f * p_j`` is
-one inlined loop (``_eliminate``) that takes ``Fraction``'s own steps
-without building an object per entry: cancel across the product, then
-subtract over the gcd of the two denominators.
-Signs are sign tests and comparisons cross-multiplications.  Each entry is
-the reduced rational ``Fraction`` arithmetic gives, so every pricing,
-ratio-test and tie-break decision is too.
+Numbers.  Every quantity is a reduced rational split at its power of two,
+a triple of ints ``(n, o, e)`` for ``n / (o * 2**e)``: ``n`` odd, ``o`` odd
+and positive, ``gcd(n, o) == 1``, ``e`` any int, and zero ``(0, 1, 0)``.
+The basic values, the bounds and the costs are such tuples, each tableau
+row and the reduced-cost row three parallel lists of ``n``, ``o`` and
+``e``.  The split pays because the LP data are doubles, p / 2^k, times
+1 / (n! m!), whose odd part is small: the denominators are almost all
+power of two, which a gcd would grind through bit by bit, and the odd parts
+that are left are a few bits long.  ``solve_bounded_lp`` and ``_maximize``
+convert their inputs exactly, once: a float through
+``float.as_integer_ratio()``, a rational such as ``Fraction`` through its
+``numerator`` and ``denominator``, an int ``k`` as ``k / 1``, each with its
+powers of two stripped (``_rational``); a non-finite value or a row whose
+length differs from the variables' raises ``ValueError``.  The row update
+``r_j - f * p_j`` is one inlined loop (``_eliminate``): cancel the odd parts
+across the product, align the exponents by a shift, subtract over the gcd
+of the two odd denominators, divide out what is left of that gcd and strip
+the trailing zeros of the result.  Signs are sign tests and comparisons
+cross-multiplications with a shift.  The form is canonical, so each entry
+is the reduced rational ``Fraction`` arithmetic gives, every pricing,
+ratio-test and tie-break decision is too, and tuple ``==`` is equality of
+values.  A result goes back to a float through the correctly rounded
+division of the rejoined reduced pair of ints (``_float``).
 
 Each phase prices its columns once, from the objective and the rows whose
 basic cost is nonzero, and then keeps the reduced-cost row ``d``: a pivot
@@ -42,14 +50,14 @@ of this is exact: ``d_j`` equals the reduced cost a fresh pricing gives and
 every test decides as a fresh computation would, so the pivot sequence is
 Bland's, unchanged, and so are the starts, the optima and ``x``.
 
-A solve is two steps.  ``_feasible_start`` takes the constraints as pairs,
+A solve is two steps.  ``_feasible_start`` takes the constraints as triples,
 runs phase 1 and drives the leftover artificials out of the basis; it
 depends on the constraints only and returns its lists as an immutable
-``_Start`` of ints and pairs.  ``_maximize`` copies a start's rows without
+``_Start`` of ints and triples.  ``_maximize`` copies a start's rows without
 the artificial columns and runs phase 2 for one objective, so one start
 serves any number of objectives over the same constraints, each with the
 pivots a fresh solve would make.  ``solve_bounded_lp`` converts its
-constraints to pairs and runs the two in sequence.
+constraints to triples and runs the two in sequence.
 """
 
 from __future__ import annotations
@@ -63,8 +71,8 @@ _AT_UPPER = 1
 _BASIC = 2
 
 _MAX_ITER = 50000
-_ZERO = (0, 1)
-_ONE = (1, 1)
+_ZERO = (0, 1, 0)
+_ONE = (1, 1, 0)
 
 
 class LinearProgramInfeasible(Exception):
@@ -73,10 +81,11 @@ class LinearProgramInfeasible(Exception):
 
 class _Start(NamedTuple):
     """Feasible basis after phase 1: n structurals, m slacks, m artificials;
-    every value a reduced ``(numerator, denominator)`` pair."""
+    every value a reduced ``(n, o, e)`` triple."""
     n: int
-    tab_n: tuple    # m rows of n + 2m numerators
-    tab_d: tuple    # m rows of n + 2m denominators
+    tab_n: tuple    # m rows of n + 2m odd numerators, 0 for a zero entry
+    tab_o: tuple    # m rows of n + 2m odd parts of the denominators
+    tab_e: tuple    # m rows of n + 2m powers of two of the denominators
     beta: tuple     # values of the basic variables
     status: tuple   # per column: at lower, at upper or basic
     basis: tuple    # basic column of each row
@@ -84,129 +93,213 @@ class _Start(NamedTuple):
     hi: tuple       # per-column upper bound, None for unbounded
 
 
-def _pair(v) -> tuple:
-    """``v`` as a reduced ``(numerator, denominator)`` pair, exactly."""
+def _twos(k: int) -> int:
+    """The exponent of the largest power of two that divides ``k != 0``."""
+    return (k & -k).bit_length() - 1
+
+
+def _rational(num: int, den: int) -> tuple:
+    """The reduced ratio ``num / den``, ``den > 0``, as an ``(n, o, e)`` triple."""
+    if not num:
+        return _ZERO
+    a, b = _twos(num), _twos(den)
+    return num >> a, den >> b, b - a
+
+
+def _number(v) -> tuple:
+    """``v`` as a reduced ``(n, o, e)`` triple, exactly."""
     if isinstance(v, float):
         if not isfinite(v):
             raise ValueError(f"LP data must be finite, got {v}")
-        return v.as_integer_ratio()
+        return _rational(*v.as_integer_ratio())
     if isinstance(v, int):
-        return int(v), 1
+        return _rational(int(v), 1)
     if isinstance(v, Rational):
-        return int(v.numerator), int(v.denominator)
+        return _rational(int(v.numerator), int(v.denominator))
     raise TypeError(f"LP data must be ints, floats or rationals, got {type(v).__name__}")
 
 
+def _float(v) -> float:
+    """The double nearest ``v``: one correctly rounded division of ints."""
+    n, o, e = v
+    return n / (o << e) if e >= 0 else (n << -e) / o
+
+
 def _add(a, b) -> tuple:
-    an, ad = a
-    bn, bd = b
-    g = gcd(ad, bd)
-    s = ad // g
-    t = an * (bd // g) + bn * s
-    g2 = gcd(t, g)
-    return t // g2, s * (bd // g2)
+    an, ao, ae = a
+    bn, bo, be = b
+    if not an:
+        return b
+    if not bn:
+        return a
+    if ae < be:
+        an <<= be - ae
+        ae = be
+    elif be < ae:
+        bn <<= ae - be
+    g = gcd(ao, bo)
+    if g == 1:
+        t = an * bo + bn * ao
+        o = ao * bo
+    else:
+        s = ao // g
+        t = an * (bo // g) + bn * s
+        g = gcd(t, g)
+        t //= g
+        o = s * (bo // g)
+    if t & 1:
+        return t, o, ae
+    if not t:
+        return _ZERO
+    z = _twos(t)
+    return t >> z, o, ae - z
 
 
 def _sub(a, b) -> tuple:
-    return _add(a, (-b[0], b[1]))
+    return _add(a, (-b[0], b[1], b[2]))
 
 
 def _mul(a, b) -> tuple:
-    an, ad = a
-    bn, bd = b
-    g1 = gcd(an, bd)
-    g2 = gcd(bn, ad)
-    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+    an, ao, ae = a
+    bn, bo, be = b
+    if not an or not bn:
+        return _ZERO
+    g1 = gcd(an, bo)
+    g2 = gcd(bn, ao)
+    return (an // g1) * (bn // g2), (ao // g2) * (bo // g1), ae + be
 
 
 def _div(a, b) -> tuple:
     """``a / b`` for a nonzero ``b``."""
-    an, ad = a
-    bn, bd = b
+    an, ao, ae = a
+    bn, bo, be = b
+    if not an:
+        return _ZERO
     g1 = gcd(an, bn)
-    g2 = gcd(ad, bd)
-    n, d = (an // g1) * (bd // g2), (ad // g2) * (bn // g1)
-    return (-n, -d) if d < 0 else (n, d)
+    g2 = gcd(ao, bo)
+    n, o = (an // g1) * (bo // g2), (ao // g2) * (bn // g1)
+    return (-n, -o, ae - be) if o < 0 else (n, o, ae - be)
 
 
 def _less(a, b) -> bool:
-    return a[0] * b[1] < b[0] * a[1]
+    # a < b  <=>  an * bo * 2^be < bn * ao * 2^ae
+    k = b[2] - a[2]
+    if k >= 0:
+        return (a[0] * b[1]) << k < b[0] * a[1]
+    return a[0] * b[1] < (b[0] * a[1]) << -k
 
 
-def _eliminate(rn, rd, fn, fd, pivot_row) -> None:
-    """``r_j -= f * p_j`` in place over the ``(j, p_num, p_den)`` of ``pivot_row``.
+def _reaches(room, step, rate) -> bool:
+    """``room >= step * rate`` for a positive ``rate``, without reducing the product."""
+    lhs = room[0] * step[1] * rate[1]
+    rhs = step[0] * rate[0] * room[1]
+    k = step[2] + rate[2] - room[2]
+    return lhs << k >= rhs if k >= 0 else lhs >= rhs << -k
 
-    ``Fraction``'s steps, inlined: cancel across the product, subtract over
-    the gcd ``g`` of the denominators, then only a factor of ``g`` can be
-    left to divide out.  Each entry comes out reduced.
+
+def _eliminate(rn, ro, re, fn, fo, fe, pivot_row) -> None:
+    """``r_j -= f * p_j`` in place over the ``(j, n, o, e)`` of ``pivot_row``.
+
+    The odd parts cancel across the product; the exponents align by a
+    shift; the difference is taken over the gcd ``g`` of the odd
+    denominators, and only a factor of ``g`` can be left to divide out.  An
+    aligned term that was shifted is even and the other odd, so only equal
+    exponents leave trailing zeros to strip.  Each entry comes out reduced.
     """
-    for j, pn, pd in pivot_row:
-        tn, td = fn, fd
-        g = gcd(fn, pd)
-        if g > 1:
-            tn //= g
-            pd //= g
-        g = gcd(pn, fd)
-        if g > 1:
-            pn //= g
-            td //= g
+    for j, pn, po, pe in pivot_row:
+        tn, to = fn, fo
+        if po != 1:
+            g = gcd(tn, po)
+            if g > 1:
+                tn //= g
+                po //= g
+        if to != 1:
+            g = gcd(pn, to)
+            if g > 1:
+                pn //= g
+                to //= g
         tn *= pn
-        td *= pd
-        d = rd[j]
-        g = gcd(d, td)
-        if g == 1:
-            rn[j] = rn[j] * td - tn * d
-            rd[j] = d * td
+        to *= po
+        te = fe + pe
+        n = rn[j]
+        if not n:
+            rn[j] = -tn
+            ro[j] = to
+            re[j] = te
             continue
-        s = d // g
-        t = rn[j] * (td // g) - tn * s
-        g = gcd(t, g)
-        if g > 1:
-            t //= g
-            td //= g
+        o = ro[j]
+        e = re[j]
+        if e > te:
+            tn <<= e - te
+        elif e < te:
+            n <<= te - e
+            e = te
+        g = gcd(o, to)
+        if g == 1:
+            t = n * to - tn * o
+            to *= o
+        else:
+            s = o // g
+            t = n * (to // g) - tn * s
+            g = gcd(t, g)
+            if g > 1:
+                t //= g
+                to //= g
+            to *= s
+        if not t:
+            rn[j] = 0
+            ro[j] = 1
+            re[j] = 0
+            continue
+        if not t & 1:
+            z = _twos(t)
+            t >>= z
+            e -= z
         rn[j] = t
-        rd[j] = s * td
+        ro[j] = to
+        re[j] = e
 
 
-def _entries(rn, rd) -> list:
-    """The ``(j, numerator, denominator)`` of a row's nonzero entries."""
-    return [(j, n, d) for j, (n, d) in enumerate(zip(rn, rd)) if n]
+def _entries(rn, ro, re) -> list:
+    """The ``(j, n, o, e)`` of a row's nonzero entries."""
+    return [(j, n, ro[j], re[j]) for j, n in enumerate(rn) if n]
 
 
-def _pivot(tab_n, tab_d, row: int, col: int) -> list:
+def _pivot(tab_n, tab_o, tab_e, row: int, col: int) -> list:
     """Scale ``row`` to a unit pivot at ``col`` and eliminate ``col`` elsewhere.
 
     Returns the scaled pivot row's nonzero entries; only they change the
     other rows.
     """
-    an, ad = tab_n[row][col], tab_d[row][col]
-    inv = (-ad, -an) if an < 0 else (ad, an)
-    pn, pd = tab_n[row], tab_d[row]
+    an, ao, ae = tab_n[row][col], tab_o[row][col], tab_e[row][col]
+    inv = (-ao, -an, -ae) if an < 0 else (ao, an, -ae)
+    pn, po, pe = tab_n[row], tab_o[row], tab_e[row]
     for j, n in enumerate(pn):
         if n:
-            pn[j], pd[j] = _mul((n, pd[j]), inv)
-    prow = _entries(pn, pd)
-    for i, (rn, rd) in enumerate(zip(tab_n, tab_d)):
+            pn[j], po[j], pe[j] = _mul((n, po[j], pe[j]), inv)
+    prow = _entries(pn, po, pe)
+    for i, (rn, ro, re) in enumerate(zip(tab_n, tab_o, tab_e)):
         fn = rn[col]
         if i != row and fn:
-            _eliminate(rn, rd, fn, rd[col], prow)
+            _eliminate(rn, ro, re, fn, ro[col], re[col], prow)
     return prow
 
 
-def _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, cobj, n_allowed) -> None:
+def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed) -> None:
     """Bland's-rule simplex on ``cobj`` over the first ``n_allowed`` columns.
 
     The rows hold exactly ``n_allowed`` columns.  Updates ``tab_n``,
-    ``tab_d``, ``beta``, ``status`` and ``basis`` in place.
+    ``tab_o``, ``tab_e``, ``beta``, ``status`` and ``basis`` in place.
     """
     m = len(tab_n)
     # reduced costs c_j - sum_i c_B(i) tab[i][j], priced once, then kept
     dn = [c[0] for c in cobj[:n_allowed]]
-    dd = [c[1] for c in cobj[:n_allowed]]
+    do = [c[1] for c in cobj[:n_allowed]]
+    de = [c[2] for c in cobj[:n_allowed]]
     for i in range(m):
-        cn, cd = cobj[basis[i]]
+        cn, co, ce = cobj[basis[i]]
         if cn:
-            _eliminate(dn, dd, cn, cd, _entries(tab_n[i], tab_d[i]))
+            _eliminate(dn, do, de, cn, co, ce, _entries(tab_n[i], tab_o[i], tab_e[i]))
     first = 0
     for _ in range(_MAX_ITER):
         entering = -1
@@ -237,9 +330,8 @@ def _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, cobj, n_allowed) -> No
                 continue
             else:
                 room = _sub(hi[b], beta[i])
-            rate = (abs(an), tab_d[i][entering])
-            if (leaving < 0 and step is not None
-                    and room[0] * step[1] * rate[1] >= step[0] * rate[0] * room[1]):
+            rate = (abs(an), tab_o[i][entering], tab_e[i][entering])
+            if leaving < 0 and step is not None and _reaches(room, step, rate):
                 continue
             limit = _div(room, rate) if room[0] > 0 else _ZERO
             if step is None or _less(limit, step) or (limit == step and leaving >= 0
@@ -254,7 +346,7 @@ def _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, cobj, n_allowed) -> No
             for i in range(m):
                 an = tab_n[i][entering]
                 if an:
-                    a = (an, tab_d[i][entering])
+                    a = (an, tab_o[i][entering], tab_e[i][entering])
                     move = a if unit else _mul(step, a)
                     beta[i] = _sub(beta[i], move) if up else _add(beta[i], move)
         if leaving < 0:
@@ -267,17 +359,17 @@ def _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, cobj, n_allowed) -> No
         new_value = _add(lo[entering], step) if up else _sub(hi[entering], step)
         out = basis[leaving]
         status[out] = _AT_LOWER if hit_lower else _AT_UPPER
-        prow = _pivot(tab_n, tab_d, leaving, entering)
+        prow = _pivot(tab_n, tab_o, tab_e, leaving, entering)
         basis[leaving] = entering
         status[entering] = _BASIC
         beta[leaving] = new_value
-        _eliminate(dn, dd, dn[entering], dd[entering], prow)
+        _eliminate(dn, do, de, dn[entering], do[entering], de[entering], prow)
         first = 0
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
 def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
-    """Phase 1 for ranged rows and per-variable boxes given as pairs, exactly.
+    """Phase 1 for ranged rows and per-variable boxes given as triples, exactly.
 
     Raises ``LinearProgramInfeasible`` when the constraints admit no point
     and ``ValueError`` when the lengths disagree.
@@ -301,7 +393,8 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
     hi = xup + [_sub(up_i, lo_i) for lo_i, up_i in zip(rlo, rup)] + [None] * m
 
     tab_n = []
-    tab_d = []
+    tab_o = []
+    tab_e = []
     beta = []
     status = [_AT_LOWER] * n + [_AT_UPPER] * m + [_BASIC] * m
     basis = []
@@ -314,19 +407,19 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
         sign = 1 if resid[0] >= 0 else -1
         tab_n.append([sign * v[0] for v in row] + [sign if k == i else 0 for k in range(m)]
                      + [1 if k == i else 0 for k in range(m)])
-        tab_d.append([v[1] for v in row] + [1] * (2 * m))
-        beta.append((abs(resid[0]), resid[1]))
+        tab_o.append([v[1] for v in row] + [1] * (2 * m))
+        tab_e.append([v[2] for v in row] + [0] * (2 * m))
+        beta.append((abs(resid[0]), resid[1], resid[2]))
         basis.append(n + m + i)
 
-    phase1 = [_ZERO] * (n + m) + [(-1, 1)] * m
-    _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, phase1, ncols)
+    phase1 = [_ZERO] * (n + m) + [(-1, 1, 0)] * m
+    _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase1, ncols)
     infeasibility = _ZERO
     for i in range(m):
         if basis[i] >= n + m:
             infeasibility = _add(infeasibility, beta[i])
     if infeasibility[0] > 0:
-        raise LinearProgramInfeasible(
-            f"phase-1 residual {infeasibility[0] / infeasibility[1]:.3e}")
+        raise LinearProgramInfeasible(f"phase-1 residual {_float(infeasibility):.3e}")
 
     # drive leftover zero-level artificials out of the basis.  Each row's
     # slack column starts as +-1 times its artificial column and row
@@ -339,15 +432,15 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
         for j in range(n + m):
             if status[j] != _BASIC and tab_n[i][j]:
                 status[basis[i]] = _AT_LOWER
-                _pivot(tab_n, tab_d, i, j)
+                _pivot(tab_n, tab_o, tab_e, i, j)
                 beta[i] = lo[j] if status[j] == _AT_LOWER else hi[j]
                 basis[i] = j
                 status[j] = _BASIC
                 break
 
-    return _Start(n=n, tab_n=tuple(map(tuple, tab_n)), tab_d=tuple(map(tuple, tab_d)),
-                  beta=tuple(beta), status=tuple(status), basis=tuple(basis),
-                  lo=tuple(lo), hi=tuple(hi))
+    return _Start(n=n, tab_n=tuple(map(tuple, tab_n)), tab_o=tuple(map(tuple, tab_o)),
+                  tab_e=tuple(map(tuple, tab_e)), beta=tuple(beta), status=tuple(status),
+                  basis=tuple(basis), lo=tuple(lo), hi=tuple(hi))
 
 
 def _maximize(start: _Start, c):
@@ -361,13 +454,13 @@ def _maximize(start: _Start, c):
     n, m = start.n, len(start.tab_n)
     if len(c) != n:
         raise ValueError(f"the objective must have {n} entries, got {len(c)}")
-    cvec = [_pair(v) for v in c]
-    tab_n = [list(r[:n + m]) for r in start.tab_n]
-    tab_d = [list(r[:n + m]) for r in start.tab_d]
+    cvec = [_number(v) for v in c]
+    tab_n, tab_o, tab_e = ([list(r[:n + m]) for r in tab]
+                           for tab in (start.tab_n, start.tab_o, start.tab_e))
     beta, status, basis = list(start.beta), list(start.status), list(start.basis)
     lo, hi = start.lo, start.hi
     phase2 = cvec + [_ZERO] * (2 * m)
-    _run_phase(tab_n, tab_d, beta, status, basis, lo, hi, phase2, n + m)
+    _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase2, n + m)
 
     x = [hi[j] if status[j] == _AT_UPPER else lo[j] for j in range(n)]
     for i in range(m):
@@ -377,7 +470,7 @@ def _maximize(start: _Start, c):
     for cj, xj in zip(cvec, x):
         if cj[0] and xj[0]:
             optimum = _add(optimum, _mul(cj, xj))
-    return optimum[0] / optimum[1], [v[0] / v[1] for v in x]
+    return _float(optimum), [_float(v) for v in x]
 
 
 def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
@@ -388,9 +481,9 @@ def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):
     disagree or a value is not finite.  All inputs may be ints, floats
     (converted exactly) or rationals such as Fractions.
     """
-    def pairs(values):
-        return [_pair(v) for v in values]
+    def numbers(values):
+        return [_number(v) for v in values]
 
-    start = _feasible_start([pairs(row) for row in a], pairs(row_lower), pairs(row_upper),
-                            pairs(x_lower), pairs(x_upper))
+    start = _feasible_start([numbers(row) for row in a], numbers(row_lower),
+                            numbers(row_upper), numbers(x_lower), numbers(x_upper))
     return _maximize(start, c)

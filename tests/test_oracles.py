@@ -20,13 +20,27 @@ from tfqkd.decoy3 import TARGETS_3
 from tfqkd.decoy4 import yield_bounds
 from tfqkd.errors import InconsistentGainsError, TfqkdError
 from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_bound,
-                           series_gain, solve_bounded_lp)
+                           series_gain, simplex, solve_bounded_lp)
 from tfqkd.oracles.fock import gain_reconstruction_error
 from tfqkd.oracles.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, LinearProgramInfeasible,
-                                   _feasible_start, _maximize, _pair)
-from tfqkd.oracles.simplex import _Start as _PairStart
+                                   _feasible_start, _maximize, _number)
+from tfqkd.oracles.simplex import _Start as _SimplexStart
 
 GOLDEN_LP = json.loads((Path(__file__).parent / "data" / "golden_lp.json").read_text())
+
+
+def _fraction(v) -> Fraction:
+    """A simplex number, the triple ``(n, o, e)`` for ``n / (o * 2**e)``, as a ``Fraction``."""
+    n, o, e = v
+    return Fraction(n, o << e) if e >= 0 else Fraction(n << -e, o)
+
+
+def _canonical(v) -> bool:
+    """``n`` odd, ``o`` odd and positive, ``gcd(n, o) == 1``; zero is ``(0, 1, 0)``."""
+    n, o, e = v
+    if not n:
+        return v == (0, 1, 0)
+    return n & 1 == 1 and o > 0 and o & 1 == 1 and math.gcd(n, o) == 1
 
 
 class TestFockYield:
@@ -119,12 +133,12 @@ class TestSimplex:
         # so phase 1 drives every artificial out, duplicated rows included
         a, lower, upper = [[1, 2], [1, 1]], [1, 0], [3, 1.5]
 
-        def pairs(values):
-            return [_pair(v) for v in values]
+        def numbers(values):
+            return [_number(v) for v in values]
 
-        start = _feasible_start([pairs(row) for row in a + [a[0]]],
-                                pairs(lower + [lower[0]]), pairs(upper + [upper[0]]),
-                                pairs([0, 0]), pairs([2, 2]))
+        start = _feasible_start([numbers(row) for row in a + [a[0]]],
+                                numbers(lower + [lower[0]]), numbers(upper + [upper[0]]),
+                                numbers([0, 0]), numbers([2, 2]))
         assert all(b < start.n + 3 for b in start.basis)
         for c in ([1, 1], [1, -1], [-1, 2]):
             assert solve_bounded_lp(c, a + [a[0]], lower + [lower[0]], upper + [upper[0]],
@@ -135,15 +149,17 @@ class TestSimplex:
         # a redundant row whose artificial (column 4) stays basic, pinned at
         # zero: phase 2 prices it from the full-length cost vector and moves
         # only x (column 0), here by a bound flip of the slack s0 (column 1)
-        one, zero = (1, 1), (0, 1)
-        start = _PairStart(n=1,
-                           tab_n=((1, 1, 0, 1, 0), (0, 0, 0, 0, 1)), tab_d=((1,) * 5,) * 2,
-                           beta=((1, 2), zero),
-                           status=(_BASIC, _AT_UPPER, _AT_LOWER, _AT_LOWER, _BASIC),
-                           basis=(0, 4),
-                           lo=(zero,) * 5, hi=((2, 1), one, one, None, zero))
+        one, zero = (1, 1, 0), (0, 1, 0)
+        start = _SimplexStart(n=1,
+                              tab_n=((1, 1, 0, 1, 0), (0, 0, 0, 0, 1)), tab_o=((1,) * 5,) * 2,
+                              tab_e=((0,) * 5,) * 2,
+                              beta=((1, 1, 1), zero),
+                              status=(_BASIC, _AT_UPPER, _AT_LOWER, _AT_LOWER, _BASIC),
+                              basis=(0, 4),
+                              lo=(zero,) * 5, hi=((1, 1, -1), one, one, None, zero))
         assert _maximize(start, [1]) == (1.5, [1.5])
-        assert start.basis == (0, 4) and start.tab_n[1][4] == 1 and start.tab_d[1][4] == 1
+        assert start.basis == (0, 4) and start.tab_n[1][4] == 1 and start.tab_o[1][4] == 1
+        assert start.tab_e[1][4] == 0
 
     def test_input_types_give_identical_solutions(self):
         # ints, floats and Fractions of the same rationals: one LP
@@ -178,6 +194,20 @@ class TestSimplex:
         with pytest.raises(ValueError, match="finite"):
             solve_bounded_lp(*lp)
 
+    @pytest.mark.parametrize("tiny,huge", [(5e-324, 1e308), (1e-300, 1e308), (5e-324, 1e-300)])
+    def test_extreme_data_round_once(self, tiny, huge):
+        # max c.x with a0 x0 <= u0, a1 x1 <= u1 over x0 in [0, 1], x1 in
+        # [0, huge]: x_j = min(u_j / a_j, hi_j), computed in Fractions and
+        # rounded once, also where it underflows or the box caps it
+        c = [huge / 3, tiny * 7]
+        a = [[huge, 0.0], [0.0, tiny * 3]]
+        upper, hi = [tiny * 5, huge / 7], [1.0, huge]
+        x = [min(Fraction(u) / Fraction(row[j]), Fraction(h))
+             for j, (u, row, h) in enumerate(zip(upper, a, hi))]
+        want = float(sum(Fraction(cj) * xj for cj, xj in zip(c, x)))
+        assert solve_bounded_lp(c, a, [0.0, 0.0], upper, [0.0, 0.0], hi) == \
+            (want, [float(v) for v in x])
+
     def test_against_reference_solver(self):
         # each solution is also pinned bit for bit (see TestGoldenLpPath)
         pinned = []
@@ -199,6 +229,43 @@ class TestSimplex:
                 assert res.status == 0
                 assert mine == pytest.approx(-res.fun, abs=1e-8)
         assert pinned == GOLDEN_LP["random_lps"]
+
+
+_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda n, o, e: Fraction(n, o) / Fraction(2) ** e,
+              st.integers(-8, 8), st.integers(1, 8), st.integers(-4, 4)),
+    st.builds(lambda n, o, e: Fraction(n, o) / Fraction(2) ** e,
+              st.integers(-2 ** 400, 2 ** 400), st.integers(1, 2 ** 400),
+              st.integers(-1200, 1200)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(x=_RATIONALS, y=_RATIONALS, z=_RATIONALS,
+       row=st.lists(_RATIONALS, min_size=4, max_size=4),
+       pivot=st.lists(_RATIONALS, min_size=4, max_size=4))
+def test_number_arithmetic_matches_fraction(x, y, z, row, pivot):
+    """Each operation on ``(n, o, e)`` triples gives ``Fraction``'s value, canonically."""
+    a, b, c = _number(x), _number(y), _number(z)
+    assert all(map(_canonical, (a, b, c))) and _fraction(a) == x
+    results = [(simplex._add(a, b), x + y), (simplex._sub(a, b), x - y),
+               (simplex._mul(a, b), x * y)]
+    if y:
+        results.append((simplex._div(a, b), x / y))
+    for got, want in results:
+        assert _canonical(got) and _fraction(got) == want
+    assert simplex._less(a, b) == (x < y)
+    assert simplex._float(a) == float(x)
+    if z > 0:
+        assert simplex._reaches(a, b, c) == (x >= y * z)
+    if x:
+        # r_j -= x * p_j over the nonzero entries of ``pivot``
+        rn, ro, re = (list(part) for part in zip(*map(_number, row)))
+        entries = [(j, *_number(p)) for j, p in enumerate(pivot) if p]
+        simplex._eliminate(rn, ro, re, *a, entries)
+        got = list(zip(rn, ro, re))
+        assert all(map(_canonical, got))
+        assert [_fraction(v) for v in got] == [r - x * p for r, p in zip(row, pivot)]
 
 
 def _constructed_profile():
@@ -262,6 +329,7 @@ class TestLpYieldBound:
     @pytest.mark.parametrize("mu,n_trunc", [
         ((math.inf, 1e-2, 2e-3), 8), ((math.nan, 1e-2, 2e-3), 8), ((-0.1, 1e-2, 2e-3), 8),
         ((0.1, 1e-2, 2e-3), 10.5), ((0.1, 1e-2, 2e-3), True), ((0.1, 1e-2, 2e-3), "8"),
+        ((0.1, 1e-2, 2e-3), 10**6),
     ])
     def test_bad_intensity_or_truncation_rejected(self, mu, n_trunc):
         gains = GainMatrix(q=((0.0,) * 3,) * 3)
@@ -395,9 +463,9 @@ class TestLpMemo:
         n_trunc = lp_bounds.DEFAULT_TRUNCATION
         side = n_trunc + 1
         rows, lower, upper = lp_bounds._constraints(gains.q, mu, nu, n_trunc)
-        # the pairs as Fractions, an outside input solve_bounded_lp converts
-        rows = [[Fraction(*v) for v in row] for row in rows]
-        lower, upper = ([Fraction(*v) for v in window] for window in (lower, upper))
+        # the triples as Fractions, an outside input solve_bounded_lp converts
+        rows = [[_fraction(v) for v in row] for row in rows]
+        lower, upper = ([_fraction(v) for v in window] for window in (lower, upper))
         lp_bounds._start.cache_clear()
         for u, v in TARGETS_3:
             c = [0] * (side * side)
@@ -436,14 +504,14 @@ class _Start(NamedTuple):
 
 
 def _fraction_view(start):
-    """``start``, a start of int pairs, as the ``_Start`` of ``Fraction``s above."""
+    """``start``, a start of simplex triples, as the ``_Start`` of ``Fraction``s above."""
     return _Start(n=start.n,
-                  tab=tuple(tuple(map(Fraction, rn, rd))
-                            for rn, rd in zip(start.tab_n, start.tab_d)),
-                  beta=tuple(Fraction(*v) for v in start.beta),
+                  tab=tuple(tuple(map(_fraction, zip(*row)))
+                            for row in zip(start.tab_n, start.tab_o, start.tab_e)),
+                  beta=tuple(map(_fraction, start.beta)),
                   status=start.status, basis=start.basis,
-                  lo=tuple(Fraction(*v) for v in start.lo),
-                  hi=tuple(None if v is None else Fraction(*v) for v in start.hi))
+                  lo=tuple(map(_fraction, start.lo)),
+                  hi=tuple(None if v is None else _fraction(v) for v in start.hi))
 
 
 class TestGoldenLpPath:
@@ -498,3 +566,38 @@ class TestGoldenLpPath:
         assert opt.hex() == "0x1.7ae147ae147b3p-2"
         assert hashlib.sha256(" ".join(v.hex() for v in x).encode()).hexdigest() == \
             "0a5f9c8c6ddce4e6761b57b4397a1a8831ac0c045e517a7fef46eb2a1ad275fb"
+
+
+class TestCanonicalNumbers:
+    """The ratio test breaks ties with tuple ``==``, which is equality of
+    values only between canonical triples: every number of a cached start,
+    and every basic value after each phase, is one."""
+
+    @pytest.mark.parametrize("case", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2),
+                                      "constructed"],
+                             ids=lambda c: c if isinstance(c, str) else f"d{c[0]}-s{c[1]}")
+    def test_starts_and_basic_values(self, case, monkeypatch):
+        phases = []
+        run_phase = simplex._run_phase
+
+        def checked(tab_n, tab_o, tab_e, beta, *rest):
+            run_phase(tab_n, tab_o, tab_e, beta, *rest)
+            phases.append(all(map(_canonical, beta)))
+
+        monkeypatch.setattr(simplex, "_run_phase", checked)
+        if case == "constructed":
+            (gains, mu, nu), targets = _constructed_profile(), [(1, 2)]
+        else:
+            gains, mu, nu = _certify_like(np.random.default_rng(list(case)), case[0])
+            targets = TARGETS_3
+        side = lp_bounds.DEFAULT_TRUNCATION + 1
+        lp_bounds._start.cache_clear()
+        start = lp_bounds._start(gains.q, mu, nu, side - 1)
+        numbers = [v for row in zip(start.tab_n, start.tab_o, start.tab_e) for v in zip(*row)]
+        numbers += [*start.beta, *start.lo, *(v for v in start.hi if v is not None)]
+        assert all(map(_canonical, numbers))
+        for u, v in targets:
+            c = [0] * (side * side)
+            c[u * side + v] = 1
+            _maximize(start, c)
+        assert phases == [True] * (1 + len(targets))

@@ -1,5 +1,6 @@
 """The package's export list and import footprint."""
 
+import ast
 import importlib
 import json
 import os
@@ -64,3 +65,16 @@ def test_benchmark_bound_names_resolve(monkeypatch):
     tracer.uninstall()
     assert all(getattr(module, attr) is original for module, attr, original in tracer._originals)
     workloads.clear_caches()
+
+
+def test_exact_lp_imports_no_fractions():
+    # the simplex and its LP rows hold every number as an int triple; a
+    # Fraction path beside them would be a second number format
+    oracles = Path(tfqkd.__file__).resolve().parent / "oracles"
+    for name in ("simplex.py", "lp_bounds.py"):
+        tree = ast.parse((oracles / name).read_text())
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and not node.level}
+        assert "fractions" not in imported, name
