@@ -8,12 +8,16 @@ the yield indices (0,0), (1,1), (2,2), (0,2), (2,0), (0,4), (4,0), (1,3)
 and (3,1); every other yield is trivially bounded by 1.
 
 The combinations cancel ten-plus digits for typical decoy intensities, so
-every formula can also run in exact rational arithmetic (``exact=True``):
-the inputs are binary doubles, hence exact rationals, and the only rounded
-ingredients are the factorially damped series tails, which are themselves
-computed from all-positive terms to full relative accuracy.  The float path
-is faster and plenty for rate optimization; the exact path is what the
-oracle comparisons at 1e-9 tolerances need.
+every formula can also run on exact rationals (``exact=True``), the
+``dyadic.Dyadic`` numbers: the inputs are binary doubles, hence exact
+rationals.  The exact path still rounds in three places: each block result
+goes back to the nearest double (``float(raw)``, so a bound may sit a
+fraction of an ulp below its rational value), the (1,1) bound reads the
+(1,3) and (3,1) bounds after that rounding and clamp, and the factorially
+damped series tails are doubles, computed from all-positive terms to full
+relative accuracy and then taken as exact.  The float path is faster and
+plenty for rate optimization; the exact path is what the oracle comparisons
+at 1e-9 tolerances need.
 
 Three- and four-decoy bounds share one path.  ``_prepare`` checks the
 input, picks the number type and rescales the gains.  Each ordered
@@ -26,18 +30,19 @@ seven sums into its nine clamped bounds, every party-swapped target being
 its mirror formula with the parties exchanged.  A three-decoy bound set is
 one block; ``decoy4.yield_bounds`` is the public entry point for three and
 four decoys.  Coefficients, prefactors or terms that are not finite in
-double precision raise ``DegenerateIntensityError``.
+double precision, or exact values past its range, raise
+``DegenerateIntensityError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .channel import _EXP_MAX, GainMatrix
+from .dyadic import Dyadic
 from .errors import DegenerateIntensityError, InconsistentGainsError, SaturationError
 from .series import _triple_tails, exp_f_tail, exp_h_tail  # noqa: F401  (benchmark/spans.py)
 
@@ -120,7 +125,7 @@ def _vectors(triples, num):
     of number type ``num``."""
     try:
         v = np.array([_triple_vectors(*x) for x in triples],
-                     dtype=object if num is Fraction else float)
+                     dtype=object if num is Dyadic else float)
     except ZeroDivisionError:
         raise _degenerate("coefficient vector entries") from None
     _finite(v, "coefficient vector entries")
@@ -165,7 +170,7 @@ def _prepare(q, mu, nu, size: int, exact: bool):
     if max(mu) + max(nu) > _EXP_MAX:
         raise SaturationError(
             f"exp(mu + nu) overflows for intensities {max(mu)} and {max(nu)}")
-    num = Fraction if exact else float
+    num = Dyadic if exact else float
     dtype = object if exact else float
     qtilde = np.array([[num(math.exp(mu_k + nu_l)) * num(g) for nu_l, g in zip(nu, row)]
                        for mu_k, row in zip(mu, q)], dtype=dtype)
@@ -279,14 +284,14 @@ def _block_bounds(g, gerr, sides, num):
     ``g`` and ``gerr`` list the ``_PAIRS`` sums block by block, ``sides``
     each block's Alice and Bob ``_side``.  A value below the slack raises for
     the first block and target in evaluation order; a prefactor that
-    vanishes or overflows, hence a value that is not finite, raises
-    ``DegenerateIntensityError``.
+    vanishes or overflows, hence a value that is not finite (an exact value
+    past the double range), raises ``DegenerateIntensityError``.
     """
     n = len(_PAIRS)
     try:
         values = np.array([_block(g[n * i:n * i + n], gerr[n * i:n * i + n], a, b, num)
                            for i, (a, b) in enumerate(sides)])
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         raise _degenerate("bound prefactors") from None
     _finite(values, "bound prefactors")
     return _clamp(values, _EVALUATED, "3-decoy")[:, _TO_TARGETS]

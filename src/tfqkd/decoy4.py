@@ -12,7 +12,10 @@ of the two parties are proportional to each other (pairwise equality is the
 special case treated by the dedicated degenerate variant of (0,4)/(4,0)).
 No degenerate variant exists for (1,3)/(3,1); when their combination
 denominator vanishes the formula is skipped and only the subset minima are
-used (noted in the bound set's ``warnings``).
+used (noted in the bound set's ``warnings``).  A denominator that is 0.0 in
+double precision counts as vanishing, and a combined formula whose
+evaluation still divides by zero, or whose exact value lies past the double
+range, raises ``DegenerateIntensityError``.
 
 Like the three-decoy module, everything can run in exact rational
 arithmetic (``exact=True``); the combined formulas cancel so deeply that the
@@ -32,16 +35,16 @@ with new amplitudes hold their own bound sets (``rate._RateParts``).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .channel import GainMatrix, IntensitySettings
 from .decoy3 import (_EPS_COMBINE, _PAIR_A, _PAIR_B, _VECTOR_FOR_TARGET, TARGETS_3,
-                     YieldBounds, _block_bounds, _bounds3, _clamp, _combine, _prepare, _side,
-                     _vectors,
+                     YieldBounds, _block_bounds, _bounds3, _clamp, _combine, _degenerate,
+                     _prepare, _side, _vectors,
                      cancellation_coeffs)  # noqa: F401  (benchmark/spans.py wraps it)
+from .dyadic import Dyadic
 from .series import _tails, exp_h_tail  # noqa: F401  (benchmark/spans.py wraps exp_h_tail)
 
 # Slot order of the four 3-subset combinations.  Each subset's combination is
@@ -102,7 +105,7 @@ def _combine_subsets(g, gerr, ds, num):
             continue
         values.append(d * value)
         errors.append(abs(d) * error)
-    if num is Fraction:
+    if num is Dyadic:
         return sum(values), 0
     err = math.fsum(errors) + _EPS_COMBINE * math.fsum(map(abs, values))
     return math.fsum(values), err
@@ -142,7 +145,7 @@ def _y04(degenerate, rel, mu, nu, g, gerr, tails, num):
     # parties because the surviving families start at different orders).
     series = head * num(tails[0]) * num(tails[1])
     raw = 24 * (h04 - series) / a04_four
-    if num is Fraction:
+    if num is Dyadic:
         return raw, 0
     err = (herr + abs(series) * 2.0 ** -50) * abs(24 / a04_four)
     return raw, err + rel * (abs(raw) + abs(24 * series / a04_four))
@@ -196,7 +199,7 @@ def _y13(rel, mu, nu, g, gerr, tails, num):
     kern = (m0 - m1) * (m0 - m2) * (nu[0] - nu[1]) * (nu[0] - nu[2])
     a13_three = -kern / (m1 + m2) * _p13(mu, nu) / q13
     raw = 6 * h13 / a13_three
-    if num is Fraction:
+    if num is Dyadic:
         return raw, 0
     return raw, herr * abs(6 / a13_three) + rel * abs(raw)
 
@@ -214,12 +217,13 @@ def _formula(target, mu, nu, warnings):
         if all(abs(a - b) <= _TILDE_REL_TOL * max(a, b) for a, b in zip(mu[:3], nu)):
             return "4-decoy degenerate", partial(_y04, True, 0.0)
         cross, scale = _weak_cross(mu, nu)
-        if abs(cross) >= _Q13_REL_FLOOR * scale:
+        # a denominator that underflows to 0.0 vanishes too, whatever its scale
+        if cross and abs(cross) >= _Q13_REL_FLOOR * scale:
             return "4-decoy combined", partial(_y04, False, _EPS_COMBINE * scale / abs(cross))
         reason = "proportional weak triples"
     else:
         q13, scale = _q13(mu, nu)
-        if abs(q13) >= _Q13_REL_FLOOR * scale:
+        if q13 and abs(q13) >= _Q13_REL_FLOOR * scale:
             return "4-decoy combined", partial(_y13, _EPS_COMBINE * scale / abs(q13))
         reason = "vanishing denominator"
     warnings.append(f"({target[0]},{target[1]}): combined formula skipped "
@@ -297,8 +301,11 @@ def _bounds4(q, mu, nu, exact):
     combined = []
     for (target, _, evaluate, first, second, slots, *_), k in zip(active, range(n, len(g), 4)):
         tails = (four[first][0], four[slots][1]) if target in ((0, 4), (4, 0)) else None
-        raw, err = evaluate(first, second, g[k:k + 4], gerr[k:k + 4], tails, num)
-        combined.append(float(raw) + float(err))
+        try:
+            raw, err = evaluate(first, second, g[k:k + 4], gerr[k:k + 4], tails, num)
+            combined.append(float(raw) + float(err))
+        except (ZeroDivisionError, OverflowError):
+            raise _degenerate("combined formula weights") from None
     targets = [target for target, *_ in active]
     for (target, name, *_), value in zip(active, _clamp(np.array(combined), targets,
                                                         "4-decoy").tolist()):

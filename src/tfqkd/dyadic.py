@@ -1,0 +1,281 @@
+"""Exact rational arithmetic on dyadic-split reduced rationals.
+
+Every exact number of the package is a reduced rational split at its power
+of two, a triple of ints ``(n, o, e)`` for ``n / (o * 2**e)``: ``n`` odd,
+``o`` odd and positive, ``gcd(n, o) == 1``, ``e`` any int, and zero
+``(0, 1, 0)``.  The form is canonical, so tuple ``==`` is equality of
+values.  It pays because the exact inputs are doubles, p / 2^k, whose odd
+denominator part is 1, and the factorials and differences built from them
+keep small odd parts: a gcd only ever runs on the odd parts, never on the
+long powers of two.
+
+The functions below work on bare triples; the exact simplex
+(``oracles.simplex``) and its LP rows call them directly.  ``Dyadic`` wraps
+one triple in an operator class over the same functions, which is the exact
+number type of the yield bounds (``decoy3``, ``decoy4``): the formulas run
+on it unchanged, with ints, floats and other rationals converted exactly.
+Every result is the reduced rational ``fractions.Fraction`` gives, and a
+value goes back to a float through the correctly rounded division of the
+rejoined reduced pair of ints (``_float``), as ``Fraction`` does.
+"""
+
+from __future__ import annotations
+
+import sys
+from math import gcd, isfinite
+from numbers import Rational
+
+_ZERO = (0, 1, 0)
+_ONE = (1, 1, 0)
+
+
+def _twos(k: int) -> int:
+    """The exponent of the largest power of two that divides ``k != 0``."""
+    return (k & -k).bit_length() - 1
+
+
+def _rational(num: int, den: int) -> tuple:
+    """The reduced ratio ``num / den``, ``den > 0``, as an ``(n, o, e)`` triple."""
+    if not num:
+        return _ZERO
+    a, b = _twos(num), _twos(den)
+    return num >> a, den >> b, b - a
+
+
+def _number(v) -> tuple:
+    """``v`` as a reduced ``(n, o, e)`` triple, exactly: a float through
+    ``float.as_integer_ratio()``, a rational through its ``numerator`` and
+    ``denominator``, an int ``k`` as ``k / 1``.  A non-finite float raises
+    ``ValueError``, any other type ``TypeError``."""
+    if isinstance(v, float):
+        if not isfinite(v):
+            raise ValueError(f"exact numbers must be finite, got {v}")
+        return _rational(*v.as_integer_ratio())
+    if isinstance(v, int):
+        return _rational(int(v), 1)
+    if isinstance(v, Rational):
+        return _rational(int(v.numerator), int(v.denominator))
+    raise TypeError(f"exact numbers must be ints, floats or rationals, got {type(v).__name__}")
+
+
+def _float(v) -> float:
+    """The double nearest ``v``: one correctly rounded division of ints."""
+    n, o, e = v
+    return n / (o << e) if e >= 0 else (n << -e) / o
+
+
+def _add(a, b) -> tuple:
+    an, ao, ae = a
+    bn, bo, be = b
+    if not an:
+        return b
+    if not bn:
+        return a
+    if ae < be:
+        an <<= be - ae
+        ae = be
+    elif be < ae:
+        bn <<= ae - be
+    g = gcd(ao, bo)
+    if g == 1:
+        t = an * bo + bn * ao
+        o = ao * bo
+    else:
+        s = ao // g
+        t = an * (bo // g) + bn * s
+        g = gcd(t, g)
+        t //= g
+        o = s * (bo // g)
+    if t & 1:
+        return t, o, ae
+    if not t:
+        return _ZERO
+    z = _twos(t)
+    return t >> z, o, ae - z
+
+
+def _sub(a, b) -> tuple:
+    return _add(a, (-b[0], b[1], b[2]))
+
+
+def _mul(a, b) -> tuple:
+    an, ao, ae = a
+    bn, bo, be = b
+    if not an or not bn:
+        return _ZERO
+    # most odd parts are 1: the inputs are doubles
+    if bo != 1:
+        g = gcd(an, bo)
+        if g != 1:
+            an //= g
+            bo //= g
+    if ao != 1:
+        g = gcd(bn, ao)
+        if g != 1:
+            bn //= g
+            ao //= g
+    return an * bn, ao * bo, ae + be
+
+
+def _div(a, b) -> tuple:
+    """``a / b`` for a nonzero ``b``."""
+    an, ao, ae = a
+    bn, bo, be = b
+    if not an:
+        return _ZERO
+    g1 = gcd(an, bn)
+    g2 = gcd(ao, bo)
+    n, o = (an // g1) * (bo // g2), (ao // g2) * (bn // g1)
+    return (-n, -o, ae - be) if o < 0 else (n, o, ae - be)
+
+
+def _less(a, b) -> bool:
+    # a < b  <=>  an * bo * 2^be < bn * ao * 2^ae
+    k = b[2] - a[2]
+    if k >= 0:
+        return (a[0] * b[1]) << k < b[0] * a[1]
+    return a[0] * b[1] < (b[0] * a[1]) << -k
+
+
+# the small int operands of the bound formulas (leading vector entries,
+# zero error terms, the factorial and moment factors), converted once
+_SMALL_INTS = {k: _rational(k, 1) for k in range(-32, 33)}
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _operand(x):
+    """The triple of an operand ``Dyadic``, int, float or rational, or None
+    for any other type; a non-finite float raises ``ValueError``."""
+    if isinstance(x, Dyadic):
+        return x.triple
+    if isinstance(x, int):
+        t = _SMALL_INTS.get(x)
+        return _rational(int(x), 1) if t is None else t
+    if isinstance(x, (float, Rational)):
+        return _number(x)
+    return None
+
+
+def _wrap(t) -> Dyadic:
+    d = object.__new__(Dyadic)
+    d.triple = t
+    return d
+
+
+def _nonzero(t):
+    if not t[0]:
+        raise ZeroDivisionError("division by zero")
+    return t
+
+
+class Dyadic:
+    """An exact rational held as its reduced ``(n, o, e)`` triple.
+
+    Takes an int, a finite float or a rational, exactly.  Supports ``+``,
+    ``-``, ``*`` and ``/``, also reflected, with ints, floats and rationals
+    as the other operand, ``**`` to an int power, the comparisons, ``abs``,
+    unary minus, ``float`` and truth.  Results are ``Dyadic`` and exact:
+    unlike ``Fraction``, a float operand is converted, not a float result
+    returned.  A non-finite float operand raises ``ValueError``, except
+    that it is unequal to every ``Dyadic``.  Equality and hash are by value,
+    as for the built-in numbers; division by zero raises
+    ``ZeroDivisionError``.
+    """
+
+    __slots__ = ("triple",)
+
+    def __new__(cls, value=0):
+        t = _operand(value)
+        if t is None:
+            raise TypeError(f"Dyadic takes an int, a float or a rational, "
+                            f"got {type(value).__name__}")
+        return _wrap(t)
+
+    def __repr__(self) -> str:
+        n, o, e = self.triple
+        return f"Dyadic({n} / ({o} * 2**{e}))"
+
+    def __float__(self) -> float:
+        return _float(self.triple)
+
+    def __bool__(self) -> bool:
+        return self.triple[0] != 0
+
+    def __neg__(self) -> Dyadic:
+        n, o, e = self.triple
+        return _wrap((-n, o, e))
+
+    def __abs__(self) -> Dyadic:
+        n, o, e = self.triple
+        return self if n >= 0 else _wrap((-n, o, e))
+
+    def __add__(self, other):
+        b = other.triple if type(other) is Dyadic else _operand(other)
+        return NotImplemented if b is None else _wrap(_add(self.triple, b))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        b = other.triple if type(other) is Dyadic else _operand(other)
+        return NotImplemented if b is None else _wrap(_sub(self.triple, b))
+
+    def __rsub__(self, other):
+        a = _operand(other)
+        return NotImplemented if a is None else _wrap(_sub(a, self.triple))
+
+    def __mul__(self, other):
+        b = other.triple if type(other) is Dyadic else _operand(other)
+        return NotImplemented if b is None else _wrap(_mul(self.triple, b))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        b = other.triple if type(other) is Dyadic else _operand(other)
+        return NotImplemented if b is None else _wrap(_div(self.triple, _nonzero(b)))
+
+    def __rtruediv__(self, other):
+        a = _operand(other)
+        return NotImplemented if a is None else _wrap(_div(a, _nonzero(self.triple)))
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        n, o, e = self.triple
+        if k < 0:
+            n, o, e = _div(_ONE, _nonzero(self.triple))
+            k = -k
+        # odd powers of coprime odd parts stay odd and coprime
+        return _wrap((n ** k, o ** k, e * k))
+
+    def __eq__(self, other):
+        if isinstance(other, float) and not isfinite(other):
+            return False
+        b = _operand(other)
+        return NotImplemented if b is None else self.triple == b
+
+    def __lt__(self, other):
+        b = _operand(other)
+        return NotImplemented if b is None else _less(self.triple, b)
+
+    def __gt__(self, other):
+        b = _operand(other)
+        return NotImplemented if b is None else _less(b, self.triple)
+
+    def __le__(self, other):
+        b = _operand(other)
+        return NotImplemented if b is None else not _less(b, self.triple)
+
+    def __ge__(self, other):
+        b = _operand(other)
+        return NotImplemented if b is None else not _less(self.triple, b)
+
+    def __hash__(self) -> int:
+        # the hash of the equal int, float or Fraction (numeric hashing)
+        n, o, e = self.triple
+        num, den = (n, o << e) if e >= 0 else (n << -e, o)
+        try:
+            h = hash(hash(abs(num)) * pow(den, -1, _HASH_MODULUS))
+        except ValueError:
+            h = sys.hash_info.inf
+        h = h if num >= 0 else -h
+        return -2 if h == -1 else h

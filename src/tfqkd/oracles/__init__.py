@@ -1,9 +1,10 @@
 """Independent ground-truth machinery for checking the analytical bounds.
 
-Nothing in here shares code paths with the bound formulas: yields are
-re-derived by enumerating photon fates, gains are rebuilt as Poisson
-mixtures, and the decoy constraints are solved exactly (up to truncation)
-as linear programs with a self-contained simplex.
+The oracles share only the exact arithmetic with the bound formulas
+(``tfqkd.dyadic``, whose tests check every operation against
+``fractions.Fraction``): yields are re-derived by enumerating photon fates,
+gains are rebuilt as Poisson mixtures, and the decoy constraints are solved
+exactly (up to truncation) as linear programs with their own simplex.
 """
 
 from .fock import dark_adjusted_yield, fock_yield, series_gain

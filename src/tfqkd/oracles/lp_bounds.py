@@ -6,11 +6,12 @@ each equality into a two-sided window by the neglected Poisson tail mass
 turns that into a finite LP whose maximum is a certified upper bound on any
 single yield.
 
-Everything is kept exact, in the simplex's reduced ``(n, o, e)`` triples
-for ``n / (o * 2**e)`` (odd ``n`` and ``o``): the constraint coefficients are
-products of rational monomials x^n/n! of the (exactly represented) double
-intensities, built once per intensity, scaled per row by the rational value
-of the double exp(-mu-nu) so each row stays on the probability scale.
+Everything is kept exact, in the reduced ``(n, o, e)`` triples for
+``n / (o * 2**e)`` (odd ``n`` and ``o``) of ``tfqkd.dyadic``: the
+constraint coefficients are products of rational monomials x^n/n! of the
+(exactly represented) double intensities, built once per intensity, scaled
+per row by the rational value of the double exp(-mu-nu) so each row stays
+on the probability scale.
 Their denominators are powers of two times the small odd parts of the
 factorials, which is what the triples split off.  The only non-exact
 ingredients are the gains themselves and the per-row exponential, a couple
@@ -34,10 +35,10 @@ from functools import lru_cache
 from numbers import Integral, Real
 
 from ..channel import GainMatrix
+from ..dyadic import _ONE, _ZERO, _add, _mul, _number, _rational, _sub
 from ..errors import InconsistentGainsError
 from .fock import poisson_upper_tail
-from .simplex import (_ONE, _ZERO, LinearProgramInfeasible, _add, _feasible_start, _maximize,
-                      _mul, _number, _rational, _sub)
+from .simplex import LinearProgramInfeasible, _feasible_start, _maximize
 from .simplex import solve_bounded_lp  # noqa: F401  (benchmark/spans.py wraps this attribute)
 
 DEFAULT_TRUNCATION = 10

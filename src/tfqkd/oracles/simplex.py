@@ -11,29 +11,27 @@ pivoting with Bland's entering rule has no tolerances at all, cannot cycle,
 and the problem sizes here (about a hundred variables, a few dozen rows)
 keep it fast enough.
 
-Numbers.  Every quantity is a reduced rational split at its power of two,
-a triple of ints ``(n, o, e)`` for ``n / (o * 2**e)``: ``n`` odd, ``o`` odd
-and positive, ``gcd(n, o) == 1``, ``e`` any int, and zero ``(0, 1, 0)``.
-The basic values, the bounds and the costs are such tuples, each tableau
-row and the reduced-cost row three parallel lists of ``n``, ``o`` and
-``e``.  The split pays because the LP data are doubles, p / 2^k, times
-1 / (n! m!), whose odd part is small: the denominators are almost all
+Numbers.  Every quantity is an exact reduced rational split at its power
+of two, the triple of ints ``(n, o, e)`` for ``n / (o * 2**e)`` of
+``tfqkd.dyadic``, whose functions (``_add``, ``_mul``, ``_less``, ...) this
+module uses.  The basic values, the bounds and the costs are such tuples,
+each tableau row and the reduced-cost row three parallel lists of ``n``,
+``o`` and ``e``.  The split pays because the LP data are doubles, p / 2^k,
+times 1 / (n! m!), whose odd part is small: the denominators are almost all
 power of two, which a gcd would grind through bit by bit, and the odd parts
 that are left are a few bits long.  ``solve_bounded_lp`` and ``_maximize``
-convert their inputs exactly, once: a float through
-``float.as_integer_ratio()``, a rational such as ``Fraction`` through its
-``numerator`` and ``denominator``, an int ``k`` as ``k / 1``, each with its
-powers of two stripped (``_rational``); a non-finite value or a row whose
-length differs from the variables' raises ``ValueError``.  The row update
-``r_j - f * p_j`` is one inlined loop (``_eliminate``): cancel the odd parts
-across the product, align the exponents by a shift, subtract over the gcd
-of the two odd denominators, divide out what is left of that gcd and strip
-the trailing zeros of the result.  Signs are sign tests and comparisons
-cross-multiplications with a shift.  The form is canonical, so each entry
-is the reduced rational ``Fraction`` arithmetic gives, every pricing,
-ratio-test and tie-break decision is too, and tuple ``==`` is equality of
-values.  A result goes back to a float through the correctly rounded
-division of the rejoined reduced pair of ints (``_float``).
+convert their inputs exactly, once (``dyadic._number``: ints, finite
+floats and rationals such as ``Fraction``); a non-finite value or a row
+whose length differs from the variables' raises ``ValueError``.  The row
+update ``r_j - f * p_j`` is one inlined loop (``_eliminate``): cancel the
+odd parts across the product, align the exponents by a shift, subtract over
+the gcd of the two odd denominators, divide out what is left of that gcd and
+strip the trailing zeros of the result.  Signs are sign tests and
+comparisons cross-multiplications with a shift.  The form is canonical, so
+each entry is the reduced rational ``Fraction`` arithmetic gives, every
+pricing, ratio-test and tie-break decision is too, and tuple ``==`` is
+equality of values.  A result goes back to a float through the correctly
+rounded division of the rejoined reduced pair of ints (``_float``).
 
 Each phase prices its columns once, from the objective and the rows whose
 basic cost is nonzero, and then keeps the reduced-cost row ``d``: a pivot
@@ -62,17 +60,16 @@ constraints to triples and runs the two in sequence.
 
 from __future__ import annotations
 
-from math import gcd, isfinite
-from numbers import Rational
+from math import gcd
 from typing import NamedTuple
+
+from ..dyadic import _ONE, _ZERO, _add, _div, _float, _less, _mul, _number, _sub, _twos
 
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
 
 _MAX_ITER = 50000
-_ZERO = (0, 1, 0)
-_ONE = (1, 1, 0)
 
 
 class LinearProgramInfeasible(Exception):
@@ -91,102 +88,6 @@ class _Start(NamedTuple):
     basis: tuple    # basic column of each row
     lo: tuple       # per-column lower bound
     hi: tuple       # per-column upper bound, None for unbounded
-
-
-def _twos(k: int) -> int:
-    """The exponent of the largest power of two that divides ``k != 0``."""
-    return (k & -k).bit_length() - 1
-
-
-def _rational(num: int, den: int) -> tuple:
-    """The reduced ratio ``num / den``, ``den > 0``, as an ``(n, o, e)`` triple."""
-    if not num:
-        return _ZERO
-    a, b = _twos(num), _twos(den)
-    return num >> a, den >> b, b - a
-
-
-def _number(v) -> tuple:
-    """``v`` as a reduced ``(n, o, e)`` triple, exactly."""
-    if isinstance(v, float):
-        if not isfinite(v):
-            raise ValueError(f"LP data must be finite, got {v}")
-        return _rational(*v.as_integer_ratio())
-    if isinstance(v, int):
-        return _rational(int(v), 1)
-    if isinstance(v, Rational):
-        return _rational(int(v.numerator), int(v.denominator))
-    raise TypeError(f"LP data must be ints, floats or rationals, got {type(v).__name__}")
-
-
-def _float(v) -> float:
-    """The double nearest ``v``: one correctly rounded division of ints."""
-    n, o, e = v
-    return n / (o << e) if e >= 0 else (n << -e) / o
-
-
-def _add(a, b) -> tuple:
-    an, ao, ae = a
-    bn, bo, be = b
-    if not an:
-        return b
-    if not bn:
-        return a
-    if ae < be:
-        an <<= be - ae
-        ae = be
-    elif be < ae:
-        bn <<= ae - be
-    g = gcd(ao, bo)
-    if g == 1:
-        t = an * bo + bn * ao
-        o = ao * bo
-    else:
-        s = ao // g
-        t = an * (bo // g) + bn * s
-        g = gcd(t, g)
-        t //= g
-        o = s * (bo // g)
-    if t & 1:
-        return t, o, ae
-    if not t:
-        return _ZERO
-    z = _twos(t)
-    return t >> z, o, ae - z
-
-
-def _sub(a, b) -> tuple:
-    return _add(a, (-b[0], b[1], b[2]))
-
-
-def _mul(a, b) -> tuple:
-    an, ao, ae = a
-    bn, bo, be = b
-    if not an or not bn:
-        return _ZERO
-    g1 = gcd(an, bo)
-    g2 = gcd(bn, ao)
-    return (an // g1) * (bn // g2), (ao // g2) * (bo // g1), ae + be
-
-
-def _div(a, b) -> tuple:
-    """``a / b`` for a nonzero ``b``."""
-    an, ao, ae = a
-    bn, bo, be = b
-    if not an:
-        return _ZERO
-    g1 = gcd(an, bn)
-    g2 = gcd(ao, bo)
-    n, o = (an // g1) * (bo // g2), (ao // g2) * (bn // g1)
-    return (-n, -o, ae - be) if o < 0 else (n, o, ae - be)
-
-
-def _less(a, b) -> bool:
-    # a < b  <=>  an * bo * 2^be < bn * ao * 2^ae
-    k = b[2] - a[2]
-    if k >= 0:
-        return (a[0] * b[1]) << k < b[0] * a[1]
-    return a[0] * b[1] < (b[0] * a[1]) << -k
 
 
 def _reaches(room, step, rate) -> bool:

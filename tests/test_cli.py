@@ -202,6 +202,35 @@ class TestConfigFile:
         assert code == 2
         assert "strictly decreasing" in err
 
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_underflowing_combined_denominator_is_degenerate_record(self, which, exact,
+                                                                     tmp_path, capsys):
+        # 4-decoy weak triples near 1e-109 (A) and 1e-48 (B): a combined
+        # formula's denominator underflows to 0.0 in double precision
+        mu, nu = {"A": ((2.552619520933782e-109, 2.552615498411566e-109, 2.3654570332071e-109,
+                         2.5526251279250194e-109),
+                        (4.748513366432681e-109, 4.631100968052548e-109, 4.621721219523603e-109,
+                         4.771196797281739e-109)),
+                  "B": ((5.0055215859249585e-48, 4.723237223658139e-48, 1.6908783033994853e-48,
+                         2.6038303261293895e-46),
+                        (2.4846997431866385e-48, 4.257801879152437e-50, 1.4713771600618626e-50,
+                         2.688664102516451e-48))}[which]
+        gains = simulate_gains(standard_noise(0.0, 0.0), IntensitySettings(
+            alpha_a=0.1, alpha_b=0.1, mu=mu, nu=nu))
+        path = tmp_path / "gains.json"
+        path.write_text(json.dumps({"schema_version": 1, "mu": mu, "nu": nu, "Q": gains.q}))
+        code, out, err = run_cli(["bounds", "--decoys", "4", "--gains", str(path), *exact],
+                                 capsys)
+        if exact:
+            # the exact path skips what vanishes, or never divides by it
+            assert code == 0
+            assert all(0.0 <= v <= 1.0 for v in json.loads(out)["bounds"].values())
+        else:
+            assert code == 2
+            assert out == ""
+            assert json.loads(err)["error"] == "DegenerateIntensityError"
+
     def test_weak_decoy_below_double_range_is_degenerate_record(self, tmp_path, capsys):
         # 5e-324 * 1e-4 underflows to 0 in a coefficient denominator
         cfg = tmp_path / "cfg.json"

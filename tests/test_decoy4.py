@@ -3,15 +3,19 @@
 import copy
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tfqkd import decoy3, decoy4
 from tfqkd.channel import (GainMatrix, IntensitySettings, simulate_gains,
                            standard_noise, theoretical_yield)
 from tfqkd.decoy3 import cancellation_coeffs
 from tfqkd.decoy4 import SUBSETS, _d04, _d13, _p04, _q13, yield_bounds
+from tfqkd.errors import DegenerateIntensityError, TfqkdError
 from tfqkd.oracles import dark_adjusted_yield
 from tfqkd.series import d_n, exp_h_tail, hom_sym_sum
 
@@ -337,3 +341,153 @@ class TestGoldenBounds:
             assert [[n, m, v.hex()] for (n, m), v in got.bounds.items()] == rec["bounds"], where
             assert [[n, m, p] for (n, m), p in got.provenance.items()] == rec["provenance"], where
             assert got.warnings == rec["warnings"], where
+
+
+# Two 4-decoy configurations whose combined-formula denominators underflow to
+# 0.0 in double precision, at 0 dB: in (A) the (1,3) guard read 0.0 >= 0.0
+# and divided by it, in (B) the float (0,4) weights divide by zero.
+UNDERFLOW_A = ((2.552619520933782e-109, 2.552615498411566e-109, 2.3654570332071e-109,
+                2.5526251279250194e-109),
+               (4.748513366432681e-109, 4.631100968052548e-109, 4.621721219523603e-109,
+                4.771196797281739e-109))
+UNDERFLOW_B = ((5.0055215859249585e-48, 4.723237223658139e-48, 1.6908783033994853e-48,
+                2.6038303261293895e-46),
+               (2.4846997431866385e-48, 4.257801879152437e-50, 1.4713771600618626e-50,
+                2.688664102516451e-48))
+# past the double range: the exact (0,2) bound of a subset pair overflows float()
+OVERFLOW_C = ((2.0599851619084632e-299, 2.0565669825496467e-299, 1.2069672205725984e-299,
+               2.1609089983791573e-299),
+              (34.35181875857979, 34.34879578089969, 33.79440412643253, 42.023302305265084),
+              (13.056558250145773, 40.518990367245976))
+
+
+def _at(mu, nu, loss=(0.0, 0.0)):
+    settings = IntensitySettings(alpha_a=0.1, alpha_b=0.1, mu=mu, nu=nu)
+    return simulate_gains(standard_noise(*loss), settings), settings
+
+
+class TestUnderflowingDenominators:
+    @pytest.mark.parametrize("mu,nu", [UNDERFLOW_A, UNDERFLOW_B])
+    def test_float_path_is_degenerate(self, mu, nu):
+        with pytest.raises(DegenerateIntensityError):
+            yield_bounds(*_at(mu, nu))
+
+    def test_exact_path_skips_the_vanishing_formulas(self):
+        got = yield_bounds(*_at(*UNDERFLOW_A), exact=True)
+        assert len(got.bounds) == 9 and all(0.0 <= v <= 1.0 for v in got.bounds.values())
+        assert got.warnings == [f"({t}): combined formula skipped (vanishing denominator); "
+                                f"subset minima used" for t in ("1,3", "3,1")]
+
+    def test_exact_path_unchanged_where_it_ran(self):
+        got = yield_bounds(*_at(*UNDERFLOW_B), exact=True)
+        assert got.bounds[1, 1].hex() == "0x1.b8efeda1554ccp-475"
+        assert got.provenance[1, 3] == got.provenance[3, 1] == "4-decoy combined"
+        assert got.warnings == []
+
+    def test_exact_value_past_the_double_range_is_degenerate(self):
+        mu, nu, loss = OVERFLOW_C
+        for exact in (False, True):
+            with pytest.raises(DegenerateIntensityError):
+                yield_bounds(*_at(mu, nu, loss), exact=exact)
+
+
+def _party(draw, decoys):
+    """Log-uniform strongest intensity in [1e-320, 10^2.5], then each weaker
+    one below the last by a relative gap from the 1e-6 floor upward, listed
+    in ``IntensitySettings`` order."""
+    values = [10.0 ** draw(st.floats(-320.0, 2.5))]
+    for _ in range(decoys - 1):
+        values.append(values[-1] * (1.0 - 10.0 ** draw(st.floats(-6.0, 0.0))))
+    return tuple(values) if decoys == 3 else (*values[1:], values[0])
+
+
+@st.composite
+def _contract_inputs(draw):
+    decoys = draw(st.sampled_from([3, 4]))
+    loss = (draw(st.floats(0.0, 80.0)), draw(st.floats(0.0, 80.0)))
+    return decoys, _party(draw, decoys), _party(draw, decoys), loss, draw(st.integers(0, 3)) == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_contract_inputs())
+def test_yield_bounds_contract(inputs):
+    """Every input raises ``TfqkdError`` or ``ValueError``, or gives nine
+    bounds in [0, 1]; the float path on every draw, the exact one on a
+    quarter of them."""
+    decoys, mu, nu, loss, also_exact = inputs
+    for exact in (False, True) if also_exact else (False,):
+        try:
+            gains, settings = _at(mu, nu, loss)
+            got = yield_bounds(gains, settings, exact=exact)
+        except (TfqkdError, ValueError):
+            continue
+        assert len(got.bounds) == 9
+        assert all(0.0 <= v <= 1.0 for v in got.bounds.values()), got.bounds
+
+
+def _differential_corpus():
+    """(loss, mu, nu) for the exact number type's differential test: the gate
+    corpus (3 and 4 decoys; generic, pairwise equal, proportional and
+    near-degenerate weak triples), the benchmark's certify cells with their
+    jitter, near-saturated gains at 0-1 dB, the underflow and overflow cases
+    and wide random draws."""
+    rng = np.random.default_rng(20261019)
+    out = list(_gate_corpus())
+    cells = ((3, (15.0, 25.0), (1e-2, 2e-3), 0.10, 1.0), (3, (20.0, 28.0), (5e-3, 1e-3), 0.12, 0.9),
+             (4, (14.0, 24.0), (1e-2, 2e-3), 0.10, 1.1))
+    for i in range(36):
+        decoys, loss, weak, strong, skew = cells[i % 3]
+        loss = tuple(v + rng.uniform(-1.0, 1.0) for v in loss)
+        w0, w1, strong, skew = (v * (1.0 + rng.uniform(-0.02, 0.02))
+                                for v in (*weak, strong, skew))
+        if decoys == 3:
+            out.append((loss, (strong, w0, w1), (strong * skew, w0 * 1.1, w1 * 0.9)))
+        else:
+            out.append((loss, (w0, w1, w1 * 0.1, strong),
+                        (w0 * 1.2, w1 * 0.95, w1 * 0.11, strong * skew)))
+    for i in range(20):
+        decoys = 3 + i % 2
+        loss = tuple(rng.uniform(0.0, 1.0, size=2))
+        top = rng.uniform(3.0, 30.0, size=2)
+        weak = [sorted(10.0 ** rng.uniform(-3.0, 0.0, size=decoys - 1), reverse=True)
+                for _ in range(2)]
+        mu, nu = ((float(t), *w) if decoys == 3 else (*w, float(t)) for t, w in zip(top, weak))
+        out.append((loss, mu, nu))
+    out += [((0.0, 0.0), *UNDERFLOW_A), ((0.0, 0.0), *UNDERFLOW_B),
+            (OVERFLOW_C[2], *OVERFLOW_C[:2])]
+    for i in range(30):
+        decoys = 3 + i % 2
+        parties = []
+        for _ in range(2):
+            values = [10.0 ** rng.uniform(-300.0, 2.0)]
+            for _ in range(decoys - 1):
+                values.append(values[-1] * (1.0 - 10.0 ** rng.uniform(-6.0, 0.0)))
+            parties.append(tuple(values) if decoys == 3 else (*values[1:], values[0]))
+        out.append((tuple(rng.uniform(0.0, 80.0, size=2)), *parties))
+    return [(tuple(map(float, loss)), tuple(map(float, mu)), tuple(map(float, nu)))
+            for loss, mu, nu in out]
+
+
+def _exact_outcome(loss, mu, nu):
+    try:
+        got = yield_bounds(*_at(mu, nu, loss), exact=True)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+    return ([(t, v.hex()) for t, v in got.bounds.items()], list(got.provenance.items()),
+            got.warnings)
+
+
+def test_exact_number_type_matches_fraction(monkeypatch):
+    """Every exact bound set is bit-identical with ``Fraction`` as the exact
+    number type: bounds to the last bit, provenance, warnings and the type
+    of any exception."""
+    corpus = _differential_corpus()
+    assert len(corpus) >= 200
+    ours = [_exact_outcome(*entry) for entry in corpus]
+    monkeypatch.setattr(decoy3, "Dyadic", Fraction)
+    monkeypatch.setattr(decoy4, "Dyadic", Fraction)
+    reference = [_exact_outcome(*entry) for entry in corpus]
+    kinds = [o if isinstance(o, type) else "bounds" for o in ours]
+    assert kinds.count("bounds") >= 180 and DegenerateIntensityError in kinds
+    mismatches = [(entry, a, b) for entry, a, b in zip(corpus, ours, reference) if a != b]
+    assert not mismatches, mismatches[:2]

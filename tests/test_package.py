@@ -68,13 +68,28 @@ def test_benchmark_bound_names_resolve(monkeypatch):
 
 
 def test_exact_lp_imports_no_fractions():
-    # the simplex and its LP rows hold every number as an int triple; a
-    # Fraction path beside them would be a second number format
-    oracles = Path(tfqkd.__file__).resolve().parent / "oracles"
-    for name in ("simplex.py", "lp_bounds.py"):
-        tree = ast.parse((oracles / name).read_text())
+    # every exact number is an int triple of ``tfqkd.dyadic``; a Fraction
+    # path beside it would be a second number format
+    package = Path(tfqkd.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert package / "oracles" / "simplex.py" in modules
+    for path in modules:
+        tree = ast.parse(path.read_text())
         imported = {alias.name.split(".")[0] for node in ast.walk(tree)
                     if isinstance(node, ast.Import) for alias in node.names}
         imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and not node.level}
-        assert "fractions" not in imported, name
+        assert "fractions" not in imported, path.relative_to(package)
+
+
+def test_import_loads_neither_fractions_nor_the_oracles():
+    # a fresh interpreter: the core keeps one exact number format and does
+    # not depend on the verification layer
+    src = str(Path(tfqkd.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    probe = ("import json, sys, tfqkd; print(json.dumps(sorted(m for m in sys.modules "
+             "if m == 'fractions' or m.startswith('tfqkd.oracles'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == []
