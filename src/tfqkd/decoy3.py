@@ -21,23 +21,26 @@ at 1e-9 tolerances need.
 
 Three- and four-decoy bounds share one path.  ``_prepare`` checks the
 input, picks the number type and rescales the gains.  Each ordered
-intensity triple becomes one ``_side`` per bound set: the triple and its
-series tails; its three moment-killing ``_vectors`` come from one batch per
-set.  ``_combine`` forms every gain combination of the set at once, one row
+intensity triple becomes one ``_side`` per bound set: every factor of the
+block formulas that reads the triple alone, and its series tails; its three
+moment-killing ``_vectors`` come from one table per set.  ``_combine``
+forms every gain combination of the set at once, one row
 (a_i * b_j) * qtilde_ij per combination of a vector per party with a 3x3
 block, each row summed exactly; ``_block_bounds`` then turns each block's
-seven sums into its nine clamped bounds, every party-swapped target being
-its mirror formula with the parties exchanged.  A three-decoy bound set is
-one block; ``decoy4.yield_bounds`` is the public entry point for three and
-four decoys.  Coefficients, prefactors or terms that are not finite in
-double precision, or exact values past its range, raise
-``DegenerateIntensityError``.
+seven sums into its nine clamped bounds, ``_block`` forming only the terms
+that mix the two sides, every party-swapped target being its mirror
+formula with the parties exchanged.  A three-decoy bound set is one block;
+``decoy4.yield_bounds`` is the public entry point for three and four
+decoys.  Coefficients, prefactors or terms that are not finite in double
+precision raise ``DegenerateIntensityError``, and so do exact values past
+its range, with a message of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -103,6 +106,11 @@ def _degenerate(what: str) -> DegenerateIntensityError:
         f"too close to each other for the float bounds")
 
 
+def _past_double_range(what: str) -> DegenerateIntensityError:
+    return DegenerateIntensityError(
+        f"exact {what} past the double range: the bound cannot be returned as a double")
+
+
 def _finite(values, what: str) -> None:
     """Raise ``_degenerate(what)`` unless every float in ``values`` is finite;
     exact (object) arrays hold rationals and always pass."""
@@ -123,9 +131,10 @@ def _triple_vectors(x0, x1, x2):
 def _vectors(triples, num):
     """``_triple_vectors`` of each ordered triple, as a (triples, 3, 3) array
     of number type ``num``."""
+    entries = chain.from_iterable(chain.from_iterable(starmap(_triple_vectors, triples)))
     try:
-        v = np.array([_triple_vectors(*x) for x in triples],
-                     dtype=object if num is Dyadic else float)
+        v = np.fromiter(entries, object if num is Dyadic else float,
+                        9 * len(triples)).reshape(-1, 3, 3)
     except ZeroDivisionError:
         raise _degenerate("coefficient vector entries") from None
     _finite(v, "coefficient vector entries")
@@ -218,24 +227,21 @@ def _clamp(values, targets, formula: str):
 
 
 def _side(x, num):
-    """One party's ordered triple x as a block reads it: x and its
-    exp_h_tail(x, 2), exp_f_tail(x, 3), exp_f_tail(x, 4) in type ``num``."""
-    return x, tuple(map(num, _triple_tails(*map(float, x))))
+    """One party's ordered triple x as a block reads it, in type ``num``:
+    every factor of the block formulas that depends on x alone, rounded as
+    the formulas associate them, then the tails the block reads.
 
-
-def _one_sided(g, gerr, g13, err13, a, b):
-    """Raw (value, error) of (0,2), (0,4), (1,3) from the sums of the ``_side``s
-    a, b; of (2,0), (4,0), (3,1) from the mirror sums with a and b exchanged."""
-    (mu0, mu1, mu2), ta = a
-    (nu0, nu1, nu2), tb = b
-    denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
-    pref02 = 2 * mu1 * mu2 / denom
-    h2_nu = nu0 * nu0 + nu1 * nu1 + nu2 * nu2 + nu0 * nu1 + nu0 * nu2 + nu1 * nu2
-    pref04 = 24 * mu1 * mu2 / (denom * h2_nu)
-    e1_nu = nu0 + nu1 + nu2
-    pref13 = -6 * (mu1 + mu2) / (denom * e1_nu)
-    return ((g * pref02, gerr * abs(pref02)), (g * pref04, gerr * abs(pref04)),
-            (g13 * pref13 + 6 * (tb[0] * ta[1]) / e1_nu, err13 * abs(pref13)))
+    In order: x0, x1, x2; d01 = x0 - x1, d02 = x0 - x2 and D = d01 d02; the
+    numerators of the one-sided prefactors, (2 x1) x2 for (0,2), (24 x1) x2
+    for (0,4) and -6 (x1 + x2) for (1,3); h2(x), e1(x), e2(x), x1 x2 and
+    x1 + x2; exp_h_tail(x, 2), exp_f_tail(x, 3) and exp_f_tail(x, 4).
+    """
+    x0, x1, x2 = x
+    d01, d02, s12 = x0 - x1, x0 - x2, x1 + x2
+    return (x0, x1, x2, d01, d02, d01 * d02, 2 * x1 * x2, 24 * x1 * x2, -6 * s12,
+            x0 * x0 + x1 * x1 + x2 * x2 + x0 * x1 + x0 * x2 + x1 * x2, x0 + x1 + x2,
+            x0 * x1 + x0 * x2 + x1 * x2, x1 * x2, s12,
+            *map(num, _triple_tails(float(x0), float(x1), float(x2))))
 
 
 # the seven gain combinations of a block, each on the block as Alice x Bob:
@@ -254,23 +260,36 @@ _TO_TARGETS = np.array([_EVALUATED.index(t) for t in TARGETS_3])
 def _block(g, gerr, a, b, num):
     """Unclamped bounds of one 3x3 block in ``_EVALUATED`` order, from its
     ``_PAIRS`` sums ``g`` and their errors; its intensities are the
-    ``_side``s ``a`` and ``b``."""
-    first = (_one_sided(g[0], gerr[0], g[1], gerr[1], a, b)
-             + _one_sided(g[2], gerr[2], g[3], gerr[3], b, a))
-    values = [float(raw) + float(err) for raw, err in first]
+    ``_side``s ``a`` and ``b``, so only the terms that mix the two are
+    formed here.
+
+    (0,2), (0,4) and (1,3) divide Alice's numerators by the denominator
+    (D_a d01_b) d02_b, their mirrors Bob's by (D_b d01_a) d02_a; the
+    party-symmetric targets reuse the denominator of the canonical
+    orientation.
+    """
+    x0a, _, _, d01a, d02a, da, n02a, n04a, n13a, h2a, e1a, _, _, _, ha, f3a, _ = a
+    x0b, _, _, d01b, d02b, db, n02b, n04b, n13b, h2b, e1b, _, _, _, hb, f3b, _ = b
+    dab, dba = da * d01b * d02b, db * d01a * d02a
+    p02, p04, p13 = n02a / dab, n04a / (dab * h2b), n13a / (dab * e1b)
+    p20, p40, p31 = n02b / dba, n04b / (dba * h2a), n13b / (dba * e1a)
+    values = [float(raw) + float(err) for raw, err in (
+        (g[0] * p02, gerr[0] * abs(p02)), (g[0] * p04, gerr[0] * abs(p04)),
+        (g[1] * p13 + 6 * (hb * f3a) / e1b, gerr[1] * abs(p13)),
+        (g[2] * p20, gerr[2] * abs(p20)), (g[2] * p40, gerr[2] * abs(p40)),
+        (g[3] * p31 + 6 * (ha * f3b) / e1a, gerr[3] * abs(p31)))]
     y13, y31 = min(max(values[2], 0.0), 1.0), min(max(values[5], 0.0), 1.0)
-    if b[0][0] > a[0][0]:
+    if x0b > x0a:
         # canonical orientation, so exchanging the parties is a bitwise
         # no-op for the party-symmetric targets too
-        a, b, y13, y31 = b, a, y31, y13
-    (mu0, mu1, mu2), ta = a
-    (nu0, nu1, nu2), tb = b
-    denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
-    pref00 = mu1 * mu2 * nu1 * nu2 / denom
-    e2_nu = nu0 * nu1 + nu0 * nu2 + nu1 * nu2
-    e2_mu = mu0 * mu1 + mu0 * mu2 + mu1 * mu2
-    pref11 = (mu1 + mu2) * (nu1 + nu2) / denom
-    raw = g[5] * pref11 + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6 + tb[2] + ta[2]
+        a, b, y13, y31, denom = b, a, y31, y13, dba
+    else:
+        denom = dab
+    _, _, _, _, _, _, _, _, _, _, _, e2_mu, p12_mu, s12_mu, _, _, f4_mu = a
+    _, nu1, nu2, _, _, _, _, _, _, _, _, e2_nu, _, s12_nu, _, _, f4_nu = b
+    pref00 = p12_mu * nu1 * nu2 / denom
+    pref11 = s12_mu * s12_nu / denom
+    raw = g[5] * pref11 + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6 + f4_nu + f4_mu
     values += (float(g[4] * pref00) + float(gerr[4] * abs(pref00)),
                float(raw) + float(gerr[5] * abs(pref11)),
                float(4 * g[6] / denom) + float(4 * gerr[6] / abs(denom)))
@@ -284,15 +303,18 @@ def _block_bounds(g, gerr, sides, num):
     ``g`` and ``gerr`` list the ``_PAIRS`` sums block by block, ``sides``
     each block's Alice and Bob ``_side``.  A value below the slack raises for
     the first block and target in evaluation order; a prefactor that
-    vanishes or overflows, hence a value that is not finite (an exact value
-    past the double range), raises ``DegenerateIntensityError``.
+    vanishes or overflows, hence a value that is not finite, raises
+    ``DegenerateIntensityError``, and so does an exact value past the
+    double range, with a message of its own.
     """
     n = len(_PAIRS)
     try:
         values = np.array([_block(g[n * i:n * i + n], gerr[n * i:n * i + n], a, b, num)
                            for i, (a, b) in enumerate(sides)])
-    except (ZeroDivisionError, OverflowError):
+    except ZeroDivisionError:
         raise _degenerate("bound prefactors") from None
+    except OverflowError:  # ``float()`` of an exact value
+        raise _past_double_range("block bound") from None
     _finite(values, "bound prefactors")
     return _clamp(values, _EVALUATED, "3-decoy")[:, _TO_TARGETS]
 

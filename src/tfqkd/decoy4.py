@@ -25,8 +25,11 @@ bounds against the LP oracle at 1e-9 tolerances.
 
 The bounds follow ``decoy3``'s one path: the 16 subset pairs are the blocks,
 and their 112 gain combinations and the four slots of each combined formula
-are the rows of one ``_combine`` batch.  Each ordered triple's vectors and
-tails are built once per bound set, each four-value set's tails once.
+are the rows of one ``_combine`` batch, gathered from the set's table of
+triple vectors by one precomputed index per side (``_LAYOUTS``) and from
+the gains by another (``_GAIN_INDEX``).  Each ordered triple's vectors and
+its ``_side`` (per-triple factors and tails) are built once per bound set,
+each four-value set's two tails once, by one loop (``series._four_tails``).
 ``yield_bounds`` is the one public entry point, for three or four decoys.
 It keeps nothing between calls: the searches that repeat an intensity pair
 with new amplitudes hold their own bound sets (``rate._RateParts``).
@@ -36,16 +39,17 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import product
 
 import numpy as np
 
 from .channel import GainMatrix, IntensitySettings
-from .decoy3 import (_EPS_COMBINE, _PAIR_A, _PAIR_B, _VECTOR_FOR_TARGET, TARGETS_3,
+from .decoy3 import (_EPS_COMBINE, _PAIRS, _VECTOR_FOR_TARGET, TARGETS_3,
                      YieldBounds, _block_bounds, _bounds3, _clamp, _combine, _degenerate,
-                     _prepare, _side, _vectors,
+                     _past_double_range, _prepare, _side, _vectors,
                      cancellation_coeffs)  # noqa: F401  (benchmark/spans.py wraps it)
 from .dyadic import Dyadic
-from .series import _tails, exp_h_tail  # noqa: F401  (benchmark/spans.py wraps exp_h_tail)
+from .series import _four_tails, exp_h_tail  # noqa: F401  (benchmark/spans.py wraps exp_h_tail)
 
 # Slot order of the four 3-subset combinations.  Each subset's combination is
 # normalized on its first listed index, e.g. (1,2,3) carries coefficient 1 on
@@ -109,11 +113,6 @@ def _combine_subsets(g, gerr, ds, num):
         return sum(values), 0
     err = math.fsum(errors) + _EPS_COMBINE * math.fsum(map(abs, values))
     return math.fsum(values), err
-
-
-# the tails of a four-value set the (0,4) formulas read: its h-tail from 4
-# as the saturated party, from 3 as the other one
-_FOUR_HEADS = ((4, 4), (3, 3))
 
 
 def _y04(degenerate, rel, mu, nu, g, gerr, tails, num):
@@ -231,20 +230,67 @@ def _formula(target, mu, nu, warnings):
     return None
 
 
-_SUBSETS = np.array(SUBSETS)
 # ``IntensitySettings`` lists four decoys strongest-last, so each subset of
 # ``SUBSETS`` in descending order of intensity is the same entry here
 _SORTED_SUBSETS = ((0, 1, 2), (3, 0, 1), (3, 0, 2), (3, 1, 2))
-# one batch row per subset-pair block and ``_PAIRS`` combination, block by
-# block; block i pairs Alice's sorted subset i // 4 with Bob's i % 4
-_ROW_BLOCK = np.repeat(np.arange(16), len(_PAIR_A))
-_ROW_A, _ROW_B = np.divmod(_ROW_BLOCK, 4)
-_ROW_KA, _ROW_KB = np.tile(_PAIR_A, 16), np.tile(_PAIR_B, 16)
-# the gain rows (Alice) and columns (Bob) of each batch row's block
-_BLOCK_ROWS = np.array(_SORTED_SUBSETS)[_ROW_A][:, :, None]
-_BLOCK_COLS = np.array(_SORTED_SUBSETS)[_ROW_B][:, None, :]
+_SORTED, _SLOTS = np.array(_SORTED_SUBSETS), np.array(SUBSETS)
+# the block of each block row: Alice's sorted subset i // 4, Bob's i % 4
+_BLOCK = np.repeat(np.arange(16), len(_PAIRS))
+_N_BLOCK_ROWS = len(_BLOCK)
 _BLOCK_NAMES = ["3-decoy subsets ({},{},{})x({},{},{})".format(*a, *b)
                 for a in SUBSETS for b in SUBSETS]
+# the combined formulas in evaluation order, as (target, first party is
+# Alice); (4,0) and (3,1) take Bob as the first party
+_COMBINED = (((0, 4), True), ((4, 0), False), ((1, 3), True), ((3, 1), False))
+
+
+def _layout(names):
+    """Gather indices (Alice's vectors, Bob's vectors) of the ``_combine``
+    rows of a bound set whose combined formulas resolved to ``names``, one
+    name or None (skipped) per ``_COMBINED`` entry.
+
+    The rows are the ``_PAIRS`` combinations of the 16 blocks, then four
+    slot rows per active formula, on the gains ``_GAIN_INDEX`` picks.  The
+    indices point into the set's table of vectors, three per triple and one
+    triple per distinct one: Alice's four sorted subsets, Bob's, then the
+    ``SUBSETS`` slot triples after the first of Alice, of Bob and of each
+    degenerate formula's second party (a party's first slot triple is its
+    first sorted one).
+    """
+    ka, kb = np.tile(np.array(_PAIRS).T, 16)
+    pieces = [(_BLOCK // 4, ka, 4 + _BLOCK % 4, kb)]  # per row: triple, vector; triple, vector
+    alice, bob = np.array([0, 8, 9, 10]), np.array([4, 11, 12, 13])  # slot triples
+    degenerate = 14
+    for (target, alice_first), name in zip(_COMBINED, names):
+        if name is None:
+            continue
+        k_first, k_second = _VECTOR_FOR_TARGET[0, 2] if target in ((0, 4), (4, 0)) else \
+            _VECTOR_FOR_TARGET[1, 3]
+        first, second = (alice, bob) if alice_first else (bob, alice)
+        if name == "4-decoy degenerate":
+            # its first slot triple is the first party's weak triple
+            second = np.array([first[0], degenerate, degenerate + 1, degenerate + 2])
+            degenerate += 3
+        # the first party's slot vectors go on its own side of the gains
+        one = first, np.full(4, k_first)
+        other = second, np.full(4, k_second)
+        pieces.append((*one, *other) if alice_first else (*other, *one))
+    ta, ka, tb, kb = map(np.concatenate, zip(*pieces))
+    return 3 * ta + ka, 3 * tb + kb
+
+
+# every way the four combined formulas can resolve: (0,4) and (4,0) are
+# degenerate together or not at all
+_LAYOUTS = {names: _layout(names) for names in
+            [("4-decoy degenerate",) * 2 + rest for rest in product(
+                (None, "4-decoy combined"), repeat=2)]
+            + list(product((None, "4-decoy combined"), repeat=4))}
+# flat indices into the 4x4 rescaled gains of each row's 3x3 block, Alice's
+# intensities down and Bob's across: the block rows, then four slot rows per
+# combined formula
+_GAIN_INDEX = np.concatenate(
+    [4 * _SORTED[_BLOCK // 4, :, None] + _SORTED[_BLOCK % 4, None, :]]
+    + [4 * _SLOTS[:, :, None] + _SLOTS[:, None, :]] * 4)
 
 
 def _bounds4(q, mu, nu, exact):
@@ -252,60 +298,55 @@ def _bounds4(q, mu, nu, exact):
     first wins ties), then each combined formula where strictly lower.
 
     Every gain combination of the set -- seven per subset-pair block, four
-    slots per combined formula -- is one row of a single ``_combine`` batch.
+    slots per combined formula -- is one row of a single ``_combine`` batch,
+    gathered from one table of the set's triple vectors by ``_LAYOUTS``
+    and from the gains by ``_GAIN_INDEX``.
     (4,0) and (3,1) are the (0,4) and (1,3) formulas on the exchanged parties
     with the first party's slot vectors on Bob's side of the slot gains.
     """
     num, qtilde, mu, nu = _prepare(q, mu, nu, 4, exact)
-    slot_q = qtilde[_SUBSETS[:, :, None], _SUBSETS[:, None, :]]
-    # the slot combinations of (0,4) are those of (0,2), on each slot's block
-    v04, v13 = _VECTOR_FOR_TARGET[0, 2], _VECTOR_FOR_TARGET[1, 3]
-    warnings = []
-    active = []  # (target, name, evaluator, first, second, slot set, vectors)
-    for target, first, second, vectors in (
-            ((0, 4), mu, nu, v04), ((4, 0), nu, mu, v04),
-            ((1, 3), mu, nu, v13), ((3, 1), nu, mu, v13)):
-        found = _formula(target, first, second, warnings)
-        if found is not None:
+    warnings, names = [], []
+    active = []  # (target, name, evaluator, first, second, slot set)
+    for target, alice_first in _COMBINED:
+        first, second = (mu, nu) if alice_first else (nu, mu)
+        formula = _formula(target, first, second, warnings)
+        names.append(formula and formula[0])
+        if formula is not None:
             # the degenerate (0,4) builds the second party's slot vectors
             # from the first party's weak triple and its own strongest
-            slots = first[:3] + second[3:] if found[0] == "4-decoy degenerate" else second
-            active.append((target, *found, first, second, slots, vectors))
+            slots = first[:3] + second[3:] if formula[0] == "4-decoy degenerate" else second
+            active.append((target, *formula, first, second, slots))
+    index_a, index_b = _LAYOUTS[tuple(names)]
     triples_a = [tuple(mu[i] for i in rows) for rows in _SORTED_SUBSETS]
     triples_b = [tuple(nu[j] for j in cols) for cols in _SORTED_SUBSETS]
-    sets = list(dict.fromkeys([mu, nu] + [slots for *_, slots, _ in active]))
-    vectors = _vectors(triples_a + triples_b
-                       + [tuple(x[i] for i in slot) for x in sets for slot in SUBSETS], num)
-    va, vb = vectors[:4], vectors[4:8]
-    slot_vectors = {x: vectors[8 + 4 * k:12 + 4 * k] for k, x in enumerate(sets)}
-    coeff_a, coeff_b = [va[_ROW_A, _ROW_KA]], [vb[_ROW_B, _ROW_KB]]
-    gains = [qtilde[_BLOCK_ROWS, _BLOCK_COLS]] + [slot_q] * len(active)
-    for target, _, _, first, _, slots, (ka, kb) in active:
-        pair = slot_vectors[first][:, ka], slot_vectors[slots][:, kb]
-        # (4,0) and (3,1) take Bob as the first party: his vectors go on his side
-        alice, bob = pair[::-1] if target in ((4, 0), (3, 1)) else pair
-        coeff_a.append(alice)
-        coeff_b.append(bob)
-    g, gerr = _combine(np.concatenate(coeff_a), np.concatenate(coeff_b), np.concatenate(gains))
+    slot_sets = [mu, nu] + [slots for _, name, _, _, _, slots in active
+                            if name == "4-decoy degenerate"]
+    table = _vectors(triples_a + triples_b
+                     + [tuple(x[i] for i in slot) for x in slot_sets for slot in SUBSETS[1:]],
+                     num).reshape(-1, 3)
+    g, gerr = _combine(table[index_a], table[index_b],
+                       qtilde.reshape(-1)[_GAIN_INDEX[:len(index_a)]])
     sides_a = [_side(x, num) for x in triples_a]
     sides_b = [_side(x, num) for x in triples_b]
-    n = len(_ROW_BLOCK)
+    n = _N_BLOCK_ROWS
     values = _block_bounds(g[:n], gerr[:n], [(a, b) for a in sides_a for b in sides_b], num)
     best = values.argmin(axis=0)
     bounds = dict(zip(TARGETS_3, values[best, np.arange(len(TARGETS_3))].tolist()))
     provenance = {target: _BLOCK_NAMES[i] for target, i in zip(TARGETS_3, best.tolist())}
-    # one recurrence per distinct four-value set feeds both (0,4) orientations
-    four = dict.fromkeys(x for target, _, _, first, _, slots, *_ in active
+    # one loop per distinct four-value set feeds both (0,4) orientations
+    four = dict.fromkeys(x for target, _, _, first, _, slots in active
                          if target in ((0, 4), (4, 0)) for x in (first, slots))
-    four = {x: _tails(tuple(map(float, x)), _FOUR_HEADS) for x in four}
+    four = {x: _four_tails(*map(float, x)) for x in four}
     combined = []
-    for (target, _, evaluate, first, second, slots, *_), k in zip(active, range(n, len(g), 4)):
+    for (target, _, evaluate, first, second, slots), k in zip(active, range(n, len(g), 4)):
         tails = (four[first][0], four[slots][1]) if target in ((0, 4), (4, 0)) else None
         try:
             raw, err = evaluate(first, second, g[k:k + 4], gerr[k:k + 4], tails, num)
             combined.append(float(raw) + float(err))
-        except (ZeroDivisionError, OverflowError):
+        except ZeroDivisionError:
             raise _degenerate("combined formula weights") from None
+        except OverflowError:  # ``float()`` of an exact value
+            raise _past_double_range("combined bound") from None
     targets = [target for target, *_ in active]
     for (target, name, *_), value in zip(active, _clamp(np.array(combined), targets,
                                                         "4-decoy").tolist()):

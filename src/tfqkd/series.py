@@ -14,9 +14,12 @@ weight of ``exp_f_tail`` is the Schur polynomial s_(n-2,1)(a, b, c) =
 a (b + c) h_{n-3}(a, b, c) + b c h_{n-3}(b, c) (Macdonald, Symmetric Functions
 and Hall Polynomials, I.5), ``d_n`` is s_(n-3,1,1) = e_3 h_{n-4} - e_4 h_{n-5}
 of four values.  ``_tails`` runs the recurrence once per value set and feeds
-every tail the set is asked for, each sum with its own stopping rule; the
-bound blocks read their three tails per intensity triple from
-``_triple_tails``, one cached loop over the triple and its two weaker values.
+every tail the set is asked for, each sum with its own stopping rule.  The
+bounds read theirs from two fused loops that equal it bit for bit: the
+blocks their three tails per intensity triple from ``_triple_tails``, one
+cached loop over the triple and its two weaker values, and the combined
+(0,4) formulas their two tails per four-value set from ``_four_tails``, one
+uncached loop.
 """
 
 from __future__ import annotations
@@ -174,6 +177,39 @@ def _triple_tails(a: float, b: float, c: float) -> tuple:
             raise _unconverged((a, b, c) if live22 or live33 else (b, c))
         if j == _MAX_TERMS:
             raise _unconverged((a, b, c) if live34 else (b, c))
+
+
+def _four_tails(a: float, b: float, c: float, d: float) -> tuple:
+    """exp_h_tail(x, 4) and exp_h_tail(x, 3) of the four values x = (a, b, c, d):
+    the tails a combined (0,4) formula reads of a party's four intensities.
+
+    One loop runs the recurrence over x and feeds both sums; each keeps its
+    own stopping rule and term limit, so the pair equals
+    ``_tails(x, ((4, 4), (3, 3)))`` bit for bit, errors included.  Their
+    factorial products are one running product, since 3! * 4 = 4! exactly.
+    """
+    if a < 0 or b < 0 or c < 0 or d < 0:
+        raise ValueError("values must be >= 0")
+    r1 = r2 = r3 = h = 1.0  # h_j of (a), (a, b), (a, b, c), (a, b, c, d); j = 0
+    f3, f4 = 6.0, 24.0  # (j + 3)!, (j + 4)!
+    s44, s33 = h / f4, h / f3
+    live44 = live33 = True
+    for j in range(1, _MAX_TERMS):
+        r1 = 0.0 + a * r1
+        r2 = r1 + b * r2
+        r3 = r2 + c * r3
+        h = r3 + d * h
+        f3, f4 = f4, f4 * (j + 4)
+        t4, t3 = h / f4, h / f3
+        if live44:
+            s44 += t4
+            live44 = not (j > 3 and t4 < s44 * _REL_TOL)
+        if live33:
+            s33 += t3
+            live33 = not (j > 3 and t3 < s33 * _REL_TOL)
+        if not (live44 or live33):
+            return s44, s33
+    raise _unconverged((a, b, c, d))
 
 
 def d_n(values4, n: int) -> float:

@@ -1,8 +1,13 @@
 """Three-decoy analytical yield bounds."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_decoy4 import _gate_corpus
+from tfqkd import decoy3
 from tfqkd.channel import (GainMatrix, IntensitySettings, simulate_gains,
                            standard_noise, theoretical_yield)
 from tfqkd.decoy3 import TARGETS_3, cancellation_coeffs
@@ -10,6 +15,7 @@ from tfqkd.decoy4 import yield_bounds
 from tfqkd.errors import DegenerateIntensityError, InconsistentGainsError
 from tfqkd.oracles import dark_adjusted_yield
 from tfqkd.rate import key_rate
+from tfqkd.series import _triple_tails
 
 MU = (0.1, 1e-4, 1e-5)
 NU = (0.1, 1e-4, 1e-5)
@@ -167,3 +173,99 @@ class TestBoundY3:
             f = floats.get(*target)
             e = exacts.get(*target)
             assert f == pytest.approx(e, rel=1e-7, abs=1e-10)
+
+
+# Frozen reference: the block formulas as they read before the per-triple
+# factors moved into ``_side``; each side is (triple, its three tails).
+def reference_oriented(g, gerr, g13, err13, a, b):
+    (mu0, mu1, mu2), ta = a
+    (nu0, nu1, nu2), tb = b
+    denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
+    pref02 = 2 * mu1 * mu2 / denom
+    h2_nu = nu0 * nu0 + nu1 * nu1 + nu2 * nu2 + nu0 * nu1 + nu0 * nu2 + nu1 * nu2
+    pref04 = 24 * mu1 * mu2 / (denom * h2_nu)
+    e1_nu = nu0 + nu1 + nu2
+    pref13 = -6 * (mu1 + mu2) / (denom * e1_nu)
+    return ((g * pref02, gerr * abs(pref02)), (g * pref04, gerr * abs(pref04)),
+            (g13 * pref13 + 6 * (tb[0] * ta[1]) / e1_nu, err13 * abs(pref13)))
+
+
+def reference_block(g, gerr, a, b, num):
+    first = (reference_oriented(g[0], gerr[0], g[1], gerr[1], a, b)
+             + reference_oriented(g[2], gerr[2], g[3], gerr[3], b, a))
+    values = [float(raw) + float(err) for raw, err in first]
+    y13, y31 = min(max(values[2], 0.0), 1.0), min(max(values[5], 0.0), 1.0)
+    if b[0][0] > a[0][0]:
+        a, b, y13, y31 = b, a, y31, y13
+    (mu0, mu1, mu2), ta = a
+    (nu0, nu1, nu2), tb = b
+    denom = (mu0 - mu1) * (mu0 - mu2) * (nu0 - nu1) * (nu0 - nu2)
+    pref00 = mu1 * mu2 * nu1 * nu2 / denom
+    e2_nu = nu0 * nu1 + nu0 * nu2 + nu1 * nu2
+    e2_mu = mu0 * mu1 + mu0 * mu2 + mu1 * mu2
+    pref11 = (mu1 + mu2) * (nu1 + nu2) / denom
+    raw = g[5] * pref11 + num(y13) * e2_nu / 6 + num(y31) * e2_mu / 6 + tb[2] + ta[2]
+    values += (float(g[4] * pref00) + float(gerr[4] * abs(pref00)),
+               float(raw) + float(gerr[5] * abs(pref11)),
+               float(4 * g[6] / denom) + float(4 * gerr[6] / abs(denom)))
+    return values
+
+
+def block_outcomes(mu, nu, loss, exact, block):
+    """Each subset-pair block's unclamped values of a 4-decoy set as hex, or
+    the exception type, with ``block`` taking the library's ``_side``s
+    (``block is None``) or the reference's."""
+    settings_ = IntensitySettings(alpha_a=0.1, alpha_b=0.1, mu=mu, nu=nu)
+    gains = simulate_gains(standard_noise(*loss), settings_)
+    num, qtilde, mu, nu = decoy3._prepare(gains.q, mu, nu, 4, exact)
+    triples = [tuple(sorted(t, reverse=True)) for t in combinations(range(4), 3)]
+    out = []
+    for rows in triples:
+        for cols in triples:
+            ta, tb = tuple(mu[i] for i in rows), tuple(nu[j] for j in cols)
+            try:
+                va, vb = decoy3._vectors((ta, tb), num)
+                g, gerr = decoy3._combine(va[decoy3._PAIR_A], vb[decoy3._PAIR_B],
+                                          qtilde[np.ix_(rows, cols)])
+                if block is None:
+                    sides = decoy3._side(ta, num), decoy3._side(tb, num)
+                    values = decoy3._block(g, gerr, *sides, num)
+                else:
+                    sides = [(t, tuple(map(num, _triple_tails(*map(float, t)))))
+                             for t in (ta, tb)]
+                    values = block(g, gerr, *sides, num)
+                out.append([v.hex() for v in values])
+            except Exception as exc:  # the exception type is part of the outcome
+                out.append(type(exc))
+    return out
+
+
+def _fluctuation_sets(count):
+    """4-decoy (mu, nu, loss) moved by up to +-20% around the 4-decoy
+    fluctuation workload's nominal settings, losses by up to 1 dB."""
+    rng = np.random.default_rng(20261020)
+    mu = (0.001, 1e-4, 1e-5, 0.9543975178109179)
+    nu = (0.001, 1e-4, 1e-5, 0.9999862863220885)
+    return [(tuple(float(v * rng.uniform(0.8, 1.2)) for v in mu),
+             tuple(float(v * rng.uniform(0.8, 1.2)) for v in nu),
+             tuple(float(v + rng.uniform(-1.0, 1.0)) for v in (14.0, 22.0)))
+            for _ in range(count)]
+
+
+def _equal_and_proportional_sets():
+    """The gate corpus's 4-decoy sets whose weak triples are pairwise equal
+    or proportional (x1.001), as (mu, nu, loss)."""
+    return [(mu, nu, loss) for i, (loss, mu, nu) in enumerate(_gate_corpus())
+            if len(mu) == 4 and (i - 60) % 4 in (1, 2)]
+
+
+class TestBlockMatchesReference:
+    """The library's blocks equal the frozen reference bit for bit."""
+
+    @pytest.mark.parametrize("exact,count", [(False, 300), (True, 30)])
+    def test_blocks(self, exact, count):
+        corpus = _fluctuation_sets(count) + _equal_and_proportional_sets()
+        assert len(corpus) == count + 28
+        for mu, nu, loss in corpus:
+            assert block_outcomes(mu, nu, loss, exact, None) == block_outcomes(
+                mu, nu, loss, exact, reference_block), (mu, nu, loss)

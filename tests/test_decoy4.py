@@ -192,13 +192,14 @@ class TestBounds4:
     def test_unit_level_combination_is_homogeneous(self):
         # with all gains zero the weighted subset combination vanishes
         from tfqkd.decoy3 import _VECTOR_FOR_TARGET, _combine, _prepare, _vectors
-        from tfqkd.decoy4 import _SUBSETS, _combine_subsets
+        from tfqkd.decoy4 import _combine_subsets
         zeros = GainMatrix(q=((0.0,) * 4,) * 4)
         num, qt, mu, nu = _prepare(zeros.q, MU4, NU4, 4, False)
         va, vb = (_vectors([tuple(x[i] for i in slot) for slot in SUBSETS], num)
                   for x in (mu, nu))
         ia, ib = _VECTOR_FOR_TARGET[0, 2]
-        slots = qt[_SUBSETS[:, :, None], _SUBSETS[:, None, :]]
+        subsets = np.array(SUBSETS)
+        slots = qt[subsets[:, :, None], subsets[:, None, :]]
         h04, _ = _combine_subsets(*_combine(va[:, ia], vb[:, ib], slots), _d04(mu, nu), num)
         assert h04 == 0.0
 
@@ -386,8 +387,9 @@ class TestUnderflowingDenominators:
 
     def test_exact_value_past_the_double_range_is_degenerate(self):
         mu, nu, loss = OVERFLOW_C
-        for exact in (False, True):
-            with pytest.raises(DegenerateIntensityError):
+        for exact, match in ((False, "not finite in double precision"),
+                             (True, "exact block bound past the double range")):
+            with pytest.raises(DegenerateIntensityError, match=match):
                 yield_bounds(*_at(mu, nu, loss), exact=exact)
 
 

@@ -3,11 +3,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tfqkd.channel import IntensitySettings, standard_noise
 from tfqkd.decoy3 import TARGETS_3, YieldBounds
-from tfqkd.errors import SaturationError
+from tfqkd.errors import SaturationError, TfqkdError
 from tfqkd.rate import (_RateParts, binary_entropy, key_rate, phase_error_upper,
                         plob_bound)
 
@@ -212,3 +212,61 @@ class TestKeyRate:
                               mu=(0.1, 1e-4, 1e-5), nu=(0.1, 1e-4, 1e-5))
         with pytest.raises(ValueError):
             key_rate(standard_noise(25, 25), s, f=f)
+
+
+# floats from the edges of the double range: non-finite, signed zeros,
+# subnormals, huge values, and log-uniform magnitudes in between
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e300,
+           1.7976931348623157e308, -1e-3, 1.0)
+extreme = st.one_of(st.sampled_from(SPECIAL), st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def mostly(draw, usual):
+    """Mostly ``usual``, else an extreme float."""
+    return draw(extreme if draw(st.integers(0, 7)) == 7 else usual)
+
+
+# the next weaker intensity's share of the last: nearly equal, or far below
+ratio = st.one_of(st.floats(-7.0, -0.05).map(lambda e: 1.0 - 10.0 ** e),
+                  st.floats(-4.0, -0.3).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _party(draw, decoys):
+    """A decoy set in ``IntensitySettings`` order: mostly strictly ordered,
+    the strongest intensity log-uniform in [1e-6, 3] or [1e-320, 1e3], or
+    extreme; else ``decoys`` extreme floats."""
+    if draw(st.integers(0, 7)) == 7:
+        return tuple(draw(extreme) for _ in range(decoys))
+    values = [draw(mostly(st.one_of(st.floats(-6.0, 0.5), st.floats(-320.0, 3.0))
+                          .map(lambda e: 10.0 ** e)))]
+    for _ in range(decoys - 1):
+        values.append(values[-1] * draw(ratio))
+    return tuple(values) if decoys == 3 else (*values[1:], values[0])
+
+
+@st.composite
+def _key_rate_inputs(draw):
+    decoys = draw(st.sampled_from([3, 4]))
+    alphas = [draw(mostly(st.floats(0.0, 1.5))) for _ in range(2)]
+    losses = [draw(mostly(st.floats(0.0, 80.0))) for _ in range(2)]
+    f = draw(mostly(st.sampled_from([1.0, 1.16])))
+    return decoys, alphas, draw(_party(decoys)), draw(_party(decoys)), losses, f
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_key_rate_inputs())
+@example((3, (0.17, 0.17), (0.1, 1e-4, 1e-5), (0.1, 1e-4, 1e-5), (25.0, 25.0), 1.0))
+@example((4, (0.11, 0.26), (1e-3, 1e-4, 1e-5, 0.95), (1e-3, 1e-4, 1e-5, 1.0), (14.0, 22.0), 1.0))
+def test_key_rate_contract(inputs):
+    """Every input raises ``TfqkdError`` or ``ValueError``, or gives a finite
+    rate in [0, 1]."""
+    decoys, (alpha_a, alpha_b), mu, nu, losses, f = inputs
+    try:
+        settings_ = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
+        rate = key_rate(standard_noise(*losses), settings_, f=f).rate
+    except (TfqkdError, ValueError):
+        return
+    assert math.isfinite(rate) and 0.0 <= rate <= 1.0, rate

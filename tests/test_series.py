@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfqkd.errors import SaturationError
-from tfqkd.series import (_hom_sym, _tails, _triple_tails, d_n, exp_f_tail, exp_h_tail,
-                          hom_sym_sum)
+from tfqkd.series import (_four_tails, _hom_sym, _tails, _triple_tails, d_n, exp_f_tail,
+                          exp_h_tail, hom_sym_sum)
 
 
 def hom_brute(values, degree):
@@ -162,11 +162,11 @@ def reference_tail(values, shift, start):
 
 
 def outcome(compute):
-    """Hex digits of every value computed, or the saturation message."""
+    """Hex digits of every value computed, or the error's type and message."""
     try:
         return [v.hex() for v in compute()]
-    except SaturationError as exc:
-        return str(exc)
+    except (SaturationError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def reference_triple(a, b, c):
@@ -176,6 +176,8 @@ def reference_triple(a, b, c):
 
 
 intensity = st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)
+# the two tails of a four-value set that the combined (0,4) formulas read
+FOUR_HEADS = ((4, 4), (3, 3))
 
 
 class TestFusedTails:
@@ -209,6 +211,29 @@ class TestFusedTails:
         # values this small stop every sum at its first allowed term
         assert outcome(lambda: _triple_tails(*values)) == outcome(
             lambda: reference_triple(*values))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.tuples(intensity, intensity, intensity, intensity))
+    def test_four_tails_match_the_generator_loop(self, values):
+        assert outcome(lambda: _four_tails(*values)) == outcome(
+            lambda: _tails(values, FOUR_HEADS))
+
+    def test_four_tails_saturation_matches_the_generator_loop(self):
+        # from a = 77.5 the sum from 3 stops converging, from about 77.9
+        # the sum from 4 as well; the message names the four values either way
+        raised = set()
+        for a in np.arange(77.0, 78.5, 0.05):
+            values = (float(a), 2e-3, 3e-5, 0.9)
+            got = outcome(lambda: _four_tails(*values))
+            assert got == outcome(lambda: _tails(values, FOUR_HEADS)), values
+            raised.add(isinstance(got, str))
+        assert raised == {False, True}
+
+    @pytest.mark.parametrize("values", [(0.0, 0.0, 0.0, 0.0), (0.0, 1e-3, 0.0, 0.5),
+                                        (5e-7, 2e-7, 1e-7, 1e-8), (0.1, -0.1, 0.0, 0.0)])
+    def test_four_tails_edges_match_the_generator_loop(self, values):
+        assert outcome(lambda: _four_tails(*values)) == outcome(
+            lambda: _tails(values, FOUR_HEADS))
 
     def test_public_tails_match_per_call_loop(self):
         vals = (0.7, 2e-3, 3e-5, 0.9)
