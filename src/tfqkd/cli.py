@@ -246,13 +246,21 @@ def cmd_rate(args) -> tuple[str, int]:
     return _json_dump(_result_record(sc, result, result.bounds if args.dump_bounds else None)), 0
 
 
+def _point_seed(seed: int, loss_a: float, loss_b: float) -> int:
+    """The search seed of one grid point: decorrelated from its neighbours'
+    and reproducible.  An infinite loss, where every rate is 0, adds 0; a
+    NaN loss raises ``ValueError``."""
+    mix = 10 * (loss_a * 211 + loss_b)
+    return seed * 1000003 + (0 if math.isinf(mix) else int(round(mix)))
+
+
 def _sweep_point(job):
     sc, loss_a, loss_b = job
     row = {"loss_a_db": loss_a, "loss_b_db": loss_b, "error": ""}
     try:
         # decorrelate the per-point searches while keeping them reproducible
         sc = dict(sc, loss_a_db=loss_a, loss_b_db=loss_b,
-                  seed=sc["seed"] * 1000003 + int(round(10 * (loss_a * 211 + loss_b))))
+                  seed=_point_seed(sc["seed"], loss_a, loss_b))
         params = _params(sc)
         opt = optimize_rate(params, _opt_spec(sc), sc["f"])
         s = opt.settings

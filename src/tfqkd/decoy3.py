@@ -19,17 +19,20 @@ relative accuracy and then taken as exact.  The float path is faster and
 plenty for rate optimization; the exact path is what the oracle comparisons
 at 1e-9 tolerances need.
 
-Three- and four-decoy bounds share one path.  ``_prepare`` checks the
-input, picks the number type and rescales the gains.  Each ordered
-intensity triple becomes one ``_side`` per bound set: every factor of the
-block formulas that reads the triple alone, and its series tails; its three
-moment-killing ``_vectors`` come from one table per set.  ``_combine``
-forms every gain combination of the set at once, one row
-(a_i * b_j) * qtilde_ij per combination of a vector per party with a 3x3
-block, each row summed exactly; ``_block_bounds`` then turns each block's
-seven sums into its nine clamped bounds, ``_block`` forming only the terms
-that mix the two sides, every party-swapped target being its mirror
-formula with the parties exchanged.  A three-decoy bound set is one block;
+Three- and four-decoy bounds share one sequence of steps.  ``_prepare``
+checks the input, picks the number type and rescales the gains.  Each
+ordered intensity triple becomes one ``_side`` per bound set: every factor
+of the block formulas that reads the triple alone, and its series tails;
+its three moment-killing vectors come from ``_triple_vectors``.  Each gain
+combination is one row (a_i * b_j) * qtilde_ij per combination of a vector
+per party with a 3x3 block, summed exactly; each block's seven sums then
+give its nine clamped bounds, ``_block`` forming only the terms that mix
+the two sides, every party-swapped target being its mirror formula with
+the parties exchanged.  A four-decoy set takes these steps as numpy
+batches over its 16 blocks and combined-formula slots (``_vectors``,
+``_combine``, ``_block_bounds``).  A three-decoy set is one block, which
+``_bounds3`` evaluates on plain numbers, float or ``Dyadic``: at that
+size the batch costs more than the arithmetic.  Both give the same bits.
 ``decoy4.yield_bounds`` is the public entry point for three and four
 decoys.  Coefficients, prefactors or terms that are not finite in double
 precision raise ``DegenerateIntensityError``, and so do exact values past
@@ -118,6 +121,12 @@ def _finite(values, what: str) -> None:
         raise _degenerate(what)
 
 
+def _finite_numbers(values, what: str) -> None:
+    """``_finite`` for an iterable of plain floats."""
+    if not all(map(math.isfinite, values)):
+        raise _degenerate(what)
+
+
 def _triple_vectors(x0, x1, x2):
     """Row vectors of one ordered triple orthogonal to (1,1,1) and x, to
     (1,1,1) and x^2, to x and x^2; the leading integer 1 keeps x's type."""
@@ -152,7 +161,7 @@ def cancellation_coeffs(target, mu, nu):
 
     The matrix is the outer product of one moment-killing vector per party;
     c[0][0] is 1 by normalization.  Fraction inputs give exact output.  The
-    bounds themselves combine the vectors directly (``_combine``).
+    bounds themselves combine the vectors directly (``_terms``, ``_combine``).
     """
     target = tuple(target)
     if target not in _VECTOR_FOR_TARGET:
@@ -169,8 +178,8 @@ def cancellation_coeffs(target, mu, nu):
 
 def _prepare(q, mu, nu, size: int, exact: bool):
     """Checked input as (num, qtilde, mu, nu) in number type ``num``: qtilde is
-    the gains times exp(mu_k + nu_l) as a size x size array, mu and nu are
-    tuples; doubles are taken verbatim."""
+    the gains times exp(mu_k + nu_l) as ``size`` lists of ``size``, mu and nu
+    are tuples; doubles are taken verbatim."""
     mu, nu = tuple(mu), tuple(nu)
     if len(q) != size or len(mu) != size or len(nu) != size:
         raise ValueError(f"expected {size} decoys per party and a {size}x{size} gain matrix")
@@ -180,9 +189,8 @@ def _prepare(q, mu, nu, size: int, exact: bool):
         raise SaturationError(
             f"exp(mu + nu) overflows for intensities {max(mu)} and {max(nu)}")
     num = Dyadic if exact else float
-    dtype = object if exact else float
-    qtilde = np.array([[num(math.exp(mu_k + nu_l)) * num(g) for nu_l, g in zip(nu, row)]
-                       for mu_k, row in zip(mu, q)], dtype=dtype)
+    qtilde = [[num(math.exp(mu_k + nu_l)) * num(g) for nu_l, g in zip(nu, row)]
+              for mu_k, row in zip(mu, q)]
     return num, qtilde, tuple(map(num, mu)), tuple(map(num, nu))
 
 
@@ -214,15 +222,19 @@ def _combine(a, b, qtilde):
             [_EPS_COMBINE * e for e in map(math.fsum, np.abs(terms).tolist())])
 
 
+def _inconsistent(formula: str, target, value: float) -> InconsistentGainsError:
+    return InconsistentGainsError(
+        f"{formula} bound for yield {target} is {value}; the gains are not "
+        f"producible by any yield profile")
+
+
 def _clamp(values, targets, formula: str):
     """Clamp an array of bounds, whose last axis runs over ``targets``, to
     [0, 1]; the first value below the slack, in row-major order, raises."""
     bad = values < _NEGATIVE_SLACK
     if bad.any():
         index = int(bad.argmax())
-        raise InconsistentGainsError(
-            f"{formula} bound for yield {targets[index % len(targets)]} is "
-            f"{float(values.flat[index])}; the gains are not producible by any yield profile")
+        raise _inconsistent(formula, targets[index % len(targets)], float(values.flat[index]))
     return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
@@ -249,12 +261,10 @@ def _side(x, num):
 # (1,1) and (2,2), whose terms do not depend on which party comes first
 _PAIRS = tuple(_VECTOR_FOR_TARGET[t] for t in ((0, 2), (1, 3), (2, 0), (3, 1),
                                                 (0, 0), (1, 1), (2, 2)))
-_PAIR_A = np.array([ka for ka, _ in _PAIRS])
-_PAIR_B = np.array([kb for _, kb in _PAIRS])
 
 # the order in which a block evaluates its targets, and where each lands
 _EVALUATED = ((0, 2), (0, 4), (1, 3), (2, 0), (4, 0), (3, 1), (0, 0), (1, 1), (2, 2))
-_TO_TARGETS = np.array([_EVALUATED.index(t) for t in TARGETS_3])
+_TO_TARGETS = tuple(_EVALUATED.index(t) for t in TARGETS_3)
 
 
 def _block(g, gerr, a, b, num):
@@ -296,6 +306,18 @@ def _block(g, gerr, a, b, num):
     return values
 
 
+def _checked_block(g, gerr, a, b, num):
+    """``_block``, with a prefactor that vanishes raising
+    ``DegenerateIntensityError`` and an exact value past the double range
+    too, with a message of its own."""
+    try:
+        return _block(g, gerr, a, b, num)
+    except ZeroDivisionError:
+        raise _degenerate("bound prefactors") from None
+    except OverflowError:  # ``float()`` of an exact value
+        raise _past_double_range("block bound") from None
+
+
 def _block_bounds(g, gerr, sides, num):
     """All nine clamped bounds of a batch of 3x3 blocks as a (blocks, 9) float
     array, columns in ``TARGETS_3`` order.
@@ -308,24 +330,49 @@ def _block_bounds(g, gerr, sides, num):
     double range, with a message of its own.
     """
     n = len(_PAIRS)
-    try:
-        values = np.array([_block(g[n * i:n * i + n], gerr[n * i:n * i + n], a, b, num)
-                           for i, (a, b) in enumerate(sides)])
-    except ZeroDivisionError:
-        raise _degenerate("bound prefactors") from None
-    except OverflowError:  # ``float()`` of an exact value
-        raise _past_double_range("block bound") from None
+    values = np.array([_checked_block(g[n * i:n * i + n], gerr[n * i:n * i + n], a, b, num)
+                       for i, (a, b) in enumerate(sides)])
     _finite(values, "bound prefactors")
     return _clamp(values, _EVALUATED, "3-decoy")[:, _TO_TARGETS]
 
 
+def _terms(a, b, qtilde):
+    """The nine terms (a_i * b_j) * qtilde_ij of one 3x3 gain combination,
+    row-major, as ``_combine`` forms them."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = qtilde
+    return [(a0 * b0) * q00, (a0 * b1) * q01, (a0 * b2) * q02,
+            (a1 * b0) * q10, (a1 * b1) * q11, (a1 * b2) * q12,
+            (a2 * b0) * q20, (a2 * b1) * q21, (a2 * b2) * q22]
+
+
 def _bounds3(q, mu, nu, exact):
-    """(bounds, provenance, warnings) of the three-decoy bound set: one block."""
+    """(bounds, provenance, warnings) of the three-decoy bound set: one block.
+
+    The steps of ``_vectors``, ``_combine`` and ``_block_bounds``, with their
+    checks, in their order and with their messages, on plain numbers: for a
+    single block numpy's per-call cost is more than the arithmetic.
+    """
     num, qtilde, mu, nu = _prepare(q, mu, nu, 3, exact)
-    va, vb = _vectors((mu, nu), num)
-    g, gerr = _combine(va[_PAIR_A], vb[_PAIR_B], qtilde)
-    sides = [(_side(mu, num), _side(nu, num))]
-    bounds = dict(zip(TARGETS_3, _block_bounds(g, gerr, sides, num)[0].tolist()))
+    try:
+        va, vb = _triple_vectors(*mu), _triple_vectors(*nu)
+    except ZeroDivisionError:
+        raise _degenerate("coefficient vector entries") from None
+    rows = [_terms(va[ka], vb[kb], qtilde) for ka, kb in _PAIRS]
+    if num is Dyadic:
+        g, gerr = [sum(row) for row in rows], [0] * len(rows)
+    else:
+        _finite_numbers(chain(*va, *vb), "coefficient vector entries")
+        _finite_numbers(chain.from_iterable(rows), "gain combination terms")
+        g = [math.fsum(row) for row in rows]
+        gerr = [_EPS_COMBINE * math.fsum(map(abs, row)) for row in rows]
+    values = _checked_block(g, gerr, _side(mu, num), _side(nu, num), num)
+    _finite_numbers(values, "bound prefactors")
+    for target, value in zip(_EVALUATED, values):
+        if value < _NEGATIVE_SLACK:
+            raise _inconsistent("3-decoy", target, value)
+    bounds = dict(zip(TARGETS_3, [min(max(values[i], 0.0), 1.0) for i in _TO_TARGETS]))
     return bounds, dict.fromkeys(bounds, "3-decoy"), []
 
 

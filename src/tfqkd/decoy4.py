@@ -325,7 +325,7 @@ def _bounds4(q, mu, nu, exact):
                      + [tuple(x[i] for i in slot) for x in slot_sets for slot in SUBSETS[1:]],
                      num).reshape(-1, 3)
     g, gerr = _combine(table[index_a], table[index_b],
-                       qtilde.reshape(-1)[_GAIN_INDEX[:len(index_a)]])
+                       np.array(qtilde).reshape(-1)[_GAIN_INDEX[:len(index_a)]])
     sides_a = [_side(x, num) for x in triples_a]
     sides_b = [_side(x, num) for x in triples_b]
     n = _N_BLOCK_ROWS

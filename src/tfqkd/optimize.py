@@ -6,13 +6,17 @@ so optimization is multistart Nelder-Mead over a box: cheap in the at most
 four free dimensions used here and immune to the non-convexity.  Everything
 is seeded and the winner is reduced deterministically (best value, ties
 broken on the lexicographically smallest parameter vector), so repeated
-runs agree bit for bit regardless of evaluation order.
+runs on one numpy build and CPU agree bit for bit regardless of evaluation
+order.  Across builds or CPUs they may not: Nelder-Mead orders tied
+vertices with numpy's default ``argsort``, which is not stable, and its
+tie order can differ, as it can for SciPy's own searches.
 
 The local searches, ``optimize_rate``'s and the polish of
 ``worst_case_fluctuation``, run on ``_nelder_mead``, a copy of SciPy's
-bounded Nelder-Mead that gives its results bit for bit, so the module needs
-only numpy; loading SciPy takes longer than a small search.  Only the greedy
-reference method ``coordinate_descent`` imports SciPy, when it is called.
+bounded Nelder-Mead that gives its results bit for bit on the same numpy,
+so the module needs only numpy; loading SciPy takes longer than a small
+search.  Only the greedy reference method ``coordinate_descent`` imports
+SciPy, when it is called.
 """
 
 from __future__ import annotations
@@ -285,8 +289,9 @@ def _starts(spec: OptimizationSpec, parts: _RateParts):
     matched-arrival points alpha_i = sqrt(t / eta_i) -- the interference
     only stays clean when the two arriving signal intensities are similar,
     so the pocket hugs that surface however asymmetric the losses are.  The
-    best cells seed the local searches, topped up with seeded log-uniform
-    samples.
+    amplitudes are clipped to the box; an infinite loss (eta_i = 0) takes
+    its top.  The best cells seed the local searches, topped up with seeded
+    log-uniform samples.
 
     The cells share their parts: the 624 cells (72 symmetric) span only 16
     strongest-decoy pairs (4) and a few dozen amplitudes.  Each pair's gains
@@ -306,8 +311,8 @@ def _starts(spec: OptimizationSpec, parts: _RateParts):
     axes = [a_axis] * n_alpha + [s_axis] * n_alpha
     cells = [np.array(cell) for cell in product(*axes)]
     for t in _grid_axis(3e-7, 3e-2, 12):
-        alpha_a = min(max(math.sqrt(t / params.eta_a), lo[0]), hi[0])
-        alpha_b = min(max(math.sqrt(t / params.eta_b), lo[0]), hi[0])
+        alpha_a, alpha_b = (hi[0] if eta == 0.0 else min(max(math.sqrt(t / eta), lo[0]), hi[0])
+                            for eta in (params.eta_a, params.eta_b))
         alphas = [alpha_a] if spec.symmetric else [alpha_a, alpha_b]
         for s in s_axis:
             cells.append(np.array(alphas + [s] * n_alpha))

@@ -91,16 +91,28 @@ def phase_error_upper(bounds: YieldBounds, alpha_a: float, alpha_b: float,
     and > 0 (``ValueError``); an amplitude whose vacuum weight e^(-alpha^2/2)
     underflows raises ``SaturationError``.
 
-    The bound has two parts: each amplitude's weight series
+    The bound has three parts: each amplitude's weight series
     (``_amplitude_series``), which does not read the bounds, and the
-    savings, which do.  A call builds both series afresh; the searches of
-    ``optimize`` share them per amplitude.
+    savings factors of the bounds (``_savings``), which read nothing else.
+    A call builds all three afresh; the searches of ``optimize`` share the
+    series per amplitude and the savings per bound set.
     """
-    return _phase_error(bounds, _amplitude_series(alpha_a), _amplitude_series(alpha_b), p_x)
+    series_a, series_b = _amplitude_series(alpha_a), _amplitude_series(alpha_b)
+    return _phase_error(_savings(bounds), series_a, series_b, p_x)
 
 
-def _phase_error(bounds: YieldBounds, series_a: tuple, series_b: tuple, p_x: float) -> float:
-    """The bound-dependent part of ``phase_error_upper``, on given series."""
+def _savings(bounds: YieldBounds) -> tuple:
+    """(n, m, n even, 1 - sqrt(y)) of each stored bound y on a yield (n, m)
+    with n + m even, y clamped to [0, 1], in ``bounds.items()`` order: what
+    the bound saves against yield 1, per unit weight.  The other parity
+    does not enter the phase error."""
+    return tuple((n, m, n % 2 == 0, 1.0 - math.sqrt(min(max(y, 0.0), 1.0)))
+                 for (n, m), y in bounds.items() if (n + m) % 2 == 0)
+
+
+def _phase_error(savings: tuple, series_a: tuple, series_b: tuple, p_x: float) -> float:
+    """The bound-dependent part of ``phase_error_upper``, on given
+    ``_savings`` and series."""
     if not 0.0 < p_x < math.inf:
         raise ValueError(f"phase_error_upper needs a finite p_x > 0, got {p_x}")
     wa, even_a, odd_a = series_a
@@ -108,11 +120,11 @@ def _phase_error(bounds: YieldBounds, series_a: tuple, series_b: tuple, p_x: flo
     even, odd = even_a * even_b, odd_a * odd_b
     # subtract what the stored bounds save relative to yield 1; a weight
     # past the series is below 1e-20 of it, and its yield stays 1
-    for (n, m), y in bounds.items():
-        if n >= len(wa) or m >= len(wb) or (n + m) % 2:
+    for n, m, even_n, factor in savings:
+        if n >= len(wa) or m >= len(wb):
             continue
-        saving = wa[n] * wb[m] * (1.0 - math.sqrt(min(max(y, 0.0), 1.0)))
-        if n % 2 == 0:
+        saving = wa[n] * wb[m] * factor
+        if even_n:
             even -= saving
         else:
             odd -= saving
@@ -187,12 +199,13 @@ class _RateParts:
     share intensities and amplitudes, each part built once.
 
     The gains and yield bounds depend only on the decoy intensities (mu, nu)
-    and an amplitude's weights and parity sums only on the amplitude; both
-    are built on first use and kept while this object lives.  Per call only
-    the X-basis statistics, the savings of the stored bounds in the
-    phase-error bound and the entropies are evaluated, in ``key_rate``'s
-    order, so the rates are bit-identical and the first call that fails
-    raises ``key_rate``'s error.
+    and an amplitude's weights and parity sums only on the amplitude.  Of
+    each (mu, nu) pair's bounds only their ``_savings`` factors are kept;
+    they and the series are built on first use and kept while this object
+    lives.  Per call only the X-basis statistics, the sum of the savings
+    weighted by the series and the entropies are evaluated, in
+    ``key_rate``'s order, so the rates are bit-identical and the first call
+    that fails raises ``key_rate``'s error.
 
     Every search in ``optimize`` scores its points through one such object,
     which holds all the reuse of that search: nothing outlives it.
@@ -201,13 +214,13 @@ class _RateParts:
     def __init__(self, params: ChannelParams, f: float):
         _check_efficiency(f)
         self.params, self.f = params, f
-        self._bounds = {}
+        self._savings = {}
         self._series = {}
 
     @property
     def bound_sets(self) -> int:
         """The number of distinct (mu, nu) pairs given bounds so far."""
-        return len(self._bounds)
+        return len(self._savings)
 
     def _amplitude(self, alpha: float) -> tuple:
         series = self._series.get(alpha)
@@ -217,13 +230,13 @@ class _RateParts:
 
     def rate(self, alpha_a: float, alpha_b: float, mu: tuple, nu: tuple) -> float:
         stats = x_basis_statistics(self.params, alpha_a, alpha_b)
-        bounds = self._bounds.get((mu, nu))
-        if bounds is None:
+        savings = self._savings.get((mu, nu))
+        if savings is None:
             settings = IntensitySettings(alpha_a=alpha_a, alpha_b=alpha_b, mu=mu, nu=nu)
             gains = simulate_gains(self.params, settings)
-            bounds = self._bounds[mu, nu] = yield_bounds(gains, settings)
+            savings = self._savings[mu, nu] = _savings(yield_bounds(gains, settings))
         if stats.p_x <= 0.0:
             return 0.0
-        e_z_upp = _phase_error(bounds, self._amplitude(alpha_a), self._amplitude(alpha_b),
+        e_z_upp = _phase_error(savings, self._amplitude(alpha_a), self._amplitude(alpha_b),
                                stats.p_x)
         return _rates(stats, e_z_upp, self.f)[1]

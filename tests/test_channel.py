@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfqkd.channel import (ChannelParams, IntensitySettings, bessel_i0,
+from tfqkd.channel import (ChannelParams, GainMatrix, IntensitySettings, bessel_i0,
                            db_to_transmittance, gain, standard_noise,
                            theoretical_yield, x_basis_statistics)
 from tfqkd.errors import SaturationError
@@ -245,3 +245,28 @@ class TestTypes:
             ChannelParams(eta_a=1.2, eta_b=0.5)
         with pytest.raises(ValueError):
             ChannelParams(eta_a=0.5, eta_b=0.5, p_d=1.0)
+
+
+# gain entries: in range, extreme, negative, subnormal or not finite
+_GAIN_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2, 2), st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308, 1.0 + 2.0 ** -52,
+                                         -1e-300, 1.7976931348623157e308, math.nan,
+                                         math.inf, -math.inf]))
+# square matrices of 0 to 5 rows, or ragged ones
+_GAIN_ROWS = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(_GAIN_ENTRIES, min_size=n, max_size=n) | st.lists(_GAIN_ENTRIES, max_size=5),
+    min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(q=_GAIN_ROWS, omega=st.sampled_from(["c", "d", "x"]))
+def test_gain_matrix_contract(q, omega):
+    """Any entries either raise ``ValueError`` or give a 3x3 or 4x4 matrix
+    of floats in [0, 1]."""
+    try:
+        gains = GainMatrix(q=q, omega=omega)
+    except ValueError:
+        return
+    assert gains.size in (3, 4) and all(len(row) == gains.size for row in gains.q)
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for row in gains.q for v in row)

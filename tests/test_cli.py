@@ -354,6 +354,18 @@ class TestStrictOutput:
         assert rows[20.0]["error"] == "" and rows[20.0]["rate"] > 0
         assert "NaN" in rows["nan"]["error"]
 
+    def test_infinite_loss_sweep_row_is_computed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "decoys": 3,
+                                   "multistart": 1, "seed": 3}))
+        code, out, _ = run_cli(["sweep", "--config", str(cfg), "--format", "json",
+                                "--grid-a", "inf", "20", "--grid-b", "20"], capsys)
+        assert code == 0
+        rows = {row["loss_a_db"]: row for row in json.loads(out, parse_constant=_no_constants)}
+        assert set(rows) == {20.0, "inf"}
+        assert rows["inf"]["error"] == "" and rows["inf"]["rate"] == 0.0
+        assert rows["inf"]["plob"] == 0.0 and rows[20.0]["rate"] > 0
+
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(tfqkd.__file__).resolve().parent.parent)
@@ -548,6 +560,74 @@ def test_random_config_values_give_output_or_error_record(cfg, subcommand, tmp_p
     else:
         assert code == 2 and out == ""
         assert set(json.loads(err)) == {"error", "message"}
+
+
+# JSON values of the wrong type or out of range, NaN and Infinity literals,
+# and an integer past the double range
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.sampled_from(
+        [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.5, 5e-324, 1e308, 10 ** 400, "0.1"]),
+    st.lists(st.floats(0.0, 1.0), max_size=2), st.dictionaries(st.text(max_size=2),
+                                                               st.integers(), max_size=1))
+
+
+@st.composite
+def _gains_documents(draw):
+    """A gains file for a simulated 3- or 4-decoy channel, then up to three
+    edits: shuffled intensities, a dropped key, row or entry, an extra
+    intensity, or an odd value in place of a field, an intensity or a gain."""
+    decoys = draw(st.sampled_from([3, 4]))
+    strong = [draw(st.floats(0.01, 1.0)) for _ in range(2)]
+    weak = (1e-4, 1e-5) if decoys == 3 else (1e-3, 1e-4, 1e-5)
+    mu, nu = ((s, *weak) if decoys == 3 else (*weak, s) for s in strong)
+    settings_ = IntensitySettings(alpha_a=0.1, alpha_b=0.1, mu=mu, nu=nu)
+    q = simulate_gains(standard_noise(draw(st.floats(0.0, 60.0)), draw(st.floats(0.0, 60.0))),
+                       settings_).q
+    doc = {"schema_version": 1, "mu": list(mu), "nu": list(nu),
+           "Q": [list(row) for row in q], "omega": draw(st.sampled_from(["c", "d"]))}
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["shuffle", "drop key", "drop row", "drop entry",
+                                     "extra intensity", "odd field", "odd intensity",
+                                     "odd gain"]))
+        key = draw(st.sampled_from(sorted(doc)))
+        value = doc[key]
+        if edit == "shuffle" and key in ("mu", "nu") and isinstance(value, list):
+            doc[key] = draw(st.permutations(value))
+        elif edit == "drop key":
+            del doc[key]
+        elif edit == "drop row" and isinstance(doc.get("Q"), list) and doc["Q"]:
+            del doc["Q"][draw(st.integers(0, len(doc["Q"]) - 1))]
+        elif edit == "drop entry" and isinstance(doc.get("Q"), list) and doc["Q"]:
+            row = doc["Q"][draw(st.integers(0, len(doc["Q"]) - 1))]
+            if isinstance(row, list) and row:
+                del row[0]
+        elif edit == "extra intensity" and key in ("mu", "nu") and isinstance(value, list):
+            value.append(draw(st.floats(1e-6, 1.0)))
+        elif edit == "odd field":
+            doc[key] = draw(_ODD_VALUES)
+        elif edit == "odd intensity" and key in ("mu", "nu") and isinstance(value, list) \
+                and value:
+            value[draw(st.integers(0, len(value) - 1))] = draw(_ODD_VALUES)
+        elif edit == "odd gain" and isinstance(doc.get("Q"), list) and doc["Q"]:
+            row = doc["Q"][draw(st.integers(0, len(doc["Q"]) - 1))]
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_VALUES)
+    return doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_gains_documents(), argv=st.sampled_from(
+    [["rate"], ["rate", "--dump-bounds"], ["bounds"], ["bounds", "--exact"]]))
+def test_gains_documents_give_output_or_error_record(doc, argv, tmp_path, capsys):
+    path = tmp_path / "gains.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(argv + ["--gains", str(path)], capsys)
+    if code == 0:
+        json.loads(out, parse_constant=_no_constants)
+    else:
+        assert code == 2 and out == ""
+        assert set(json.loads(err, parse_constant=_no_constants)) == {"error", "message"}
 
 
 def _readme_cli_section():

@@ -1,6 +1,7 @@
 """Three-decoy analytical yield bounds."""
 
-from itertools import combinations
+import math
+from itertools import chain, combinations, starmap
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from test_decoy4 import _gate_corpus
 from tfqkd import decoy3
-from tfqkd.channel import (GainMatrix, IntensitySettings, simulate_gains,
+from tfqkd.channel import (_EXP_MAX, GainMatrix, IntensitySettings, simulate_gains,
                            standard_noise, theoretical_yield)
 from tfqkd.decoy3 import TARGETS_3, cancellation_coeffs
 from tfqkd.decoy4 import yield_bounds
-from tfqkd.errors import DegenerateIntensityError, InconsistentGainsError
+from tfqkd.dyadic import Dyadic
+from tfqkd.errors import DegenerateIntensityError, InconsistentGainsError, SaturationError
 from tfqkd.oracles import dark_adjusted_yield
 from tfqkd.rate import key_rate
 from tfqkd.series import _triple_tails
@@ -225,8 +227,8 @@ def block_outcomes(mu, nu, loss, exact, block):
             ta, tb = tuple(mu[i] for i in rows), tuple(nu[j] for j in cols)
             try:
                 va, vb = decoy3._vectors((ta, tb), num)
-                g, gerr = decoy3._combine(va[decoy3._PAIR_A], vb[decoy3._PAIR_B],
-                                          qtilde[np.ix_(rows, cols)])
+                g, gerr = decoy3._combine(va[_REF_PAIR_A], vb[_REF_PAIR_B],
+                                          np.array(qtilde)[np.ix_(rows, cols)])
                 if block is None:
                     sides = decoy3._side(ta, num), decoy3._side(tb, num)
                     values = decoy3._block(g, gerr, *sides, num)
@@ -269,3 +271,191 @@ class TestBlockMatchesReference:
         for mu, nu, loss in corpus:
             assert block_outcomes(mu, nu, loss, exact, None) == block_outcomes(
                 mu, nu, loss, exact, reference_block), (mu, nu, loss)
+
+
+# Frozen reference: the three-decoy bound set as it read when it ran on the
+# shared numpy batch path (``_prepare``, ``_vectors``, ``_combine`` and
+# ``_block_bounds`` with the ``_finite`` and ``_clamp`` they called), before
+# its one block moved to plain numbers.
+_REF_PAIR_A = np.array([ka for ka, _ in decoy3._PAIRS])
+_REF_PAIR_B = np.array([kb for _, kb in decoy3._PAIRS])
+_REF_TO_TARGETS = np.array([decoy3._EVALUATED.index(t) for t in TARGETS_3])
+
+
+def _ref_finite(values, what):
+    if values.dtype != object and not np.isfinite(values).all():
+        raise decoy3._degenerate(what)
+
+
+def _ref_prepare(q, mu, nu, size, exact):
+    mu, nu = tuple(mu), tuple(nu)
+    if len(q) != size or len(mu) != size or len(nu) != size:
+        raise ValueError(f"expected {size} decoys per party and a {size}x{size} gain matrix")
+    decoy3.check_intensities(mu, "mu")
+    decoy3.check_intensities(nu, "nu")
+    if max(mu) + max(nu) > _EXP_MAX:
+        raise SaturationError(
+            f"exp(mu + nu) overflows for intensities {max(mu)} and {max(nu)}")
+    num = Dyadic if exact else float
+    dtype = object if exact else float
+    qtilde = np.array([[num(math.exp(mu_k + nu_l)) * num(g) for nu_l, g in zip(nu, row)]
+                       for mu_k, row in zip(mu, q)], dtype=dtype)
+    return num, qtilde, tuple(map(num, mu)), tuple(map(num, nu))
+
+
+def _ref_vectors(triples, num):
+    entries = chain.from_iterable(chain.from_iterable(starmap(decoy3._triple_vectors,
+                                                              triples)))
+    try:
+        v = np.fromiter(entries, object if num is Dyadic else float,
+                        9 * len(triples)).reshape(-1, 3, 3)
+    except ZeroDivisionError:
+        raise decoy3._degenerate("coefficient vector entries") from None
+    _ref_finite(v, "coefficient vector entries")
+    return v
+
+
+@np.errstate(all="ignore")
+def _ref_combine(a, b, qtilde):
+    terms = ((a[..., :, None] * b[..., None, :]) * qtilde).reshape(-1, 9)
+    if terms.dtype == object:
+        rows = terms.tolist()
+        return [sum(row) for row in rows], [0] * len(rows)
+    _ref_finite(terms, "gain combination terms")
+    return (list(map(math.fsum, terms.tolist())),
+            [decoy3._EPS_COMBINE * e for e in map(math.fsum, np.abs(terms).tolist())])
+
+
+def _ref_clamp(values, targets, formula):
+    bad = values < -1e-9
+    if bad.any():
+        index = int(bad.argmax())
+        raise InconsistentGainsError(
+            f"{formula} bound for yield {targets[index % len(targets)]} is "
+            f"{float(values.flat[index])}; the gains are not producible by any yield profile")
+    return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
+def _ref_block_bounds(g, gerr, sides, num):
+    n = len(decoy3._PAIRS)
+    try:
+        values = np.array([decoy3._block(g[n * i:n * i + n], gerr[n * i:n * i + n], a, b, num)
+                           for i, (a, b) in enumerate(sides)])
+    except ZeroDivisionError:
+        raise decoy3._degenerate("bound prefactors") from None
+    except OverflowError:
+        raise decoy3._past_double_range("block bound") from None
+    _ref_finite(values, "bound prefactors")
+    return _ref_clamp(values, decoy3._EVALUATED, "3-decoy")[:, _REF_TO_TARGETS]
+
+
+def reference_bounds3(q, mu, nu, exact):
+    num, qtilde, mu, nu = _ref_prepare(q, mu, nu, 3, exact)
+    va, vb = _ref_vectors((mu, nu), num)
+    g, gerr = _ref_combine(va[_REF_PAIR_A], vb[_REF_PAIR_B], qtilde)
+    sides = [(decoy3._side(mu, num), decoy3._side(nu, num))]
+    bounds = dict(zip(TARGETS_3, _ref_block_bounds(g, gerr, sides, num)[0].tolist()))
+    return bounds, dict.fromkeys(bounds, "3-decoy"), []
+
+
+def bound_set_outcome(bound_set, q, mu, nu, exact):
+    """A bound set as its entries in order with their type and ``.hex()``,
+    provenance and warnings, or the exception type and message."""
+    try:
+        bounds, provenance, warnings = bound_set(q, mu, nu, exact)
+    except Exception as exc:  # the exception and its message are the outcome
+        return type(exc), str(exc)
+    return ([(t, type(v), v.hex()) for t, v in bounds.items()],
+            list(provenance.items()), warnings)
+
+
+def _moved_3_decoy_sets(count):
+    """3-decoy (mu, nu, loss) with every intensity moved by up to +-20% and
+    the losses by up to 1 dB: half around the 3-decoy fluctuation nominal
+    settings, half around the optimize workload's cells (default weak decoys,
+    strongest decoys on the start scan's axis)."""
+    rng = np.random.default_rng(20261021)
+    fluctuation = ((0.001001913581935574, 1e-4, 1e-5), (0.001001952695641186, 1e-4, 1e-5),
+                   (12.0, 20.0))
+    strongest = (1e-3, 1e-2, 0.1, 1.0)
+    out = []
+    for i in range(count):
+        if i % 2 == 0:
+            mu, nu, loss = fluctuation
+        else:
+            mu = (strongest[rng.integers(4)], 1e-4, 1e-5)
+            nu = (strongest[rng.integers(4)], 1e-4, 1e-5)
+            loss = ((12.0, 24.0), (16.0, 30.0), (20.0, 36.0))[rng.integers(3)]
+        out.append((tuple(float(v * rng.uniform(0.8, 1.2)) for v in mu),
+                    tuple(float(v * rng.uniform(0.8, 1.2)) for v in nu),
+                    tuple(float(v + rng.uniform(-1.0, 1.0)) for v in loss)))
+    return out
+
+
+def _gains(mu, nu, loss):
+    settings_ = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
+    return simulate_gains(standard_noise(*loss), settings_).q
+
+
+_LOUD = ((0.5,) * 3,) * 3
+_SILENT_SIGNAL = ((0.0, 0.9, 0.9), (0.9,) * 3, (0.9,) * 3)  # no yield profile gives it
+# random gains with (2,0), (4,0), (1,1) and (2,2) below the slack: the
+# first in evaluation order raises
+_MANY_BELOW = ((0.773, 0.030, 0.707), (0.374, 0.091, 0.661), (0.931, 0.207, 0.630))
+# (q, mu, nu): each way a 3-decoy set can fail, and extreme sets that pass
+_DEGENERATE_SETS = [
+    (_LOUD, (0.1, 1e-4, 1e-4), (0.1, 1e-4, 1e-5)),  # coincident
+    (_LOUD, (0.1, 1e-4, 1e-5), (0.1, 0.1 * (1 + 1e-7), 1e-5)),  # nearly coincident
+    (_LOUD, (0.1, 1e-4, 0.0), (0.1, 1e-4, 1e-5)),  # zero
+    (_LOUD, (0.1, 1e-4, 5e-324), (0.1, 1e-4, 1e-5)),  # subnormal: a vector divides by 0
+    (_LOUD, (0.1, 1e-310, 5e-320), (0.1, 1e-310, 5e-320)),  # subnormal pair
+    (_LOUD, (0.1, 1e-160, 1e-161), (0.1, 1e-160, 1e-161)),  # vector entries overflow
+    (_LOUD, (0.1, 1e-120, 1e-121), (0.1, 1e-120, 1e-121)),  # gain terms overflow
+    (_LOUD, (1e-150, 5e-151, 1e-151), (1e-150, 5e-151, 1e-151)),  # prefactors
+    (_LOUD, (1e-100, 5e-101, 1e-101), (0.3, 0.2, 0.1)),  # prefactors
+    (_LOUD, (2e-299, 1e-299, 5e-300), (34.0, 3.0, 2.0)),  # exact past the double range
+    (_LOUD, (1e-200, 5e-201, 1e-201), (0.3, 0.2, 0.1)),
+    (_LOUD, (0.1, 1e-30, 1e-31), (0.2, 1e-30, 1e-31)),
+    (_LOUD, (400.0, 1e-4, 1e-5), (400.0, 1e-4, 1e-5)),  # exp(mu + nu) overflows
+    (_LOUD, (354.0, 1e-4, 1e-5), (355.0, 1e-4, 1e-5)),  # just below the overflow
+    (_LOUD, (math.nan, 1e-4, 1e-5), (0.1, 1e-4, 1e-5)),
+    (_SILENT_SIGNAL, MU, NU),  # inconsistent gains
+    (_MANY_BELOW, MU, NU),
+    (((math.inf, 0.5, 0.5), (0.5,) * 3, (0.5,) * 3), MU, NU),
+    (((math.nan, 0.5, 0.5), (0.5,) * 3, (0.5,) * 3), MU, NU),
+    (((-0.5, 0.5, 0.5), (0.5,) * 3, (0.5,) * 3), MU, NU),
+    (((0.0,) * 3,) * 3, MU, NU),
+    (((1e300,) * 3,) * 3, MU, NU),
+]
+
+
+class TestBounds3MatchesReference:
+    """The plain-number three-decoy bound set equals the frozen numpy path
+    bit for bit: bounds, provenance, warnings, or exception and message."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_gate_corpus(self, exact):
+        corpus = [(loss, mu, nu) for loss, mu, nu in _gate_corpus() if len(mu) == 3]
+        assert len(corpus) == 60
+        for loss, mu, nu in corpus:
+            q = _gains(mu, nu, loss)
+            assert bound_set_outcome(decoy3._bounds3, q, mu, nu, exact) == \
+                bound_set_outcome(reference_bounds3, q, mu, nu, exact), (loss, mu, nu)
+
+    @pytest.mark.parametrize("exact,count", [(False, 300), (True, 300)])
+    def test_moved_nominal_settings(self, exact, count):
+        for mu, nu, loss in _moved_3_decoy_sets(count):
+            q = _gains(mu, nu, loss)
+            assert bound_set_outcome(decoy3._bounds3, q, mu, nu, exact) == \
+                bound_set_outcome(reference_bounds3, q, mu, nu, exact), (loss, mu, nu)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_degenerate_sets(self, exact):
+        kinds = set()
+        for q, mu, nu in _DEGENERATE_SETS:
+            for a, b, rows in ((mu, nu, q), (nu, mu, tuple(zip(*q)))):
+                got = bound_set_outcome(decoy3._bounds3, rows, a, b, exact)
+                assert got == bound_set_outcome(reference_bounds3, rows, a, b, exact), (a, b)
+                kinds.add(got[0] if isinstance(got[0], type) else "bounds")
+        assert {"bounds", DegenerateIntensityError, SaturationError,
+                InconsistentGainsError} <= kinds

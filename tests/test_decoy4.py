@@ -199,7 +199,7 @@ class TestBounds4:
                   for x in (mu, nu))
         ia, ib = _VECTOR_FOR_TARGET[0, 2]
         subsets = np.array(SUBSETS)
-        slots = qt[subsets[:, :, None], subsets[:, None, :]]
+        slots = np.array(qt)[subsets[:, :, None], subsets[:, None, :]]
         h04, _ = _combine_subsets(*_combine(va[:, ia], vb[:, ib], slots), _d04(mu, nu), num)
         assert h04 == 0.0
 

@@ -106,6 +106,14 @@ class TestOptimizeRate:
         winner = res.trace[res.best_start]
         assert winner["rate"] == res.rate and winner["vector"] == res.vector
 
+    @pytest.mark.parametrize("losses", [(math.inf, 20.0), (20.0, math.inf)])
+    def test_infinite_loss_gives_zero_without_warnings(self, losses):
+        # the matched-arrival scan must not divide by the transmittance 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_rate(standard_noise(*losses), SPEC3, maxiter=20)
+        assert res.rate == 0.0
+
     def test_corner_descent_stalls_below_multistart(self):
         params = standard_noise(20, 0)
         spec = OptimizationSpec(decoys=3, multistart=8, seed=5)

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from tfqkd.channel import IntensitySettings, standard_noise
 from tfqkd.decoy3 import TARGETS_3, YieldBounds
 from tfqkd.errors import SaturationError, TfqkdError
-from tfqkd.rate import (_RateParts, binary_entropy, key_rate, phase_error_upper,
-                        plob_bound)
+from tfqkd.rate import (_amplitude_series, _phase_error, _RateParts, _savings, binary_entropy,
+                        key_rate, phase_error_upper, plob_bound)
 
 
 class TestBinaryEntropy:
@@ -161,6 +161,52 @@ class TestPhaseErrorUpper:
             key_rate(params, s)
         with pytest.raises(SaturationError):
             _RateParts(params, 1.0).rate(alpha, 0.03, s.mu, s.nu)
+
+
+def reference_phase_error(bounds, series_a, series_b, p_x):
+    """Frozen reference: the phase-error bound's per-bound loop as it read
+    before each bound set's savings were built once."""
+    if not 0.0 < p_x < math.inf:
+        raise ValueError(f"phase_error_upper needs a finite p_x > 0, got {p_x}")
+    wa, even_a, odd_a = series_a
+    wb, even_b, odd_b = series_b
+    even, odd = even_a * even_b, odd_a * odd_b
+    for (n, m), y in bounds.items():
+        if n >= len(wa) or m >= len(wb) or (n + m) % 2:
+            continue
+        saving = wa[n] * wb[m] * (1.0 - math.sqrt(min(max(y, 0.0), 1.0)))
+        if n % 2 == 0:
+            even -= saving
+        else:
+            odd -= saving
+    even = max(even, 0.0)
+    odd = max(odd, 0.0)
+    return min((even * even + odd * odd) / p_x, 1.0)
+
+
+# yields mostly small, where a saving's last bits survive the subtraction,
+# else outside [0, 1] or not finite
+_YIELDS = st.floats(0.0, 1.0).map(lambda u: u ** 4) | st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, -0.5, 2.0, -1e-300, 1e300, math.inf, -math.inf, math.nan])
+# any map: both parities, indices past a short series
+_YIELD_MAPS = st.dictionaries(st.tuples(st.integers(0, 60), st.integers(0, 60)), _YIELDS,
+                              max_size=8)
+_AMPLITUDES = st.floats(-3.0, 0.5).map(lambda e: 10.0 ** e) | st.just(0.0)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(bounds=_YIELD_MAPS | st.builds(lambda ys, extra: {**dict(zip(TARGETS_3, ys)), **extra},
+                                      st.lists(_YIELDS, min_size=9, max_size=9), _YIELD_MAPS),
+       alpha_a=_AMPLITUDES, alpha_b=_AMPLITUDES, headroom=st.floats(0.25, 4.0))
+def test_savings_loop_matches_per_bound_loop(bounds, alpha_a, alpha_b, headroom):
+    """The phase error from each set's precomputed savings equals the
+    per-bound loop bit for bit."""
+    series_a, series_b = _amplitude_series(alpha_a), _amplitude_series(alpha_b)
+    # p_x near the all-one value, so the unit clamp is mostly inactive
+    p_x = headroom * ((series_a[1] * series_b[1]) ** 2 + (series_a[2] * series_b[2]) ** 2)
+    expected = reference_phase_error(bounds, series_a, series_b, p_x).hex()
+    assert _phase_error(_savings(bounds), series_a, series_b, p_x).hex() == expected
+    assert phase_error_upper(YieldBounds(bounds), alpha_a, alpha_b, p_x).hex() == expected
 
 
 class TestKeyRate:
