@@ -38,8 +38,13 @@ SWEEP_COLUMNS = ["loss_a_db", "loss_b_db", "rate", "alpha_a", "alpha_b",
                  "plob", "beats_plob", "error"]
 
 
+_DOUBLE_MAX = int(sys.float_info.max)
+
+
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float, not a bool; an int past the double range fails."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= _DOUBLE_MAX)
 
 
 # JSON type -> test of a decoded value
@@ -102,7 +107,9 @@ def _read_json(path, what: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: undecodable text, bad JSON, or an int literal past
+        # Python's digit limit for int conversion
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} {path} must hold a JSON object")
@@ -128,6 +135,8 @@ def ingest_gains(path) -> tuple[GainMatrix, tuple, tuple]:
         IntensitySettings(alpha_a=0.0, alpha_b=0.0, mu=mu, nu=nu)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError as exc:
+        raise ConfigError(f"gains file {path} holds a number past the double range") from exc
     return gains, mu, nu
 
 

@@ -19,13 +19,28 @@ of ulps each, which is what the tiny ``_DATA_NOISE`` window accounts for.
 The windows matter: the LP duals on the weakly-weighted rows reach 1e12 and
 amplify any slack in the window straight into the reported optimum.
 
-Every target of one configuration shares those rows and windows, and phase 1
-of the simplex depends on nothing else.  One small ``lru_cache`` keyed by
-(gains, intensities, truncation) therefore builds the rows and runs phase 1
-once, keeping its start in triples; each ``lp_yield_bound`` call then only
-runs phase 2 for its own target from a copy of that feasible start, which
-gives the optimum a one-shot solve would give.  An infeasible configuration
-raises on every call, since the cache holds no exceptions.
+Every target of one configuration shares those rows and windows, and the
+feasible start of the simplex depends on nothing else.  One small
+``lru_cache`` keyed by (gains, intensities, truncation) therefore builds the
+start once, in triples; each ``lp_yield_bound`` call then only runs phase 2
+for its own target from a copy of it.
+
+Phase 1 is skipped where the product start is feasible: the basis of the
+structurals (n, m) with n, m < d for d intensities per party, every other
+structural at 0 and every slack at its upper bound, written down exactly
+from the Kronecker structure of the rows (``_product_start``).  It is used
+when every basic value lies in [0, 1].  Phase 1 runs on the built rows
+instead when a party repeats an intensity, when ``n_trunc + 1 < d``, or when
+some basic value lies outside [0, 1], as for inconsistent gains, which phase
+1 then reports.  Phase 1 can end on another feasible basis than the product
+start, or on the same basis with some structurals at their upper bound.
+The optimal value of the LP is unique, so every start gives the same
+``lp_yield_bound``; only ``x`` at a degenerate optimum can differ.  The row
+order of a start is not part of it: phase 1 leaves its rows in the order of
+its pivots, the product start sorted by basic variable, and phase 2 reads a
+row only through its basic variable, so the order changes no pivot.  An
+infeasible configuration raises on every call, since the cache holds no
+exceptions.
 """
 
 from __future__ import annotations
@@ -35,18 +50,20 @@ from functools import lru_cache
 from numbers import Integral, Real
 
 from ..channel import GainMatrix
-from ..dyadic import _ONE, _ZERO, _add, _mul, _number, _rational, _sub
+from ..dyadic import _ONE, _ZERO, _add, _div, _less, _mul, _number, _rational, _sub
 from ..errors import InconsistentGainsError
 from .fock import poisson_upper_tail
-from .simplex import LinearProgramInfeasible, _feasible_start, _maximize
+from .simplex import (_AT_LOWER, _AT_UPPER, _BASIC, LinearProgramInfeasible, _Start,
+                      _feasible_start, _maximize)
 from .simplex import solve_bounded_lp  # noqa: F401  (benchmark/spans.py wraps this attribute)
 
 DEFAULT_TRUNCATION = 10
 # Largest truncation order accepted, checked before anything is allocated:
-# the LP has (n + 1)^2 variables, 1,681 at 40, where phase 1 and one phase 2
-# take about 2.3 s for a 4-decoy configuration and 2 min for the tests'
-# pivot-heavy constructed profile (2-core x86 container, Python 3.11); the
-# bounds have long stopped moving there (they settle by 15).
+# the LP has (n + 1)^2 variables, 1,681 at 40, where the start and one phase
+# 2 take about 0.06 s for a 3-decoy and 0.3 s for a 4-decoy configuration,
+# and 2 min for the tests' pivot-heavy constructed profile, which needs
+# phase 1 (2-core x86 container, Python 3.11); the bounds have long stopped
+# moving there (they settle by 15).
 _MAX_TRUNCATION = 40
 
 # Relative allowance for the rounding of the double gains and of the per-row
@@ -57,8 +74,9 @@ _MAX_TRUNCATION = 40
 _DATA_NOISE = (1, 1, 50)
 
 
-def _constraints(q, mu, nu, n_trunc: int):
-    """Rows and their lower and upper windows of the truncated LP, as triples."""
+def _factors(mu, nu, n_trunc: int) -> dict:
+    """Each intensity's monomials x^n/n!, n <= ``n_trunc``, as triples, and its
+    Poisson tail past ``n_trunc``."""
     factors = {}
     for x in mu + nu:
         # the double value of each intensity, as in the row scale and the tails
@@ -66,31 +84,140 @@ def _constraints(q, mu, nu, n_trunc: int):
         factors[x] = ([_mul(_rational(p ** n, r ** n), _rational(1, math.factorial(n)))
                        for n in range(n_trunc + 1)],
                       poisson_upper_tail(x, n_trunc))
-    rows = []
+    return factors
+
+
+def _windows(q, mu, nu, factors):
+    """Scales and lower and upper windows of the rows, row (k, l) at
+    ``k * len(nu) + l``, as triples."""
+    scales = []
     lower = []
     upper = []
     for k, mu_k in enumerate(mu):
-        mono_a, ta = factors[mu_k]
+        ta = factors[mu_k][1]
         for l, nu_l in enumerate(nu):
-            mono_b, tb = factors[nu_l]
-            scale = _number(math.exp(-(mu_k + nu_l)))
-            rows.append([_mul(sa, b) for sa in [_mul(scale, a) for a in mono_a] for b in mono_b])
+            tb = factors[nu_l][1]
+            scales.append(_number(math.exp(-(mu_k + nu_l))))
             tail = _number(ta + tb - ta * tb)
             q_kl = _number(q[k][l])
             noise = _mul(_DATA_NOISE, _add(q_kl, tail))
             upper.append(_add(q_kl, noise))
             low = _sub(_sub(q_kl, tail), noise)
             lower.append(low if low[0] > 0 else _ZERO)
-    return rows, lower, upper
+    return scales, lower, upper
+
+
+def _rows(mu, nu, factors, scales) -> list:
+    """The constraint rows, ``scale_kl * mu_k^n/n! * nu_l^m/m!`` in column
+    ``n * (n_trunc + 1) + m``."""
+    rows = []
+    for k, mu_k in enumerate(mu):
+        for l, nu_l in enumerate(nu):
+            scale = scales[k * len(nu) + l]
+            rows.append([_mul(sa, b) for sa in [_mul(scale, a) for a in factors[mu_k][0]]
+                         for b in factors[nu_l][0]])
+    return rows
+
+
+def _constraints(q, mu, nu, n_trunc: int):
+    """Rows and their lower and upper windows of the truncated LP, as triples."""
+    factors = _factors(mu, nu, n_trunc)
+    scales, lower, upper = _windows(q, mu, nu, factors)
+    return _rows(mu, nu, factors, scales), lower, upper
+
+
+def _solved(monomials, d: int):
+    """``[M_S^-1 M | M_S^-1]`` by Gauss-Jordan, where the rows M are one party's
+    monomials and M_S their leading d x d block; None if M_S is singular.
+
+    The leading k x k minors of M_S are Vandermonde determinants of the first
+    k intensities (times 1/n!), so no pivot is 0 unless two intensities
+    coincide, which makes M_S singular: no row exchange is needed.
+    """
+    rows = [list(mono) + [_ONE if j == i else _ZERO for j in range(d)]
+            for i, mono in enumerate(monomials)]
+    for c in range(d):
+        if not rows[c][c][0]:
+            return None
+        inv = _div(_ONE, rows[c][c])
+        rows[c] = [_mul(inv, v) for v in rows[c]]
+        for i in range(d):
+            f = rows[i][c]
+            if i != c and f[0]:
+                rows[i] = [_sub(v, _mul(f, p)) for v, p in zip(rows[i], rows[c])]
+    return rows
+
+
+def _dot(xs, ys) -> tuple:
+    total = _ZERO
+    for x, y in zip(xs, ys):
+        total = _add(total, _mul(x, y))
+    return total
+
+
+def _product_start(mu, nu, n_trunc: int, factors, scales, lower, upper):
+    """The start on the product basis S x T, S = T = {0, ..., d - 1}, with every
+    other structural at 0 and every slack at its upper bound; None where
+    that basis is singular or infeasible.
+
+    The rows are A = diag(s) (M (x) N) for the monomials M of Alice's and N
+    of Bob's intensities, so B = diag(s) (M_S (x) N_T) and, exactly, the
+    tableau is B^-1 A = (M_S^-1 M) (x) (N_T^-1 N) (the scales cancel), the
+    slack columns are B^-1 = (M_S^-1 (x) N_T^-1) diag(s)^-1, the artificial
+    columns equal them (every lower window is >= 0, so phase 1 would give
+    each artificial its slack's sign), and the basic values are x_B = B^-1 lo,
+    each row at its lower end.  The statuses are those phase 1 leaves.
+    """
+    d = len(mu)
+    side = n_trunc + 1
+    if side < d or not all(s[0] for s in scales):
+        return None
+    blocks = [_solved([factors[x][0] for x in xs], d) for xs in (mu, nu)]
+    if None in blocks:
+        return None
+    (pa, ia), (pb, ib) = (([row[:side] for row in b], [row[side:] for row in b])
+                          for b in blocks)
+    inv_s = [_div(_ONE, s) for s in scales]
+    # x_(n,m) = sum_k ia[n][k] sum_l ib[m][l] lo_kl / s_kl, factored: the
+    # windows are long numbers, so each enters d products, not d * d
+    w = [_mul(lo, i) for lo, i in zip(lower, inv_s)]
+    half = [[_dot(ib[m], w[k * d:(k + 1) * d]) for m in range(d)] for k in range(d)]
+    beta = [_dot(ia[n], [half[k][m] for k in range(d)]) for n in range(d) for m in range(d)]
+    if any(v[0] < 0 or _less(_ONE, v) for v in beta):
+        return None
+    tab = []
+    for n in range(d):
+        for m in range(d):
+            slack = [_mul(_mul(ia[n][k], ib[m][l]), inv_s[k * d + l])
+                     for k in range(d) for l in range(d)]
+            tab.append([_mul(a, b) for a in pa[n] for b in pb[m]] + slack + slack)
+    n_vars = side * side
+    basis = tuple(n * side + m for n in range(d) for m in range(d))
+    status = [_AT_LOWER] * n_vars + [_AT_UPPER] * (d * d) + [_AT_LOWER] * (d * d)
+    for j in basis:
+        status[j] = _BASIC
+    return _Start(n=n_vars, tab_n=tuple(tuple(v[0] for v in row) for row in tab),
+                  tab_o=tuple(tuple(v[1] for v in row) for row in tab),
+                  tab_e=tuple(tuple(v[2] for v in row) for row in tab),
+                  beta=tuple(beta), status=tuple(status), basis=basis,
+                  lo=(_ZERO,) * (n_vars + 2 * d * d),
+                  hi=((_ONE,) * n_vars + tuple(_sub(u, lo) for lo, u in zip(lower, upper))
+                      + (None,) * (d * d)))
 
 
 @lru_cache(maxsize=4)
 def _start(q, mu, nu, n_trunc: int):
-    """Feasible simplex start of the truncated LP of one configuration."""
+    """Feasible simplex start of the truncated LP of one configuration: the
+    product start where it is feasible, else phase 1's."""
+    factors = _factors(mu, nu, n_trunc)
+    scales, lower, upper = _windows(q, mu, nu, factors)
+    start = _product_start(mu, nu, n_trunc, factors, scales, lower, upper)
+    if start is not None:
+        return start
     n_vars = (n_trunc + 1) ** 2
     try:
-        return _feasible_start(*_constraints(q, mu, nu, n_trunc), [_ZERO] * n_vars,
-                               [_ONE] * n_vars)
+        return _feasible_start(_rows(mu, nu, factors, scales), lower, upper,
+                               [_ZERO] * n_vars, [_ONE] * n_vars)
     except LinearProgramInfeasible as exc:
         raise InconsistentGainsError(f"gains admit no yield profile: {exc}") from exc
 

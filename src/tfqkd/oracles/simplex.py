@@ -77,8 +77,9 @@ class LinearProgramInfeasible(Exception):
 
 
 class _Start(NamedTuple):
-    """Feasible basis after phase 1: n structurals, m slacks, m artificials;
-    every value a reduced ``(n, o, e)`` triple."""
+    """Feasible basis, after phase 1 or written down (``lp_bounds._product_start``):
+    n structurals, m slacks, m artificials; every value a reduced ``(n, o, e)``
+    triple."""
     n: int
     tab_n: tuple    # m rows of n + 2m odd numerators, 0 for a zero entry
     tab_o: tuple    # m rows of n + 2m odd parts of the denominators

@@ -147,6 +147,20 @@ class TestGainsFiles:
         assert out == ""
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_past_the_double_range_is_config_error(self, digits, tmp_path, capsys):
+        # 1 and 400 zeros overflows a double; 5000 digits pass Python's limit
+        # for int conversion, so the JSON decoder itself refuses them
+        path = tmp_path / "big.json"
+        path.write_text('{"schema_version": 1, "mu": [0.1, 0.01, 0.001], '
+                        '"nu": [0.1, 0.01, 0.001], '
+                        f'"Q": [[1{"0" * digits}, 0, 0], [0, 0, 0], [0, 0, 0]]}}')
+        code, out, err = run_cli(["rate", "--gains", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "ConfigError" and str(path) in record["message"]
+
     def test_missing_schema_version(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mu": [], "nu": [], "Q": []}))
@@ -188,6 +202,16 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+    def test_integer_past_the_double_range_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"loss_a_db": 1' + "0" * 400 + "}")
+        code, out, err = run_cli(["rate", "--config", str(cfg), "--alpha-a", "0.1",
+                                  "--strongest-mu", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "ConfigError" and "loss_a_db" in record["message"]
 
     def test_invalid_decoys(self, capsys):
         with pytest.raises(SystemExit):
@@ -628,6 +652,46 @@ def test_gains_documents_give_output_or_error_record(doc, argv, tmp_path, capsys
     else:
         assert code == 2 and out == ""
         assert set(json.loads(err, parse_constant=_no_constants)) == {"error", "message"}
+
+
+def _check_output_or_error_record(code, out, err, codes=(0,)):
+    """Output with one of ``codes``, or exit 2 with the JSON error record only."""
+    if code in codes:
+        assert out and not err
+    else:
+        assert code == 2 and out == ""
+        assert set(json.loads(err, parse_constant=_no_constants)) == {"error", "message"}
+
+
+@settings(derandomize=True, max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(configs=st.integers(1, 2), seed=st.integers(-3, 2 ** 64))
+def test_verify_argv_gives_output_or_error_record(configs, seed, capsys):
+    code, out, err = run_cli(["verify", "--configs", str(configs), "--seed", str(seed)], capsys)
+    _check_output_or_error_record(code, out, err, codes=(0, 1))
+    if code != 2:
+        assert out.endswith(" failures\n")
+
+
+_ARGV_FLOATS = st.one_of(st.floats(2e-3, 0.5), st.floats(-1.0, 60.0), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e308, 39.0]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.fixed_dictionaries(
+    {"--alpha-a": _ARGV_FLOATS, "--strongest-mu": _ARGV_FLOATS},
+    optional={"--loss-a-db": _ARGV_FLOATS, "--loss-b-db": _ARGV_FLOATS,
+              "--alpha-b": _ARGV_FLOATS, "--strongest-nu": _ARGV_FLOATS, "--f": _ARGV_FLOATS,
+              "--decoys": st.sampled_from([3, 4]), "--seed": st.integers(-3, 2 ** 64)}),
+    switches=st.sets(st.sampled_from(["--symmetric-intensities", "--dump-bounds"])))
+def test_rate_argv_gives_output_or_error_record(values, switches, capsys):
+    # a fixed point: --alpha-a and --strongest-mu keep the search out of tier-1
+    argv = ["rate", *sorted(switches), *(f"{flag}={value!r}" for flag, value in values.items())]
+    code, out, err = run_cli(argv, capsys)
+    _check_output_or_error_record(code, out, err)
+    if code == 0:
+        json.loads(out, parse_constant=_no_constants)
 
 
 def _readme_cli_section():

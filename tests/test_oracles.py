@@ -514,6 +514,18 @@ def _fraction_view(start):
                   hi=tuple(None if v is None else _fraction(v) for v in start.hi))
 
 
+def _rows_by_basis(start):
+    """``start`` with its tableau rows and basic values sorted by basic variable."""
+    order = sorted(range(len(start.basis)), key=start.basis.__getitem__)
+
+    def pick(rows):
+        return tuple(rows[i] for i in order)
+
+    return start._replace(tab_n=pick(start.tab_n), tab_o=pick(start.tab_o),
+                          tab_e=pick(start.tab_e), beta=pick(start.beta),
+                          basis=pick(start.basis))
+
+
 class TestGoldenLpPath:
     """The exact simplex pinned bit for bit, path included.
 
@@ -522,10 +534,14 @@ class TestGoldenLpPath:
     of ``TestLpMemo`` as ``float.hex()``; the optimum and ``x`` of each
     feasible LP of ``_random_lps`` (null for an infeasible one), checked by
     ``TestSimplex.test_against_reference_solver``; and for one 3-decoy and
-    one 4-decoy configuration a sha256 of ``repr`` of the cached phase-1
-    start (in ``Fraction``s, hence ``_fraction_view``) and one of the nine
-    phase-2 optima and ``x``.  A different pivot sequence changes the start
-    or, at a degenerate optimum, ``x``.
+    one 4-decoy configuration a sha256 of ``repr`` of the cached start with
+    its rows sorted by basic variable (in ``Fraction``s, hence
+    ``_fraction_view``) and one of the nine phase-2 optima and ``x``.  The
+    start's row order is not pinned: phase 1 leaves its rows in the order of
+    its pivots, the product start in the order of its basis, and phase 2
+    reads a row only through its basic variable.  A different basis changes
+    the start digest; a different phase-2 pivot sequence, at a degenerate
+    optimum, ``x``.
     """
 
     @pytest.mark.parametrize("record", GOLDEN_LP["lp_optima"],
@@ -543,8 +559,8 @@ class TestGoldenLpPath:
         n_trunc = lp_bounds.DEFAULT_TRUNCATION
         side = n_trunc + 1
         start = lp_bounds._start(gains.q, mu, nu, n_trunc)
-        assert hashlib.sha256(repr(_fraction_view(start)).encode()).hexdigest() == \
-            record["start_sha256"]
+        assert hashlib.sha256(repr(_fraction_view(_rows_by_basis(start))).encode()
+                              ).hexdigest() == record["start_sha256"]
         digest = hashlib.sha256()
         for u, v in TARGETS_3:
             c = [Fraction(0)] * (side * side)
@@ -571,7 +587,8 @@ class TestGoldenLpPath:
 class TestCanonicalNumbers:
     """The ratio test breaks ties with tuple ``==``, which is equality of
     values only between canonical triples: every number of a cached start,
-    and every basic value after each phase, is one."""
+    and every basic value after each phase, is one.  Phase 1 runs only where
+    the product start is infeasible, here for the constructed profile."""
 
     @pytest.mark.parametrize("case", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2),
                                       "constructed"],
@@ -600,4 +617,141 @@ class TestCanonicalNumbers:
             c = [0] * (side * side)
             c[u * side + v] = 1
             _maximize(start, c)
-        assert phases == [True] * (1 + len(targets))
+        assert phases == [True] * ((case == "constructed") + len(targets))
+
+
+def _verify_like(seed, index):
+    """Gains and intensities of config ``index`` of ``tfqkd verify --seed``."""
+    rng = np.random.default_rng(seed)
+    for i in range(index + 1):
+        params = standard_noise(float(rng.uniform(10, 45)), float(rng.uniform(10, 45)))
+        weak = sorted(rng.uniform(8e-4, 3e-2, size=2), reverse=True)
+        strong = float(rng.uniform(0.08, 0.15))
+        if i % 2 == 0:
+            mu = (strong, weak[0], weak[1])
+            nu = (strong * float(rng.uniform(0.8, 1.2)), weak[0] * 1.1, weak[1] * 0.9)
+        else:
+            mu = (weak[0], weak[1], weak[1] * 0.1, strong)
+            nu = (weak[0] * 1.2, weak[1] * 0.95, weak[1] * 0.11, strong * 1.1)
+    settings = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
+    return simulate_gains(params, settings), mu, nu
+
+
+def _phase_one(q, mu, nu, n_trunc):
+    """The start phase 1 gives on the rows of ``lp_bounds._constraints``."""
+    n_vars = (n_trunc + 1) ** 2
+    return _feasible_start(*lp_bounds._constraints(q, mu, nu, n_trunc),
+                           [(0, 1, 0)] * n_vars, [(1, 1, 0)] * n_vars)
+
+
+@pytest.fixture
+def phase_one_calls(monkeypatch):
+    """The number of phase-1 runs of ``lp_bounds._start`` so far, in a list."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _feasible_start(*args)
+
+    monkeypatch.setattr(lp_bounds, "_feasible_start", counted)
+    lp_bounds._start.cache_clear()
+    return calls
+
+
+class TestProductStart:
+    """``lp_bounds._start`` writes the product basis down where it is feasible
+    and runs phase 1 only where it is not; every optimum stays the one phase
+    1's start gives."""
+
+    # (configuration, how phase 1's start compares with the product start)
+    CASES = [(("certify", 3, 3), "equal"), (("certify", 3, 4), "equal"),
+             (("certify", 4, 3), "equal"), (("certify", 4, 4), "equal"),
+             (("verify", 1, 0), "equal"), (("verify", 1, 1), "equal"),
+             (("verify", 1, 7), "other_basis"), (("verify", 2, 1), "other_vertex"),
+             (("zero_intensity", 14, 22), "equal")]
+
+    @staticmethod
+    def _config(case):
+        """``("certify", decoys, seed)``, ``("verify", seed, index)`` or
+        ``("zero_intensity", loss_a, loss_b)``: a 3-decoy channel whose
+        weakest decoys are 0."""
+        kind, a, b = case
+        if kind == "certify":
+            return _certify_like(np.random.default_rng([a, b]), a)
+        if kind == "verify":
+            return _verify_like(a, b)
+        settings = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=(0.11, 0.009, 0.0),
+                                     nu=(0.1, 0.01, 0.0))
+        return simulate_gains(standard_noise(a, b), settings), settings.mu, settings.nu
+
+    @pytest.mark.parametrize("case,relation", CASES, ids=lambda c: "-".join(map(str, c))
+                             if isinstance(c, tuple) else c)
+    def test_optima_equal_phase_one(self, case, relation, phase_one_calls):
+        gains, mu, nu = self._config(case)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        side = n_trunc + 1
+        reference = _phase_one(gains.q, mu, nu, n_trunc)
+        for u, v in TARGETS_3:
+            c = [0] * (side * side)
+            c[u * side + v] = 1
+            want, _ = _maximize(reference, c)
+            assert lp_yield_bound(gains, mu, nu, (u, v)) == min(max(want, 0.0), 1.0)
+        assert phase_one_calls == [0]
+        start = lp_bounds._start(gains.q, mu, nu, n_trunc)
+        if _rows_by_basis(reference) == start:
+            got = "equal"
+        else:
+            # a different feasible basis, or phase 1 left some structurals at
+            # their upper bound on the same basis
+            got = "other_vertex" if sorted(reference.basis) == list(start.basis) else \
+                "other_basis"
+        assert got == relation
+
+    @pytest.mark.parametrize("case", [("certify", 3, 0), ("certify", 4, 0),
+                                      ("zero_intensity", 15, 25)],
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_basis_times_tableau(self, case):
+        # B T = [A | I | I] and B x_B = lo, exactly, for the basis columns B of A
+        gains, mu, nu = self._config(case)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        rows, lower, _ = lp_bounds._constraints(gains.q, mu, nu, n_trunc)
+        start = lp_bounds._start(gains.q, mu, nu, n_trunc)
+        assert start.basis == tuple(n * (n_trunc + 1) + m for n in range(len(mu))
+                                    for m in range(len(mu)))
+        a = [[_fraction(v) for v in row] for row in rows]
+        tab = [[_fraction(v) for v in zip(*row)]
+               for row in zip(start.tab_n, start.tab_o, start.tab_e)]
+        m = len(a)
+        for i, row in enumerate(a):
+            basic = [row[j] for j in start.basis]
+            unit = [Fraction(int(k == i)) for k in range(m)]
+            assert [sum(b * t[j] for b, t in zip(basic, tab)) for j in range(len(tab[0]))] \
+                == row + unit + unit
+            assert sum(b * _fraction(x) for b, x in zip(basic, start.beta)) == \
+                _fraction(lower[i])
+
+    @pytest.mark.parametrize("case", ["duplicate_intensities", "d4_n_trunc_2",
+                                      "constructed"])
+    def test_falls_back_to_phase_one(self, case, phase_one_calls):
+        if case == "duplicate_intensities":
+            # a constant yield profile fits any intensities: Q_kl = 0.3
+            mu, nu, n_trunc = (0.1, 0.01, 0.01), (0.2, 0.02, 2e-3), 6
+            gains = GainMatrix(q=((0.3,) * 3,) * 3)
+        elif case == "d4_n_trunc_2":
+            gains, mu, nu = _certify_like(np.random.default_rng([4, 0]), 4)
+            n_trunc = 2
+        else:
+            (gains, mu, nu), n_trunc = _constructed_profile(), 10
+        start = lp_bounds._start(gains.q, mu, nu, n_trunc)
+        assert phase_one_calls == [1]
+        assert start == _phase_one(gains.q, mu, nu, n_trunc)
+        if case == "duplicate_intensities":
+            assert 0.3 - 1e-9 <= lp_yield_bound(gains, mu, nu, (0, 0), n_trunc) <= 1.0
+
+    def test_inconsistent_gains_still_raise(self, phase_one_calls):
+        mu = (0.1, 1e-2, 1e-3)
+        q = [[0.9] * 3 for _ in range(3)]
+        q[0][0] = 0.0
+        with pytest.raises(InconsistentGainsError):
+            lp_yield_bound(GainMatrix(q=tuple(map(tuple, q))), mu, mu, (1, 1), 8)
+        assert phase_one_calls == [1]
