@@ -30,10 +30,13 @@ structurals (n, m) with n, m < d for d intensities per party, every other
 structural at 0 and every slack at its upper bound, written down exactly
 from the Kronecker structure of the rows (``_product_start``).  It is used
 when every basic value lies in [0, 1].  Phase 1 runs on the built rows
-instead when a party repeats an intensity, when ``n_trunc + 1 < d``, or when
+instead when a party repeats an intensity, when ``n_trunc + 1 < d``, when
 some basic value lies outside [0, 1], as for inconsistent gains, which phase
-1 then reports.  Phase 1 can end on another feasible basis than the product
-start, or on the same basis with some structurals at their upper bound.
+1 then reports, or when every lower window is 0, as for zero gains: the
+product start is then a fully degenerate vertex, from which phase 2 pivots
+dozens of times where phase 1's start needs one pivot.  Phase 1 can end on
+another feasible basis than the product start, or on the same basis with
+some structurals at their upper bound.
 The optimal value of the LP is unique, so every start gives the same
 ``lp_yield_bound``; only ``x`` at a degenerate optimum can differ.  The row
 order of a start is not part of it: phase 1 leaves its rows in the order of
@@ -59,11 +62,11 @@ from .simplex import solve_bounded_lp  # noqa: F401  (benchmark/spans.py wraps t
 
 DEFAULT_TRUNCATION = 10
 # Largest truncation order accepted, checked before anything is allocated:
-# the LP has (n + 1)^2 variables, 1,681 at 40, where the start and one phase
-# 2 take about 0.06 s for a 3-decoy and 0.3 s for a 4-decoy configuration,
-# and 2 min for the tests' pivot-heavy constructed profile, which needs
-# phase 1 (2-core x86 container, Python 3.11); the bounds have long stopped
-# moving there (they settle by 15).
+# the LP has (n + 1)^2 variables, 1,681 at 40, where the start and the first
+# phase 2 take 0.06-0.09 s for a 3-decoy and 0.3-0.4 s for a 4-decoy
+# configuration, and about 100 s for the tests' pivot-heavy constructed
+# profile, which needs phase 1 (2-core x86 container, Python 3.11); the
+# bounds have long stopped moving there (they settle by 15).
 _MAX_TRUNCATION = 40
 
 # Relative allowance for the rounding of the double gains and of the per-row
@@ -208,12 +211,16 @@ def _product_start(mu, nu, n_trunc: int, factors, scales, lower, upper):
 @lru_cache(maxsize=4)
 def _start(q, mu, nu, n_trunc: int):
     """Feasible simplex start of the truncated LP of one configuration: the
-    product start where it is feasible, else phase 1's."""
+    product start where it is feasible and some lower window is above 0,
+    else phase 1's."""
     factors = _factors(mu, nu, n_trunc)
     scales, lower, upper = _windows(q, mu, nu, factors)
-    start = _product_start(mu, nu, n_trunc, factors, scales, lower, upper)
-    if start is not None:
-        return start
+    # with every lower window 0 the product start is a fully degenerate
+    # vertex (every basic value 0), slow to leave; phase 1 is cheap there
+    if any(low[0] for low in lower):
+        start = _product_start(mu, nu, n_trunc, factors, scales, lower, upper)
+        if start is not None:
+            return start
     n_vars = (n_trunc + 1) ** 2
     try:
         return _feasible_start(_rows(mu, nu, factors, scales), lower, upper,

@@ -42,9 +42,18 @@ variable reaches one of its own.  A flip changes neither the basis nor
 ``d``; the columns before the entering one stay non-improving, and the
 entering one is not improving at its other bound, so Bland's scan resumes
 after it instead of at column 0.  The ratio test divides only for the rows
-that can undercut the flip cap, found by the cross-multiplied test
-``room < cap * rate``; pivots skip the zero entries of the pivot row.  All
-of this is exact: ``d_j`` equals the reduced cost a fresh pricing gives and
+that can undercut the flip cap, those with ``room < cap * rate``.  That test
+runs first on a float shadow of the row's basic value, with a rigorous
+error bound (``_SHADOW_ERROR``); only where the float verdict is not
+certain (a near tie, a zero room, a float that underflows or overflows)
+does it sync the row and cross-multiply exactly (``_reaches``).  A flip's
+moves do not touch the long exact basic values either: each row keeps
+their exact sum, one unreduced integer over the lcm of the moves' odd
+parts and their largest power of two, folded into its basic value only at
+the next pivot that moves it, at an exact test on the row, or at the end
+of the phase, where every basic value is a reduced triple again.  Pivots
+skip the zero entries of the pivot row.  Every decision is the one exact
+arithmetic makes: ``d_j`` equals the reduced cost a fresh pricing gives and
 every test decides as a fresh computation would, so the pivot sequence is
 Bland's, unchanged, and so are the starts, the optima and ``x``.
 
@@ -60,7 +69,7 @@ constraints to triples and runs the two in sequence.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 from typing import NamedTuple
 
 from ..dyadic import _ONE, _ZERO, _add, _div, _float, _less, _mul, _number, _sub, _twos
@@ -70,6 +79,17 @@ _AT_UPPER = 1
 _BASIC = 2
 
 _MAX_ITER = 50000
+
+# The shadow test of a flip decides ``room >= cap * rate`` only when the float
+# difference exceeds ``_SHADOW_ERROR * scale``, ``scale`` the sum of the
+# magnitudes it reads.  Each float it reads is correctly rounded, and its
+# four operations round again: at most 4 units of roundoff (2**-51) relative
+# to ``scale``, plus at most 2**-1073 from underflow, which ``scale >=
+# _SMALL`` keeps under the other half of the allowance.  The cap and the
+# rate must be normal floats, so that their product has a relative error.
+_SHADOW_ERROR = 2.0 ** -50
+_SMALL = 2.0 ** -1000
+_NORMAL = 2.0 ** -1022
 
 
 class LinearProgramInfeasible(Exception):
@@ -187,11 +207,59 @@ def _pivot(tab_n, tab_o, tab_e, row: int, col: int) -> list:
     return prow
 
 
-def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed) -> None:
+def _shadow(v) -> float:
+    """``_float(v)``, or inf for a value past the double range, which no
+    shadow test then decides."""
+    try:
+        return _float(v)
+    except OverflowError:
+        return inf
+
+
+def _pend(p, move) -> tuple:
+    """The pending sum ``p`` (None for none) plus a reduced ``move``, kept
+    over the lcm of the moves' odd parts and their largest power of two,
+    unreduced: no gcd runs on the long numerators."""
+    if p is None:
+        return move
+    pn, po, pe = p
+    mn, mo, me = move
+    if mo != po:
+        if po % mo:
+            f = mo // gcd(po, mo)
+            pn *= f
+            po *= f
+        mn *= po // mo
+    if me > pe:
+        pn <<= me - pe
+        pe = me
+    elif me < pe:
+        mn <<= pe - me
+    return pn + mn, po, pe
+
+
+def _synced(value, p) -> tuple:
+    """``value`` plus the pending sum ``p``, an unreduced ``(n, o, e)`` with
+    odd ``o`` (None for none), as a reduced triple."""
+    if p is None:
+        return value
+    n, o, e = p
+    if not n:
+        return value
+    g = gcd(n, o)
+    if g > 1:
+        n //= g
+        o //= g
+    z = _twos(n)
+    return _add(value, (n >> z, o, e - z))
+
+
+def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed):
     """Bland's-rule simplex on ``cobj`` over the first ``n_allowed`` columns.
 
     The rows hold exactly ``n_allowed`` columns.  Updates ``tab_n``,
-    ``tab_o``, ``tab_e``, ``beta``, ``status`` and ``basis`` in place.
+    ``tab_o``, ``tab_e``, ``beta``, ``status`` and ``basis`` in place and
+    returns the numbers of pivots and of bound flips.
     """
     m = len(tab_n)
     # reduced costs c_j - sum_i c_B(i) tab[i][j], priced once, then kept
@@ -202,7 +270,13 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         cn, co, ce = cobj[basis[i]]
         if cn:
             _eliminate(dn, do, de, cn, co, ce, _entries(tab_n[i], tab_o[i], tab_e[i]))
+    # the value of basic variable i is beta[i] plus pending[i], the exact sum
+    # of the flip moves since its last sync (None for none); shadow[i] is
+    # the float of beta[i], None until a flip test reads it
+    pending = [None] * m
+    shadow = [None] * m
     first = 0
+    pivots = flips = 0
     for _ in range(_MAX_ITER):
         entering = -1
         for j in range(first, n_allowed):
@@ -212,12 +286,16 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                 up = s == _AT_LOWER
                 break
         if entering < 0:
-            return
+            for i, p in enumerate(pending):
+                beta[i] = _synced(beta[i], p)
+            return pivots, flips
         # ratio test: smallest step that drives a basic variable to a
-        # bound, capped by the entering variable's own bound flip; a row
-        # cannot undercut the cap unless room < cap * rate, so only the rows
-        # that pass that product test are divided
+        # bound, capped by the entering variable's own bound flip.  While no
+        # row undercuts the cap, a row is skipped if room >= cap * rate:
+        # decided on the shadow where its error bound allows, else (and
+        # for every other row) on the exact value, synced first
         step = None if hi[entering] is None else _sub(hi[entering], lo[entering])
+        step_f = 0.0 if step is None else _shadow(step)
         leaving = -1
         hit_lower = True
         for i in range(m):
@@ -226,13 +304,30 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                 continue
             b = basis[i]
             hits_low = (an > 0) == up    # the basic variable falls toward its lower bound
-            if hits_low:
-                room = _sub(beta[i], lo[b])
-            elif hi[b] is None:
+            bound = lo[b] if hits_low else hi[b]
+            if bound is None:
                 continue
-            else:
-                room = _sub(hi[b], beta[i])
             rate = (abs(an), tab_o[i][entering], tab_e[i][entering])
+            p = pending[i]
+            # the shadow test, skipped on a zero room, which the exact test
+            # decides at once
+            if leaving < 0 and step_f >= _NORMAL and (p is not None or beta[i] != bound):
+                value = shadow[i]
+                if value is None:
+                    value = shadow[i] = _shadow(beta[i])
+                moved = 0.0 if p is None else _shadow(p)
+                bound_f = _shadow(bound)
+                room = value + moved - bound_f if hits_low else bound_f - (value + moved)
+                rate_f = _shadow(rate)
+                need = step_f * rate_f
+                scale = abs(value) + abs(moved) + abs(bound_f) + need
+                if room - need > scale * _SHADOW_ERROR and scale >= _SMALL \
+                        and rate_f >= _NORMAL:
+                    continue
+            if p is not None:
+                beta[i] = _synced(beta[i], p)
+                pending[i] = shadow[i] = None
+            room = _sub(beta[i], bound) if hits_low else _sub(bound, beta[i])
             if leaving < 0 and step is not None and _reaches(room, step, rate):
                 continue
             limit = _div(room, rate) if room[0] > 0 else _ZERO
@@ -247,16 +342,23 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
             unit = step == _ONE
             for i in range(m):
                 an = tab_n[i][entering]
-                if an:
-                    a = (an, tab_o[i][entering], tab_e[i][entering])
-                    move = a if unit else _mul(step, a)
-                    beta[i] = _sub(beta[i], move) if up else _add(beta[i], move)
+                if not an or i == leaving:
+                    continue
+                a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
+                move = a if unit else _mul(step, a)
+                if leaving < 0:
+                    pending[i] = _pend(pending[i], move)
+                else:
+                    # a pivot's step is a long quotient: into the basic value
+                    beta[i] = _add(_synced(beta[i], pending[i]), move)
+                    pending[i] = shadow[i] = None
         if leaving < 0:
             # the basis and every reduced cost are unchanged, the columns
             # before ``entering`` stay non-improving and ``entering`` is not
             # improving at its other bound: Bland's scan resumes after it
             status[entering] = _AT_UPPER if up else _AT_LOWER
             first = entering + 1
+            flips += 1
             continue
         new_value = _add(lo[entering], step) if up else _sub(hi[entering], step)
         out = basis[leaving]
@@ -265,8 +367,10 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         basis[leaving] = entering
         status[entering] = _BASIC
         beta[leaving] = new_value
+        pending[leaving] = shadow[leaving] = None
         _eliminate(dn, do, de, dn[entering], do[entering], de[entering], prow)
         first = 0
+        pivots += 1
     raise ArithmeticError("simplex iteration limit exceeded")
 
 

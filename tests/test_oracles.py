@@ -731,12 +731,17 @@ class TestProductStart:
                 _fraction(lower[i])
 
     @pytest.mark.parametrize("case", ["duplicate_intensities", "d4_n_trunc_2",
-                                      "constructed"])
+                                      "constructed", "zero_gains"])
     def test_falls_back_to_phase_one(self, case, phase_one_calls):
         if case == "duplicate_intensities":
             # a constant yield profile fits any intensities: Q_kl = 0.3
             mu, nu, n_trunc = (0.1, 0.01, 0.01), (0.2, 0.02, 2e-3), 6
             gains = GainMatrix(q=((0.3,) * 3,) * 3)
+        elif case == "zero_gains":
+            # every lower window 0: the product start is feasible but fully
+            # degenerate, and phase 1's start needs far fewer pivots
+            mu = nu = (0.1, 1e-2, 1e-3)
+            gains, n_trunc = GainMatrix(q=((0.0,) * 3,) * 3), 8
         elif case == "d4_n_trunc_2":
             gains, mu, nu = _certify_like(np.random.default_rng([4, 0]), 4)
             n_trunc = 2

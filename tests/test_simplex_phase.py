@@ -1,0 +1,296 @@
+"""The exact simplex's phase routine against a frozen copy of its plain form.
+
+``_frozen_run_phase`` is ``simplex._run_phase`` as it was before bound flips
+were decided on a float shadow and their moves deferred: every flip tests
+every row and updates every basic value exactly.  Each test runs one solve
+with the library's routine and once with the frozen copy in its place and
+requires, after every phase, the same basis, statuses, canonical basic
+values and pivot and flip counts, and the same result (or the same
+exception).  The frozen copy also logs its flip tests, so each hand-built
+LP below can show that it reaches the comparison it was built for.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from test_oracles import (_canonical, _certify_like, _constructed_profile, _fraction,
+                          _phase_one, _random_lps, _verify_like)
+from tfqkd.channel import GainMatrix
+from tfqkd.decoy3 import TARGETS_3
+from tfqkd.dyadic import _ONE, _ZERO, _add, _div, _less, _mul, _sub
+from tfqkd.oracles import lp_bounds, simplex
+from tfqkd.oracles.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _MAX_ITER, _eliminate,
+                                   _entries, _maximize, _pivot, solve_bounded_lp)
+
+
+def _frozen_reaches(room, step, rate) -> bool:
+    lhs = room[0] * step[1] * rate[1]
+    rhs = step[0] * rate[0] * room[1]
+    k = step[2] + rate[2] - room[2]
+    return lhs << k >= rhs if k >= 0 else lhs >= rhs << -k
+
+
+def _frozen_run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed,
+                      log=None):
+    """The plain phase routine; returns (pivots, flips) and appends each flip
+    test's ``(room, step, rate, verdict)`` to ``log``."""
+    m = len(tab_n)
+    dn = [c[0] for c in cobj[:n_allowed]]
+    do = [c[1] for c in cobj[:n_allowed]]
+    de = [c[2] for c in cobj[:n_allowed]]
+    for i in range(m):
+        cn, co, ce = cobj[basis[i]]
+        if cn:
+            _eliminate(dn, do, de, cn, co, ce, _entries(tab_n[i], tab_o[i], tab_e[i]))
+    first = 0
+    pivots = flips = 0
+    for _ in range(_MAX_ITER):
+        entering = -1
+        for j in range(first, n_allowed):
+            s = status[j]
+            if (s == _AT_LOWER and dn[j] > 0) or (s == _AT_UPPER and dn[j] < 0):
+                entering = j
+                up = s == _AT_LOWER
+                break
+        if entering < 0:
+            return pivots, flips
+        step = None if hi[entering] is None else _sub(hi[entering], lo[entering])
+        leaving = -1
+        hit_lower = True
+        for i in range(m):
+            an = tab_n[i][entering]
+            if not an:
+                continue
+            b = basis[i]
+            hits_low = (an > 0) == up
+            if hits_low:
+                room = _sub(beta[i], lo[b])
+            elif hi[b] is None:
+                continue
+            else:
+                room = _sub(hi[b], beta[i])
+            rate = (abs(an), tab_o[i][entering], tab_e[i][entering])
+            if leaving < 0 and step is not None:
+                reaches = _frozen_reaches(room, step, rate)
+                if log is not None:
+                    log.append((room, step, rate, reaches))
+                if reaches:
+                    continue
+            limit = _div(room, rate) if room[0] > 0 else _ZERO
+            if step is None or _less(limit, step) or (limit == step and leaving >= 0
+                                                      and b < basis[leaving]):
+                step = limit
+                leaving = i
+                hit_lower = hits_low
+        if step is None:
+            raise ArithmeticError("unbounded linear program")
+        if step[0]:
+            unit = step == _ONE
+            for i in range(m):
+                an = tab_n[i][entering]
+                if an:
+                    a = (an, tab_o[i][entering], tab_e[i][entering])
+                    move = a if unit else _mul(step, a)
+                    beta[i] = _sub(beta[i], move) if up else _add(beta[i], move)
+        if leaving < 0:
+            status[entering] = _AT_UPPER if up else _AT_LOWER
+            first = entering + 1
+            flips += 1
+            continue
+        new_value = _add(lo[entering], step) if up else _sub(hi[entering], step)
+        out = basis[leaving]
+        status[out] = _AT_LOWER if hit_lower else _AT_UPPER
+        prow = _pivot(tab_n, tab_o, tab_e, leaving, entering)
+        basis[leaving] = entering
+        status[entering] = _BASIC
+        beta[leaving] = new_value
+        _eliminate(dn, do, de, dn[entering], do[entering], de[entering], prow)
+        first = 0
+        pivots += 1
+    raise ArithmeticError("simplex iteration limit exceeded")
+
+
+_LIBRARY_RUN_PHASE = simplex._run_phase
+
+
+def _recorded(monkeypatch, run, solve, log=None):
+    """``solve()`` with ``run`` as the phase routine: its result (or exception
+    type and message) and, per phase, basis, statuses, basic values and the
+    (pivots, flips) the routine returns."""
+    phases = []
+
+    def recording(tab_n, tab_o, tab_e, beta, status, basis, *rest):
+        counts = run(tab_n, tab_o, tab_e, beta, status, basis, *rest,
+                     **({} if log is None else {"log": log}))
+        assert all(map(_canonical, beta))
+        phases.append((tuple(basis), tuple(status), tuple(beta), counts))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_run_phase", recording)
+        try:
+            result = solve()
+        except (ArithmeticError, ValueError, simplex.LinearProgramInfeasible) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, phases
+
+
+def _same_as_frozen(monkeypatch, solve):
+    """Require the library's phases and result to be the frozen copy's; return
+    the frozen copy's flip-test log."""
+    log = []
+    want = _recorded(monkeypatch, _frozen_run_phase, solve, log)
+    got = _recorded(monkeypatch, _LIBRARY_RUN_PHASE, solve)
+    assert got == want
+    return log
+
+
+def _targets_solve(start_of, side, targets):
+    """A solve that builds a start, then runs phase 2 for each target."""
+    def solve():
+        start = start_of()
+        results = []
+        for u, v in targets:
+            c = [0] * (side * side)
+            c[u * side + v] = 1
+            results.append(_maximize(start, c))
+        return results
+    return solve
+
+
+class TestMatchesFrozenPhase:
+    """Same phases, counts and results as the frozen copy on the LPs the
+    package solves."""
+
+    @pytest.mark.parametrize("decoys,seed", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)])
+    def test_certify_like(self, decoys, seed, monkeypatch):
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        log = _same_as_frozen(monkeypatch, _targets_solve(
+            lambda: lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc), n_trunc + 1,
+            TARGETS_3))
+        assert any(reaches for *_, reaches in log)
+
+    @pytest.mark.parametrize("seed,index", [(1, 0), (1, 1), (1, 7), (2, 1)])
+    def test_verify_draws_both_starts(self, seed, index, monkeypatch):
+        # the product start, and phase 1's start on the same rows
+        gains, mu, nu = _verify_like(seed, index)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        for start_of in (lambda: lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc),
+                         lambda: _phase_one(gains.q, mu, nu, n_trunc)):
+            _same_as_frozen(monkeypatch, _targets_solve(start_of, n_trunc + 1, TARGETS_3))
+
+    def test_constructed_profile_both_phases(self, monkeypatch):
+        # 51 phase-1 and 167 phase-2 pivots
+        gains, mu, nu = _constructed_profile()
+        _same_as_frozen(monkeypatch, _targets_solve(
+            lambda: lp_bounds._start.__wrapped__(gains.q, mu, nu, 10), 11, [(1, 2)]))
+
+    def test_random_lps(self, monkeypatch):
+        for c, a, lower, upper in _random_lps():
+            n = len(c)
+            _same_as_frozen(monkeypatch, lambda: solve_bounded_lp(c, a, lower, upper,
+                                                                 np.zeros(n), np.ones(n)))
+
+    def test_zero_gains_both_starts(self, monkeypatch):
+        # phase 1's start, and the fully degenerate product start
+        gains, mu, nu = GainMatrix(q=((0.0,) * 3,) * 3), (0.1, 1e-2, 1e-3), (0.1, 1e-2, 1e-3)
+        n_trunc = 8
+
+        def product_start():
+            factors = lp_bounds._factors(mu, nu, n_trunc)
+            scales, lower, upper = lp_bounds._windows(gains.q, mu, nu, factors)
+            return lp_bounds._product_start(mu, nu, n_trunc, factors, scales, lower, upper)
+
+        for start_of in (lambda: lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc),
+                         product_start):
+            _same_as_frozen(monkeypatch, _targets_solve(start_of, n_trunc + 1,
+                                                        [(0, 0), (1, 1), (0, 2)]))
+
+
+def _gaps(log):
+    """``room - step * rate`` of each logged flip test, exactly."""
+    return [_fraction(room) - _fraction(step) * _fraction(rate) for room, step, rate, _ in log]
+
+
+_THIRD = Fraction(1, 3)
+_TINY = Fraction(1, 10 ** 30)
+_HUGE = 3 ** 700    # about 1e334, past the double range
+
+
+class TestShadowEdges:
+    """Hand-built LPs whose flip tests sit where a float test without its
+    error bound, or with a weakened comparison, would decide wrongly; each
+    runs through ``solve_bounded_lp`` as the frozen copy runs it.
+
+    The LP max c.x over one row lower <= x0 + r x1 (+ r2 x2) <= upper makes
+    x0 basic after phase 1, at the row's lower end; in phase 2 x1 enters
+    with the flip cap 1 and the test is x0's room >= 1 * r."""
+
+    @staticmethod
+    def _solve(monkeypatch, c, a, lower, upper, x_lower, x_upper):
+        return _same_as_frozen(monkeypatch, lambda: solve_bounded_lp(c, [a], [lower], [upper],
+                                                                    x_lower, x_upper))
+
+    def test_room_equal_to_step_times_rate(self, monkeypatch):
+        log = self._solve(monkeypatch, [0, 1], [1, _THIRD], _THIRD, 2, [0, 0], [5, 1])
+        assert 0 in _gaps(log)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_room_within_1e_30_of_step_times_rate(self, side, monkeypatch):
+        lower = _THIRD * (1 + side * _TINY)
+        log = self._solve(monkeypatch, [0, 1], [1, _THIRD], lower, 2, [0, 0], [5, 1])
+        assert any(gap and abs(gap) <= _THIRD * _TINY and (gap > 0) == (side > 0)
+                   for gap in _gaps(log))
+
+    def test_pending_sum_rounds_across_the_test(self, monkeypatch):
+        # x1 flips, leaving x0 = 1 - r1 pending; then x2's test reads
+        # 1 - r1 < r2 by 2**-121, but fl(1 - fl(r1)) = 1.0 > fl(r2) = 1 - 2**-53
+        r1 = Fraction(1, 2 ** 54) + Fraction(1, 2 ** 120)
+        r2 = 1 - Fraction(1, 2 ** 54) - Fraction(1, 2 ** 121)
+        log = self._solve(monkeypatch, [0, 1, 1], [1, r1, r2], 1, 2, [0, 0, 0], [5, 1, 1])
+        assert -Fraction(1, 2 ** 121) in _gaps(log)
+        assert 1.0 - float(r1) == 1.0 and float(r2) == 1 - 2 ** -53
+
+    @pytest.mark.parametrize("rate,cap,lower", [
+        # the rate's float is subnormal, 2**-1074 for 1.4 * 2**-1074: the
+        # float product is 2**-974, under the room 1.2 * 2**-974
+        (Fraction(7, 5) / 2 ** 1074, 2 ** 100, Fraction(6, 5) / 2 ** 974),
+        # the rate's float is 0; the cap * rate is 1.5 * 2**-900 > room
+        (Fraction(3, 2) / 2 ** 1100, 2 ** 200, Fraction(1, 2 ** 900)),
+    ], ids=["subnormal", "zero"])
+    def test_rate_float_subnormal_or_zero(self, rate, cap, lower, monkeypatch):
+        log = self._solve(monkeypatch, [0, 1], [1, rate], lower, 1, [0, 0], [5, cap])
+        assert float(rate) < 2.0 ** -1022 and any(gap < 0 for gap in _gaps(log))
+
+    def test_room_and_product_in_the_subnormal_range(self, monkeypatch):
+        # s = 2**-1074.  After x1 flips, x0's room is 2**-1062 + 2**-1099,
+        # whose shadow is fl(L) + fl(-r1) = 2**-1062 + s; x2's cap * rate is
+        # 2**-1062 + s / 4, rounded to 2**-1062: the shadow's difference s
+        # is above any relative allowance, which underflows to 0
+        s = Fraction(1, 2 ** 1074)
+        lower = Fraction(1, 2 ** 1062) + s / 2 + Fraction(1, 2 ** 1100)
+        r1 = s / 2 - Fraction(1, 2 ** 1100)
+        r2 = Fraction(1, 2 ** 1022) + Fraction(1, 2 ** 1036)
+        log = self._solve(monkeypatch, [0, 1, 1], [1, r1, r2], lower, 1, [0, 0, 0],
+                          [1, 1, Fraction(1, 2 ** 40)])
+        assert -(s / 4 - Fraction(1, 2 ** 1099)) in _gaps(log)
+        assert float(lower) - float(r1) == 2.0 ** -1062 + 2.0 ** -1074
+        assert float(r2) * 2.0 ** -40 == 2.0 ** -1062
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_value_past_the_double_range(self, extra, monkeypatch):
+        # x0 = 3**700 + extra after phase 1: its float overflows
+        log = self._solve(monkeypatch, [0, 1], [1, _HUGE], _HUGE + extra, 2 * _HUGE,
+                          [0, 0], [2 * _HUGE, 1])
+        assert _gaps(log)[-1] == extra
+        with pytest.raises(OverflowError):
+            float(_HUGE)
+
+    @pytest.mark.parametrize("x0_top", [2, Fraction(5, 3), 2 + _TINY, 2 - _TINY])
+    def test_slack_flips_across_its_window(self, x0_top, monkeypatch):
+        # max x0: the slack enters, falling across its window 5/3 with rate
+        # 1 in x0's row, whose room is x0_top - 1/3
+        log = self._solve(monkeypatch, [1, 0], [1, _THIRD], _THIRD, 2, [0, 0], [x0_top, 1])
+        assert any(_fraction(step) == Fraction(5, 3) for _, step, _, _ in log)
