@@ -21,8 +21,9 @@ _EXP_MAX = 709.0
 
 
 def db_to_transmittance(loss_db: float) -> float:
-    """Channel transmittance for a given loss in dB (eta = 10**(-dB/10))."""
-    if loss_db < 0:
+    """Channel transmittance for a given loss in dB (eta = 10**(-dB/10)); an
+    infinite loss gives 0, a negative or NaN one raises ``ValueError``."""
+    if not loss_db >= 0:
         raise ValueError(f"loss must be >= 0 dB, got {loss_db}")
     return 10.0 ** (-loss_db / 10.0)
 
@@ -177,9 +178,9 @@ def bessel_i0(x: float) -> float:
 
     Power series below x = 20, asymptotic expansion above; relative error
     stays below 1e-12 across [0, 700].  Arguments beyond the exponent range
-    raise ``SaturationError``.
+    raise ``SaturationError``, negative or NaN ones ``ValueError``.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError("bessel_i0 requires x >= 0")
     if x > _EXP_MAX:
         raise SaturationError(f"bessel_i0 overflows for x = {x}")
@@ -268,8 +269,9 @@ def gain(params: ChannelParams, mu_k: float, nu_l: float) -> float:
     arriving intensity; every bracket term is non-negative, so the result is
     relative-accurate even when it is many orders below 1.  The yield bounds
     difference these gains against each other and genuinely need that.
+    A negative or NaN intensity raises ``ValueError``.
     """
-    if mu_k < 0 or nu_l < 0:
+    if not (mu_k >= 0 and nu_l >= 0):
         raise ValueError("intensities must be >= 0")
     arriving = mu_k * params.eta_a + nu_l * params.eta_b
     x = abs(math.sqrt(mu_k * nu_l * params.eta_a * params.eta_b) * math.cos(params.theta))

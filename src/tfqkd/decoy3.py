@@ -24,15 +24,20 @@ checks the input, picks the number type and rescales the gains.  Each
 ordered intensity triple becomes one ``_side`` per bound set: every factor
 of the block formulas that reads the triple alone, and its series tails;
 its three moment-killing vectors come from ``_triple_vectors``.  Each gain
-combination is one row (a_i * b_j) * qtilde_ij per combination of a vector
-per party with a 3x3 block, summed exactly; each block's seven sums then
-give its nine clamped bounds, ``_block`` forming only the terms that mix
-the two sides, every party-swapped target being its mirror formula with
-the parties exchanged.  A four-decoy set takes these steps as numpy
-batches over its 16 blocks and combined-formula slots (``_vectors``,
-``_combine``, ``_block_bounds``).  A three-decoy set is one block, which
-``_bounds3`` evaluates on plain numbers, float or ``Dyadic``: at that
-size the batch costs more than the arithmetic.  Both give the same bits.
+combination is one row sum_ij a_i b_j qtilde_ij per combination of a vector
+per party with a 3x3 block.  On floats its nine products (a_i * b_j) *
+qtilde_ij are summed exactly (``math.fsum``).  On exact numbers each
+vector, and the gains, are one int vector over one denominator per bound
+set, so a row is an integer dot product reduced once to its triple
+(``_exact_combine``), the same rational as the nine products summed.
+Each block's seven sums then give its nine clamped bounds, ``_block``
+forming only the terms that mix the two sides, every party-swapped target
+being its mirror formula with the parties exchanged.  A four-decoy set
+takes these steps as batches over its 16 blocks and combined-formula slots
+(``_vectors``, ``_combine`` on floats or ``_exact_combine``,
+``_block_bounds``).  A three-decoy set is one block, which ``_bounds3``
+evaluates on plain numbers, float or ``Dyadic``: at that size a numpy
+batch costs more than the arithmetic.  Both give the same bits.
 ``decoy4.yield_bounds`` is the public entry point for three and four
 decoys.  Coefficients, prefactors or terms that are not finite in double
 precision raise ``DegenerateIntensityError``, and so do exact values past
@@ -47,8 +52,9 @@ from itertools import chain, starmap
 
 import numpy as np
 
+from . import dyadic
 from .channel import _EXP_MAX, GainMatrix
-from .dyadic import Dyadic
+from .dyadic import Dyadic, _operand, _pair, _reduced, _scaled, _wrap
 from .errors import DegenerateIntensityError, InconsistentGainsError, SaturationError
 from .series import _triple_tails, exp_f_tail, exp_h_tail  # noqa: F401  (benchmark/spans.py)
 
@@ -161,7 +167,10 @@ def cancellation_coeffs(target, mu, nu):
 
     The matrix is the outer product of one moment-killing vector per party;
     c[0][0] is 1 by normalization.  Fraction inputs give exact output.  The
-    bounds themselves combine the vectors directly (``_terms``, ``_combine``).
+    bounds themselves combine the vectors directly (``_terms``, ``_combine``,
+    ``_exact_combine``).  A float entry that is not finite, or a vector
+    that divides by zero, raises ``DegenerateIntensityError``, as in the
+    bounds.
     """
     target = tuple(target)
     if target not in _VECTOR_FOR_TARGET:
@@ -172,8 +181,19 @@ def cancellation_coeffs(target, mu, nu):
     check_intensities(mu, "mu")
     check_intensities(nu, "nu")
     ia, ib = _VECTOR_FOR_TARGET[target]
-    a, b = _triple_vectors(*mu)[ia], _triple_vectors(*nu)[ib]
-    return tuple(tuple(ai * bj for bj in b) for ai in a)
+    try:
+        a, b = _triple_vectors(*mu)[ia], _triple_vectors(*nu)[ib]
+    except ZeroDivisionError:
+        raise _degenerate("coefficient vector entries") from None
+    _finite_numbers(_floats(chain(a, b)), "coefficient vector entries")
+    c = tuple(tuple(ai * bj for bj in b) for ai in a)
+    _finite_numbers(_floats(chain(*c)), "cancellation coefficients")
+    return c
+
+
+def _floats(values):
+    """The floats among ``values``; exact numbers are always finite."""
+    return (v for v in values if isinstance(v, float))
 
 
 def _prepare(q, mu, nu, size: int, exact: bool):
@@ -202,24 +222,48 @@ _EPS_COMBINE = 8.0 * 2.0 ** -53
 
 @np.errstate(all="ignore")  # what is not finite raises in ``_finite`` instead
 def _combine(a, b, qtilde):
-    """Gain combinations sum_ij a_i b_j qtilde_ij of a batch and bounds on their
-    rounding, as two lists over the batch.
+    """Float gain combinations sum_ij a_i b_j qtilde_ij of a batch and bounds
+    on their rounding, as two lists over the batch; the exact path takes
+    ``_exact_combine`` instead.
 
     ``a`` and ``b`` (..., 3) hold one coefficient vector per party and
     ``qtilde`` (..., 3, 3) the blocks of rescaled gains; they broadcast, and
-    each combination's nine terms are summed exactly.  The error is zero on
-    the exact path.  The error estimate is what lets callers report
+    each combination's nine terms (a_i * b_j) * qtilde_ij are summed exactly
+    (``math.fsum``).  The error estimate is what lets callers report
     certified-despite-rounding upper bounds: it is added on top of the raw
     value, which only loosens the bound, and it grows exactly where the
     combination cancels so deeply that double precision cannot resolve it.
     """
     terms = ((a[..., :, None] * b[..., None, :]) * qtilde).reshape(-1, 9)
-    if terms.dtype == object:
-        rows = terms.tolist()
-        return [sum(row) for row in rows], [0] * len(rows)
     _finite(terms, "gain combination terms")
     return (list(map(math.fsum, terms.tolist())),
             [_EPS_COMBINE * e for e in map(math.fsum, np.abs(terms).tolist())])
+
+
+def _exact_combine(vectors, index_a, index_b, gain_rows, qtilde, num):
+    """Exact gain combinations sum_ij a_i b_j qtilde_ij, as a list of numbers
+    of the exact type ``num``: row r combines a = ``vectors[index_a[r]]`` and
+    b = ``vectors[index_b[r]]`` with the nine rescaled gains ``qtilde[k]``
+    for k in ``gain_rows[r]``, row-major.
+
+    Each vector, and the gains, are written once as one int vector over one
+    denominator (``dyadic._scaled``), so a row is an integer dot product over
+    the product of three denominators, reduced once (``dyadic._reduced``).
+    Exact sums do not depend on their order: every row is the rational of
+    its nine products (a_i * b_j) * qtilde_ij.
+    """
+    scaled = [_scaled(list(map(_operand, v))) for v in vectors]
+    q, oq, eq = _scaled(list(map(_operand, qtilde)))
+    sums = []
+    for ia, ib, (k0, k1, k2, k3, k4, k5, k6, k7, k8) in zip(index_a, index_b, gain_rows):
+        (a0, a1, a2), oa, ea = scaled[ia]
+        (b0, b1, b2), ob, eb = scaled[ib]
+        sums.append(_reduced(a0 * (b0 * q[k0] + b1 * q[k1] + b2 * q[k2])
+                             + a1 * (b0 * q[k3] + b1 * q[k4] + b2 * q[k5])
+                             + a2 * (b0 * q[k6] + b1 * q[k7] + b2 * q[k8]),
+                             oa * ob * oq, ea + eb + eq))
+    # another exact type (a ``Fraction`` reference) is built from the pair
+    return list(map(_wrap, sums)) if num is dyadic.Dyadic else [num(*_pair(t)) for t in sums]
 
 
 def _inconsistent(formula: str, target, value: float) -> InconsistentGainsError:
@@ -261,6 +305,10 @@ def _side(x, num):
 # (1,1) and (2,2), whose terms do not depend on which party comes first
 _PAIRS = tuple(_VECTOR_FOR_TARGET[t] for t in ((0, 2), (1, 3), (2, 0), (3, 1),
                                                 (0, 0), (1, 1), (2, 2)))
+
+# ``_exact_combine``'s rows of one block over Alice's three vectors, then
+# Bob's, and the block's nine gains
+_BLOCK_ROWS = ([ka for ka, _ in _PAIRS], [3 + kb for _, kb in _PAIRS], [range(9)] * len(_PAIRS))
 
 # the order in which a block evaluates its targets, and where each lands
 _EVALUATED = ((0, 2), (0, 4), (1, 3), (2, 0), (4, 0), (3, 1), (0, 0), (1, 1), (2, 2))
@@ -337,8 +385,8 @@ def _block_bounds(g, gerr, sides, num):
 
 
 def _terms(a, b, qtilde):
-    """The nine terms (a_i * b_j) * qtilde_ij of one 3x3 gain combination,
-    row-major, as ``_combine`` forms them."""
+    """The nine float terms (a_i * b_j) * qtilde_ij of one 3x3 gain
+    combination, row-major, as ``_combine`` forms them."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = qtilde
@@ -359,11 +407,12 @@ def _bounds3(q, mu, nu, exact):
         va, vb = _triple_vectors(*mu), _triple_vectors(*nu)
     except ZeroDivisionError:
         raise _degenerate("coefficient vector entries") from None
-    rows = [_terms(va[ka], vb[kb], qtilde) for ka, kb in _PAIRS]
     if num is Dyadic:
-        g, gerr = [sum(row) for row in rows], [0] * len(rows)
+        g = _exact_combine(va + vb, *_BLOCK_ROWS, list(chain(*qtilde)), num)
+        gerr = [0] * len(g)
     else:
         _finite_numbers(chain(*va, *vb), "coefficient vector entries")
+        rows = [_terms(va[ka], vb[kb], qtilde) for ka, kb in _PAIRS]
         _finite_numbers(chain.from_iterable(rows), "gain combination terms")
         g = [math.fsum(row) for row in rows]
         gerr = [_EPS_COMBINE * math.fsum(map(abs, row)) for row in rows]

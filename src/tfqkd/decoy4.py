@@ -25,9 +25,11 @@ bounds against the LP oracle at 1e-9 tolerances.
 
 The bounds follow ``decoy3``'s one path: the 16 subset pairs are the blocks,
 and their 112 gain combinations and the four slots of each combined formula
-are the rows of one ``_combine`` batch, gathered from the set's table of
-triple vectors by one precomputed index per side (``_LAYOUTS``) and from
-the gains by another (``_GAIN_INDEX``).  Each ordered triple's vectors and
+are the rows of one batch, gathered from the set's table of triple vectors
+by one precomputed index per side (``_LAYOUTS``) and from the gains by
+another (``_GAIN_INDEX``): a numpy ``_combine`` on floats, and on exact
+numbers ``_exact_combine``'s integer dot products over one denominator per
+vector and one for the gains.  Each ordered triple's vectors and
 its ``_side`` (per-triple factors and tails) are built once per bound set,
 each four-value set's two tails once, by one loop (``series._four_tails``).
 ``yield_bounds`` is the one public entry point, for three or four decoys.
@@ -39,14 +41,14 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from .channel import GainMatrix, IntensitySettings
 from .decoy3 import (_EPS_COMBINE, _PAIRS, _VECTOR_FOR_TARGET, TARGETS_3,
                      YieldBounds, _block_bounds, _bounds3, _clamp, _combine, _degenerate,
-                     _past_double_range, _prepare, _side, _vectors,
+                     _exact_combine, _past_double_range, _prepare, _side, _vectors,
                      cancellation_coeffs)  # noqa: F401  (benchmark/spans.py wraps it)
 from .dyadic import Dyadic
 from .series import _four_tails, exp_h_tail  # noqa: F401  (benchmark/spans.py wraps exp_h_tail)
@@ -291,6 +293,8 @@ _LAYOUTS = {names: _layout(names) for names in
 _GAIN_INDEX = np.concatenate(
     [4 * _SORTED[_BLOCK // 4, :, None] + _SORTED[_BLOCK % 4, None, :]]
     + [4 * _SLOTS[:, :, None] + _SLOTS[:, None, :]] * 4)
+# the same indices as one list of nine per row, for ``_exact_combine``
+_GAIN_ROWS = _GAIN_INDEX.reshape(len(_GAIN_INDEX), 9).tolist()
 
 
 def _bounds4(q, mu, nu, exact):
@@ -298,9 +302,10 @@ def _bounds4(q, mu, nu, exact):
     first wins ties), then each combined formula where strictly lower.
 
     Every gain combination of the set -- seven per subset-pair block, four
-    slots per combined formula -- is one row of a single ``_combine`` batch,
-    gathered from one table of the set's triple vectors by ``_LAYOUTS``
-    and from the gains by ``_GAIN_INDEX``.
+    slots per combined formula -- is one row of a single ``_combine`` batch
+    (``_exact_combine`` on exact numbers), gathered from one table of the
+    set's triple vectors by ``_LAYOUTS`` and from the gains by
+    ``_GAIN_INDEX`` (``_GAIN_ROWS``).
     (4,0) and (3,1) are the (0,4) and (1,3) formulas on the exchanged parties
     with the first party's slot vectors on Bob's side of the slot gains.
     """
@@ -324,8 +329,13 @@ def _bounds4(q, mu, nu, exact):
     table = _vectors(triples_a + triples_b
                      + [tuple(x[i] for i in slot) for x in slot_sets for slot in SUBSETS[1:]],
                      num).reshape(-1, 3)
-    g, gerr = _combine(table[index_a], table[index_b],
-                       np.array(qtilde).reshape(-1)[_GAIN_INDEX[:len(index_a)]])
+    if num is Dyadic:
+        g = _exact_combine(table.tolist(), index_a.tolist(), index_b.tolist(), _GAIN_ROWS,
+                           list(chain(*qtilde)), num)
+        gerr = [0] * len(g)
+    else:
+        g, gerr = _combine(table[index_a], table[index_b],
+                           np.array(qtilde).reshape(-1)[_GAIN_INDEX[:len(index_a)]])
     sides_a = [_side(x, num) for x in triples_a]
     sides_b = [_side(x, num) for x in triples_b]
     n = _N_BLOCK_ROWS

@@ -10,7 +10,10 @@ keep small odd parts: a gcd only ever runs on the odd parts, never on the
 long powers of two.
 
 The functions below work on bare triples; the exact simplex
-(``oracles.simplex``) and its LP rows call them directly.  ``Dyadic`` wraps
+(``oracles.simplex``) and its LP rows call them directly, and the exact
+gain combinations of the bounds (``decoy3._exact_combine``) write vectors
+of triples as int vectors over one denominator (``_scaled``) and reduce
+their integer dot products once (``_reduced``).  ``Dyadic`` wraps
 one triple in an operator class over the same functions, which is the exact
 number type of the yield bounds (``decoy3``, ``decoy4``): the formulas run
 on it unchanged, with ints, floats and other rationals converted exactly.
@@ -22,7 +25,7 @@ rejoined reduced pair of ints (``_float``), as ``Fraction`` does.
 from __future__ import annotations
 
 import sys
-from math import gcd, isfinite
+from math import gcd, isfinite, lcm
 from numbers import Rational
 
 _ZERO = (0, 1, 0)
@@ -56,6 +59,12 @@ def _number(v) -> tuple:
     if isinstance(v, Rational):
         return _rational(int(v.numerator), int(v.denominator))
     raise TypeError(f"exact numbers must be ints, floats or rationals, got {type(v).__name__}")
+
+
+def _pair(v) -> tuple:
+    """``v`` rejoined as a reduced pair of ints (numerator, denominator)."""
+    n, o, e = v
+    return (n, o << e) if e >= 0 else (n << -e, o)
 
 
 def _float(v) -> float:
@@ -92,6 +101,29 @@ def _add(a, b) -> tuple:
         return _ZERO
     z = _twos(t)
     return t >> z, o, ae - z
+
+
+def _scaled(vs) -> tuple:
+    """The triples ``vs`` as one int vector over one denominator,
+    ``(ks, o, e)`` with ``vs[i] == ks[i] / (o * 2**e)``: ``o`` is the lcm of
+    their odd parts and ``e`` the largest exponent."""
+    o = lcm(*(vo for _, vo, _ in vs))
+    e = max(ve for _, _, ve in vs)
+    return [(vn * (o // vo)) << (e - ve) for vn, vo, ve in vs], o, e
+
+
+def _reduced(k: int, o: int, e: int) -> tuple:
+    """The triple of ``k / (o * 2**e)`` for an int ``k`` and an odd ``o > 0``:
+    one gcd against ``o``, then the powers of two shifted out of ``k``."""
+    if not k:
+        return _ZERO
+    if o != 1:
+        g = gcd(k, o)
+        if g != 1:
+            k //= g
+            o //= g
+    z = _twos(k)
+    return k >> z, o, e - z
 
 
 def _sub(a, b) -> tuple:
@@ -271,8 +303,7 @@ class Dyadic:
 
     def __hash__(self) -> int:
         # the hash of the equal int, float or Fraction (numeric hashing)
-        n, o, e = self.triple
-        num, den = (n, o << e) if e >= 0 else (n << -e, o)
+        num, den = _pair(self.triple)
         try:
             h = hash(hash(abs(num)) * pow(den, -1, _HASH_MODULUS))
         except ValueError:

@@ -35,9 +35,12 @@ def plob_bound(eta_a: float, eta_b: float) -> float:
 
     Evaluated as -log1p(-product) / ln 2, which keeps full relative accuracy
     when the product of transmittances is tiny (and is +0.0 when it is 0).
+    Each transmittance must lie in [0, 1], and their product below 1.
     """
+    if not (0.0 <= eta_a <= 1.0 and 0.0 <= eta_b <= 1.0):
+        raise ValueError(f"plob_bound needs transmittances in [0, 1], got {eta_a}, {eta_b}")
     product = eta_a * eta_b
-    if not 0.0 <= product < 1.0:
+    if not product < 1.0:
         raise ValueError("plob_bound needs eta_a * eta_b in [0, 1)")
     return -math.log1p(-product) / math.log(2.0)
 

@@ -10,7 +10,7 @@ from tfqkd.channel import (ChannelParams, GainMatrix, IntensitySettings, bessel_
                            db_to_transmittance, gain, standard_noise,
                            theoretical_yield, x_basis_statistics)
 from tfqkd.errors import SaturationError
-from tfqkd.rate import key_rate
+from tfqkd.rate import key_rate, plob_bound
 
 
 def bessel_series(x, terms):
@@ -270,3 +270,25 @@ def test_gain_matrix_contract(q, omega):
         return
     assert gains.size in (3, 4) and all(len(row) == gains.size for row in gains.q)
     assert all(type(v) is float and 0.0 <= v <= 1.0 for row in gains.q for v in row)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: db_to_transmittance(math.nan),
+    lambda: db_to_transmittance(-1.0),
+    lambda: bessel_i0(math.nan),
+    lambda: bessel_i0(-1.0),
+    lambda: gain(standard_noise(10, 10), math.nan, 0.1),
+    lambda: gain(standard_noise(10, 10), 0.1, math.nan),
+    lambda: gain(standard_noise(10, 10), -0.1, 0.1),
+    lambda: plob_bound(1.5, 0.5),
+    lambda: plob_bound(0.5, 1.5),
+    lambda: plob_bound(-0.5, -0.5),
+    lambda: plob_bound(math.nan, 0.5),
+    lambda: plob_bound(1.0, 1.0),
+], ids=["loss-nan", "loss-negative", "i0-nan", "i0-negative", "gain-mu-nan", "gain-nu-nan",
+        "gain-negative", "plob-above-1", "plob-b-above-1", "plob-both-negative", "plob-nan",
+        "plob-product-1"])
+def test_public_helpers_reject_nan_and_out_of_range(call):
+    """NaN or out-of-range arguments raise instead of giving NaN or a number."""
+    with pytest.raises(ValueError):
+        call()

@@ -84,6 +84,18 @@ class TestCancellationCoeffs:
         with pytest.raises(ValueError):
             cancellation_coeffs((5, 5), MU, NU)
 
+    @pytest.mark.parametrize("mu", [(math.nan, 0.1, 0.01), (math.inf, 0.1, 0.01),
+                                    (1e308, 0.1, 0.01), (0.3, 0.1, 1e-320)])
+    def test_non_finite_coefficients_are_degenerate(self, mu):
+        with pytest.raises(DegenerateIntensityError, match="coefficient vector entries"):
+            cancellation_coeffs((0, 0), mu, (0.3, 0.1, 0.01))
+
+    def test_overflowing_products_are_degenerate(self):
+        # every vector entry is finite, their products are not
+        mu = (0.3, 1e-78, 1e-79)
+        with pytest.raises(DegenerateIntensityError, match="cancellation coefficients"):
+            cancellation_coeffs((0, 0), mu, mu)
+
 
 class TestBoundY3:
     def test_zero_gains_homogeneous_targets(self):
@@ -227,8 +239,13 @@ def block_outcomes(mu, nu, loss, exact, block):
             ta, tb = tuple(mu[i] for i in rows), tuple(nu[j] for j in cols)
             try:
                 va, vb = decoy3._vectors((ta, tb), num)
-                g, gerr = decoy3._combine(va[_REF_PAIR_A], vb[_REF_PAIR_B],
-                                          np.array(qtilde)[np.ix_(rows, cols)])
+                q = np.array(qtilde)[np.ix_(rows, cols)]
+                if exact:
+                    g = decoy3._exact_combine([*va.tolist(), *vb.tolist()], *decoy3._BLOCK_ROWS,
+                                              q.reshape(-1).tolist(), num)
+                    gerr = [0] * len(g)
+                else:
+                    g, gerr = decoy3._combine(va[_REF_PAIR_A], vb[_REF_PAIR_B], q)
                 if block is None:
                     sides = decoy3._side(ta, num), decoy3._side(tb, num)
                     values = decoy3._block(g, gerr, *sides, num)

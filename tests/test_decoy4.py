@@ -493,3 +493,80 @@ def test_exact_number_type_matches_fraction(monkeypatch):
     assert kinds.count("bounds") >= 180 and DegenerateIntensityError in kinds
     mismatches = [(entry, a, b) for entry, a, b in zip(corpus, ours, reference) if a != b]
     assert not mismatches, mismatches[:2]
+
+
+# Frozen reference: the exact branch of ``decoy3._combine`` as it read when
+# exact gain combinations were object arrays of products summed row by row,
+# before they became integer dot products over one denominator per vector.
+def _frozen_object_combine(a, b, qtilde):
+    terms = ((a[..., :, None] * b[..., None, :]) * qtilde).reshape(-1, 9)
+    rows = terms.tolist()
+    return [sum(row) for row in rows], [0] * len(rows)
+
+
+def _recorded_exact_combines(monkeypatch, sets):
+    """Every ``_exact_combine`` call of the exact bound sets ``sets``, given as
+    (gains, settings), as (its arguments, its sums)."""
+    calls = []
+    library = decoy3._exact_combine
+
+    def record(*args):
+        sums = library(*args)
+        calls.append((args, sums))
+        return sums
+
+    monkeypatch.setattr(decoy3, "_exact_combine", record)
+    monkeypatch.setattr(decoy4, "_exact_combine", record)
+    for gains, settings_ in sets:
+        try:
+            yield_bounds(gains, settings_, exact=True)
+        except TfqkdError:
+            pass
+    return calls
+
+
+def _fraction(x):
+    """An int or ``Dyadic`` as the equal ``Fraction``."""
+    if isinstance(x, int):
+        return Fraction(x)
+    n, o, e = x.triple
+    return Fraction(n, o) / Fraction(2) ** e
+
+
+def _layout_names(index_a, index_b):
+    return [names for names, (a, b) in decoy4._LAYOUTS.items()
+            if a.tolist() == index_a and b.tolist() == index_b]
+
+
+def test_exact_sums_match_frozen_object_arrays(monkeypatch):
+    """The integer exact sums equal the frozen object-array sums triple for
+    triple on every row of every differential-corpus set, and of all-zero
+    gains with 3 and 4 decoys, whose rows all sum to 0; a ``Fraction``
+    exact type gets ``Fraction`` sums of the same values."""
+    sets = [_at(mu, nu, loss) for loss, mu, nu in _differential_corpus()]
+    for mu, nu in ((MU4[:3], NU4[:3]), (MU4, NU4)):
+        zeros = GainMatrix(q=((0.0,) * len(mu),) * len(mu))
+        sets.append((zeros, IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)))
+    calls = _recorded_exact_combines(monkeypatch, sets)
+    rows, zero_rows, layouts = 0, 0, set()
+    for (vectors, index_a, index_b, gain_rows, qtilde, num), sums in calls:
+        table = np.array(vectors, dtype=object)
+        gains = np.array(qtilde, dtype=object)[np.array(gain_rows[:len(index_a)])]
+        reference, _ = _frozen_object_combine(table[index_a], table[index_b],
+                                              gains.reshape(-1, 3, 3))
+        assert all(type(s) is decoy3.Dyadic for s in sums)
+        assert [s.triple for s in sums] == [r.triple for r in reference], (vectors, qtilde)
+        rows += len(sums)
+        zero_rows += sum(not s for s in sums)
+        if len(index_a) > len(decoy3._PAIRS):
+            layouts.update(_layout_names(index_a, index_b))
+    assert len(calls) >= 200 and rows >= 10000 and zero_rows >= 7 + 112
+    assert {len(i) for (_, i, *_), _ in calls} >= {7, 112, 128}
+    kinds = set().union(*layouts)
+    assert {None, "4-decoy combined", "4-decoy degenerate"} <= kinds
+    for (vectors, index_a, index_b, gain_rows, qtilde, _), sums in calls[::20]:
+        fractions = decoy3._exact_combine([list(map(_fraction, v)) for v in vectors], index_a,
+                                          index_b, gain_rows, list(map(_fraction, qtilde)),
+                                          Fraction)
+        assert all(type(f) is Fraction for f in fractions)
+        assert fractions == sums
