@@ -57,14 +57,14 @@ from ..dyadic import _ONE, _ZERO, _add, _div, _less, _mul, _number, _rational, _
 from ..errors import InconsistentGainsError
 from .fock import poisson_upper_tail
 from .simplex import (_AT_LOWER, _AT_UPPER, _BASIC, LinearProgramInfeasible, _Start,
-                      _feasible_start, _maximize)
+                      _feasible_start, _optimum)
 from .simplex import solve_bounded_lp  # noqa: F401  (benchmark/spans.py wraps this attribute)
 
 DEFAULT_TRUNCATION = 10
 # Largest truncation order accepted, checked before anything is allocated:
 # the LP has (n + 1)^2 variables, 1,681 at 40, where the start and the first
-# phase 2 take 0.06-0.09 s for a 3-decoy and 0.3-0.4 s for a 4-decoy
-# configuration, and about 100 s for the tests' pivot-heavy constructed
+# phase 2 take 0.08-0.25 s for a 3-decoy and 0.10-0.15 s for a 4-decoy
+# configuration, and 85-105 s for the tests' pivot-heavy constructed
 # profile, which needs phase 1 (2-core x86 container, Python 3.11); the
 # bounds have long stopped moving there (they settle by 15).
 _MAX_TRUNCATION = 40
@@ -255,5 +255,5 @@ def lp_yield_bound(gains: GainMatrix, mu, nu, target, n_trunc: int = DEFAULT_TRU
     side = n_trunc + 1
     c = [0] * (side * side)
     c[u * side + v] = 1
-    optimum, _ = _maximize(_start(gains.q, mu, nu, n_trunc), c)
+    optimum = _optimum(_start(gains.q, mu, nu, n_trunc), c)
     return min(max(optimum, 0.0), 1.0)

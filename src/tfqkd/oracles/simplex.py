@@ -43,19 +43,25 @@ variable reaches one of its own.  A flip changes neither the basis nor
 entering one is not improving at its other bound, so Bland's scan resumes
 after it instead of at column 0.  The ratio test divides only for the rows
 that can undercut the flip cap, those with ``room < cap * rate``.  That test
-runs first on a float shadow of the row's basic value, with a rigorous
-error bound (``_SHADOW_ERROR``); only where the float verdict is not
-certain (a near tie, a zero room, a float that underflows or overflows)
-does it sync the row and cross-multiply exactly (``_reaches``).  A flip's
-moves do not touch the long exact basic values either: each row keeps
-their exact sum, one unreduced integer over the lcm of the moves' odd
-parts and their largest power of two, folded into its basic value only at
-the next pivot that moves it, at an exact test on the row, or at the end
-of the phase, where every basic value is a reduced triple again.  Pivots
-skip the zero entries of the pivot row.  Every decision is the one exact
-arithmetic makes: ``d_j`` equals the reduced cost a fresh pricing gives and
-every test decides as a fresh computation would, so the pivot sequence is
-Bland's, unchanged, and so are the starts, the optima and ``x``.
+runs first on floats, with a rigorous error bound (``_SHADOW_ERROR``);
+only where the float verdict is not certain (a near tie, a zero room, a
+float that underflows or overflows) does it fold the row and
+cross-multiply exactly (``_reaches``).  A flip's moves do not touch the
+long exact basic values either: each row logs them, the exact short moves
+in a list and their floats in two running sums, of the moves and of their
+magnitudes.  The float test reads the float of the basic value plus the
+running sum, with an allowance for the sum's rounding that grows with the
+number of moves.  A row's log is folded into its basic value, the moves
+summed over one denominator and then added once, only where the value is
+read exactly: at a flip test the floats leave open, at the next pivot that
+moves the row, and at the end of the phase.  ``_maximize`` folds every row
+there, so every basic value is a reduced triple again; ``_optimum``, which
+``lp_yield_bound`` calls, folds only the rows whose basic column has a
+nonzero cost, the rows its optimum reads.  Pivots skip the zero entries of
+the pivot row.  Every decision is the one exact arithmetic makes: ``d_j``
+equals the reduced cost a fresh pricing gives and every test decides as a
+fresh computation would, so the pivot sequence is Bland's, unchanged, and
+so are the starts, the optima and ``x``.
 
 A solve is two steps.  ``_feasible_start`` takes the constraints as triples,
 runs phase 1 and drives the leftover artificials out of the basis; it
@@ -63,7 +69,8 @@ depends on the constraints only and returns its lists as an immutable
 ``_Start`` of ints and triples.  ``_maximize`` copies a start's rows without
 the artificial columns and runs phase 2 for one objective, so one start
 serves any number of objectives over the same constraints, each with the
-pivots a fresh solve would make.  ``solve_bounded_lp`` converts its
+pivots a fresh solve would make; ``_optimum`` does the same for the
+optimum alone.  ``solve_bounded_lp`` converts its
 constraints to triples and runs the two in sequence.
 """
 
@@ -72,7 +79,8 @@ from __future__ import annotations
 from math import gcd, inf
 from typing import NamedTuple
 
-from ..dyadic import _ONE, _ZERO, _add, _div, _float, _less, _mul, _number, _sub, _twos
+from ..dyadic import (_ONE, _ZERO, _add, _div, _float, _less, _mul, _number, _reduced, _scaled,
+                      _sub, _twos)
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -81,13 +89,34 @@ _BASIC = 2
 _MAX_ITER = 50000
 
 # The shadow test of a flip decides ``room >= cap * rate`` only when the float
-# difference exceeds ``_SHADOW_ERROR * scale``, ``scale`` the sum of the
-# magnitudes it reads.  Each float it reads is correctly rounded, and its
-# four operations round again: at most 4 units of roundoff (2**-51) relative
-# to ``scale``, plus at most 2**-1073 from underflow, which ``scale >=
-# _SMALL`` keeps under the other half of the allowance.  The cap and the
-# rate must be normal floats, so that their product has a relative error.
+# difference exceeds an allowance.  Its first part, ``_SHADOW_ERROR * scale``,
+# ``scale`` the sum of the magnitudes the test reads, covers the floats of
+# the basic value, the bound, the cap and the rate, each correctly rounded,
+# and the test's four operations, which round again: at most 4 units of
+# roundoff (2**-51) relative to ``scale``, plus at most 2**-1073 from
+# underflow, which ``scale >= _SMALL`` keeps under the other half of that
+# part.  The cap and the rate must be normal floats, so that their product
+# has a relative error.
+#
+# The row's k flip moves m_j since its last exact read enter through their
+# float running sum s_k, s_j = fl(s_(j-1) + f_j) with f_j = fl(m_j), which is
+# not correctly rounded.  The second part of the allowance, (k + 1) u M_k +
+# k 2**-1074 with u = 2**-53 (``_ROUNDOFF``) and the running sum of
+# magnitudes M_j = fl(M_(j-1) + |f_j|), bounds its error:
+# - each f_j is within u |f_j| of m_j, or within 2**-1075 if subnormal;
+# - rounding is monotone and odd, so |s_j| <= M_j by induction, and M_j does
+#   not decrease: the addition that makes s_j is off by at most u |s_j| <=
+#   u M_k (a subnormal sum is exact), and sum |f_j| <= (1 + (k - 1) u) M_k;
+# - so |s_k - sum m_j| <= (k - 1) u M_k + u (1 + (k - 1) u) M_k + k 2**-1075,
+#   which is below k u M_k + u M_k / 2 + k 2**-1075 for k < 2**51.
+# The allowance's own three roundings take at most a relative 3u off each
+# part, which the spare u M_k / 2, the spare factor 2 on 2**-1075 and the
+# other half of the first part cover (k <= ``_MAX_ITER``).  A move whose
+# float overflows sets M_k to inf: no difference exceeds that allowance,
+# and the row goes to the exact test.
 _SHADOW_ERROR = 2.0 ** -50
+_ROUNDOFF = 2.0 ** -53
+_SUBNORMAL = 2.0 ** -1074
 _SMALL = 2.0 ** -1000
 _NORMAL = 2.0 ** -1022
 
@@ -216,50 +245,32 @@ def _shadow(v) -> float:
         return inf
 
 
-def _pend(p, move) -> tuple:
-    """The pending sum ``p`` (None for none) plus a reduced ``move``, kept
-    over the lcm of the moves' odd parts and their largest power of two,
-    unreduced: no gcd runs on the long numerators."""
-    if p is None:
-        return move
-    pn, po, pe = p
-    mn, mo, me = move
-    if mo != po:
-        if po % mo:
-            f = mo // gcd(po, mo)
-            pn *= f
-            po *= f
-        mn *= po // mo
-    if me > pe:
-        pn <<= me - pe
-        pe = me
-    elif me < pe:
-        mn <<= pe - me
-    return pn + mn, po, pe
+def _folded(value, moves) -> tuple:
+    """``value`` plus the sum of the reduced triples ``moves``, reduced.  The
+    short moves are summed first, as ints over one denominator
+    (``dyadic._scaled``), so the long ``value`` enters a single addition."""
+    ks, o, e = _scaled(moves)
+    return _add(value, _reduced(sum(ks), o, e))
 
 
-def _synced(value, p) -> tuple:
-    """``value`` plus the pending sum ``p``, an unreduced ``(n, o, e)`` with
-    odd ``o`` (None for none), as a reduced triple."""
-    if p is None:
-        return value
-    n, o, e = p
-    if not n:
-        return value
-    g = gcd(n, o)
-    if g > 1:
-        n //= g
-        o //= g
-    z = _twos(n)
-    return _add(value, (n >> z, o, e - z))
-
-
-def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed):
+def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed, *,
+               costed_only=False):
     """Bland's-rule simplex on ``cobj`` over the first ``n_allowed`` columns.
 
     The rows hold exactly ``n_allowed`` columns.  Updates ``tab_n``,
     ``tab_o``, ``tab_e``, ``beta``, ``status`` and ``basis`` in place and
     returns the numbers of pivots and of bound flips.
+
+    A bound flip's moves are logged per row, not added to the basic values:
+    each row keeps the exact moves since its last exact read, and the float
+    running sums of their floats and of their magnitudes, which the float
+    flip tests read with an allowance for the sum's rounding.  A row's log
+    is folded into its basic value when something reads the value exactly:
+    a flip test the floats leave open, a pivot that moves the row, and the
+    end of the phase.  At the end every row is folded, so every basic value
+    is a reduced triple again; with ``costed_only`` only the rows whose
+    basic column has a nonzero cost are, and the other basic values are
+    left stale, for a caller that reads the optimum alone.
     """
     m = len(tab_n)
     # reduced costs c_j - sum_i c_B(i) tab[i][j], priced once, then kept
@@ -270,11 +281,22 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         cn, co, ce = cobj[basis[i]]
         if cn:
             _eliminate(dn, do, de, cn, co, ce, _entries(tab_n[i], tab_o[i], tab_e[i]))
-    # the value of basic variable i is beta[i] plus pending[i], the exact sum
-    # of the flip moves since its last sync (None for none); shadow[i] is
+    # the value of basic variable i is beta[i] plus the flip moves logged in
+    # moves[i] since its last exact read (None for none); total[i] and
+    # size[i] are the float running sums of the moves' floats and of their
+    # magnitudes, size[i] inf once a move's float overflows; shadow[i] is
     # the float of beta[i], None until a flip test reads it
-    pending = [None] * m
+    moves = [None] * m
+    total = [0.0] * m
+    size = [0.0] * m
     shadow = [None] * m
+
+    def read(i):
+        """Fold row ``i``'s logged moves into its basic value."""
+        beta[i] = _folded(beta[i], moves[i])
+        moves[i] = shadow[i] = None
+        total[i] = size[i] = 0.0
+
     first = 0
     pivots = flips = 0
     for _ in range(_MAX_ITER):
@@ -286,14 +308,15 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                 up = s == _AT_LOWER
                 break
         if entering < 0:
-            for i, p in enumerate(pending):
-                beta[i] = _synced(beta[i], p)
+            for i, log in enumerate(moves):
+                if log is not None and (not costed_only or cobj[basis[i]][0]):
+                    beta[i] = _folded(beta[i], log)
             return pivots, flips
         # ratio test: smallest step that drives a basic variable to a
         # bound, capped by the entering variable's own bound flip.  While no
         # row undercuts the cap, a row is skipped if room >= cap * rate:
-        # decided on the shadow where its error bound allows, else (and
-        # for every other row) on the exact value, synced first
+        # decided on the floats where their allowance settles it, else (and
+        # for every other row) on the exact value, its log folded first
         step = None if hi[entering] is None else _sub(hi[entering], lo[entering])
         step_f = 0.0 if step is None else _shadow(step)
         leaving = -1
@@ -308,25 +331,28 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
             if bound is None:
                 continue
             rate = (abs(an), tab_o[i][entering], tab_e[i][entering])
-            p = pending[i]
+            log = moves[i]
             # the shadow test, skipped on a zero room, which the exact test
             # decides at once
-            if leaving < 0 and step_f >= _NORMAL and (p is not None or beta[i] != bound):
+            if leaving < 0 and step_f >= _NORMAL and (log is not None or beta[i] != bound):
                 value = shadow[i]
                 if value is None:
                     value = shadow[i] = _shadow(beta[i])
-                moved = 0.0 if p is None else _shadow(p)
+                moved = total[i]
                 bound_f = _shadow(bound)
-                room = value + moved - bound_f if hits_low else bound_f - (value + moved)
                 rate_f = _shadow(rate)
                 need = step_f * rate_f
                 scale = abs(value) + abs(moved) + abs(bound_f) + need
-                if room - need > scale * _SHADOW_ERROR and scale >= _SMALL \
-                        and rate_f >= _NORMAL:
-                    continue
-            if p is not None:
-                beta[i] = _synced(beta[i], p)
-                pending[i] = shadow[i] = None
+                if _SMALL <= scale < inf and rate_f >= _NORMAL:
+                    room = value + moved - bound_f if hits_low else bound_f - (value + moved)
+                    allowance = scale * _SHADOW_ERROR
+                    if log is not None:
+                        k = len(log)
+                        allowance += (k + 1) * _ROUNDOFF * size[i] + k * _SUBNORMAL
+                    if room - need > allowance:
+                        continue
+            if log is not None:
+                read(i)
             room = _sub(beta[i], bound) if hits_low else _sub(bound, beta[i])
             if leaving < 0 and step is not None and _reaches(room, step, rate):
                 continue
@@ -347,11 +373,25 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                 a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
                 move = a if unit else _mul(step, a)
                 if leaving < 0:
-                    pending[i] = _pend(pending[i], move)
+                    log = moves[i]
+                    if log is None:
+                        moves[i] = [move]
+                    else:
+                        log.append(move)
+                    try:
+                        f = _float(move)
+                    except OverflowError:
+                        size[i] = inf
+                    else:
+                        total[i] += f
+                        size[i] += abs(f)
                 else:
-                    # a pivot's step is a long quotient: into the basic value
-                    beta[i] = _add(_synced(beta[i], pending[i]), move)
-                    pending[i] = shadow[i] = None
+                    # a pivot's step is a long quotient: into the basic value,
+                    # after the row's short logged moves
+                    if moves[i] is not None:
+                        read(i)
+                    beta[i] = _add(beta[i], move)
+                    shadow[i] = None
         if leaving < 0:
             # the basis and every reduced cost are unchanged, the columns
             # before ``entering`` stay non-improving and ``entering`` is not
@@ -367,7 +407,8 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         basis[leaving] = entering
         status[entering] = _BASIC
         beta[leaving] = new_value
-        pending[leaving] = shadow[leaving] = None
+        moves[leaving] = shadow[leaving] = None
+        total[leaving] = size[leaving] = 0.0
         _eliminate(dn, do, de, dn[entering], do[entering], de[entering], prow)
         first = 0
         pivots += 1
@@ -449,13 +490,16 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
                   basis=tuple(basis), lo=tuple(lo), hi=tuple(hi))
 
 
-def _maximize(start: _Start, c):
-    """Phase 2 from a copy of ``start``: (optimum, x) of c.x as floats.
+def _phase_two(start: _Start, c, costed_only=False):
+    """Phase 2 from a copy of ``start``: the optimum of c.x as a float, and the
+    basic values, statuses and basis it ends on.
 
     Phase 2 prices only the n + m structural and slack columns, so the copy
     drops the artificial columns and no pivot eliminates them.  The cost
     vector keeps all n + 2m entries: pricing reads the cost of every basic
-    column, and a hand-built start may keep an artificial basic.
+    column, and a hand-built start may keep an artificial basic.  With
+    ``costed_only`` only the basic values of costed columns are folded
+    (``_run_phase``), the ones the optimum reads.
     """
     n, m = start.n, len(start.tab_n)
     if len(c) != n:
@@ -466,17 +510,39 @@ def _maximize(start: _Start, c):
     beta, status, basis = list(start.beta), list(start.status), list(start.basis)
     lo, hi = start.lo, start.hi
     phase2 = cvec + [_ZERO] * (2 * m)
-    _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase2, n + m)
-
-    x = [hi[j] if status[j] == _AT_UPPER else lo[j] for j in range(n)]
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = beta[i]
+    if costed_only:
+        _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase2, n + m,
+                   costed_only=True)
+    else:
+        # the plain call, which a stand-in phase routine with the same ten
+        # parameters also takes (the tests' frozen copy)
+        _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase2, n + m)
+    row = {b: i for i, b in enumerate(basis)}
     optimum = _ZERO
-    for cj, xj in zip(cvec, x):
-        if cj[0] and xj[0]:
-            optimum = _add(optimum, _mul(cj, xj))
-    return _float(optimum), [_float(v) for v in x]
+    for j, cj in enumerate(cvec):
+        if cj[0]:
+            s = status[j]
+            xj = beta[row[j]] if s == _BASIC else hi[j] if s == _AT_UPPER else lo[j]
+            if xj[0]:
+                optimum = _add(optimum, _mul(cj, xj))
+    return _float(optimum), beta, status, basis
+
+
+def _maximize(start: _Start, c):
+    """Phase 2 from a copy of ``start``: (optimum, x) of c.x as floats."""
+    optimum, beta, status, basis = _phase_two(start, c)
+    n = start.n
+    x = [start.hi[j] if status[j] == _AT_UPPER else start.lo[j] for j in range(n)]
+    for b, v in zip(basis, beta):
+        if b < n:
+            x[b] = v
+    return optimum, [_float(v) for v in x]
+
+
+def _optimum(start: _Start, c) -> float:
+    """``_maximize(start, c)[0]``, with the same pivots and bits, from a phase 2
+    that folds only the rows the optimum reads."""
+    return _phase_two(start, c, costed_only=True)[0]
 
 
 def solve_bounded_lp(c, a, row_lower, row_upper, x_lower, x_upper):

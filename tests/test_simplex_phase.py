@@ -22,7 +22,8 @@ from tfqkd.decoy3 import TARGETS_3
 from tfqkd.dyadic import _ONE, _ZERO, _add, _div, _less, _mul, _sub
 from tfqkd.oracles import lp_bounds, simplex
 from tfqkd.oracles.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _MAX_ITER, _eliminate,
-                                   _entries, _maximize, _pivot, solve_bounded_lp)
+                                   _entries, _feasible_start, _maximize, _number, _optimum,
+                                   _pivot, solve_bounded_lp)
 
 
 def _frozen_reaches(room, step, rate) -> bool:
@@ -209,6 +210,71 @@ class TestMatchesFrozenPhase:
                                                         [(0, 0), (1, 1), (0, 2)]))
 
 
+def _counted(monkeypatch, read):
+    """``read()`` and the (pivots, flips) of each phase it runs."""
+    counts = []
+
+    def counting(*args, **kwargs):
+        counts.append(_LIBRARY_RUN_PHASE(*args, **kwargs))
+        return counts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_run_phase", counting)
+        result = read()
+    return result, counts
+
+
+def _same_optimum(monkeypatch, start, costs):
+    """``_optimum`` gives ``_maximize``'s optimum bits with the same counts."""
+    for c in costs:
+        want, want_counts = _counted(monkeypatch, lambda: _maximize(start, c)[0])
+        got, got_counts = _counted(monkeypatch, lambda: _optimum(start, c))
+        assert (got.hex(), got_counts) == (want.hex(), want_counts)
+
+
+def _unit_costs(side, targets):
+    costs = []
+    for u, v in targets:
+        c = [0] * (side * side)
+        c[u * side + v] = 1
+        costs.append(c)
+    return costs
+
+
+class TestOptimumReader:
+    """The reader of ``lp_yield_bound``, which folds only the rows of costed
+    basic columns at the end of phase 2, against ``_maximize``."""
+
+    @pytest.mark.parametrize("decoys,seed", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)])
+    def test_certify_like(self, decoys, seed, monkeypatch):
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        _same_optimum(monkeypatch, lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc),
+                      _unit_costs(n_trunc + 1, TARGETS_3))
+
+    @pytest.mark.parametrize("seed,index", [(1, 0), (1, 1), (1, 7), (2, 1)])
+    def test_verify_draws_both_starts(self, seed, index, monkeypatch):
+        gains, mu, nu = _verify_like(seed, index)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        for start in (lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc),
+                      _phase_one(gains.q, mu, nu, n_trunc)):
+            _same_optimum(monkeypatch, start, _unit_costs(n_trunc + 1, TARGETS_3))
+
+    def test_random_lps(self, monkeypatch):
+        solved = 0
+        for c, a, lower, upper in _random_lps():
+            n = len(c)
+            try:
+                start = _feasible_start([list(map(_number, row)) for row in a],
+                                        list(map(_number, lower)), list(map(_number, upper)),
+                                        [_number(0)] * n, [_number(1)] * n)
+            except simplex.LinearProgramInfeasible:
+                continue
+            _same_optimum(monkeypatch, start, [c])
+            solved += 1
+        assert solved == 35    # the others are infeasible
+
+
 def _gaps(log):
     """``room - step * rate`` of each logged flip test, exactly."""
     return [_fraction(room) - _fraction(step) * _fraction(rate) for room, step, rate, _ in log]
@@ -252,6 +318,23 @@ class TestShadowEdges:
         log = self._solve(monkeypatch, [0, 1, 1], [1, r1, r2], 1, 2, [0, 0, 0], [5, 1, 1])
         assert -Fraction(1, 2 ** 121) in _gaps(log)
         assert 1.0 - float(r1) == 1.0 and float(r2) == 1 - 2 ** -53
+
+    def test_moves_round_the_same_way(self, monkeypatch):
+        # x1..x4 flip, moving x0 by +(1 - y), -(1 + x), +(1 - y), -(1 + x):
+        # each float rounds up, to +-1, so the running sum reads 0 where the
+        # moves sum to -2 (x + y).  x5's test then reads low >= a5 on the
+        # floats, clear of the first part of the allowance, while exactly x0
+        # = low - 2 (x + y) falls 2**-70 short of a5: only the part for the
+        # moves' rounding, (k + 1) u M_k = 20 u, sends it to the exact test
+        x, y, low = Fraction(1, 2 ** 54), Fraction(1, 2 ** 55), Fraction(1, 2 ** 10)
+        a5 = low - 2 * (x + y) + Fraction(1, 2 ** 70)
+        log = self._solve(monkeypatch, [0, 1, 1, 1, 1, 1],
+                          [1, -(1 - y), 1 + x, -(1 - y), 1 + x, a5], low, 10,
+                          [0] * 6, [4, 1, 1, 1, 1, 1])
+        assert -Fraction(1, 2 ** 70) in _gaps(log)
+        assert float(1 - y) == 1.0 and float(-(1 + x)) == -1.0
+        room, need = float(low) + (1.0 - 1.0 + 1.0 - 1.0), float(a5)
+        assert room - need > 2.0 ** -50 * (room + need)
 
     @pytest.mark.parametrize("rate,cap,lower", [
         # the rate's float is subnormal, 2**-1074 for 1.4 * 2**-1074: the
