@@ -25,7 +25,7 @@ from .channel import (GainMatrix, IntensitySettings, db_to_transmittance,
                       simulate_gains, standard_noise)
 from .decoy4 import yield_bounds
 from .errors import ConfigError, TfqkdError
-from .optimize import (FluctuationSpec, OptimizationSpec, optimize_rate,
+from .optimize import (FluctuationSpec, OptimizationSpec, _check_count, optimize_rate,
                        worst_case_fluctuation)
 from .oracles import dark_adjusted_yield, lp_yield_bound
 from .rate import _RateParts, key_rate, plob_bound
@@ -378,6 +378,7 @@ def cmd_verify(args) -> tuple[str, int]:
     if args.configs < 1:
         raise ConfigError(f"--configs must be >= 1, got {args.configs}")
     sc = _scenario(args)
+    _check_count(sc["seed"], "seed", 0)
     import numpy as np
     rng = np.random.default_rng(sc["seed"])
     failures = 0

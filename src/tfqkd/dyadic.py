@@ -1,9 +1,9 @@
-"""Exact rational arithmetic on dyadic-split reduced rationals.
+"""Exact rational arithmetic on dyadic-split rationals.
 
-Every exact number of the package is a reduced rational split at its power
-of two, a triple of ints ``(n, o, e)`` for ``n / (o * 2**e)``: ``n`` odd,
-``o`` odd and positive, ``gcd(n, o) == 1``, ``e`` any int, and zero
-``(0, 1, 0)``.  The form is canonical, so tuple ``==`` is equality of
+Every exact number of the package is a rational split at its power of two,
+a triple of ints ``(n, o, e)`` for ``n / (o * 2**e)``: ``n`` odd, ``o`` odd
+and positive, ``e`` any int, and zero ``(0, 1, 0)``.  Reduced, with
+``gcd(n, o) == 1``, the form is canonical, so tuple ``==`` is equality of
 values.  It pays because the exact inputs are doubles, p / 2^k, whose odd
 denominator part is 1, and the factorials and differences built from them
 keep small odd parts: a gcd only ever runs on the odd parts, never on the
@@ -14,12 +14,18 @@ The functions below work on bare triples; the exact simplex
 gain combinations of the bounds (``decoy3._exact_combine``) write vectors
 of triples as int vectors over one denominator (``_scaled``) and reduce
 their integer dot products once (``_reduced``).  ``Dyadic`` wraps
-one triple in an operator class over the same functions, which is the exact
-number type of the yield bounds (``decoy3``, ``decoy4``): the formulas run
-on it unchanged, with ints, floats and other rationals converted exactly.
-Every result is the reduced rational ``fractions.Fraction`` gives, and a
-value goes back to a float through the correctly rounded division of the
-rejoined reduced pair of ints (``_float``), as ``Fraction`` does.
+one triple in an operator class, which is the exact number type of the
+yield bounds (``decoy3``, ``decoy4``): the formulas run on it unchanged,
+with ints, floats and other rationals converted exactly.  On reduced
+triples the functions on bare triples return reduced triples, which the
+simplex relies on.  ``Dyadic``'s results are exact but not reduced: its
+products, quotients and powers multiply the odd parts as they are, with no
+gcd, and its sums run ``_add``, whose gcds run on the odd denominators
+only.  Its ``triple`` is the reduced rational ``fractions.Fraction`` gives,
+reduced once, when it is first read.  A value goes back to a float through
+one correctly rounded division of the rejoined ints (``_float``), as
+``Fraction`` does; the rounding does not depend on whether they are
+reduced.
 """
 
 from __future__ import annotations
@@ -176,10 +182,11 @@ _HASH_MODULUS = sys.hash_info.modulus
 
 
 def _operand(x):
-    """The triple of an operand ``Dyadic``, int, float or rational, or None
-    for any other type; a non-finite float raises ``ValueError``."""
+    """The triple of an operand ``Dyadic`` (unreduced), int, float or
+    rational, or None for any other type; a non-finite float raises
+    ``ValueError``."""
     if isinstance(x, Dyadic):
-        return x.triple
+        return x._t
     if isinstance(x, int):
         t = _SMALL_INTS.get(x)
         return _rational(int(x), 1) if t is None else t
@@ -188,9 +195,10 @@ def _operand(x):
     return None
 
 
-def _wrap(t) -> Dyadic:
+def _wrap(t, reduced=True) -> Dyadic:
     d = object.__new__(Dyadic)
-    d.triple = t
+    d._t = t
+    d._r = reduced
     return d
 
 
@@ -200,106 +208,146 @@ def _nonzero(t):
     return t
 
 
+def _product(a, b) -> Dyadic:
+    """``a * b`` of two triples, unreduced: the odd parts multiply as they are."""
+    an, ao, ae = a
+    bn, bo, be = b
+    if not an or not bn:
+        return _wrap(_ZERO)
+    return _wrap((an * bn, ao * bo, ae + be), False)
+
+
+def _quotient(a, b) -> Dyadic:
+    """``a / b`` of two triples, ``b`` nonzero, unreduced."""
+    an, ao, ae = a
+    bn, bo, be = b
+    if not an:
+        return _wrap(_ZERO)
+    if bn < 0:
+        return _wrap((-an * bo, -ao * bn, ae - be), False)
+    return _wrap((an * bo, ao * bn, ae - be), False)
+
+
 class Dyadic:
-    """An exact rational held as its reduced ``(n, o, e)`` triple.
+    """An exact rational held as an ``(n, o, e)`` triple.
 
     Takes an int, a finite float or a rational, exactly.  Supports ``+``,
     ``-``, ``*`` and ``/``, also reflected, with ints, floats and rationals
     as the other operand, ``**`` to an int power, the comparisons, ``abs``,
     unary minus, ``float`` and truth.  Results are ``Dyadic`` and exact:
     unlike ``Fraction``, a float operand is converted, not a float result
-    returned.  A non-finite float operand raises ``ValueError``, except
-    that it is unequal to every ``Dyadic``.  Equality and hash are by value,
-    as for the built-in numbers; division by zero raises
-    ``ZeroDivisionError``.
+    returned.  They are not reduced: their odd parts ``n`` and ``o`` may
+    share factors, so products, quotients and powers run no gcd, and sums
+    run ``_add``'s gcds on the odd denominators only.  ``triple`` is the
+    canonical reduced triple, reduced once, when it is first read;
+    equality, hash and ``repr`` read it.  Comparisons, ``float`` (one
+    correctly rounded division of the unreduced ints) and truth do not need
+    it.  A non-finite float operand raises ``ValueError``, except that it is
+    unequal to every ``Dyadic``.  Equality and hash are by value, as for the
+    built-in numbers; division by zero raises ``ZeroDivisionError``.
     """
 
-    __slots__ = ("triple",)
+    __slots__ = ("_t", "_r")    # the triple, and whether it is reduced
 
     def __new__(cls, value=0):
+        if isinstance(value, Dyadic):
+            return _wrap(value._t, value._r)
         t = _operand(value)
         if t is None:
             raise TypeError(f"Dyadic takes an int, a float or a rational, "
                             f"got {type(value).__name__}")
         return _wrap(t)
 
+    @property
+    def triple(self) -> tuple:
+        """The canonical reduced ``(n, o, e)`` triple of the value."""
+        if not self._r:
+            n, o, e = self._t
+            g = gcd(n, o)
+            if g != 1:
+                n //= g
+                o //= g
+            self._t = n, o, e
+            self._r = True
+        return self._t
+
     def __repr__(self) -> str:
         n, o, e = self.triple
         return f"Dyadic({n} / ({o} * 2**{e}))"
 
     def __float__(self) -> float:
-        return _float(self.triple)
+        return _float(self._t)
 
     def __bool__(self) -> bool:
-        return self.triple[0] != 0
+        return self._t[0] != 0
 
     def __neg__(self) -> Dyadic:
-        n, o, e = self.triple
-        return _wrap((-n, o, e))
+        n, o, e = self._t
+        return _wrap((-n, o, e), self._r)
 
     def __abs__(self) -> Dyadic:
-        n, o, e = self.triple
-        return self if n >= 0 else _wrap((-n, o, e))
+        n, o, e = self._t
+        return self if n >= 0 else _wrap((-n, o, e), self._r)
 
     def __add__(self, other):
-        b = other.triple if type(other) is Dyadic else _operand(other)
-        return NotImplemented if b is None else _wrap(_add(self.triple, b))
+        b = other._t if type(other) is Dyadic else _operand(other)
+        return NotImplemented if b is None else _wrap(_add(self._t, b), False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = other.triple if type(other) is Dyadic else _operand(other)
-        return NotImplemented if b is None else _wrap(_sub(self.triple, b))
+        b = other._t if type(other) is Dyadic else _operand(other)
+        return NotImplemented if b is None else _wrap(_sub(self._t, b), False)
 
     def __rsub__(self, other):
         a = _operand(other)
-        return NotImplemented if a is None else _wrap(_sub(a, self.triple))
+        return NotImplemented if a is None else _wrap(_sub(a, self._t), False)
 
     def __mul__(self, other):
-        b = other.triple if type(other) is Dyadic else _operand(other)
-        return NotImplemented if b is None else _wrap(_mul(self.triple, b))
+        b = other._t if type(other) is Dyadic else _operand(other)
+        return NotImplemented if b is None else _product(self._t, b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = other.triple if type(other) is Dyadic else _operand(other)
-        return NotImplemented if b is None else _wrap(_div(self.triple, _nonzero(b)))
+        b = other._t if type(other) is Dyadic else _operand(other)
+        return NotImplemented if b is None else _quotient(self._t, _nonzero(b))
 
     def __rtruediv__(self, other):
         a = _operand(other)
-        return NotImplemented if a is None else _wrap(_div(a, _nonzero(self.triple)))
+        return NotImplemented if a is None else _quotient(a, _nonzero(self._t))
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        n, o, e = self.triple
+        n, o, e = self._t
         if k < 0:
-            n, o, e = _div(_ONE, _nonzero(self.triple))
+            n, o, e = _quotient(_ONE, _nonzero(self._t))._t
             k = -k
-        # odd powers of coprime odd parts stay odd and coprime
-        return _wrap((n ** k, o ** k, e * k))
+        # odd powers of odd parts stay odd
+        return _wrap((n ** k, o ** k, e * k), False)
 
     def __eq__(self, other):
         if isinstance(other, float) and not isfinite(other):
             return False
-        b = _operand(other)
+        b = other.triple if isinstance(other, Dyadic) else _operand(other)
         return NotImplemented if b is None else self.triple == b
 
     def __lt__(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else _less(self.triple, b)
+        return NotImplemented if b is None else _less(self._t, b)
 
     def __gt__(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else _less(b, self.triple)
+        return NotImplemented if b is None else _less(b, self._t)
 
     def __le__(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else not _less(b, self.triple)
+        return NotImplemented if b is None else not _less(b, self._t)
 
     def __ge__(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else not _less(self.triple, b)
+        return NotImplemented if b is None else not _less(self._t, b)
 
     def __hash__(self) -> int:
         # the hash of the equal int, float or Fraction (numeric hashing)

@@ -23,7 +23,10 @@ Every target of one configuration shares those rows and windows, and the
 feasible start of the simplex depends on nothing else.  One small
 ``lru_cache`` keyed by (gains, intensities, truncation) therefore builds the
 start once, in triples; each ``lp_yield_bound`` call then only runs phase 2
-for its own target from a copy of it.
+for its own target on it.  The phase 2s share the start read-only
+(``simplex._view``): they read its rows in place, a pivot copies only the
+rows it writes, and the floats their shadow tests read are converted once
+for all of them.
 
 Phase 1 is skipped where the product start is feasible: the basis of the
 structurals (n, m) with n, m < d for d intensities per party, every other
@@ -63,7 +66,7 @@ from .simplex import solve_bounded_lp  # noqa: F401  (benchmark/spans.py wraps t
 DEFAULT_TRUNCATION = 10
 # Largest truncation order accepted, checked before anything is allocated:
 # the LP has (n + 1)^2 variables, 1,681 at 40, where the start and the first
-# phase 2 take 0.08-0.25 s for a 3-decoy and 0.10-0.15 s for a 4-decoy
+# phase 2 take 0.05-0.21 s for a 3-decoy and 0.10-0.15 s for a 4-decoy
 # configuration, and 85-105 s for the tests' pivot-heavy constructed
 # profile, which needs phase 1 (2-core x86 container, Python 3.11); the
 # bounds have long stopped moving there (they settle by 15).

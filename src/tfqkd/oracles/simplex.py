@@ -47,27 +47,41 @@ runs first on floats, with a rigorous error bound (``_SHADOW_ERROR``);
 only where the float verdict is not certain (a near tie, a zero room, a
 float that underflows or overflows) does it fold the row and
 cross-multiply exactly (``_reaches``).  A flip's moves do not touch the
-long exact basic values either: each row logs them, the exact short moves
-in a list and their floats in two running sums, of the moves and of their
-magnitudes.  The float test reads the float of the basic value plus the
-running sum, with an allowance for the sum's rounding that grows with the
-number of moves.  A row's log is folded into its basic value, the moves
-summed over one denominator and then added once, only where the value is
-read exactly: at a flip test the floats leave open, at the next pivot that
-moves the row, and at the end of the phase.  ``_maximize`` folds every row
-there, so every basic value is a reduced triple again; ``_optimum``, which
-``lp_yield_bound`` calls, folds only the rows whose basic column has a
-nonzero cost, the rows its optimum reads.  Pivots skip the zero entries of
-the pivot row.  Every decision is the one exact arithmetic makes: ``d_j``
-equals the reduced cost a fresh pricing gives and every test decides as a
-fresh computation would, so the pivot sequence is Bland's, unchanged, and
-so are the starts, the optima and ``x``.
+long exact basic values either: each row logs the flip's ``(cap, entry)``
+pair, and three float running sums, of the moves, of their magnitudes and of
+the magnitudes of the moves whose cap is not 1.  A move's float is the
+entry's float, times the cap's unless the cap is 1; its exact product is
+formed only where the log is folded.  The float test reads the float of the
+basic value plus the running sum, with an allowance for the moves' and the
+sum's rounding that grows with the number of moves.  A row's log is folded
+into its basic value, the moves summed over one denominator and then added
+once, only where the value is read exactly: at a flip test the floats leave
+open, at the next pivot that moves the row, and at the end of the phase.
+``_maximize`` folds every row there, so every basic value is a reduced
+triple again; ``_optimum``, which ``lp_yield_bound`` calls, folds only the
+rows whose basic column has a nonzero cost, the rows its optimum reads.
+Pivots skip the zero entries of the pivot row.  Every decision is the one
+exact arithmetic makes: ``d_j`` equals the reduced cost a fresh pricing
+gives and every test decides as a fresh computation would, so the pivot
+sequence is Bland's, unchanged, and so are the starts, the optima and
+``x``.
+
+The phase 2s on one start share it read-only (``_view``, built once per
+start and kept beside the start it was built from, matched by identity).
+Each reads the start's rows in place, as tuples without the artificial
+columns, and a pivot copies into lists only the rows it writes
+(``_pivot``), the pivot row and those with a nonzero entry in the entering
+column; the rest of the start is never copied.  ``_optimum``'s phases also
+share the start's floats that the shadow tests read (``_Floats``): the
+tableau entries, the basic values, the columns' bounds and flip caps, each
+converted on its first read by any of them.  After a pivot the phase keeps
+its own floats for the rows the pivot wrote.
 
 A solve is two steps.  ``_feasible_start`` takes the constraints as triples,
 runs phase 1 and drives the leftover artificials out of the basis; it
 depends on the constraints only and returns its lists as an immutable
-``_Start`` of ints and triples.  ``_maximize`` copies a start's rows without
-the artificial columns and runs phase 2 for one objective, so one start
+``_Start`` of ints and triples.  ``_maximize`` runs phase 2 on a start's
+rows without the artificial columns for one objective, so one start
 serves any number of objectives over the same constraints, each with the
 pivots a fresh solve would make; ``_optimum`` does the same for the
 optimum alone.  ``solve_bounded_lp`` converts its
@@ -98,22 +112,33 @@ _MAX_ITER = 50000
 # part.  The cap and the rate must be normal floats, so that their product
 # has a relative error.
 #
-# The row's k flip moves m_j since its last exact read enter through their
-# float running sum s_k, s_j = fl(s_(j-1) + f_j) with f_j = fl(m_j), which is
-# not correctly rounded.  The second part of the allowance, (k + 1) u M_k +
-# k 2**-1074 with u = 2**-53 (``_ROUNDOFF``) and the running sum of
-# magnitudes M_j = fl(M_(j-1) + |f_j|), bounds its error:
-# - each f_j is within u |f_j| of m_j, or within 2**-1075 if subnormal;
+# The row's k flip moves m_j = c_j a_j (a cap times a tableau entry) since
+# its last exact read enter through their float running sum s_k,
+# s_j = fl(s_(j-1) + f_j), which is not correctly rounded.  For a unit cap
+# f_j = fl(m_j); otherwise f_j = fl(fl(c_j) fl(a_j)), three roundings, and
+# only where both factors' floats are normal and the product is finite (else
+# M_k is set to inf: no difference exceeds that allowance, and the row goes
+# to the exact test).  The second part of the allowance,
+# (k + 1/8) u M_k + 2 u P_k + k 2**-1074 with u = 2**-53 (``_ROUNDOFF``), the
+# running sum of magnitudes M_j = fl(M_(j-1) + |f_j|) and P_k the same sum
+# over the moves whose cap is not 1, bounds its error:
+# - a unit move's f_j is within u |f_j| of m_j, or within 2**-1075 if
+#   subnormal;
+# - a product's factors are within u of their normal floats, relatively, so
+#   m_j is within (2u + u^2) |p_j| of p_j = fl(c_j) fl(a_j), and f_j = fl(p_j)
+#   within u |f_j|, or 2**-1075 if subnormal: |f_j - m_j| <= 3u (1 + 2u) |f_j|
+#   + (1 + 3u) 2**-1075;
 # - rounding is monotone and odd, so |s_j| <= M_j by induction, and M_j does
 #   not decrease: the addition that makes s_j is off by at most u |s_j| <=
-#   u M_k (a subnormal sum is exact), and sum |f_j| <= (1 + (k - 1) u) M_k;
-# - so |s_k - sum m_j| <= (k - 1) u M_k + u (1 + (k - 1) u) M_k + k 2**-1075,
-#   which is below k u M_k + u M_k / 2 + k 2**-1075 for k < 2**51.
-# The allowance's own three roundings take at most a relative 3u off each
-# part, which the spare u M_k / 2, the spare factor 2 on 2**-1075 and the
-# other half of the first part cover (k <= ``_MAX_ITER``).  A move whose
-# float overflows sets M_k to inf: no difference exceeds that allowance,
-# and the row goes to the exact test.
+#   u M_k (s_1 = f_1, and a subnormal sum is exact), and the sums of the
+#   |f_j| are at most (1 + k u) M_k and (1 + k u) P_k, with P_k <= (1 + 2k u) M_k;
+# - so |s_k - sum m_j| <= (k - 1) u M_k + u (1 + k u) M_k
+#   + 2u (1 + 3u) (1 + k u) P_k + k (1 + 3u) 2**-1075, which is below
+#   k u M_k + 2 u P_k + u M_k / 2**35 + k (1 + 3u) 2**-1075 for k <= ``_MAX_ITER``.
+# The allowance's own roundings (one product per part, three sums) take at
+# most a relative 4u off each part, which the spare u M_k / 8 and the spare
+# factor 2 on 2**-1075 cover, and at most 3 * 2**-1075 from underflow, which
+# the other half of the first part covers.
 _SHADOW_ERROR = 2.0 ** -50
 _ROUNDOFF = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1074
@@ -219,9 +244,14 @@ def _entries(rn, ro, re) -> list:
 def _pivot(tab_n, tab_o, tab_e, row: int, col: int) -> list:
     """Scale ``row`` to a unit pivot at ``col`` and eliminate ``col`` elsewhere.
 
-    Returns the scaled pivot row's nonzero entries; only they change the
-    other rows.
+    A row held as tuples is shared with other phases (``_view``) and is
+    copied into lists before it is written; only the pivot row and the rows
+    with a nonzero entry in ``col`` are.  Returns the scaled pivot row's
+    nonzero entries; only they change the other rows.
     """
+    for i, rn in enumerate(tab_n):
+        if type(rn) is tuple and (i == row or rn[col]):
+            tab_n[i], tab_o[i], tab_e[i] = list(rn), list(tab_o[i]), list(tab_e[i])
     an, ao, ae = tab_n[row][col], tab_o[row][col], tab_e[row][col]
     inv = (-ao, -an, -ae) if an < 0 else (ao, an, -ae)
     pn, po, pe = tab_n[row], tab_o[row], tab_e[row]
@@ -245,34 +275,66 @@ def _shadow(v) -> float:
         return inf
 
 
-def _folded(value, moves) -> tuple:
-    """``value`` plus the sum of the reduced triples ``moves``, reduced.  The
-    short moves are summed first, as ints over one denominator
-    (``dyadic._scaled``), so the long ``value`` enters a single addition."""
-    ks, o, e = _scaled(moves)
+class _Floats:
+    """The floats the shadow tests of phases on one start read, each filled
+    on first read (None before): per row the tableau entries, the basic
+    values the start holds (``beta``, matched by identity), per column the
+    lower and upper bounds, and the flip caps as ``(cap, float)`` pairs.
+    ``rows`` is shared until a pivot writes a row; the phase then keeps its
+    own floats for it."""
+
+    __slots__ = ("rows", "beta", "beta_f", "lo_f", "hi_f", "caps")
+
+    def __init__(self, beta, ncols: int, width: int):
+        self.rows = [[None] * width for _ in beta]
+        self.beta = tuple(beta)
+        self.beta_f = [None] * len(beta)
+        self.lo_f = [None] * ncols
+        self.hi_f = [None] * ncols
+        self.caps = [None] * width
+
+
+def _folded(value, log) -> tuple:
+    """``value`` plus the moves ``cap * entry`` of the ``(cap, entry)`` pairs
+    ``log``, reduced.  The short moves are formed here and summed first, as
+    ints over one denominator (``dyadic._scaled``), so the long ``value``
+    enters a single addition."""
+    ks, o, e = _scaled([_mul(cap, a) for cap, a in log])
     return _add(value, _reduced(sum(ks), o, e))
 
 
 def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed, *,
-               costed_only=False):
+               costed_only=False, floats=None):
     """Bland's-rule simplex on ``cobj`` over the first ``n_allowed`` columns.
 
-    The rows hold exactly ``n_allowed`` columns.  Updates ``tab_n``,
-    ``tab_o``, ``tab_e``, ``beta``, ``status`` and ``basis`` in place and
-    returns the numbers of pivots and of bound flips.
+    The rows hold exactly ``n_allowed`` columns; a row held as tuples is
+    shared and read-only, and ``_pivot`` copies it before writing it.
+    Updates ``tab_n``, ``tab_o``, ``tab_e``, ``beta``, ``status`` and
+    ``basis`` in place and returns the numbers of pivots and of bound flips.
 
-    A bound flip's moves are logged per row, not added to the basic values:
-    each row keeps the exact moves since its last exact read, and the float
-    running sums of their floats and of their magnitudes, which the float
-    flip tests read with an allowance for the sum's rounding.  A row's log
-    is folded into its basic value when something reads the value exactly:
-    a flip test the floats leave open, a pivot that moves the row, and the
-    end of the phase.  At the end every row is folded, so every basic value
-    is a reduced triple again; with ``costed_only`` only the rows whose
-    basic column has a nonzero cost are, and the other basic values are
-    left stale, for a caller that reads the optimum alone.
+    The shadow tests read the floats of ``floats``, a ``_Floats`` of the
+    start the phases share (``_phase_two``), or of a fresh one.  A bound
+    flip's moves are logged per row, not added to the basic values: each row
+    keeps the ``(cap, entry)`` pairs since its last exact read, and the float
+    running sums of the moves' floats, of their magnitudes and of the
+    magnitudes of the moves with a cap other than 1, which the float flip
+    tests read with an allowance for the moves' and the sum's rounding.  A
+    move's float is the entry's float for a unit cap and the product of the
+    cap's and the entry's floats otherwise; its exact value is formed only
+    when the row's log is folded into its basic value, which happens when
+    something reads the value exactly: a flip test the floats leave open, a
+    pivot that moves the row, and the end of the phase.  At the end every row
+    is folded, so every basic value is a reduced triple again; with
+    ``costed_only`` only the rows whose basic column has a nonzero cost are,
+    and the other basic values are left stale, for a caller that reads the
+    optimum alone.
     """
     m = len(tab_n)
+    if floats is None:
+        floats = _Floats(beta, len(lo), n_allowed)
+    row_f = list(floats.rows)
+    base, base_f = floats.beta, floats.beta_f
+    lo_f, hi_f, caps = floats.lo_f, floats.hi_f, floats.caps
     # reduced costs c_j - sum_i c_B(i) tab[i][j], priced once, then kept
     dn = [c[0] for c in cobj[:n_allowed]]
     do = [c[1] for c in cobj[:n_allowed]]
@@ -282,20 +344,22 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         if cn:
             _eliminate(dn, do, de, cn, co, ce, _entries(tab_n[i], tab_o[i], tab_e[i]))
     # the value of basic variable i is beta[i] plus the flip moves logged in
-    # moves[i] since its last exact read (None for none); total[i] and
-    # size[i] are the float running sums of the moves' floats and of their
-    # magnitudes, size[i] inf once a move's float overflows; shadow[i] is
-    # the float of beta[i], None until a flip test reads it
+    # moves[i] since its last exact read (None for none); total[i], size[i]
+    # and prods[i] are the float running sums of the moves' floats, of their
+    # magnitudes and of the magnitudes of the moves with a cap other than 1,
+    # size[i] inf once a move has no float the allowance covers; shadow[i]
+    # is the float of beta[i], None until a flip test reads it
     moves = [None] * m
     total = [0.0] * m
     size = [0.0] * m
+    prods = [0.0] * m
     shadow = [None] * m
 
     def read(i):
         """Fold row ``i``'s logged moves into its basic value."""
         beta[i] = _folded(beta[i], moves[i])
         moves[i] = shadow[i] = None
-        total[i] = size[i] = 0.0
+        total[i] = size[i] = prods[i] = 0.0
 
     first = 0
     pivots = flips = 0
@@ -317,8 +381,11 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         # row undercuts the cap, a row is skipped if room >= cap * rate:
         # decided on the floats where their allowance settles it, else (and
         # for every other row) on the exact value, its log folded first
-        step = None if hi[entering] is None else _sub(hi[entering], lo[entering])
-        step_f = 0.0 if step is None else _shadow(step)
+        cap = caps[entering]
+        if cap is None:
+            step = None if hi[entering] is None else _sub(hi[entering], lo[entering])
+            cap = caps[entering] = (step, 0.0 if step is None else _shadow(step))
+        step, step_f = cap
         leaving = -1
         hit_lower = True
         for i in range(m):
@@ -330,29 +397,45 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
             bound = lo[b] if hits_low else hi[b]
             if bound is None:
                 continue
-            rate = (abs(an), tab_o[i][entering], tab_e[i][entering])
             log = moves[i]
             # the shadow test, skipped on a zero room, which the exact test
             # decides at once
             if leaving < 0 and step_f >= _NORMAL and (log is not None or beta[i] != bound):
                 value = shadow[i]
                 if value is None:
-                    value = shadow[i] = _shadow(beta[i])
+                    v = beta[i]
+                    if v is base[i]:
+                        value = base_f[i]
+                        if value is None:
+                            value = base_f[i] = _shadow(v)
+                    else:
+                        value = _shadow(v)
+                    shadow[i] = value
+                entry_f = row_f[i][entering]
+                if entry_f is None:
+                    entry_f = row_f[i][entering] = _shadow((an, tab_o[i][entering],
+                                                            tab_e[i][entering]))
+                bounds_f = lo_f if hits_low else hi_f
+                bound_f = bounds_f[b]
+                if bound_f is None:
+                    bound_f = bounds_f[b] = _shadow(bound)
                 moved = total[i]
-                bound_f = _shadow(bound)
-                rate_f = _shadow(rate)
+                rate_f = abs(entry_f)
                 need = step_f * rate_f
                 scale = abs(value) + abs(moved) + abs(bound_f) + need
                 if _SMALL <= scale < inf and rate_f >= _NORMAL:
                     room = value + moved - bound_f if hits_low else bound_f - (value + moved)
                     allowance = scale * _SHADOW_ERROR
                     if log is not None:
+                        # inf, and no verdict, once size[i] is
                         k = len(log)
-                        allowance += (k + 1) * _ROUNDOFF * size[i] + k * _SUBNORMAL
+                        allowance += ((k + 0.125) * _ROUNDOFF * size[i]
+                                      + 2 * _ROUNDOFF * prods[i] + k * _SUBNORMAL)
                     if room - need > allowance:
                         continue
             if log is not None:
                 read(i)
+            rate = (abs(an), tab_o[i][entering], tab_e[i][entering])
             room = _sub(beta[i], bound) if hits_low else _sub(bound, beta[i])
             if leaving < 0 and step is not None and _reaches(room, step, rate):
                 continue
@@ -364,35 +447,40 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                 hit_lower = hits_low
         if step is None:
             raise ArithmeticError("unbounded linear program")
-        if step[0]:
-            unit = step == _ONE
-            for i in range(m):
-                an = tab_n[i][entering]
-                if not an or i == leaving:
-                    continue
-                a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
-                move = a if unit else _mul(step, a)
-                if leaving < 0:
+        if leaving < 0:
+            if step[0]:
+                # a flip by the cap ``step``: each row logs (cap, entry), and its
+                # float is the entry's, times the cap's unless the cap is 1
+                unit = step == _ONE
+                normal = _NORMAL <= step_f < inf
+                for i in range(m):
+                    an = tab_n[i][entering]
+                    if not an:
+                        continue
+                    a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
                     log = moves[i]
                     if log is None:
-                        moves[i] = [move]
+                        moves[i] = [(step, a)]
                     else:
-                        log.append(move)
-                    try:
-                        f = _float(move)
-                    except OverflowError:
-                        size[i] = inf
+                        log.append((step, a))
+                    entry_f = row_f[i][entering]
+                    if entry_f is None:
+                        entry_f = row_f[i][entering] = _shadow((an, a[1], a[2]))
+                    if up:
+                        entry_f = -entry_f
+                    if unit:
+                        f = entry_f
+                    elif normal and _NORMAL <= abs(entry_f) < inf:
+                        f = step_f * entry_f
                     else:
+                        f = inf
+                    if abs(f) < inf:
                         total[i] += f
                         size[i] += abs(f)
-                else:
-                    # a pivot's step is a long quotient: into the basic value,
-                    # after the row's short logged moves
-                    if moves[i] is not None:
-                        read(i)
-                    beta[i] = _add(beta[i], move)
-                    shadow[i] = None
-        if leaving < 0:
+                        if not unit:
+                            prods[i] += abs(f)
+                    else:
+                        size[i] = inf
             # the basis and every reduced cost are unchanged, the columns
             # before ``entering`` stay non-improving and ``entering`` is not
             # improving at its other bound: Bland's scan resumes after it
@@ -400,15 +488,31 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
             first = entering + 1
             flips += 1
             continue
+        if step[0]:
+            # a pivot's step is a long quotient: into the basic values, after
+            # each row's short logged moves
+            unit = step == _ONE
+            for i in range(m):
+                an = tab_n[i][entering]
+                if not an or i == leaving:
+                    continue
+                a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
+                if moves[i] is not None:
+                    read(i)
+                beta[i] = _add(beta[i], a if unit else _mul(step, a))
+                shadow[i] = None
         new_value = _add(lo[entering], step) if up else _sub(hi[entering], step)
         out = basis[leaving]
         status[out] = _AT_LOWER if hit_lower else _AT_UPPER
+        written = [i for i in range(m) if tab_n[i][entering]]
         prow = _pivot(tab_n, tab_o, tab_e, leaving, entering)
+        for i in written:
+            row_f[i] = [None] * n_allowed
         basis[leaving] = entering
         status[entering] = _BASIC
         beta[leaving] = new_value
         moves[leaving] = shadow[leaving] = None
-        total[leaving] = size[leaving] = 0.0
+        total[leaving] = size[leaving] = prods[leaving] = 0.0
         _eliminate(dn, do, de, dn[entering], do[entering], de[entering], prow)
         first = 0
         pivots += 1
@@ -490,29 +594,52 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
                   basis=tuple(basis), lo=tuple(lo), hi=tuple(hi))
 
 
-def _phase_two(start: _Start, c, costed_only=False):
-    """Phase 2 from a copy of ``start``: the optimum of c.x as a float, and the
-    basic values, statuses and basis it ends on.
+# the start phase 2 last ran on, its rows without the artificial columns
+# and its ``_Floats``: the nine targets of a configuration run on one start
+# in turn, and a start, thousands of long ints, is matched by identity
+_last_view = None
 
-    Phase 2 prices only the n + m structural and slack columns, so the copy
-    drops the artificial columns and no pivot eliminates them.  The cost
+
+def _view(start: _Start):
+    """The rows of ``start`` without the artificial columns, as tuples, and
+    the ``_Floats`` its phase 2s share; built again only when phase 2 runs
+    on another start than the last."""
+    global _last_view
+    last = _last_view
+    if last is None or last[0] is not start:
+        width = start.n + len(start.tab_n)
+        rows = tuple(tuple(r[:width] for r in tab)
+                     for tab in (start.tab_n, start.tab_o, start.tab_e))
+        last = _last_view = (start, rows, _Floats(start.beta, len(start.lo), width))
+    return last[1], last[2]
+
+
+def _phase_two(start: _Start, c, costed_only=False):
+    """Phase 2 on ``start``: the optimum of c.x as a float, and the basic
+    values, statuses and basis it ends on.
+
+    Phase 2 prices only the n + m structural and slack columns, so it reads
+    the start's rows without the artificial columns and no pivot eliminates
+    them.  The rows are the start's own, shared read-only by every phase 2 on
+    it; a pivot copies a row before writing it (``_pivot``).  The cost
     vector keeps all n + 2m entries: pricing reads the cost of every basic
     column, and a hand-built start may keep an artificial basic.  With
     ``costed_only`` only the basic values of costed columns are folded
-    (``_run_phase``), the ones the optimum reads.
+    (``_run_phase``), the ones the optimum reads, and the shadow tests share
+    the start's floats with the other phase 2s on it.
     """
     n, m = start.n, len(start.tab_n)
     if len(c) != n:
         raise ValueError(f"the objective must have {n} entries, got {len(c)}")
-    cvec = [_number(v) for v in c]
-    tab_n, tab_o, tab_e = ([list(r[:n + m]) for r in tab]
-                           for tab in (start.tab_n, start.tab_o, start.tab_e))
+    cvec = [_ZERO if v == 0 else _number(v) for v in c]
+    rows, floats = _view(start)
+    tab_n, tab_o, tab_e = map(list, rows)
     beta, status, basis = list(start.beta), list(start.status), list(start.basis)
     lo, hi = start.lo, start.hi
     phase2 = cvec + [_ZERO] * (2 * m)
     if costed_only:
         _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase2, n + m,
-                   costed_only=True)
+                   costed_only=True, floats=floats)
     else:
         # the plain call, which a stand-in phase routine with the same ten
         # parameters also takes (the tests' frozen copy)
@@ -529,7 +656,7 @@ def _phase_two(start: _Start, c, costed_only=False):
 
 
 def _maximize(start: _Start, c):
-    """Phase 2 from a copy of ``start``: (optimum, x) of c.x as floats."""
+    """Phase 2 on ``start``: (optimum, x) of c.x as floats."""
     optimum, beta, status, basis = _phase_two(start, c)
     n = start.n
     x = [start.hi[j] if status[j] == _AT_UPPER else start.lo[j] for j in range(n)]

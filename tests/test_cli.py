@@ -529,6 +529,22 @@ def test_verify_writes_its_out_file(tmp_path, capsys):
     assert path.read_text().endswith("verify: 0 failures\n")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_negative_seed_names_its_field(source, tmp_path, capsys):
+    # as optimize and sweep say it, before any draw
+    argv = ["verify", "--configs", "1"]
+    if source == "flag":
+        argv += ["--seed", "-3"]
+    else:
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"seed": -3}))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "seed must be an integer >= 0, got -3"}
+
+
 def test_verify_reads_the_noise_profile(tmp_path, capsys):
     # the 4-decoy configuration of the two shows the profile in its printed digits
     path = tmp_path / "noise.json"

@@ -275,6 +275,77 @@ class TestOptimumReader:
         assert solved == 35    # the others are infeasible
 
 
+def _unchanged_floats(start):
+    """Every float the phase 2s on ``start`` filled in its shared ``_Floats``
+    is the float of the start's own number: no pivot wrote a shared row."""
+    (tab_n, tab_o, tab_e), floats = simplex._view(start)
+    for i, row in enumerate(floats.rows):
+        for j, f in enumerate(row):
+            assert f is None or f == simplex._shadow((tab_n[i][j], tab_o[i][j], tab_e[i][j]))
+    for f, v in zip(floats.beta_f, start.beta):
+        assert f is None or f == simplex._shadow(v)
+    for fs, vs in ((floats.lo_f, start.lo), (floats.hi_f, start.hi)):
+        assert all(f is None or f == simplex._shadow(v) for f, v in zip(fs, vs))
+    return sum(f is not None for row in floats.rows for f in row)
+
+
+class TestSharedStart:
+    """The nine phase 2s of ``lp_yield_bound`` on one start read its rows in
+    place and share its floats: the targets give the same optimum bits and
+    (pivots, flips) forward and in reverse, and the start, its rows and its
+    floats are as built afterwards.  ``TestOptimumReader`` compares the
+    same optima with ``_maximize``'s, whose phases fill floats of their
+    own."""
+
+    @staticmethod
+    def _orders(monkeypatch, start_of, side):
+        start = start_of()
+        costs = _unit_costs(side, TARGETS_3)
+
+        def read(first, c):
+            return _counted(monkeypatch, lambda: _optimum(first, c))
+
+        forward = [read(start, c) for c in costs]
+        backward = [read(start, c) for c in reversed(costs)][::-1]
+        assert [(opt.hex(), counts) for opt, counts in forward] == \
+            [(opt.hex(), counts) for opt, counts in backward]
+        assert _unchanged_floats(start) > 0
+        # a fresh start of the same configuration: rows, basic values,
+        # statuses, basis and bounds
+        assert start == start_of()
+        return sum(counts[0][0] for _, counts in forward)
+
+    @pytest.mark.parametrize("decoys,seed", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)])
+    def test_certify_like(self, decoys, seed, monkeypatch):
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        self._orders(monkeypatch, lambda: lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc),
+                     n_trunc + 1)
+
+    @pytest.mark.parametrize("seed,index", [(1, 0), (1, 1), (1, 7), (2, 1)])
+    def test_verify_draws_both_starts(self, seed, index, monkeypatch):
+        gains, mu, nu = _verify_like(seed, index)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        for start_of in (lambda: lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc),
+                         lambda: _phase_one(gains.q, mu, nu, n_trunc)):
+            # each start's phase 2s pivot
+            assert self._orders(monkeypatch, start_of, n_trunc + 1) > 0
+
+    def test_pivots_copy_only_the_rows_they_write(self):
+        # the rows of a start are tuples; a pivot turns into lists exactly the
+        # pivot row and the rows with a nonzero entry in its column
+        gains, mu, nu = _certify_like(np.random.default_rng([4, 0]), 4)
+        (tab_n, tab_o, tab_e), _ = simplex._view(
+            lp_bounds._start.__wrapped__(gains.q, mu, nu, lp_bounds.DEFAULT_TRUNCATION))
+        rows = [list(tab) for tab in (tab_n, tab_o, tab_e)]
+        col = next(j for j in range(len(tab_n[0])) if 0 < sum(bool(r[j]) for r in tab_n) < 4)
+        written = [i for i, r in enumerate(tab_n) if r[col]]
+        _pivot(*rows, written[0], col)
+        for tab, shared in zip(rows, (tab_n, tab_o, tab_e)):
+            assert [i for i, r in enumerate(tab) if r is not shared[i]] == written
+            assert all(type(tab[i]) is list for i in written)
+
+
 def _gaps(log):
     """``room - step * rate`` of each logged flip test, exactly."""
     return [_fraction(room) - _fraction(step) * _fraction(rate) for room, step, rate, _ in log]
@@ -335,6 +406,35 @@ class TestShadowEdges:
         assert float(1 - y) == 1.0 and float(-(1 + x)) == -1.0
         room, need = float(low) + (1.0 - 1.0 + 1.0 - 1.0), float(a5)
         assert room - need > 2.0 ** -50 * (room + need)
+
+    def test_capped_moves_round_three_times(self, monkeypatch):
+        # the row -x0 + r1 x1 - r2 x2 within [-low, w - low] makes x0 basic at
+        # low.  x1 and x2 flip with caps c1, c2 other than 1, moving x0 by
+        # +c1 r1 and -c2 r2, each near 1: the caps' and the entries' floats
+        # and the products of those floats all round the same way, so each
+        # move's float is about 3u above the move.  The slack then flips down
+        # across its window w, moving x0 by -w: exactly x0's room falls
+        # 2**-80 short of w, while the floats read it about 6u over, above
+        # the first part of the allowance and (k + 1/8) u M_k = 4.25u; only
+        # 2u P_k, for the capped moves' three roundings, sends it to the
+        # exact test
+        u = Fraction(1, 2 ** 53)
+
+        def rounding(i, up):
+            # within 2**-73 of the midpoint below or above 1 + i 2**-52
+            return 1 + Fraction(i, 2 ** 52) + (-u if up else u) * (1 - Fraction(1, 2 ** 20))
+
+        c1, r1 = rounding(2 ** 26, True), rounding(2 ** 25 + 1, True)
+        c2, r2 = rounding(2 ** 26, False), rounding(2 ** 25 - 1, False)
+        low = Fraction(1, 2 ** 10)
+        w = low + c1 * r1 - c2 * r2 + Fraction(1, 2 ** 80)
+        log = self._solve(monkeypatch, [-Fraction(1, 2 ** 20), 1, 1], [-1, r1, -r2], -low,
+                          w - low, [0, 0, 0], [4, c1, c2])
+        assert -Fraction(1, 2 ** 80) in _gaps(log)
+        f1, f2 = float(c1) * float(r1), -(float(c2) * float(r2))
+        assert Fraction(f1) - c1 * r1 > 2.99 * u and Fraction(f2) + c2 * r2 > 2.99 * u
+        room, need, size = float(low) + (f1 + f2), float(w), abs(f1) + abs(f2)
+        assert room - need > 2.0 ** -50 * (room + need) + (2 + 1 / 8) * 2.0 ** -53 * size
 
     @pytest.mark.parametrize("rate,cap,lower", [
         # the rate's float is subnormal, 2**-1074 for 1.4 * 2**-1074: the
