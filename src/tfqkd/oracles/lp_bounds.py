@@ -23,10 +23,10 @@ Every target of one configuration shares those rows and windows, and the
 feasible start of the simplex depends on nothing else.  One small
 ``lru_cache`` keyed by (gains, intensities, truncation) therefore builds the
 start once, in triples; each ``lp_yield_bound`` call then only runs phase 2
-for its own target on it.  The phase 2s share the start read-only
-(``simplex._view``): they read its rows in place, a pivot copies only the
-rows it writes, and the floats their shadow tests read are converted once
-for all of them.
+for its own target on it.  The phase 2s share the start read-only: they
+read its rows in place, which hold only the structural and slack columns
+phase 2 prices, a pivot copies only the rows it writes, and the floats their
+shadow tests read are converted once for all of them.
 
 Phase 1 is skipped where the product start is feasible: the basis of the
 structurals (n, m) with n, m < d for d intensities per party, every other
@@ -169,10 +169,9 @@ def _product_start(mu, nu, n_trunc: int, factors, scales, lower, upper):
     The rows are A = diag(s) (M (x) N) for the monomials M of Alice's and N
     of Bob's intensities, so B = diag(s) (M_S (x) N_T) and, exactly, the
     tableau is B^-1 A = (M_S^-1 M) (x) (N_T^-1 N) (the scales cancel), the
-    slack columns are B^-1 = (M_S^-1 (x) N_T^-1) diag(s)^-1, the artificial
-    columns equal them (every lower window is >= 0, so phase 1 would give
-    each artificial its slack's sign), and the basic values are x_B = B^-1 lo,
-    each row at its lower end.  The statuses are those phase 1 leaves.
+    slack columns are B^-1 = (M_S^-1 (x) N_T^-1) diag(s)^-1, and the basic
+    values are x_B = B^-1 lo, each row at its lower end.  The statuses are
+    those phase 1 leaves.
     """
     d = len(mu)
     side = n_trunc + 1
@@ -196,19 +195,18 @@ def _product_start(mu, nu, n_trunc: int, factors, scales, lower, upper):
         for m in range(d):
             slack = [_mul(_mul(ia[n][k], ib[m][l]), inv_s[k * d + l])
                      for k in range(d) for l in range(d)]
-            tab.append([_mul(a, b) for a in pa[n] for b in pb[m]] + slack + slack)
+            tab.append([_mul(a, b) for a in pa[n] for b in pb[m]] + slack)
     n_vars = side * side
     basis = tuple(n * side + m for n in range(d) for m in range(d))
-    status = [_AT_LOWER] * n_vars + [_AT_UPPER] * (d * d) + [_AT_LOWER] * (d * d)
+    status = [_AT_LOWER] * n_vars + [_AT_UPPER] * (d * d)
     for j in basis:
         status[j] = _BASIC
     return _Start(n=n_vars, tab_n=tuple(tuple(v[0] for v in row) for row in tab),
                   tab_o=tuple(tuple(v[1] for v in row) for row in tab),
                   tab_e=tuple(tuple(v[2] for v in row) for row in tab),
                   beta=tuple(beta), status=tuple(status), basis=basis,
-                  lo=(_ZERO,) * (n_vars + 2 * d * d),
-                  hi=((_ONE,) * n_vars + tuple(_sub(u, lo) for lo, u in zip(lower, upper))
-                      + (None,) * (d * d)))
+                  lo=(_ZERO,) * (n_vars + d * d),
+                  hi=(_ONE,) * n_vars + tuple(_sub(u, lo) for lo, u in zip(lower, upper)))
 
 
 @lru_cache(maxsize=4)

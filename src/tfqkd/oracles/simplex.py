@@ -41,19 +41,19 @@ where the entering variable reaches its other bound before any basic
 variable reaches one of its own.  A flip changes neither the basis nor
 ``d``; the columns before the entering one stay non-improving, and the
 entering one is not improving at its other bound, so Bland's scan resumes
-after it instead of at column 0.  The ratio test divides only for the rows
-that can undercut the flip cap, those with ``room < cap * rate``.  That test
-runs first on floats, with a rigorous error bound (``_SHADOW_ERROR``);
-only where the float verdict is not certain (a near tie, a zero room, a
-float that underflows or overflows) does it fold the row and
-cross-multiply exactly (``_reaches``).  A flip's moves do not touch the
-long exact basic values either: each row logs the flip's ``(cap, entry)``
-pair, and three float running sums, of the moves, of their magnitudes and of
-the magnitudes of the moves whose cap is not 1.  A move's float is the
-entry's float, times the cap's unless the cap is 1; its exact product is
-formed only where the log is folded.  The float test reads the float of the
-basic value plus the running sum, with an allowance for the moves' and the
-sum's rounding that grows with the number of moves.  A row's log is folded
+after it instead of at column 0.  While no row undercuts the flip cap
+(``room < cap * rate``), the ratio test skips a row on floats, with a
+rigorous error bound (``_SHADOW_ERROR``), where that bound clears it; only
+where the float verdict is not certain (a near tie, a zero room, a float
+that underflows or overflows) does it fold the row and divide: a row
+undercuts the cap exactly when its limit ``room / rate`` is below it.  A
+flip's moves do not touch the long exact basic values either: each row logs
+the flip's ``(cap, entry)`` pair, and two float running sums, of the moves
+and of their magnitudes.  A move's float is the product of the cap's and the
+entry's floats; its exact product is formed only where the log is folded.
+The float test reads the float of the basic value plus the running sum,
+with an allowance for the moves' and the sum's rounding that grows with the
+number of moves.  A row's log is folded
 into its basic value, the moves summed over one denominator and then added
 once, only where the value is read exactly: at a flip test the floats leave
 open, at the next pivot that moves the row, and at the end of the phase.
@@ -66,22 +66,22 @@ gives and every test decides as a fresh computation would, so the pivot
 sequence is Bland's, unchanged, and so are the starts, the optima and
 ``x``.
 
-The phase 2s on one start share it read-only (``_view``, built once per
-start and kept beside the start it was built from, matched by identity).
-Each reads the start's rows in place, as tuples without the artificial
-columns, and a pivot copies into lists only the rows it writes
-(``_pivot``), the pivot row and those with a nonzero entry in the entering
-column; the rest of the start is never copied.  ``_optimum``'s phases also
-share the start's floats that the shadow tests read (``_Floats``): the
-tableau entries, the basic values, the columns' bounds and flip caps, each
-converted on its first read by any of them.  After a pivot the phase keeps
-its own floats for the rows the pivot wrote.
+A start holds exactly the columns phase 2 reads, the n structurals and the
+m slacks, and the phase 2s on one start share it read-only.  Each reads the
+start's rows in place, and a pivot copies into lists only the rows it
+writes (``_pivot``), the pivot row and those with a nonzero entry in the
+entering column; the rest of the start is never copied.  They also share
+the start's floats that the shadow tests read (``_Floats``): the tableau
+entries, the basic values, the columns' bounds and flip caps, each
+converted on its first read by any of them and kept for the start phase 2
+last ran on, matched by identity.  After a pivot the phase keeps its own
+floats for the rows the pivot wrote.
 
 A solve is two steps.  ``_feasible_start`` takes the constraints as triples,
-runs phase 1 and drives the leftover artificials out of the basis; it
-depends on the constraints only and returns its lists as an immutable
-``_Start`` of ints and triples.  ``_maximize`` runs phase 2 on a start's
-rows without the artificial columns for one objective, so one start
+runs phase 1 with one artificial column per row, drives every artificial
+out of the basis and drops their columns; it depends on the constraints
+only and returns its lists as an immutable ``_Start`` of ints and triples.
+``_maximize`` runs phase 2 on a start for one objective, so one start
 serves any number of objectives over the same constraints, each with the
 pivots a fresh solve would make; ``_optimum`` does the same for the
 optimum alone.  ``solve_bounded_lp`` converts its
@@ -93,7 +93,7 @@ from __future__ import annotations
 from math import gcd, inf
 from typing import NamedTuple
 
-from ..dyadic import (_ONE, _ZERO, _add, _div, _float, _less, _mul, _number, _reduced, _scaled,
+from ..dyadic import (_ZERO, _add, _div, _float, _less, _mul, _number, _reduced, _scaled,
                       _sub, _twos)
 
 _AT_LOWER = 0
@@ -114,29 +114,26 @@ _MAX_ITER = 50000
 #
 # The row's k flip moves m_j = c_j a_j (a cap times a tableau entry) since
 # its last exact read enter through their float running sum s_k,
-# s_j = fl(s_(j-1) + f_j), which is not correctly rounded.  For a unit cap
-# f_j = fl(m_j); otherwise f_j = fl(fl(c_j) fl(a_j)), three roundings, and
-# only where both factors' floats are normal and the product is finite (else
-# M_k is set to inf: no difference exceeds that allowance, and the row goes
-# to the exact test).  The second part of the allowance,
-# (k + 1/8) u M_k + 2 u P_k + k 2**-1074 with u = 2**-53 (``_ROUNDOFF``), the
-# running sum of magnitudes M_j = fl(M_(j-1) + |f_j|) and P_k the same sum
-# over the moves whose cap is not 1, bounds its error:
-# - a unit move's f_j is within u |f_j| of m_j, or within 2**-1075 if
-#   subnormal;
-# - a product's factors are within u of their normal floats, relatively, so
-#   m_j is within (2u + u^2) |p_j| of p_j = fl(c_j) fl(a_j), and f_j = fl(p_j)
-#   within u |f_j|, or 2**-1075 if subnormal: |f_j - m_j| <= 3u (1 + 2u) |f_j|
+# s_j = fl(s_(j-1) + f_j), which is not correctly rounded.  Each move's float
+# is f_j = fl(fl(c_j) fl(a_j)), three roundings, taken only where both
+# factors' floats are normal and the product is finite (else M_k is set to
+# inf: no difference exceeds that allowance, and the row goes to the exact
+# test).  The second part of the allowance, (k + 4) u M_k + k 2**-1074 with
+# u = 2**-53 (``_ROUNDOFF``) and the running sum of magnitudes
+# M_j = fl(M_(j-1) + |f_j|), bounds its error:
+# - the factors are within u of their normal floats, relatively, so m_j is
+#   within (2u + u^2) |p_j| of p_j = fl(c_j) fl(a_j), and f_j = fl(p_j) within
+#   u |f_j|, or 2**-1075 if subnormal: |f_j - m_j| <= 3u (1 + 2u) |f_j|
 #   + (1 + 3u) 2**-1075;
 # - rounding is monotone and odd, so |s_j| <= M_j by induction, and M_j does
 #   not decrease: the addition that makes s_j is off by at most u |s_j| <=
-#   u M_k (s_1 = f_1, and a subnormal sum is exact), and the sums of the
-#   |f_j| are at most (1 + k u) M_k and (1 + k u) P_k, with P_k <= (1 + 2k u) M_k;
-# - so |s_k - sum m_j| <= (k - 1) u M_k + u (1 + k u) M_k
-#   + 2u (1 + 3u) (1 + k u) P_k + k (1 + 3u) 2**-1075, which is below
-#   k u M_k + 2 u P_k + u M_k / 2**35 + k (1 + 3u) 2**-1075 for k <= ``_MAX_ITER``.
+#   u M_k (s_1 = f_1, and a subnormal sum is exact), and the sum of the |f_j|
+#   is at most (1 + k u) M_k;
+# - so |s_k - sum m_j| <= (k - 1) u M_k + 3u (1 + 2u) (1 + k u) M_k
+#   + k (1 + 3u) 2**-1075, which is below (k + 2) u M_k + u M_k / 2**35
+#   + k (1 + 3u) 2**-1075 for k <= ``_MAX_ITER``.
 # The allowance's own roundings (one product per part, three sums) take at
-# most a relative 4u off each part, which the spare u M_k / 8 and the spare
+# most a relative 4u off each part, which the spare u M_k and the spare
 # factor 2 on 2**-1075 cover, and at most 3 * 2**-1075 from underflow, which
 # the other half of the first part covers.
 _SHADOW_ERROR = 2.0 ** -50
@@ -151,26 +148,18 @@ class LinearProgramInfeasible(Exception):
 
 
 class _Start(NamedTuple):
-    """Feasible basis, after phase 1 or written down (``lp_bounds._product_start``):
-    n structurals, m slacks, m artificials; every value a reduced ``(n, o, e)``
-    triple."""
+    """Feasible basis, after phase 1 or written down (``lp_bounds._product_start``),
+    over exactly the columns phase 2 reads: n structurals and m slacks; every
+    value a reduced ``(n, o, e)`` triple."""
     n: int
-    tab_n: tuple    # m rows of n + 2m odd numerators, 0 for a zero entry
-    tab_o: tuple    # m rows of n + 2m odd parts of the denominators
-    tab_e: tuple    # m rows of n + 2m powers of two of the denominators
+    tab_n: tuple    # m rows of n + m odd numerators, 0 for a zero entry
+    tab_o: tuple    # m rows of n + m odd parts of the denominators
+    tab_e: tuple    # m rows of n + m powers of two of the denominators
     beta: tuple     # values of the basic variables
     status: tuple   # per column: at lower, at upper or basic
     basis: tuple    # basic column of each row
     lo: tuple       # per-column lower bound
     hi: tuple       # per-column upper bound, None for unbounded
-
-
-def _reaches(room, step, rate) -> bool:
-    """``room >= step * rate`` for a positive ``rate``, without reducing the product."""
-    lhs = room[0] * step[1] * rate[1]
-    rhs = step[0] * rate[0] * room[1]
-    k = step[2] + rate[2] - room[2]
-    return lhs << k >= rhs if k >= 0 else lhs >= rhs << -k
 
 
 def _eliminate(rn, ro, re, fn, fo, fe, pivot_row) -> None:
@@ -244,7 +233,7 @@ def _entries(rn, ro, re) -> list:
 def _pivot(tab_n, tab_o, tab_e, row: int, col: int) -> list:
     """Scale ``row`` to a unit pivot at ``col`` and eliminate ``col`` elsewhere.
 
-    A row held as tuples is shared with other phases (``_view``) and is
+    A row held as tuples is shared with other phases (a start's) and is
     copied into lists before it is written; only the pivot row and the rows
     with a nonzero entry in ``col`` are.  Returns the scaled pivot row's
     nonzero entries; only they change the other rows.
@@ -278,19 +267,19 @@ def _shadow(v) -> float:
 class _Floats:
     """The floats the shadow tests of phases on one start read, each filled
     on first read (None before): per row the tableau entries, the basic
-    values the start holds (``beta``, matched by identity), per column the
-    lower and upper bounds, and the flip caps as ``(cap, float)`` pairs.
-    ``rows`` is shared until a pivot writes a row; the phase then keeps its
-    own floats for it."""
+    values the start holds (``beta``, matched by identity), and per column
+    the lower and upper bounds and the flip caps as ``(cap, float)`` pairs,
+    for ``width`` columns.  ``rows`` is shared until a pivot writes a row;
+    the phase then keeps its own floats for it."""
 
     __slots__ = ("rows", "beta", "beta_f", "lo_f", "hi_f", "caps")
 
-    def __init__(self, beta, ncols: int, width: int):
+    def __init__(self, beta, width: int):
         self.rows = [[None] * width for _ in beta]
         self.beta = tuple(beta)
         self.beta_f = [None] * len(beta)
-        self.lo_f = [None] * ncols
-        self.hi_f = [None] * ncols
+        self.lo_f = [None] * width
+        self.hi_f = [None] * width
         self.caps = [None] * width
 
 
@@ -307,59 +296,56 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                costed_only=False, floats=None):
     """Bland's-rule simplex on ``cobj`` over the first ``n_allowed`` columns.
 
-    The rows hold exactly ``n_allowed`` columns; a row held as tuples is
-    shared and read-only, and ``_pivot`` copies it before writing it.
-    Updates ``tab_n``, ``tab_o``, ``tab_e``, ``beta``, ``status`` and
-    ``basis`` in place and returns the numbers of pivots and of bound flips.
+    The rows, the bounds and the cost vector hold exactly ``n_allowed``
+    columns; a row held as tuples is shared and read-only, and ``_pivot``
+    copies it before writing it.  Updates ``tab_n``, ``tab_o``, ``tab_e``,
+    ``beta``, ``status`` and ``basis`` in place and returns the numbers of
+    pivots and of bound flips.
 
     The shadow tests read the floats of ``floats``, a ``_Floats`` of the
     start the phases share (``_phase_two``), or of a fresh one.  A bound
     flip's moves are logged per row, not added to the basic values: each row
     keeps the ``(cap, entry)`` pairs since its last exact read, and the float
-    running sums of the moves' floats, of their magnitudes and of the
-    magnitudes of the moves with a cap other than 1, which the float flip
-    tests read with an allowance for the moves' and the sum's rounding.  A
-    move's float is the entry's float for a unit cap and the product of the
-    cap's and the entry's floats otherwise; its exact value is formed only
-    when the row's log is folded into its basic value, which happens when
-    something reads the value exactly: a flip test the floats leave open, a
-    pivot that moves the row, and the end of the phase.  At the end every row
-    is folded, so every basic value is a reduced triple again; with
-    ``costed_only`` only the rows whose basic column has a nonzero cost are,
-    and the other basic values are left stale, for a caller that reads the
-    optimum alone.
+    running sums of the moves' floats and of their magnitudes, which the
+    float flip tests read with an allowance for the moves' and the sum's
+    rounding.  A move's float is the product of the cap's and the entry's
+    floats; its exact value is formed only when the row's log is folded into
+    its basic value, which happens when something reads the value exactly: a
+    flip test the floats leave open, a pivot that moves the row, and the end
+    of the phase.  At the end every row is folded, so every basic value is a
+    reduced triple again; with ``costed_only`` only the rows whose basic
+    column has a nonzero cost are, and the other basic values are left
+    stale, for a caller that reads the optimum alone.
     """
     m = len(tab_n)
     if floats is None:
-        floats = _Floats(beta, len(lo), n_allowed)
+        floats = _Floats(beta, n_allowed)
     row_f = list(floats.rows)
     base, base_f = floats.beta, floats.beta_f
     lo_f, hi_f, caps = floats.lo_f, floats.hi_f, floats.caps
     # reduced costs c_j - sum_i c_B(i) tab[i][j], priced once, then kept
-    dn = [c[0] for c in cobj[:n_allowed]]
-    do = [c[1] for c in cobj[:n_allowed]]
-    de = [c[2] for c in cobj[:n_allowed]]
+    dn = [c[0] for c in cobj]
+    do = [c[1] for c in cobj]
+    de = [c[2] for c in cobj]
     for i in range(m):
         cn, co, ce = cobj[basis[i]]
         if cn:
             _eliminate(dn, do, de, cn, co, ce, _entries(tab_n[i], tab_o[i], tab_e[i]))
     # the value of basic variable i is beta[i] plus the flip moves logged in
-    # moves[i] since its last exact read (None for none); total[i], size[i]
-    # and prods[i] are the float running sums of the moves' floats, of their
-    # magnitudes and of the magnitudes of the moves with a cap other than 1,
-    # size[i] inf once a move has no float the allowance covers; shadow[i]
-    # is the float of beta[i], None until a flip test reads it
+    # moves[i] since its last exact read (None for none); total[i] and
+    # size[i] are the float running sums of the moves' floats and of their
+    # magnitudes, size[i] inf once a move has no float the allowance covers;
+    # shadow[i] is the float of beta[i], None until a flip test reads it
     moves = [None] * m
     total = [0.0] * m
     size = [0.0] * m
-    prods = [0.0] * m
     shadow = [None] * m
 
     def read(i):
         """Fold row ``i``'s logged moves into its basic value."""
         beta[i] = _folded(beta[i], moves[i])
         moves[i] = shadow[i] = None
-        total[i] = size[i] = prods[i] = 0.0
+        total[i] = size[i] = 0.0
 
     first = 0
     pivots = flips = 0
@@ -380,7 +366,8 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         # bound, capped by the entering variable's own bound flip.  While no
         # row undercuts the cap, a row is skipped if room >= cap * rate:
         # decided on the floats where their allowance settles it, else (and
-        # for every other row) on the exact value, its log folded first
+        # for every other row) on its exact limit room / rate, its log
+        # folded first
         cap = caps[entering]
         if cap is None:
             step = None if hi[entering] is None else _sub(hi[entering], lo[entering])
@@ -429,16 +416,13 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                     if log is not None:
                         # inf, and no verdict, once size[i] is
                         k = len(log)
-                        allowance += ((k + 0.125) * _ROUNDOFF * size[i]
-                                      + 2 * _ROUNDOFF * prods[i] + k * _SUBNORMAL)
+                        allowance += (k + 4) * _ROUNDOFF * size[i] + k * _SUBNORMAL
                     if room - need > allowance:
                         continue
             if log is not None:
                 read(i)
             rate = (abs(an), tab_o[i][entering], tab_e[i][entering])
             room = _sub(beta[i], bound) if hits_low else _sub(bound, beta[i])
-            if leaving < 0 and step is not None and _reaches(room, step, rate):
-                continue
             limit = _div(room, rate) if room[0] > 0 else _ZERO
             if step is None or _less(limit, step) or (limit == step and leaving >= 0
                                                       and b < basis[leaving]):
@@ -450,8 +434,7 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         if leaving < 0:
             if step[0]:
                 # a flip by the cap ``step``: each row logs (cap, entry), and its
-                # float is the entry's, times the cap's unless the cap is 1
-                unit = step == _ONE
+                # float is the product of the two floats
                 normal = _NORMAL <= step_f < inf
                 for i in range(m):
                     an = tab_n[i][entering]
@@ -468,17 +451,10 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                         entry_f = row_f[i][entering] = _shadow((an, a[1], a[2]))
                     if up:
                         entry_f = -entry_f
-                    if unit:
-                        f = entry_f
-                    elif normal and _NORMAL <= abs(entry_f) < inf:
-                        f = step_f * entry_f
-                    else:
-                        f = inf
-                    if abs(f) < inf:
+                    f = step_f * entry_f
+                    if normal and abs(entry_f) >= _NORMAL and abs(f) < inf:
                         total[i] += f
                         size[i] += abs(f)
-                        if not unit:
-                            prods[i] += abs(f)
                     else:
                         size[i] = inf
             # the basis and every reduced cost are unchanged, the columns
@@ -491,7 +467,6 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         if step[0]:
             # a pivot's step is a long quotient: into the basic values, after
             # each row's short logged moves
-            unit = step == _ONE
             for i in range(m):
                 an = tab_n[i][entering]
                 if not an or i == leaving:
@@ -499,7 +474,7 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                 a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
                 if moves[i] is not None:
                     read(i)
-                beta[i] = _add(beta[i], a if unit else _mul(step, a))
+                beta[i] = _add(beta[i], _mul(step, a))
                 shadow[i] = None
         new_value = _add(lo[entering], step) if up else _sub(hi[entering], step)
         out = basis[leaving]
@@ -512,7 +487,7 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         status[entering] = _BASIC
         beta[leaving] = new_value
         moves[leaving] = shadow[leaving] = None
-        total[leaving] = size[leaving] = prods[leaving] = 0.0
+        total[leaving] = size[leaving] = 0.0
         _eliminate(dn, do, de, dn[entering], do[entering], de[entering], prow)
         first = 0
         pivots += 1
@@ -576,7 +551,8 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
     # slack column starts as +-1 times its artificial column and row
     # operations keep that relation, so a basic artificial always has a
     # nonzero entry in its own nonbasic slack column and no artificial
-    # stays basic, redundant rows included (``test_duplicated_row``)
+    # stays basic, redundant rows included (``test_duplicated_row``).  Phase
+    # 2 then never reads the artificial columns, and the start drops them
     for i in range(m):
         if basis[i] < n + m:
             continue
@@ -589,61 +565,42 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
                 status[j] = _BASIC
                 break
 
-    return _Start(n=n, tab_n=tuple(map(tuple, tab_n)), tab_o=tuple(map(tuple, tab_o)),
-                  tab_e=tuple(map(tuple, tab_e)), beta=tuple(beta), status=tuple(status),
-                  basis=tuple(basis), lo=tuple(lo), hi=tuple(hi))
+    w = n + m
+    return _Start(n=n, tab_n=tuple(tuple(r[:w]) for r in tab_n),
+                  tab_o=tuple(tuple(r[:w]) for r in tab_o),
+                  tab_e=tuple(tuple(r[:w]) for r in tab_e), beta=tuple(beta),
+                  status=tuple(status[:w]), basis=tuple(basis), lo=tuple(lo[:w]),
+                  hi=tuple(hi[:w]))
 
 
-# the start phase 2 last ran on, its rows without the artificial columns
-# and its ``_Floats``: the nine targets of a configuration run on one start
-# in turn, and a start, thousands of long ints, is matched by identity
-_last_view = None
-
-
-def _view(start: _Start):
-    """The rows of ``start`` without the artificial columns, as tuples, and
-    the ``_Floats`` its phase 2s share; built again only when phase 2 runs
-    on another start than the last."""
-    global _last_view
-    last = _last_view
-    if last is None or last[0] is not start:
-        width = start.n + len(start.tab_n)
-        rows = tuple(tuple(r[:width] for r in tab)
-                     for tab in (start.tab_n, start.tab_o, start.tab_e))
-        last = _last_view = (start, rows, _Floats(start.beta, len(start.lo), width))
-    return last[1], last[2]
+# the start phase 2 last ran on and its ``_Floats``: the nine targets of a
+# configuration run on one start in turn, and a start, thousands of long
+# ints, is matched by identity
+_last_floats = None
 
 
 def _phase_two(start: _Start, c, costed_only=False):
     """Phase 2 on ``start``: the optimum of c.x as a float, and the basic
     values, statuses and basis it ends on.
 
-    Phase 2 prices only the n + m structural and slack columns, so it reads
-    the start's rows without the artificial columns and no pivot eliminates
-    them.  The rows are the start's own, shared read-only by every phase 2 on
-    it; a pivot copies a row before writing it (``_pivot``).  The cost
-    vector keeps all n + 2m entries: pricing reads the cost of every basic
-    column, and a hand-built start may keep an artificial basic.  With
-    ``costed_only`` only the basic values of costed columns are folded
-    (``_run_phase``), the ones the optimum reads, and the shadow tests share
-    the start's floats with the other phase 2s on it.
+    The rows are the start's own, shared read-only by every phase 2 on it; a
+    pivot copies a row before writing it (``_pivot``).  So are the floats the
+    shadow tests read, a ``_Floats`` kept for the start phase 2 last ran on.
+    With ``costed_only`` only the basic values of costed columns are folded
+    (``_run_phase``), the ones the optimum reads.
     """
+    global _last_floats
     n, m = start.n, len(start.tab_n)
     if len(c) != n:
         raise ValueError(f"the objective must have {n} entries, got {len(c)}")
     cvec = [_ZERO if v == 0 else _number(v) for v in c]
-    rows, floats = _view(start)
-    tab_n, tab_o, tab_e = map(list, rows)
+    if _last_floats is None or _last_floats[0] is not start:
+        _last_floats = (start, _Floats(start.beta, n + m))
     beta, status, basis = list(start.beta), list(start.status), list(start.basis)
     lo, hi = start.lo, start.hi
-    phase2 = cvec + [_ZERO] * (2 * m)
-    if costed_only:
-        _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase2, n + m,
-                   costed_only=True, floats=floats)
-    else:
-        # the plain call, which a stand-in phase routine with the same ten
-        # parameters also takes (the tests' frozen copy)
-        _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase2, n + m)
+    _run_phase(list(start.tab_n), list(start.tab_o), list(start.tab_e), beta, status, basis,
+               lo, hi, cvec + [_ZERO] * m, n + m, costed_only=costed_only,
+               floats=_last_floats[1])
     row = {b: i for i, b in enumerate(basis)}
     optimum = _ZERO
     for j, cj in enumerate(cvec):

@@ -119,12 +119,14 @@ _LIBRARY_RUN_PHASE = simplex._run_phase
 def _recorded(monkeypatch, run, solve, log=None):
     """``solve()`` with ``run`` as the phase routine: its result (or exception
     type and message) and, per phase, basis, statuses, basic values and the
-    (pivots, flips) the routine returns."""
+    (pivots, flips) the routine returns.  The library's keywords (the shared
+    floats of ``_phase_two``) go to ``run`` only without a ``log``, which the
+    frozen copy takes instead."""
     phases = []
 
-    def recording(tab_n, tab_o, tab_e, beta, status, basis, *rest):
+    def recording(tab_n, tab_o, tab_e, beta, status, basis, *rest, **kwargs):
         counts = run(tab_n, tab_o, tab_e, beta, status, basis, *rest,
-                     **({} if log is None else {"log": log}))
+                     **(kwargs if log is None else {"log": log}))
         assert all(map(_canonical, beta))
         phases.append((tuple(basis), tuple(status), tuple(beta), counts))
 
@@ -182,6 +184,7 @@ class TestMatchesFrozenPhase:
                          lambda: _phase_one(gains.q, mu, nu, n_trunc)):
             _same_as_frozen(monkeypatch, _targets_solve(start_of, n_trunc + 1, TARGETS_3))
 
+    @pytest.mark.slow
     def test_constructed_profile_both_phases(self, monkeypatch):
         # 51 phase-1 and 167 phase-2 pivots
         gains, mu, nu = _constructed_profile()
@@ -278,10 +281,12 @@ class TestOptimumReader:
 def _unchanged_floats(start):
     """Every float the phase 2s on ``start`` filled in its shared ``_Floats``
     is the float of the start's own number: no pivot wrote a shared row."""
-    (tab_n, tab_o, tab_e), floats = simplex._view(start)
+    last, floats = simplex._last_floats
+    assert last is start
     for i, row in enumerate(floats.rows):
         for j, f in enumerate(row):
-            assert f is None or f == simplex._shadow((tab_n[i][j], tab_o[i][j], tab_e[i][j]))
+            assert f is None or f == simplex._shadow((start.tab_n[i][j], start.tab_o[i][j],
+                                                      start.tab_e[i][j]))
     for f, v in zip(floats.beta_f, start.beta):
         assert f is None or f == simplex._shadow(v)
     for fs, vs in ((floats.lo_f, start.lo), (floats.hi_f, start.hi)):
@@ -294,8 +299,7 @@ class TestSharedStart:
     place and share its floats: the targets give the same optimum bits and
     (pivots, flips) forward and in reverse, and the start, its rows and its
     floats are as built afterwards.  ``TestOptimumReader`` compares the
-    same optima with ``_maximize``'s, whose phases fill floats of their
-    own."""
+    same optima with ``_maximize``'s, whose phases share the same floats."""
 
     @staticmethod
     def _orders(monkeypatch, start_of, side):
@@ -335,8 +339,8 @@ class TestSharedStart:
         # the rows of a start are tuples; a pivot turns into lists exactly the
         # pivot row and the rows with a nonzero entry in its column
         gains, mu, nu = _certify_like(np.random.default_rng([4, 0]), 4)
-        (tab_n, tab_o, tab_e), _ = simplex._view(
-            lp_bounds._start.__wrapped__(gains.q, mu, nu, lp_bounds.DEFAULT_TRUNCATION))
+        start = lp_bounds._start.__wrapped__(gains.q, mu, nu, lp_bounds.DEFAULT_TRUNCATION)
+        tab_n, tab_o, tab_e = start.tab_n, start.tab_o, start.tab_e
         rows = [list(tab) for tab in (tab_n, tab_o, tab_e)]
         col = next(j for j in range(len(tab_n[0])) if 0 < sum(bool(r[j]) for r in tab_n) < 4)
         written = [i for i, r in enumerate(tab_n) if r[col]]
@@ -344,6 +348,35 @@ class TestSharedStart:
         for tab, shared in zip(rows, (tab_n, tab_o, tab_e)):
             assert [i for i, r in enumerate(tab) if r is not shared[i]] == written
             assert all(type(tab[i]) is list for i in written)
+
+
+class TestShadowCounts:
+    """How decisive the float shadow is: the nine phase 2s of ``lp_yield_bound``
+    on a fresh start of each configuration make these numbers of pivots, bound
+    flips and exact reads (``_folded``).  A looser allowance leaves more flip
+    tests to the exact arithmetic and folds more often, with the same optima."""
+
+    # (decoys, seed): (pivots, flips, folds) of the nine targets
+    COUNTS = {(3, 0): (2, 127, 6), (3, 1): (7, 189, 8), (3, 2): (0, 45, 5),
+              (4, 0): (16, 264, 13), (4, 1): (16, 264, 13), (4, 2): (16, 264, 13)}
+
+    @pytest.mark.parametrize("decoys,seed", COUNTS)
+    def test_certify_like(self, decoys, seed, monkeypatch):
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        start = lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc)
+        folds = []
+        folded = simplex._folded
+
+        def counted(*args):
+            folds.append(None)
+            return folded(*args)
+
+        monkeypatch.setattr(simplex, "_folded", counted)
+        phases = [_counted(monkeypatch, lambda: _optimum(start, c))[1]
+                  for c in _unit_costs(n_trunc + 1, TARGETS_3)]
+        pivots, flips = (sum(p[0][k] for p in phases) for k in (0, 1))
+        assert (pivots, flips, len(folds)) == self.COUNTS[decoys, seed]
 
 
 def _gaps(log):
@@ -396,7 +429,7 @@ class TestShadowEdges:
         # moves sum to -2 (x + y).  x5's test then reads low >= a5 on the
         # floats, clear of the first part of the allowance, while exactly x0
         # = low - 2 (x + y) falls 2**-70 short of a5: only the part for the
-        # moves' rounding, (k + 1) u M_k = 20 u, sends it to the exact test
+        # moves' rounding, (k + 4) u M_k = 32 u, sends it to the exact test
         x, y, low = Fraction(1, 2 ** 54), Fraction(1, 2 ** 55), Fraction(1, 2 ** 10)
         a5 = low - 2 * (x + y) + Fraction(1, 2 ** 70)
         log = self._solve(monkeypatch, [0, 1, 1, 1, 1, 1],
@@ -415,8 +448,9 @@ class TestShadowEdges:
         # move's float is about 3u above the move.  The slack then flips down
         # across its window w, moving x0 by -w: exactly x0's room falls
         # 2**-80 short of w, while the floats read it about 6u over, above
-        # the first part of the allowance and (k + 1/8) u M_k = 4.25u; only
-        # 2u P_k, for the capped moves' three roundings, sends it to the
+        # the first part of the allowance and above (k + 1/8) u M_k = 4.25u,
+        # which would cover one rounding per move; only the second part,
+        # (k + 4) u M_k = 12u, which covers three per move, sends it to the
         # exact test
         u = Fraction(1, 2 ** 53)
 
