@@ -10,8 +10,8 @@ from .decoy4 import yield_bounds
 from .errors import (ConfigError, DegenerateIntensityError,
                      InconsistentGainsError, InfeasibleFluctuationError,
                      SaturationError, TfqkdError)
-from .optimize import (FluctuationSpec, OptimizationSpec, coordinate_descent,
-                       optimize_rate, worst_case_fluctuation)
+from .optimize import (FluctuationSpec, OptimizationSpec, optimize_rate,
+                       worst_case_fluctuation)
 from .rate import (KeyRateResult, binary_entropy, key_rate, phase_error_upper,
                    plob_bound)
 from .series import d_n, hom_sym_sum
@@ -24,7 +24,7 @@ __all__ = [
     "transmittance_to_db", "cancellation_coeffs", "yield_bounds",
     "hom_sym_sum", "d_n", "binary_entropy",
     "phase_error_upper", "key_rate", "plob_bound", "optimize_rate",
-    "coordinate_descent", "worst_case_fluctuation",
+    "worst_case_fluctuation",
     "TfqkdError", "DegenerateIntensityError", "InconsistentGainsError",
     "InfeasibleFluctuationError", "SaturationError", "ConfigError",
 ]

@@ -15,7 +15,11 @@ denominator vanishes the formula is skipped and only the subset minima are
 used (noted in the bound set's ``warnings``).  A denominator that is 0.0 in
 double precision counts as vanishing, and a combined formula whose
 evaluation still divides by zero, or whose exact value lies past the double
-range, raises ``DegenerateIntensityError``.
+range, raises ``DegenerateIntensityError``.  ``_select`` picks each target's
+formula or skips it; ``_evaluate`` gives every formula's candidate as
+k (h - s) / a, the weighted sum h of its four slot combinations less the
+residual s of the series saturated at yield 1, over its prefactor a, with
+the float path's rounding credit.
 
 Like the three-decoy module, everything can run in exact rational
 arithmetic (``exact=True``); the combined formulas cancel so deeply that the
@@ -40,7 +44,6 @@ with new amplitudes hold their own bound sets (``rate._RateParts``).
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import chain, product
 
 import numpy as np
@@ -101,57 +104,6 @@ def _weak_cross(mu, nu):
     return t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2)
 
 
-def _combine_subsets(g, gerr, ds, num):
-    """Weighted sum of the subset combinations ``g`` (one per slot, with
-    rounding bounds ``gerr``) with its own error estimate; a None weight
-    skips its slot."""
-    values, errors = [], []
-    for d, value, error in zip(ds, g, gerr):
-        if d is None:
-            continue
-        values.append(d * value)
-        errors.append(abs(d) * error)
-    if num is Dyadic:
-        return sum(values), 0
-    err = math.fsum(errors) + _EPS_COMBINE * math.fsum(map(abs, values))
-    return math.fsum(values), err
-
-
-def _y04(degenerate, rel, mu, nu, g, gerr, tails, num):
-    """Combined (0,4) bound as (raw, error) from the slot combinations ``g``;
-    ``tails`` are exp_h_tail(mu, 4) and exp_h_tail of Bob's slot intensities
-    from 3.  ``degenerate`` selects the variant for nu_i == mu_i (i < 3),
-    whose Bob slot intensities are Alice's weak ones and Bob's strongest one."""
-    m0, m1, m2, m3 = mu
-    n0, n1, n2, n3 = nu
-    if degenerate:
-        ds = (None,
-              m3,
-              -(m0 - m1) * m3 / (m0 - m2),
-              m0 * m3 * (m0 - m1) * (m0 - m3) * (m0 - n3)
-              / (m1 * (m1 - m2) * (m1 - m3) * (m1 - n3)))
-        lead = (m0 - m1) ** 2 * (m0 - m2) * (m1 - m2) * (m0 - m3) * (m0 - n3)
-        a04_four = -lead * (m0 + m1 + m2 + n3) / (m1 * m2)
-        head = m0 * m3 * lead
-    else:
-        cross = _weak_cross(mu, nu)[0]
-        ds = _d04(mu, nu)
-        kern = (m0 - m1) * (m0 - m2) * (n0 - n1) * (n0 - n2)
-        p = _p04(mu, nu)
-        a04_four = -kern * (n0 + n1 + n2 + n3) * p / (m1 * m2 * m3 * cross)
-        head = m0 * kern * p / cross
-    h04, herr = _combine_subsets(g, gerr, ds, num)
-    # Residual of the terms saturated at yield 1; closed form re-derived from
-    # the series itself (the factorial heads below differ between the two
-    # parties because the surviving families start at different orders).
-    series = head * num(tails[0]) * num(tails[1])
-    raw = 24 * (h04 - series) / a04_four
-    if num is Dyadic:
-        return raw, 0
-    err = (herr + abs(series) * 2.0 ** -50) * abs(24 / a04_four)
-    return raw, err + rel * (abs(raw) + abs(24 * series / a04_four))
-
-
 def _p13(mu, nu):
     m0, m1, m2, m3 = mu
     n0, n1, n2, n3 = nu
@@ -192,44 +144,79 @@ def _d13(mu, nu, q13):
     return (1, d013, d023, d123)
 
 
-def _y13(rel, mu, nu, g, gerr, tails, num):
-    """Combined (1,3) bound as (raw, error); reads no ``tails``."""
-    m0, m1, m2, m3 = mu
-    q13 = _q13(mu, nu)[0]
-    h13, herr = _combine_subsets(g, gerr, _d13(mu, nu, q13), num)
-    kern = (m0 - m1) * (m0 - m2) * (nu[0] - nu[1]) * (nu[0] - nu[2])
-    a13_three = -kern / (m1 + m2) * _p13(mu, nu) / q13
-    raw = 6 * h13 / a13_three
-    if num is Dyadic:
-        return raw, 0
-    return raw, herr * abs(6 / a13_three) + rel * abs(raw)
-
-
-def _formula(target, mu, nu, warnings):
-    """Name and evaluator of the four-decoy formula for ``target`` on the
-    parties (mu, nu), or None if it is skipped (noted in ``warnings``).  The
-    (0,4) and (1,3) formulas serve (4,0) and (3,1) with the parties
-    exchanged.  The evaluator takes (mu, nu, g, gerr, tails, num) and returns
-    (raw, error); its ``rel`` credits the relative rounding of the weights and
-    the prefactor, eps * scale / |denominator|, which grows near the 0/0 form.
+def _select(target, mu, nu, warnings):
+    """Name and relative credit ``rel`` of the four-decoy formula for
+    ``target`` on the parties (mu, nu), or None if it is skipped (noted in
+    ``warnings``).  The (0,4) and (1,3) formulas serve (4,0) and (3,1) with
+    the parties exchanged.  ``rel`` credits the relative rounding of the
+    weights and the prefactor, eps * scale / |denominator|, which grows near
+    the 0/0 form.
     """
     mu, nu = tuple(map(float, mu)), tuple(map(float, nu))
     if target in ((0, 4), (4, 0)):
         if all(abs(a - b) <= _TILDE_REL_TOL * max(a, b) for a, b in zip(mu[:3], nu)):
-            return "4-decoy degenerate", partial(_y04, True, 0.0)
+            return "4-decoy degenerate", 0.0
         cross, scale = _weak_cross(mu, nu)
         # a denominator that underflows to 0.0 vanishes too, whatever its scale
         if cross and abs(cross) >= _Q13_REL_FLOOR * scale:
-            return "4-decoy combined", partial(_y04, False, _EPS_COMBINE * scale / abs(cross))
+            return "4-decoy combined", _EPS_COMBINE * scale / abs(cross)
         reason = "proportional weak triples"
     else:
         q13, scale = _q13(mu, nu)
         if q13 and abs(q13) >= _Q13_REL_FLOOR * scale:
-            return "4-decoy combined", partial(_y13, _EPS_COMBINE * scale / abs(q13))
+            return "4-decoy combined", _EPS_COMBINE * scale / abs(q13)
         reason = "vanishing denominator"
     warnings.append(f"({target[0]},{target[1]}): combined formula skipped "
                     f"({reason}); subset minima used")
     return None
+
+
+def _evaluate(target, name, rel, mu, nu, g, gerr, tails, num):
+    """The combined candidate ``name`` for ``target`` on the parties (mu, nu)
+    as (raw, credit), raw = k (h - s) / a: h sums the slot combinations ``g``
+    (rounding bounds ``gerr``) times the subset weights, a None weight
+    skipping its slot.  (1,3) has k = 6 and s = 0; (0,4) has k = 24 and s
+    from ``tails``, exp_h_tail(mu, 4) and exp_h_tail of Bob's slot
+    intensities from 3.  The degenerate (0,4), for nu_i == mu_i (i < 3),
+    takes as Bob's slot intensities Alice's weak ones and Bob's strongest.
+    The float credit bounds the rounding of h and s, plus ``rel`` times |raw|
+    and |k s / a|; on exact numbers it is 0.
+    """
+    m0, m1, m2, m3 = mu
+    n0, n1, n2, n3 = nu
+    if target in ((1, 3), (3, 1)):
+        q13 = _q13(mu, nu)[0]
+        k, s, ds = 6, 0, _d13(mu, nu, q13)
+        kern = (m0 - m1) * (m0 - m2) * (n0 - n1) * (n0 - n2)
+        a = -kern / (m1 + m2) * _p13(mu, nu) / q13
+    else:
+        if name == "4-decoy degenerate":
+            ds = (None,
+                  m3,
+                  -(m0 - m1) * m3 / (m0 - m2),
+                  m0 * m3 * (m0 - m1) * (m0 - m3) * (m0 - n3)
+                  / (m1 * (m1 - m2) * (m1 - m3) * (m1 - n3)))
+            lead = (m0 - m1) ** 2 * (m0 - m2) * (m1 - m2) * (m0 - m3) * (m0 - n3)
+            a = -lead * (m0 + m1 + m2 + n3) / (m1 * m2)
+            head = m0 * m3 * lead
+        else:
+            cross = _weak_cross(mu, nu)[0]
+            ds = _d04(mu, nu)
+            kern = (m0 - m1) * (m0 - m2) * (n0 - n1) * (n0 - n2)
+            p = _p04(mu, nu)
+            a = -kern * (n0 + n1 + n2 + n3) * p / (m1 * m2 * m3 * cross)
+            head = m0 * kern * p / cross
+        # Residual of the terms saturated at yield 1; closed form re-derived
+        # from the series itself (the factorial heads differ between the two
+        # parties because the surviving families start at different orders).
+        k, s = 24, head * num(tails[0]) * num(tails[1])
+    values = [d * value for d, value in zip(ds, g) if d is not None]
+    if num is Dyadic:
+        return k * (sum(values) - s) / a, 0
+    herr = (math.fsum(abs(d) * error for d, error in zip(ds, gerr) if d is not None)
+            + _EPS_COMBINE * math.fsum(map(abs, values)))
+    raw = k * (math.fsum(values) - s) / a
+    return raw, (herr + abs(s) * 2.0 ** -50) * abs(k / a) + rel * (abs(raw) + abs(k * s / a))
 
 
 # ``IntensitySettings`` lists four decoys strongest-last, so each subset of
@@ -311,10 +298,10 @@ def _bounds4(q, mu, nu, exact):
     """
     num, qtilde, mu, nu = _prepare(q, mu, nu, 4, exact)
     warnings, names = [], []
-    active = []  # (target, name, evaluator, first, second, slot set)
+    active = []  # (target, name, rel, first, second, slot set)
     for target, alice_first in _COMBINED:
         first, second = (mu, nu) if alice_first else (nu, mu)
-        formula = _formula(target, first, second, warnings)
+        formula = _select(target, first, second, warnings)
         names.append(formula and formula[0])
         if formula is not None:
             # the degenerate (0,4) builds the second party's slot vectors
@@ -348,10 +335,11 @@ def _bounds4(q, mu, nu, exact):
                          if target in ((0, 4), (4, 0)) for x in (first, slots))
     four = {x: _four_tails(*map(float, x)) for x in four}
     combined = []
-    for (target, _, evaluate, first, second, slots), k in zip(active, range(n, len(g), 4)):
+    for (target, name, rel, first, second, slots), k in zip(active, range(n, len(g), 4)):
         tails = (four[first][0], four[slots][1]) if target in ((0, 4), (4, 0)) else None
         try:
-            raw, err = evaluate(first, second, g[k:k + 4], gerr[k:k + 4], tails, num)
+            raw, err = _evaluate(target, name, rel, first, second, g[k:k + 4], gerr[k:k + 4],
+                                 tails, num)
             combined.append(float(raw) + float(err))
         except ZeroDivisionError:
             raise _degenerate("combined formula weights") from None

@@ -15,8 +15,7 @@ The local searches, ``optimize_rate``'s and the polish of
 ``worst_case_fluctuation``, run on ``_nelder_mead``, a copy of SciPy's
 bounded Nelder-Mead that gives its results bit for bit on the same numpy,
 so the module needs only numpy; loading SciPy takes longer than a small
-search.  Only the greedy reference method ``coordinate_descent`` imports
-SciPy, when it is called.
+search.
 """
 
 from __future__ import annotations
@@ -269,8 +268,7 @@ def _nelder_mead(fun, x0, lo, hi, xatol: float, fatol: float, maxiter: int,
 
 def _objective(spec: OptimizationSpec, parts: _RateParts):
     """Minus the rate at a parameter vector, scored by the search's ``parts``.
-    Nelder-Mead clips its vertices to the box and ``coordinate_descent``
-    searches each coordinate within its bounds, so no vector needs clipping."""
+    Nelder-Mead clips its vertices to the box, so no vector needs clipping."""
     def fun(p):
         return -parts.rate(*spec._point(p))
     return fun
@@ -358,48 +356,6 @@ def optimize_rate(params: ChannelParams, spec: OptimizationSpec, f: float = 1.0,
     rate, x, index = best
     return OptimizationResult(settings=spec.settings(x), rate=rate, vector=x, trace=trace,
                               best_start=index, bound_sets=parts.bound_sets)
-
-
-def coordinate_descent(params: ChannelParams, spec: OptimizationSpec) -> OptimizationResult:
-    """Cyclic single-coordinate maximization from the lower corner of the box.
-
-    Kept as a deliberately greedy reference method: on asymmetric channels
-    it stalls far below the multistart optimum when started from a corner of
-    the amplitude box, which is exactly the regression the tests pin down.
-    Eight sweeps over the coordinates, starting with the second, at f = 1;
-    each point is scored like ``optimize_rate``'s, through a ``_RateParts``.
-    """
-    # the one SciPy use left in the package: importing it costs half a second
-    # and half the process's memory, so only this reference method pays it
-    from scipy.optimize import minimize_scalar
-
-    parts = _RateParts(params, 1.0)
-    fun = _objective(spec, parts)
-    lo, hi = spec.box()
-    x = lo.copy()
-    order = [*range(1, len(x)), 0]
-    trace = []
-    current = fun(x)
-    for _ in range(8):
-        improved = False
-        for i in order:
-            def line(t, i=i):
-                y = x.copy()
-                y[i] = t
-                return fun(y)
-            res = minimize_scalar(line, bounds=(lo[i], hi[i]), method="bounded",
-                                  options={"xatol": 1e-7})
-            if res.fun < current - 1e-15:
-                x[i] = res.x
-                current = res.fun
-                improved = True
-            trace.append({"coordinate": i, "vector": tuple(map(float, x)),
-                          "rate": -current})
-        if not improved:
-            break
-    xt = tuple(float(v) for v in x)
-    return OptimizationResult(settings=spec.settings(xt), rate=-current,
-                              vector=xt, trace=trace, bound_sets=parts.bound_sets)
 
 
 @dataclass(frozen=True)

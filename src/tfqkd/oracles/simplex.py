@@ -109,8 +109,10 @@ _MAX_ITER = 50000
 # and the test's four operations, which round again: at most 4 units of
 # roundoff (2**-51) relative to ``scale``, plus at most 2**-1073 from
 # underflow, which ``scale >= _SMALL`` keeps under the other half of that
-# part.  The cap and the rate must be normal floats, so that their product
-# has a relative error.
+# part.  That spare half, 2**-51 scale >= 2**-1051, also covers the moves'
+# subnormal errors below, k (1 + 3u) 2**-1075 < 2**-1058 for every
+# k <= ``_MAX_ITER``.  The cap and the rate must be normal floats, so that
+# their product has a relative error.
 #
 # The row's k flip moves m_j = c_j a_j (a cap times a tableau entry) since
 # its last exact read enter through their float running sum s_k,
@@ -118,7 +120,7 @@ _MAX_ITER = 50000
 # is f_j = fl(fl(c_j) fl(a_j)), three roundings, taken only where both
 # factors' floats are normal and the product is finite (else M_k is set to
 # inf: no difference exceeds that allowance, and the row goes to the exact
-# test).  The second part of the allowance, (k + 4) u M_k + k 2**-1074 with
+# test).  The second part of the allowance, (k + 4) u M_k with
 # u = 2**-53 (``_ROUNDOFF``) and the running sum of magnitudes
 # M_j = fl(M_(j-1) + |f_j|), bounds its error:
 # - the factors are within u of their normal floats, relatively, so m_j is
@@ -131,14 +133,14 @@ _MAX_ITER = 50000
 #   is at most (1 + k u) M_k;
 # - so |s_k - sum m_j| <= (k - 1) u M_k + 3u (1 + 2u) (1 + k u) M_k
 #   + k (1 + 3u) 2**-1075, which is below (k + 2) u M_k + u M_k / 2**35
-#   + k (1 + 3u) 2**-1075 for k <= ``_MAX_ITER``.
-# The allowance's own roundings (one product per part, three sums) take at
-# most a relative 4u off each part, which the spare u M_k and the spare
-# factor 2 on 2**-1075 cover, and at most 3 * 2**-1075 from underflow, which
-# the other half of the first part covers.
+#   + k (1 + 3u) 2**-1075 for k <= ``_MAX_ITER``; the first part covers the
+#   last term.
+# The allowance's own roundings (one product per part, one sum) take at
+# most a relative 4u off each part, which the spare u M_k and the first
+# part's spare half cover, and at most 2**-1075 from underflow, which that
+# spare half covers too.
 _SHADOW_ERROR = 2.0 ** -50
 _ROUNDOFF = 2.0 ** -53
-_SUBNORMAL = 2.0 ** -1074
 _SMALL = 2.0 ** -1000
 _NORMAL = 2.0 ** -1022
 
@@ -292,12 +294,12 @@ def _folded(value, log) -> tuple:
     return _add(value, _reduced(sum(ks), o, e))
 
 
-def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed, *,
+def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
                costed_only=False, floats=None):
-    """Bland's-rule simplex on ``cobj`` over the first ``n_allowed`` columns.
+    """Bland's-rule simplex on ``cobj``.
 
-    The rows, the bounds and the cost vector hold exactly ``n_allowed``
-    columns; a row held as tuples is shared and read-only, and ``_pivot``
+    The rows and the bounds hold as many columns as the cost vector; a row
+    held as tuples is shared and read-only, and ``_pivot``
     copies it before writing it.  Updates ``tab_n``, ``tab_o``, ``tab_e``,
     ``beta``, ``status`` and ``basis`` in place and returns the numbers of
     pivots and of bound flips.
@@ -317,9 +319,9 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
     column has a nonzero cost are, and the other basic values are left
     stale, for a caller that reads the optimum alone.
     """
-    m = len(tab_n)
+    m, width = len(tab_n), len(cobj)
     if floats is None:
-        floats = _Floats(beta, n_allowed)
+        floats = _Floats(beta, width)
     row_f = list(floats.rows)
     base, base_f = floats.beta, floats.beta_f
     lo_f, hi_f, caps = floats.lo_f, floats.hi_f, floats.caps
@@ -351,7 +353,7 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
     pivots = flips = 0
     for _ in range(_MAX_ITER):
         entering = -1
-        for j in range(first, n_allowed):
+        for j in range(first, width):
             s = status[j]
             if (s == _AT_LOWER and dn[j] > 0) or (s == _AT_UPPER and dn[j] < 0):
                 entering = j
@@ -416,7 +418,7 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
                     if log is not None:
                         # inf, and no verdict, once size[i] is
                         k = len(log)
-                        allowance += (k + 4) * _ROUNDOFF * size[i] + k * _SUBNORMAL
+                        allowance += (k + 4) * _ROUNDOFF * size[i]
                     if room - need > allowance:
                         continue
             if log is not None:
@@ -482,7 +484,7 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, n_allowed
         written = [i for i in range(m) if tab_n[i][entering]]
         prow = _pivot(tab_n, tab_o, tab_e, leaving, entering)
         for i in written:
-            row_f[i] = [None] * n_allowed
+            row_f[i] = [None] * width
         basis[leaving] = entering
         status[entering] = _BASIC
         beta[leaving] = new_value
@@ -514,7 +516,6 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
             raise LinearProgramInfeasible("empty variable box")
 
     # columns: n structurals, m ranged slacks, m artificials
-    ncols = n + 2 * m
     lo = xlo + [_ZERO] * (2 * m)
     hi = xup + [_sub(up_i, lo_i) for lo_i, up_i in zip(rlo, rup)] + [None] * m
 
@@ -539,7 +540,7 @@ def _feasible_start(a, rlo, rup, xlo, xup) -> _Start:
         basis.append(n + m + i)
 
     phase1 = [_ZERO] * (n + m) + [(-1, 1, 0)] * m
-    _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase1, ncols)
+    _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, phase1)
     infeasibility = _ZERO
     for i in range(m):
         if basis[i] >= n + m:
@@ -599,7 +600,7 @@ def _phase_two(start: _Start, c, costed_only=False):
     beta, status, basis = list(start.beta), list(start.status), list(start.basis)
     lo, hi = start.lo, start.hi
     _run_phase(list(start.tab_n), list(start.tab_o), list(start.tab_e), beta, status, basis,
-               lo, hi, cvec + [_ZERO] * m, n + m, costed_only=costed_only,
+               lo, hi, cvec + [_ZERO] * m, costed_only=costed_only,
                floats=_last_floats[1])
     row = {b: i for i, b in enumerate(basis)}
     optimum = _ZERO

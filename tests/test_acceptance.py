@@ -35,12 +35,13 @@ from tfqkd.channel import (GainMatrix, IntensitySettings, simulate_gains,
                            standard_noise, theoretical_yield)
 from tfqkd.decoy3 import TARGETS_3
 from tfqkd.decoy4 import yield_bounds
-from tfqkd.optimize import (FluctuationSpec, OptimizationSpec,
-                            coordinate_descent, optimize_rate,
+from tfqkd.optimize import (FluctuationSpec, OptimizationSpec, optimize_rate,
                             worst_case_fluctuation)
 from tfqkd.oracles import dark_adjusted_yield, fock_yield, lp_yield_bound
 from tfqkd.oracles.fock import gain_reconstruction_error
 from tfqkd.rate import key_rate, x_basis_statistics
+
+from coordinate_search import coordinate_descent
 
 SEED = 20260810
 

@@ -1,6 +1,7 @@
 """Four-decoy combined yield bounds."""
 
 import copy
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -192,7 +193,6 @@ class TestBounds4:
     def test_unit_level_combination_is_homogeneous(self):
         # with all gains zero the weighted subset combination vanishes
         from tfqkd.decoy3 import _VECTOR_FOR_TARGET, _combine, _prepare, _vectors
-        from tfqkd.decoy4 import _combine_subsets
         zeros = GainMatrix(q=((0.0,) * 4,) * 4)
         num, qt, mu, nu = _prepare(zeros.q, MU4, NU4, 4, False)
         va, vb = (_vectors([tuple(x[i] for i in slot) for slot in SUBSETS], num)
@@ -200,7 +200,8 @@ class TestBounds4:
         ia, ib = _VECTOR_FOR_TARGET[0, 2]
         subsets = np.array(SUBSETS)
         slots = np.array(qt)[subsets[:, :, None], subsets[:, None, :]]
-        h04, _ = _combine_subsets(*_combine(va[:, ia], vb[:, ib], slots), _d04(mu, nu), num)
+        g, _ = _combine(va[:, ia], vb[:, ib], slots)
+        h04 = math.fsum(d * v for d, v in zip(_d04(mu, nu), g))
         assert h04 == 0.0
 
     def test_yield_bounds_reports_all_nine(self):
@@ -342,6 +343,55 @@ class TestGoldenBounds:
             assert [[n, m, v.hex()] for (n, m), v in got.bounds.items()] == rec["bounds"], where
             assert [[n, m, p] for (n, m), p in got.provenance.items()] == rec["provenance"], where
             assert got.warnings == rec["warnings"], where
+
+
+class TestCombinedCandidates:
+    """Every combined candidate of the 57 four-decoy sets of ``_gate_corpus()``,
+    float and exact, pinned by one sha256, winner or not: its target, its
+    formula's name and its value as ``_bounds4`` hands it to ``_clamp``,
+    with the set's warnings.  (0,4) and (4,0) take the degenerate formula on
+    weak triples equal within ``_TILDE_REL_TOL``; a winning candidate's name
+    must match its provenance."""
+
+    DIGEST = "74c19518aa7365438d680482b027ec86536d8430807f9e441cde6a2cd02ebcdf"
+
+    def test_candidates_bit_identical(self, monkeypatch):
+        handed = []
+        library = decoy4._clamp
+
+        def record(values, targets, formula):
+            if formula == "4-decoy":
+                handed.append(list(zip(targets, values.tolist())))
+            return library(values, targets, formula)
+
+        monkeypatch.setattr(decoy4, "_clamp", record)
+        records = []
+        for index, (loss, mu, nu) in enumerate(_gate_corpus()):
+            if len(mu) != 4:
+                continue
+            settings = IntensitySettings(alpha_a=0.2, alpha_b=0.2, mu=mu, nu=nu)
+            gains = simulate_gains(standard_noise(*loss), settings)
+            degenerate = all(abs(a - b) <= decoy4._TILDE_REL_TOL * max(a, b)
+                             for a, b in zip(mu[:3], nu))
+            for exact in (False, True):
+                handed.clear()
+                got = yield_bounds(gains, settings, exact=exact)
+                assert len(handed) == 1, (index, exact)
+                candidates = []
+                for (n, m), value in handed[0]:
+                    name = "4-decoy " + ("degenerate" if degenerate and (n, m) in ((0, 4), (4, 0))
+                                         else "combined")
+                    if got.provenance[n, m].startswith("4-decoy"):
+                        assert got.provenance[n, m] == name, (index, exact, (n, m))
+                    candidates.append([n, m, name, value.hex()])
+                records.append([index, exact, candidates, got.warnings])
+        assert len(records) == 2 * 57
+        assert sum(len(candidates) for _, _, candidates, _ in records) == 400
+        names = {name for _, _, candidates, _ in records for _, _, name, _ in candidates}
+        assert names == {"4-decoy combined", "4-decoy degenerate"}
+        assert any(warnings for *_, warnings in records)
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 # Two 4-decoy configurations whose combined-formula denominators underflow to

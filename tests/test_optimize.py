@@ -12,9 +12,10 @@ from tfqkd import channel, optimize, rate
 from tfqkd.channel import ChannelParams, IntensitySettings, standard_noise
 from tfqkd.errors import InfeasibleFluctuationError, TfqkdError
 from tfqkd.optimize import (FluctuationSpec, OptimizationSpec, _nelder_mead, _starts,
-                            coordinate_descent, optimize_rate,
-                            worst_case_fluctuation)
+                            optimize_rate, worst_case_fluctuation)
 from tfqkd.rate import key_rate
+
+from coordinate_search import coordinate_descent
 
 SPEC3 = OptimizationSpec(decoys=3, multistart=6, seed=5)
 

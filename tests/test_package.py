@@ -4,9 +4,12 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tfqkd
 
@@ -51,6 +54,19 @@ def test_import_and_searches_load_no_scipy():
     after_import, after_searches = json.loads(out)
     assert after_import == []
     assert after_searches == []
+
+
+def test_runtime_dependencies_are_numpy_only():
+    # SciPy serves the tests alone (their reference search and LP checks)
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert [re.match(r"[\w.-]+", d).group() for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+    package = Path(tfqkd.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        imports = re.search(r"^\s*(from|import)\s+scipy\b", path.read_text(), re.M)
+        assert not imports, path.relative_to(package)
 
 
 def test_benchmark_bound_names_resolve(monkeypatch):

@@ -120,13 +120,16 @@ def _recorded(monkeypatch, run, solve, log=None):
     """``solve()`` with ``run`` as the phase routine: its result (or exception
     type and message) and, per phase, basis, statuses, basic values and the
     (pivots, flips) the routine returns.  The library's keywords (the shared
-    floats of ``_phase_two``) go to ``run`` only without a ``log``, which the
-    frozen copy takes instead."""
+    floats of ``_phase_two``) go to ``run`` only without a ``log``; the
+    frozen copy takes the number of columns and the log instead."""
     phases = []
 
-    def recording(tab_n, tab_o, tab_e, beta, status, basis, *rest, **kwargs):
-        counts = run(tab_n, tab_o, tab_e, beta, status, basis, *rest,
-                     **(kwargs if log is None else {"log": log}))
+    def recording(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, **kwargs):
+        if log is None:
+            counts = run(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, **kwargs)
+        else:
+            counts = run(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, len(cobj),
+                         log=log)
         assert all(map(_canonical, beta))
         phases.append((tuple(basis), tuple(status), tuple(beta), counts))
 
