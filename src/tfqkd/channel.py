@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 from .errors import SaturationError
 
@@ -222,7 +223,9 @@ def x_basis_statistics(params: ChannelParams, alpha_a: float, alpha_b: float) ->
     Written in expm1 form so both outputs keep full relative accuracy at
     high loss, where the naive differences of near-unit exponentials lose
     everything; gamma >= |chi| always holds, so every expm1 term below is
-    non-negative and nothing cancels.
+    non-negative and nothing cancels.  A negative or non-finite amplitude
+    raises ``ValueError``; arriving intensities that overflow the click
+    probability raise ``SaturationError``.
     """
     if alpha_a < 0 or alpha_b < 0:
         raise ValueError("amplitudes must be >= 0")
@@ -233,6 +236,8 @@ def x_basis_statistics(params: ChannelParams, alpha_a: float, alpha_b: float) ->
     # sqrt(ia*ib) form makes chi == gamma exact when ia == ib bitwise.
     chi = math.sqrt(ia * ib) * math.cos(params.phase) * math.cos(params.theta)
     if not gamma + abs(chi) <= _EXP_MAX:
+        if not (math.isfinite(alpha_a) and math.isfinite(alpha_b)):
+            raise ValueError(f"amplitudes must be finite, got {alpha_a} and {alpha_b}")
         raise SaturationError(f"arriving intensities {ia} and {ib} overflow the "
                               "X-basis click probability")
     p_d = params.p_d
@@ -269,7 +274,7 @@ def gain(params: ChannelParams, mu_k: float, nu_l: float) -> float:
     arriving intensity; every bracket term is non-negative, so the result is
     relative-accurate even when it is many orders below 1.  The yield bounds
     difference these gains against each other and genuinely need that.
-    A negative or NaN intensity raises ``ValueError``.
+    A negative or non-finite intensity raises ``ValueError``.
     """
     if not (mu_k >= 0 and nu_l >= 0):
         raise ValueError("intensities must be >= 0")
@@ -277,7 +282,10 @@ def gain(params: ChannelParams, mu_k: float, nu_l: float) -> float:
     x = abs(math.sqrt(mu_k * nu_l * params.eta_a * params.eta_b) * math.cos(params.theta))
     if x <= 20.0:
         log_i0 = math.log1p(_bessel_i0_minus_1(x))
-    else:  # x > 20 once mu_k nu_l eta_a eta_b cos^2(theta) > 400
+    else:  # x > 20 once mu_k nu_l eta_a eta_b cos^2(theta) > 400; x is inf or
+        # NaN when an intensity is infinite
+        if not (math.isfinite(mu_k) and math.isfinite(nu_l)):
+            raise ValueError(f"intensities must be finite, got ({mu_k}, {nu_l})")
         log_i0 = math.log(bessel_i0(x))
     one_m_pd = 1.0 - params.p_d
     # caught, not range-checked against _EXP_MAX: just below the overflow
@@ -348,6 +356,8 @@ def theoretical_yield(params: ChannelParams, n: int, m: int) -> float:
     cancellation between the all-in-one-port weight and the no-survivor term
     under control.
     """
+    if not (isinstance(n, Integral) and isinstance(m, Integral)):
+        raise ValueError(f"photon numbers must be integers, got {n!r} and {m!r}")
     if n < 0 or m < 0:
         raise ValueError("photon numbers must be >= 0")
     if n > 60 or m > 60:

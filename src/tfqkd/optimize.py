@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from numbers import Integral
 
 import numpy as np
@@ -473,20 +473,13 @@ def worst_case_fluctuation(params: ChannelParams, center: IntensitySettings,
             best = (r, tuple(vec))
         return stop_below is not None and best[0] < stop_below
 
-    stopped = False
-    for corner in product(*zip(lo, hi)):
-        if consider(corner):
-            stopped = True
-            break
-    if not stopped and fspec.budget:
-        rng = np.random.default_rng(fspec.seed)
-        for _ in range(fspec.budget):
-            vec = tuple(rng.uniform(lo, hi))
-            if consider(vec):
-                stopped = True
-                break
-    if not stopped:
-        x, _ = _nelder_mead(rate_at, best[1], np.array(lo), np.array(hi),
-                            xatol=1e-8, fatol=1e-16, maxiter=400)
-        consider(tuple(float(v) for v in x))
+    # the corners, then the seeded interior samples
+    rng = np.random.default_rng(fspec.seed)
+    samples = (tuple(rng.uniform(lo, hi)) for _ in range(fspec.budget))
+    for vec in chain(product(*zip(lo, hi)), samples):
+        if consider(vec):
+            return result()
+    x, _ = _nelder_mead(rate_at, best[1], np.array(lo), np.array(hi),
+                        xatol=1e-8, fatol=1e-16, maxiter=400)
+    consider(tuple(float(v) for v in x))
     return result()

@@ -9,6 +9,7 @@ model, so agreement between the two is a genuine cross-check.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 from ..channel import ChannelParams, gain, theoretical_yield
 
@@ -47,6 +48,8 @@ def fock_yield(params: ChannelParams, n: int, m: int) -> float:
 
     Dark counts are excluded to match the optics-only yield definition.
     """
+    if not (isinstance(n, Integral) and isinstance(m, Integral)):
+        raise ValueError(f"photon numbers must be integers, got {n!r} and {m!r}")
     if n < 0 or m < 0:
         raise ValueError("photon numbers must be >= 0")
     if n + m > _MAX_TOTAL_PHOTONS:
@@ -76,8 +79,8 @@ def dark_adjusted_yield(params: ChannelParams, n: int, m: int) -> float:
 
 
 def poisson_weight(mean: float, n: int) -> float:
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
+    if not 0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))

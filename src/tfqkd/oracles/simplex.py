@@ -60,7 +60,10 @@ open, at the next pivot that moves the row, and at the end of the phase.
 ``_maximize`` folds every row there, so every basic value is a reduced
 triple again; ``_optimum``, which ``lp_yield_bound`` calls, folds only the
 rows whose basic column has a nonzero cost, the rows its optimum reads.
-Pivots skip the zero entries of the pivot row.  Every decision is the one
+Each iteration reads the entering column once, into a list of its nonzero
+rows, each with its signed move per unit step and that move's float, which
+the ratio test, the flip's log and the pivot all walk.  Pivots skip the zero
+entries of the pivot row.  Every decision is the one
 exact arithmetic makes: ``d_j`` equals the reduced cost a fresh pricing
 gives and every test decides as a fresh computation would, so the pivot
 sequence is Bland's, unchanged, and so are the starts, the optima and
@@ -71,11 +74,12 @@ m slacks, and the phase 2s on one start share it read-only.  Each reads the
 start's rows in place, and a pivot copies into lists only the rows it
 writes (``_pivot``), the pivot row and those with a nonzero entry in the
 entering column; the rest of the start is never copied.  They also share
-the start's floats that the shadow tests read (``_Floats``): the tableau
-entries, the basic values, the columns' bounds and flip caps, each
-converted on its first read by any of them and kept for the start phase 2
-last ran on, matched by identity.  After a pivot the phase keeps its own
-floats for the rows the pivot wrote.
+the start's floats that the shadow tests read (``_Floats``), kept for the
+start phase 2 last ran on, matched by identity: the basic values, floated
+when the floats are made, and the tableau entries, the columns' bounds and
+flip caps, each converted on its first read by any of them.  Each phase
+starts from a copy of the basic values' floats, and after a pivot it keeps
+its own floats for the rows the pivot wrote.
 
 A solve is two steps.  ``_feasible_start`` takes the constraints as triples,
 runs phase 1 with one artificial column per row, drives every artificial
@@ -267,19 +271,18 @@ def _shadow(v) -> float:
 
 
 class _Floats:
-    """The floats the shadow tests of phases on one start read, each filled
-    on first read (None before): per row the tableau entries, the basic
-    values the start holds (``beta``, matched by identity), and per column
-    the lower and upper bounds and the flip caps as ``(cap, float)`` pairs,
-    for ``width`` columns.  ``rows`` is shared until a pivot writes a row;
-    the phase then keeps its own floats for it."""
+    """The floats the shadow tests of phases on one start read: the start's
+    basic values (``beta_f``), floated once here, and, each filled on first
+    read (None before), per row the tableau entries and per column the lower
+    and upper bounds and the flip caps as ``(cap, float)`` pairs, for
+    ``width`` columns.  ``rows`` is shared until a pivot writes a row; the
+    phase then keeps its own floats for it."""
 
-    __slots__ = ("rows", "beta", "beta_f", "lo_f", "hi_f", "caps")
+    __slots__ = ("rows", "beta_f", "lo_f", "hi_f", "caps")
 
     def __init__(self, beta, width: int):
         self.rows = [[None] * width for _ in beta]
-        self.beta = tuple(beta)
-        self.beta_f = [None] * len(beta)
+        self.beta_f = [_shadow(v) for v in beta]
         self.lo_f = [None] * width
         self.hi_f = [None] * width
         self.caps = [None] * width
@@ -305,7 +308,13 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
     pivots and of bound flips.
 
     The shadow tests read the floats of ``floats``, a ``_Floats`` of the
-    start the phases share (``_phase_two``), or of a fresh one.  A bound
+    start the phases share (``_phase_two``), or of a fresh one; the phase
+    starts from a copy of its basic values' floats and floats a basic value
+    again, when a shadow test reads it, after an exact move.  Each iteration
+    reads the entering column once, into a list of its nonzero rows, each
+    with its signed move per unit step and that move's float; the ratio
+    test, the flip's log, the pivot's moves and the rows whose floats the
+    pivot drops all walk that list.  A bound
     flip's moves are logged per row, not added to the basic values: each row
     keeps the ``(cap, entry)`` pairs since its last exact read, and the float
     running sums of the moves' floats and of their magnitudes, which the
@@ -323,7 +332,6 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
     if floats is None:
         floats = _Floats(beta, width)
     row_f = list(floats.rows)
-    base, base_f = floats.beta, floats.beta_f
     lo_f, hi_f, caps = floats.lo_f, floats.hi_f, floats.caps
     # reduced costs c_j - sum_i c_B(i) tab[i][j], priced once, then kept
     dn = [c[0] for c in cobj]
@@ -337,11 +345,11 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
     # moves[i] since its last exact read (None for none); total[i] and
     # size[i] are the float running sums of the moves' floats and of their
     # magnitudes, size[i] inf once a move has no float the allowance covers;
-    # shadow[i] is the float of beta[i], None until a flip test reads it
+    # shadow[i] is the float of beta[i], None once beta[i] has moved
     moves = [None] * m
     total = [0.0] * m
     size = [0.0] * m
-    shadow = [None] * m
+    shadow = list(floats.beta_f)
 
     def read(i):
         """Fold row ``i``'s logged moves into its basic value."""
@@ -364,6 +372,17 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
                 if log is not None and (not costed_only or cobj[basis[i]][0]):
                     beta[i] = _folded(beta[i], log)
             return pivots, flips
+        # the entering column's nonzero rows: (i, a, a_f), a the row's move
+        # per unit step of the entering variable and a_f its float
+        column = []
+        for i in range(m):
+            an = tab_n[i][entering]
+            if an:
+                a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
+                a_f = row_f[i][entering]
+                if a_f is None:
+                    a_f = row_f[i][entering] = _shadow((an, a[1], a[2]))
+                column.append((i, a, -a_f if up else a_f))
         # ratio test: smallest step that drives a basic variable to a
         # bound, capped by the entering variable's own bound flip.  While no
         # row undercuts the cap, a row is skipped if room >= cap * rate:
@@ -377,12 +396,9 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
         step, step_f = cap
         leaving = -1
         hit_lower = True
-        for i in range(m):
-            an = tab_n[i][entering]
-            if not an:
-                continue
+        for i, a, a_f in column:
             b = basis[i]
-            hits_low = (an > 0) == up    # the basic variable falls toward its lower bound
+            hits_low = a[0] < 0    # the basic variable falls toward its lower bound
             bound = lo[b] if hits_low else hi[b]
             if bound is None:
                 continue
@@ -392,24 +408,13 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
             if leaving < 0 and step_f >= _NORMAL and (log is not None or beta[i] != bound):
                 value = shadow[i]
                 if value is None:
-                    v = beta[i]
-                    if v is base[i]:
-                        value = base_f[i]
-                        if value is None:
-                            value = base_f[i] = _shadow(v)
-                    else:
-                        value = _shadow(v)
-                    shadow[i] = value
-                entry_f = row_f[i][entering]
-                if entry_f is None:
-                    entry_f = row_f[i][entering] = _shadow((an, tab_o[i][entering],
-                                                            tab_e[i][entering]))
+                    value = shadow[i] = _shadow(beta[i])
                 bounds_f = lo_f if hits_low else hi_f
                 bound_f = bounds_f[b]
                 if bound_f is None:
                     bound_f = bounds_f[b] = _shadow(bound)
                 moved = total[i]
-                rate_f = abs(entry_f)
+                rate_f = abs(a_f)
                 need = step_f * rate_f
                 scale = abs(value) + abs(moved) + abs(bound_f) + need
                 if _SMALL <= scale < inf and rate_f >= _NORMAL:
@@ -423,7 +428,7 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
                         continue
             if log is not None:
                 read(i)
-            rate = (abs(an), tab_o[i][entering], tab_e[i][entering])
+            rate = (abs(a[0]), a[1], a[2])
             room = _sub(beta[i], bound) if hits_low else _sub(bound, beta[i])
             limit = _div(room, rate) if room[0] > 0 else _ZERO
             if step is None or _less(limit, step) or (limit == step and leaving >= 0
@@ -438,23 +443,14 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
                 # a flip by the cap ``step``: each row logs (cap, entry), and its
                 # float is the product of the two floats
                 normal = _NORMAL <= step_f < inf
-                for i in range(m):
-                    an = tab_n[i][entering]
-                    if not an:
-                        continue
-                    a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
+                for i, a, a_f in column:
                     log = moves[i]
                     if log is None:
                         moves[i] = [(step, a)]
                     else:
                         log.append((step, a))
-                    entry_f = row_f[i][entering]
-                    if entry_f is None:
-                        entry_f = row_f[i][entering] = _shadow((an, a[1], a[2]))
-                    if up:
-                        entry_f = -entry_f
-                    f = step_f * entry_f
-                    if normal and abs(entry_f) >= _NORMAL and abs(f) < inf:
+                    f = step_f * a_f
+                    if normal and abs(a_f) >= _NORMAL and abs(f) < inf:
                         total[i] += f
                         size[i] += abs(f)
                     else:
@@ -469,21 +465,17 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
         if step[0]:
             # a pivot's step is a long quotient: into the basic values, after
             # each row's short logged moves
-            for i in range(m):
-                an = tab_n[i][entering]
-                if not an or i == leaving:
-                    continue
-                a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
-                if moves[i] is not None:
-                    read(i)
-                beta[i] = _add(beta[i], _mul(step, a))
-                shadow[i] = None
+            for i, a, _ in column:
+                if i != leaving:
+                    if moves[i] is not None:
+                        read(i)
+                    beta[i] = _add(beta[i], _mul(step, a))
+                    shadow[i] = None
         new_value = _add(lo[entering], step) if up else _sub(hi[entering], step)
         out = basis[leaving]
         status[out] = _AT_LOWER if hit_lower else _AT_UPPER
-        written = [i for i in range(m) if tab_n[i][entering]]
         prow = _pivot(tab_n, tab_o, tab_e, leaving, entering)
-        for i in written:
+        for i, _, _ in column:
             row_f[i] = [None] * width
         basis[leaving] = entering
         status[entering] = _BASIC

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import islice
+from numbers import Integral
 
 from .errors import SaturationError
 
@@ -48,11 +49,20 @@ def hom_sym_sum(values, degree: int) -> float:
     """Complete homogeneous symmetric polynomial h_degree(values).
 
     Sum of all degree-``degree`` monomials with non-decreasing index chains;
-    h_0 is 1 by convention, including for an empty value set.
+    h_0 is 1 by convention, including for an empty value set.  A degree that
+    is not an integer >= 0 or a value that is not finite raises ``ValueError``.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return next(islice(_hom_sym(tuple(values)), degree, None))
+    if not isinstance(degree, Integral) or degree < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+    return next(islice(_hom_sym(_finite(values)), degree, None))
+
+
+def _finite(values) -> tuple:
+    """The values as a tuple; ``ValueError`` if one is not finite."""
+    values = tuple(values)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"values must be finite, got {values}")
+    return values
 
 
 def elem_sym(values) -> list[float]:
@@ -217,10 +227,12 @@ def d_n(values4, n: int) -> float:
 
     D_4 = e_3, and the subtracted part is at most a quarter of the first
     (h_m >= x_i h_{m-1} for every value x_i), so the difference cannot cancel.
+    A degree that is not an integer >= 4 or a value that is not finite raises
+    ``ValueError``.
     """
-    if n < 4:
-        raise ValueError("d_n is defined for n >= 4")
-    vals = tuple(values4)
+    if not isinstance(n, Integral) or n < 4:
+        raise ValueError(f"d_n is defined for integers n >= 4, got {n!r}")
+    vals = _finite(values4)
     if len(vals) != 4:
         raise ValueError("d_n expects exactly four values")
     es = elem_sym(vals)

@@ -94,8 +94,24 @@ class TestXBasisStatistics:
         s2 = x_basis_statistics(params, 0.3, 0.4)
         assert s1 == s2
 
+    @pytest.mark.parametrize("alphas", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1),
+                                        (0.1, math.inf)])
+    def test_non_finite_amplitude_is_a_value_error(self, alphas):
+        # named as such, not reported as an overflow; a finite amplitude
+        # that overflows still is
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            x_basis_statistics(standard_noise(10, 10), *alphas)
+        with pytest.raises(SaturationError, match="overflow the X-basis"):
+            x_basis_statistics(standard_noise(10, 10), 1e200, 0.1)
+
 
 class TestGain:
+    @pytest.mark.parametrize("intensities", [(math.inf, 0.0), (math.inf, 0.1), (0.0, math.inf),
+                                             (0.1, math.inf), (math.inf, math.inf)])
+    def test_infinite_intensity_is_a_value_error(self, intensities):
+        with pytest.raises(ValueError, match="intensities must be finite"):
+            gain(standard_noise(10, 10), *intensities)
+
     def test_vacuum_no_darks(self):
         params = ChannelParams(eta_a=0.6, eta_b=0.3)
         assert gain(params, 0.0, 0.0) == 0.0
@@ -151,6 +167,11 @@ class TestGain:
 
 
 class TestTheoreticalYield:
+    @pytest.mark.parametrize("n,m", [(2, 1.0), (1.5, 1), (0, "1")])
+    def test_non_integer_photon_number_rejected(self, n, m):
+        with pytest.raises(ValueError, match="integers"):
+            theoretical_yield(standard_noise(10, 10), n, m)
+
     def test_vacuum_vacuum_zero(self):
         params = standard_noise(20, 20)
         assert theoretical_yield(params, 0, 0) == 0.0

@@ -21,7 +21,7 @@ from tfqkd.decoy4 import yield_bounds
 from tfqkd.errors import InconsistentGainsError, TfqkdError
 from tfqkd.oracles import (dark_adjusted_yield, fock_yield, lp_bounds, lp_yield_bound,
                            series_gain, simplex, solve_bounded_lp)
-from tfqkd.oracles.fock import gain_reconstruction_error
+from tfqkd.oracles.fock import gain_reconstruction_error, poisson_upper_tail, poisson_weight
 from tfqkd.oracles.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, LinearProgramInfeasible,
                                    _feasible_start, _maximize, _number)
 from tfqkd.oracles.simplex import _Start as _SimplexStart
@@ -68,6 +68,12 @@ class TestFockYield:
         with pytest.raises(ValueError):
             fock_yield(standard_noise(10, 10), 7, 6)
 
+    @pytest.mark.parametrize("call", [fock_yield, dark_adjusted_yield])
+    @pytest.mark.parametrize("n,m", [(1.5, 1), (1, 2.0)])
+    def test_non_integer_photon_number_rejected(self, call, n, m):
+        with pytest.raises(ValueError, match="integers"):
+            call(standard_noise(10, 10), n, m)
+
 
 class TestSeriesGain:
     def test_vacuum_no_darks(self):
@@ -97,6 +103,20 @@ class TestSeriesGain:
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
             series_gain(standard_noise(10, 10), 0.1, 0.1, n_max=10)
+
+    @pytest.mark.parametrize("call", [
+        lambda: poisson_weight(math.nan, 3),
+        lambda: poisson_weight(math.inf, 3),
+        lambda: poisson_upper_tail(math.nan, 10),
+        lambda: poisson_upper_tail(math.inf, 10),
+        lambda: series_gain(standard_noise(10, 10), math.nan, 0.1),
+        lambda: series_gain(standard_noise(10, 10), math.inf, 0.1),
+        lambda: series_gain(standard_noise(10, 10), 0.1, math.nan),
+    ], ids=["weight-nan", "weight-inf", "tail-nan", "tail-inf", "gain-mu-nan", "gain-mu-inf",
+            "gain-nu-nan"])
+    def test_non_finite_mean_rejected(self, call):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            call()
 
 
 def _random_lps():

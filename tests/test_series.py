@@ -39,6 +39,21 @@ class TestHomSymSum:
             hom_brute(values, degree), rel=1e-12)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: hom_sym_sum((1.0, math.inf), 2), "finite"),
+    (lambda: hom_sym_sum((math.nan, 1.0), 2), "finite"),
+    (lambda: hom_sym_sum((1.0, 2.0), 2.5), "degree must be an integer"),
+    (lambda: d_n((1.0, 2.0, 3.0, math.inf), 4), "finite"),
+    (lambda: d_n((1.0, math.nan, 2.0, 3.0), 5), "finite"),
+    (lambda: d_n((1.0, 2.0, 3.0, 4.0), 4.5), "defined for integers"),
+], ids=["hom-inf", "hom-nan", "hom-degree", "dn-inf", "dn-nan", "dn-degree"])
+def test_exported_series_reject_non_finite_values_and_non_integer_degrees(call, match):
+    """A value that is not finite gives ``ValueError``, not inf or NaN; so does
+    a degree that is not an integer, with a message that names it."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestExpTails:
     def test_h_tail_matches_exponential_bracket(self):
         # third-order divided difference of exp equals the damped h-series
