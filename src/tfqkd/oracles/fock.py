@@ -78,16 +78,28 @@ def dark_adjusted_yield(params: ChannelParams, n: int, m: int) -> float:
     return one_m_pd * base + params.p_d * one_m_pd * vac
 
 
+def _count(name: str, k) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``k`` is an integer
+    (``numbers.Integral``) other than a bool."""
+    if not isinstance(k, Integral) or isinstance(k, bool):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+
+
 def poisson_weight(mean: float, n: int) -> float:
+    """P(N = n) for a Poisson variable of mean ``mean``; ``n`` an integer >= 0."""
     if not 0 <= mean < math.inf:
         raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
+    _count("photon number", n)
+    if n < 0:
+        raise ValueError(f"photon number must be >= 0, got {n}")
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
 
 
 def poisson_upper_tail(mean: float, n_max: int) -> float:
-    """P(N > n_max) for a Poisson variable, to full relative accuracy.
+    """P(N > n_max) for a Poisson variable, ``n_max`` an integer, to full
+    relative accuracy.
 
     Summed upward from the first excluded term while the tail is the smaller
     side: one minus the head would lose the tiny tails that appear here to
@@ -96,6 +108,7 @@ def poisson_upper_tail(mean: float, n_max: int) -> float:
     long before the terms peak near ``mean`` or start from an underflowed
     first term.
     """
+    _count("n_max", n_max)
     if mean > n_max + 1:
         return 1.0 - math.fsum(poisson_weight(mean, n) for n in range(n_max + 1))
     term = poisson_weight(mean, n_max + 1)
@@ -111,10 +124,11 @@ def poisson_upper_tail(mean: float, n_max: int) -> float:
 def series_gain(params: ChannelParams, mu: float, nu: float, n_max: int = 40) -> float:
     """Gain rebuilt as a Poisson mixture of photon-number yields.
 
-    Truncated at ``n_max`` photons per party; includes the dark-count
-    augmentation so the result matches the closed-form gain of the channel
-    model within the Poisson tail mass.
+    Truncated at ``n_max`` photons per party, an integer >= 20; includes the
+    dark-count augmentation so the result matches the closed-form gain of
+    the channel model within the Poisson tail mass.
     """
+    _count("n_max", n_max)
     if n_max < 20:
         raise ValueError("n_max must be >= 20")
     wa = [poisson_weight(mu, n) for n in range(n_max + 1)]

@@ -62,24 +62,35 @@ triple again; ``_optimum``, which ``lp_yield_bound`` calls, folds only the
 rows whose basic column has a nonzero cost, the rows its optimum reads.
 Each iteration reads the entering column once, into a list of its nonzero
 rows, each with its signed move per unit step and that move's float, which
-the ratio test, the flip's log and the pivot all walk.  Pivots skip the zero
-entries of the pivot row.  Every decision is the one
-exact arithmetic makes: ``d_j`` equals the reduced cost a fresh pricing
-gives and every test decides as a fresh computation would, so the pivot
-sequence is Bland's, unchanged, and so are the starts, the optima and
-``x``.
+the ratio test, the flip's log and the pivot all walk.
+
+A pivot scales and writes only the pivot row (``_scale``), whose zero
+entries change no other row.  Every other row with a nonzero entry in the
+entering column records the pivot instead: the scaled row's nonzero entries
+and the row's multiplier, its own entry in that column.  An entry applies
+its row's recorded pivots, in order and each through ``_eliminate``, only
+when something reads it: the scan of an entering column, the pivot row
+before it is scaled, and, in a phase whose tableau is used afterwards
+(phase 1, ``_maximize``), every row at the end.  So every entry read holds
+the reduced triple the eager update (``_pivot``, which phase 1's drive-out
+uses) gives, and ``lp_yield_bound``'s phase 2s never form the entries
+nobody reads.  Every decision is the one exact arithmetic makes: ``d_j``
+equals the reduced cost a fresh pricing gives and every test decides as a
+fresh computation would, so the pivot sequence is Bland's, unchanged, and
+so are the starts, the optima and ``x``.
 
 A start holds exactly the columns phase 2 reads, the n structurals and the
 m slacks, and the phase 2s on one start share it read-only.  Each reads the
 start's rows in place, and a pivot copies into lists only the rows it
-writes (``_pivot``), the pivot row and those with a nonzero entry in the
-entering column; the rest of the start is never copied.  They also share
-the start's floats that the shadow tests read (``_Floats``), kept for the
-start phase 2 last ran on, matched by identity: the basic values, floated
-when the floats are made, and the tableau entries, the columns' bounds and
-flip caps, each converted on its first read by any of them.  Each phase
-starts from a copy of the basic values' floats, and after a pivot it keeps
-its own floats for the rows the pivot wrote.
+writes or that record it (``_writable``), the pivot row and those with a
+nonzero entry in the entering column; the rest of the start is never
+copied.  They also share the start's floats that the shadow tests read
+(``_Floats``), kept for the start phase 2 last ran on, matched by identity:
+the basic values, floated when the floats are made, and the tableau
+entries, the columns' bounds and flip caps, each converted on its first
+read by any of them.  Each phase starts from a copy of the basic values'
+floats, and after a pivot it keeps its own floats for the rows of the
+pivot's column.
 
 A solve is two steps.  ``_feasible_start`` takes the constraints as triples,
 runs phase 1 with one artificial column per row, drives every artificial
@@ -236,28 +247,39 @@ def _entries(rn, ro, re) -> list:
     return [(j, n, ro[j], re[j]) for j, n in enumerate(rn) if n]
 
 
-def _pivot(tab_n, tab_o, tab_e, row: int, col: int) -> list:
-    """Scale ``row`` to a unit pivot at ``col`` and eliminate ``col`` elsewhere.
+def _writable(tab_n, tab_o, tab_e, i: int) -> None:
+    """Copy row ``i`` into lists if it is held as tuples, shared with other
+    phases (a start's)."""
+    if type(tab_n[i]) is tuple:
+        tab_n[i], tab_o[i], tab_e[i] = list(tab_n[i]), list(tab_o[i]), list(tab_e[i])
 
-    A row held as tuples is shared with other phases (a start's) and is
-    copied into lists before it is written; only the pivot row and the rows
-    with a nonzero entry in ``col`` are.  Returns the scaled pivot row's
-    nonzero entries; only they change the other rows.
-    """
-    for i, rn in enumerate(tab_n):
-        if type(rn) is tuple and (i == row or rn[col]):
-            tab_n[i], tab_o[i], tab_e[i] = list(rn), list(tab_o[i]), list(tab_e[i])
-    an, ao, ae = tab_n[row][col], tab_o[row][col], tab_e[row][col]
-    inv = (-ao, -an, -ae) if an < 0 else (ao, an, -ae)
+
+def _scale(tab_n, tab_o, tab_e, row: int, col: int) -> list:
+    """Scale ``row`` to a unit pivot at ``col``; return its nonzero entries,
+    the only ones that change the other rows."""
+    _writable(tab_n, tab_o, tab_e, row)
     pn, po, pe = tab_n[row], tab_o[row], tab_e[row]
+    an, ao, ae = pn[col], po[col], pe[col]
+    inv = (-ao, -an, -ae) if an < 0 else (ao, an, -ae)
     for j, n in enumerate(pn):
         if n:
             pn[j], po[j], pe[j] = _mul((n, po[j], pe[j]), inv)
-    prow = _entries(pn, po, pe)
-    for i, (rn, ro, re) in enumerate(zip(tab_n, tab_o, tab_e)):
+    return _entries(pn, po, pe)
+
+
+def _pivot(tab_n, tab_o, tab_e, row: int, col: int) -> list:
+    """Scale ``row`` to a unit pivot at ``col`` and eliminate ``col`` elsewhere.
+
+    Only the pivot row and the rows with a nonzero entry in ``col`` are
+    written, and copied into lists first (``_writable``).  Returns the scaled
+    pivot row's nonzero entries.
+    """
+    prow = _scale(tab_n, tab_o, tab_e, row, col)
+    for i, rn in enumerate(tab_n):
         fn = rn[col]
         if i != row and fn:
-            _eliminate(rn, ro, re, fn, ro[col], re[col], prow)
+            _writable(tab_n, tab_o, tab_e, i)
+            _eliminate(tab_n[i], tab_o[i], tab_e[i], fn, tab_o[i][col], tab_e[i][col], prow)
     return prow
 
 
@@ -275,8 +297,8 @@ class _Floats:
     basic values (``beta_f``), floated once here, and, each filled on first
     read (None before), per row the tableau entries and per column the lower
     and upper bounds and the flip caps as ``(cap, float)`` pairs, for
-    ``width`` columns.  ``rows`` is shared until a pivot writes a row; the
-    phase then keeps its own floats for it."""
+    ``width`` columns.  ``rows`` is shared until a pivot writes a row or the
+    row records it; the phase then keeps its own floats for it."""
 
     __slots__ = ("rows", "beta_f", "lo_f", "hi_f", "caps")
 
@@ -302,8 +324,8 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
     """Bland's-rule simplex on ``cobj``.
 
     The rows and the bounds hold as many columns as the cost vector; a row
-    held as tuples is shared and read-only, and ``_pivot``
-    copies it before writing it.  Updates ``tab_n``, ``tab_o``, ``tab_e``,
+    held as tuples is shared and read-only, and ``_writable`` copies it
+    before it is written.  Updates ``tab_n``, ``tab_o``, ``tab_e``,
     ``beta``, ``status`` and ``basis`` in place and returns the numbers of
     pivots and of bound flips.
 
@@ -313,9 +335,13 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
     again, when a shadow test reads it, after an exact move.  Each iteration
     reads the entering column once, into a list of its nonzero rows, each
     with its signed move per unit step and that move's float; the ratio
-    test, the flip's log, the pivot's moves and the rows whose floats the
-    pivot drops all walk that list.  A bound
-    flip's moves are logged per row, not added to the basic values: each row
+    test, the flip's log, the pivot's moves and the rows that record the
+    pivot, whose floats it drops, all walk that list.  A pivot scales and
+    writes its own row; each other row of the column records it, the scaled
+    row's entries and the row's multiplier, and an entry applies its row's
+    recorded pivots, in order, when it is read: the entering column's scan
+    reads one entry per row, the pivot row is read whole before it is
+    scaled.  A bound flip's moves are logged per row, not added to the basic values: each row
     keeps the ``(cap, entry)`` pairs since its last exact read, and the float
     running sums of the moves' floats and of their magnitudes, which the
     float flip tests read with an allowance for the moves' and the sum's
@@ -324,8 +350,10 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
     its basic value, which happens when something reads the value exactly: a
     flip test the floats leave open, a pivot that moves the row, and the end
     of the phase.  At the end every row is folded, so every basic value is a
-    reduced triple again; with ``costed_only`` only the rows whose basic
-    column has a nonzero cost are, and the other basic values are left
+    reduced triple again, and every row applies its recorded pivots, so the
+    tableau is the eager update's (``_pivot``) entry for entry; with
+    ``costed_only`` only the rows whose basic column has a nonzero cost are
+    folded, and the other basic values and the unread entries are left
     stale, for a caller that reads the optimum alone.
     """
     m, width = len(tab_n), len(cobj)
@@ -350,12 +378,35 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
     total = [0.0] * m
     size = [0.0] * m
     shadow = list(floats.beta_f)
+    # lag[i] is None for a current row i, else (log, done): log the pivots
+    # the row has recorded and not applied to every entry, in order, each the
+    # scaled pivot row's entries by column and the row's multiplier, its
+    # entry in the pivot column; done[j] how many of them entry j has
+    # applied, 0 where absent
+    lag = [None] * m
 
     def read(i):
         """Fold row ``i``'s logged moves into its basic value."""
         beta[i] = _folded(beta[i], moves[i])
         moves[i] = shadow[i] = None
         total[i] = size[i] = 0.0
+
+    def catch_up(i, j=None):
+        """Apply row ``i``'s recorded pivots to its entry ``j``, or to every
+        entry, each pivot to the entries that have not applied it."""
+        rn, ro, re = tab_n[i], tab_o[i], tab_e[i]
+        log, done = lag[i]
+        if j is None:
+            for t, (pivot_row, fn, fo, fe) in enumerate(log):
+                _eliminate(rn, ro, re, fn, fo, fe,
+                           [p for k, p in pivot_row.items() if done.get(k, 0) <= t])
+            lag[i] = None
+            return
+        for pivot_row, fn, fo, fe in log[done.get(j, 0):]:
+            p = pivot_row.get(j)
+            if p is not None:
+                _eliminate(rn, ro, re, fn, fo, fe, (p,))
+        done[j] = len(log)
 
     first = 0
     pivots = flips = 0
@@ -371,11 +422,17 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
             for i, log in enumerate(moves):
                 if log is not None and (not costed_only or cobj[basis[i]][0]):
                     beta[i] = _folded(beta[i], log)
+            if not costed_only:
+                for i in range(m):
+                    if lag[i] is not None:
+                        catch_up(i)
             return pivots, flips
         # the entering column's nonzero rows: (i, a, a_f), a the row's move
         # per unit step of the entering variable and a_f its float
         column = []
         for i in range(m):
+            if lag[i] is not None:
+                catch_up(i, entering)
             an = tab_n[i][entering]
             if an:
                 a = (-an if up else an, tab_o[i][entering], tab_e[i][entering])
@@ -474,9 +531,20 @@ def _run_phase(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, *,
         new_value = _add(lo[entering], step) if up else _sub(hi[entering], step)
         out = basis[leaving]
         status[out] = _AT_LOWER if hit_lower else _AT_UPPER
-        prow = _pivot(tab_n, tab_o, tab_e, leaving, entering)
+        # the pivot row is scaled and written; every other row of the column
+        # records the pivot with its multiplier and applies it when read
+        if lag[leaving] is not None:
+            catch_up(leaving)
+        prow = _scale(tab_n, tab_o, tab_e, leaving, entering)
+        pivot_row = {p[0]: p for p in prow}
         for i, _, _ in column:
             row_f[i] = [None] * width
+            if i != leaving:
+                if lag[i] is None:
+                    _writable(tab_n, tab_o, tab_e, i)
+                    lag[i] = [], {}
+                lag[i][0].append((pivot_row, tab_n[i][entering], tab_o[i][entering],
+                                  tab_e[i][entering]))
         basis[leaving] = entering
         status[entering] = _BASIC
         beta[leaving] = new_value
@@ -577,7 +645,7 @@ def _phase_two(start: _Start, c, costed_only=False):
     values, statuses and basis it ends on.
 
     The rows are the start's own, shared read-only by every phase 2 on it; a
-    pivot copies a row before writing it (``_pivot``).  So are the floats the
+    pivot copies a row before writing it (``_writable``).  So are the floats the
     shadow tests read, a ``_Floats`` kept for the start phase 2 last ran on.
     With ``costed_only`` only the basic values of costed columns are folded
     (``_run_phase``), the ones the optimum reads.

@@ -118,6 +118,29 @@ class TestSeriesGain:
         with pytest.raises(ValueError, match="mean must be finite"):
             call()
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: poisson_weight(0.1, 1.5), "photon number must be an integer, got 1.5"),
+        (lambda: poisson_weight(0.1, True), "photon number must be an integer, got True"),
+        (lambda: poisson_weight(0.1, -1), "photon number must be >= 0, got -1"),
+        (lambda: poisson_weight(0.0, -1), "photon number must be >= 0, got -1"),
+        (lambda: poisson_upper_tail(0.1, 2.5), "n_max must be an integer, got 2.5"),
+        (lambda: poisson_upper_tail(0.1, False), "n_max must be an integer, got False"),
+        (lambda: series_gain(standard_noise(10, 10), 0.1, 0.1, n_max=25.5),
+         "n_max must be an integer, got 25.5"),
+        (lambda: series_gain(standard_noise(10, 10), 0.1, 0.1, n_max=True),
+         "n_max must be an integer, got True"),
+    ], ids=["weight-half", "weight-bool", "weight-negative", "weight-zero-mean-negative",
+            "tail-half", "tail-bool", "gain-half", "gain-bool"])
+    def test_non_integer_or_negative_count_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_integer_counts_of_other_types(self):
+        # numpy ints are integers; the weight is the float Poisson term
+        assert poisson_weight(0.1, np.int64(2)) == poisson_weight(0.1, 2)
+        assert poisson_upper_tail(0.1, np.int64(20)) == poisson_upper_tail(0.1, 20)
+        assert poisson_weight(0.0, 0) == 1.0 and poisson_weight(0.0, 3) == 0.0
+
 
 def _random_lps():
     """One hundred small seeded LPs (c, a, lower, upper) over the unit box."""
@@ -372,6 +395,16 @@ class TestLpYieldBound:
         for _ in range(2):  # the memo holds no exceptions: every call raises
             with pytest.raises(InconsistentGainsError):
                 lp_yield_bound(gains, mu, mu, (1, 1), 8)
+
+    def test_windows_hold_the_poisson_tail(self):
+        # every gain 1/2 is the profile Y_nm = 1/2; at n_trunc = 2 the strong
+        # intensities leave 19% (mu) and 12% (nu) of their Poisson mass past
+        # the truncation, which only the windows' Poisson tail admits: without
+        # it the rows have no feasible point.  The true yield bounds the LP
+        # from below, exactly
+        mu, nu = (1.5, 0.6, 0.05), (1.2, 0.5, 0.04)
+        gains = GainMatrix(q=((0.5,) * 3,) * 3)
+        assert lp_yield_bound(gains, mu, nu, (0, 0), n_trunc=2) >= 0.5
 
     @pytest.mark.parametrize("mu,n_trunc", [
         ((math.inf, 1e-2, 2e-3), 8), ((math.nan, 1e-2, 2e-3), 8), ((-0.1, 1e-2, 2e-3), 8),

@@ -216,6 +216,73 @@ class TestMatchesFrozenPhase:
                                                         [(0, 0), (1, 1), (0, 2)]))
 
 
+def _rows_as_eager(monkeypatch, solve):
+    """``solve()`` with each phase run by the library's routine and by the
+    frozen copy on copies of its inputs; requires every phase to end with
+    the same tableau (``tab_n``, ``tab_o``, ``tab_e``), basic values,
+    statuses, basis and counts, entry for entry.  Returns the phases'
+    (pivots, flips)."""
+    counts = []
+
+    def both(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj, **kwargs):
+        tabs = [[list(r) for r in tab] for tab in (tab_n, tab_o, tab_e)]
+        state = [list(beta), list(status), list(basis)]
+        want = _frozen_run_phase(*tabs, *state, lo, hi, cobj, len(cobj))
+        got = _LIBRARY_RUN_PHASE(tab_n, tab_o, tab_e, beta, status, basis, lo, hi, cobj,
+                                 **kwargs)
+        assert got == want
+        assert [[tuple(r) for r in tab] for tab in (tab_n, tab_o, tab_e)] == \
+            [[tuple(r) for r in tab] for tab in tabs]
+        assert [beta, status, basis] == state
+        counts.append(got)
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_run_phase", both)
+        try:
+            solve()
+        except simplex.LinearProgramInfeasible:
+            pass
+    return counts
+
+
+class TestDeferredRows:
+    """A pivot writes its own row and the other rows of its column record it,
+    applying it to an entry when the entry is read.  A phase that ends with
+    every row current (phase 1, ``_maximize``'s phase 2) leaves the tableau
+    the eager update of the frozen copy leaves, entry for entry."""
+
+    @pytest.mark.parametrize("decoys,seed", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)])
+    def test_certify_like(self, decoys, seed, monkeypatch):
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        counts = _rows_as_eager(monkeypatch, _targets_solve(
+            lambda: lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc), n_trunc + 1,
+            TARGETS_3))
+        assert len(counts) == 9
+
+    @pytest.mark.parametrize("seed,index", [(1, 0), (1, 1), (1, 7), (2, 1)])
+    def test_verify_draws_both_starts(self, seed, index, monkeypatch):
+        gains, mu, nu = _verify_like(seed, index)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        for start_of in (lambda: lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc),
+                         lambda: _phase_one(gains.q, mu, nu, n_trunc)):
+            counts = _rows_as_eager(monkeypatch, _targets_solve(start_of, n_trunc + 1,
+                                                                TARGETS_3))
+            assert sum(pivots for pivots, _ in counts) > 0
+
+    def test_random_lps_phase_one(self, monkeypatch):
+        # phase 1 pivots more than once on 83 of the 100, infeasible ones
+        # included, so rows record several pivots before the end
+        pivoted = 0
+        for c, a, lower, upper in _random_lps():
+            n = len(c)
+            counts = _rows_as_eager(monkeypatch, lambda: solve_bounded_lp(
+                c, a, lower, upper, np.zeros(n), np.ones(n)))
+            pivoted += counts[0][0] > 1
+        assert pivoted > 50
+
+
 def _counted(monkeypatch, read):
     """``read()`` and the (pivots, flips) of each phase it runs."""
     counts = []
@@ -380,6 +447,34 @@ class TestShadowCounts:
                   for c in _unit_costs(n_trunc + 1, TARGETS_3)]
         pivots, flips = (sum(p[0][k] for p in phases) for k in (0, 1))
         assert (pivots, flips, len(folds)) == self.COUNTS[decoys, seed]
+
+
+class TestEliminatedEntries:
+    """How much of the tableau the nine phase 2s of ``lp_yield_bound`` form:
+    the entries they pass to ``_eliminate``, pricing and the reduced-cost
+    row included, on the configurations of ``TestShadowCounts``.  Rewriting
+    every row of a pivot's column at the pivot passes 990 / 2,880 / 450 and
+    7,120 for each 4-decoy configuration."""
+
+    COUNTS = {(3, 0): 822, (3, 1): 2042, (3, 2): 450,
+              (4, 0): 3826, (4, 1): 3826, (4, 2): 3826}
+
+    @pytest.mark.parametrize("decoys,seed", COUNTS)
+    def test_certify_like(self, decoys, seed, monkeypatch):
+        gains, mu, nu = _certify_like(np.random.default_rng([decoys, seed]), decoys)
+        n_trunc = lp_bounds.DEFAULT_TRUNCATION
+        start = lp_bounds._start.__wrapped__(gains.q, mu, nu, n_trunc)
+        entries = []
+        eliminate = simplex._eliminate
+
+        def counted(rn, ro, re, fn, fo, fe, pivot_row):
+            entries.append(len(pivot_row))
+            eliminate(rn, ro, re, fn, fo, fe, pivot_row)
+
+        monkeypatch.setattr(simplex, "_eliminate", counted)
+        for c in _unit_costs(n_trunc + 1, TARGETS_3):
+            _optimum(start, c)
+        assert sum(entries) == self.COUNTS[decoys, seed]
 
 
 def _gaps(log):
